@@ -46,7 +46,7 @@ from .generalized import (
     generalized_twfe,
     pretrend_covariate,
 )
-from .inference import StackedRegression, cluster_robust_se, stack_differences
+from .inference import cluster_robust_se
 from .numerics import (
     LeastSquaresFit,
     fwl_residualize,
@@ -55,8 +55,6 @@ from .numerics import (
 )
 from .panel import (
     BalancedPanel,
-    DemeanedSeries,
-    DifferencedSeries,
     PanelSchema,
     demean,
     k_difference,
@@ -69,9 +67,7 @@ __all__ = [
     "BalancedPanel",
     "CausalWeightReport",
     "CovariateSpec",
-    "DemeanedSeries",
     "DgpConfig",
-    "DifferencedSeries",
     "EquivalenceReport",
     "Estimate",
     "FdComponent",
@@ -86,7 +82,6 @@ __all__ = [
     "PanelSchema",
     "PretrendConfig",
     "SimulatedPanel",
-    "StackedRegression",
     "Theorem2Audit",
     "WeightedSummary",
     "causal_weights",
@@ -108,7 +103,6 @@ __all__ = [
     "scenario_preset",
     "simulate",
     "simulate_replication",
-    "stack_differences",
     "theorem2_audit",
     "twfe",
     "twfe_iv",

@@ -24,13 +24,17 @@ Config layout::
     time = year
     series = emp minwage     ; optional, default: all non-key columns
     cluster = region         ; optional
-    delimiter = ,            ; optional
+    delimiter = ,            ; optional, one character
     balance = error          ; or drop-units
 
     [analysis:NAME]
     kind = twfe | fd | gap_restricted | generalized | fd_decomposition |
            pairwise_decomposition | equivalence | causal_weights | simulation
     ... kind-specific options (see README)
+
+``;`` and ``#`` start an inline comment when preceded by whitespace, so a
+``;`` or ``#`` delimiter is written without a space before it:
+``delimiter=;``.
 
 All floating-point output uses shortest round-trip decimals, and nothing
 time- or host-dependent is ever written, so reruns with the same config and
@@ -148,7 +152,9 @@ def load_run_config(path: str) -> RunConfig:
     """Parse an INI config file into a :class:`RunConfig`."""
     if not os.path.exists(path):
         raise ValueError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None
+    )
     parser.read(path)
     if "run" not in parser:
         raise ValueError(f"{path}: missing [run] section")
@@ -174,6 +180,11 @@ def load_run_config(path: str) -> RunConfig:
             cluster=sec.get("cluster", "").strip() or None,
         )
         delimiter = sec.get("delimiter", ",")
+        if len(delimiter) != 1:
+            raise ValueError(
+                f"option 'delimiter' must be exactly one character, got "
+                f"'{delimiter}'"
+            )
         balance = sec.get("balance", "error").strip()
     analyses = []
     for section in parser.sections():
@@ -411,12 +422,13 @@ def _run_analysis(
                 balance=config.balance,
             )
         scheme = opts.get("weight_scheme", "ssr").strip()
+        gap_range = _gap_range(opts, required=False)
         result = generalized_twfe(
             panel,
             y,
             x,
             spec=spec,
-            gap_range=_gap_range(opts, required=False),
+            gap_range=gap_range,
             weight_scheme=scheme,
             presample=presample,
             se=_get_bool(opts, "se"),
@@ -428,10 +440,16 @@ def _run_analysis(
             "differenced": list(spec.differenced),
             "pre_period": [
                 f"{c.variable}:{c.window_start_offset}:{c.window_end_offset}"
+                + (f":{c.min_points}" if c.min_points is not None else "")
                 for c in spec.pre_period
             ],
             "weight_scheme": scheme,
         }
+        if gap_range is not None:
+            params["k_min"] = gap_range.k_min
+            params["k_max"] = gap_range.k_max
+        if presample is not None:
+            params["presample"] = opts["presample"].strip()
         _write_report(
             outdir, name, "estimate",
             _estimate_payload("generalized", params, result.estimate),

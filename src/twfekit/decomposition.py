@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoIdentifyingVariation
-from .estimators import DEGENERACY_TOL, twfe
-from .panel import BalancedPanel, demean
+from .estimators import DEGENERACY_TOL, _demeaned_pair, _variation_scale, twfe
+from .panel import BalancedPanel
 
 
 @dataclass(frozen=True)
@@ -94,45 +94,35 @@ class EquivalenceReport:
     max_rel_gap: float
 
 
-def _demeaned_pair(panel: BalancedPanel, y: str, x: str):
-    xt = demean(panel, x).values
-    yt = demean(panel, y).values
-    raw = panel.values(x)
-    centered = raw - raw.mean()
-    scale = float(np.sum(centered * centered))
-    return xt, yt, scale
-
-
-def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
-    """Split the two-way estimate into pooled difference estimators by gap."""
-    xt, yt, scale = _demeaned_pair(panel, y, x)
-    t = panel.n_periods
-    dens, nums, counts = [], [], []
-    for k in range(1, t):
-        dx = xt[:, k:] - xt[:, :-k]
-        dy = yt[:, k:] - yt[:, :-k]
-        dens.append(float(np.sum(dx * dx)))
-        nums.append(float(np.sum(dx * dy)))
-        counts.append(dx.size)
-    total = float(sum(dens))
+def _read_out(nums, dens, panel: BalancedPanel, x: str):
+    """Component estimates ``nums / dens``, their weights, the aggregate and
+    the total denominator; degenerate components get ``None`` and ``0.0``."""
+    scale = _variation_scale(panel, x)
+    total = float(dens.sum())
     if scale == 0.0 or total <= DEGENERACY_TOL * scale:
         raise NoIdentifyingVariation(
             f"no identifying variation in '{x}' after the two-way transformation"
         )
-    components = []
-    aggregate = 0.0
-    for k, den, num, count in zip(range(1, t), dens, nums, counts):
-        if den <= DEGENERACY_TOL * scale:
-            components.append(
-                FdComponent(gap=k, beta=None, weight=0.0, n_obs=count)
-            )
-            continue
-        beta = num / den
-        weight = den / total
-        aggregate += weight * beta
-        components.append(
-            FdComponent(gap=k, beta=beta, weight=weight, n_obs=count)
-        )
+    live = dens > DEGENERACY_TOL * scale
+    betas = [
+        float(nu / de) if ok else None for nu, de, ok in zip(nums, dens, live)
+    ]
+    weights = [float(de / total) if ok else 0.0 for de, ok in zip(dens, live)]
+    aggregate = sum(w * b for w, b in zip(weights, betas) if b is not None)
+    return betas, weights, float(aggregate), total
+
+
+def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
+    """Split the two-way estimate into pooled difference estimators by gap."""
+    (_, xy), (_, xx) = _demeaned_pair(panel, y, x)
+    n, t = panel.n_units, panel.n_periods
+    betas, weights, aggregate, total = _read_out(
+        xy.sum(axis=0), xx.sum(axis=0), panel, x
+    )
+    components = [
+        FdComponent(gap=k, beta=beta, weight=weight, n_obs=n * (t - k))
+        for k, beta, weight in zip(range(1, t), betas, weights)
+    ]
     return FdDecomposition(
         components=components, aggregate=aggregate, total_denominator=total
     )
@@ -145,41 +135,22 @@ def pairwise_decomposition(
 
     Components are ordered lexicographically by (first, second) period label.
     """
-    xt, yt, scale = _demeaned_pair(panel, y, x)
-    t = panel.n_periods
-    n = panel.n_units
+    (xy, _), (xx, _) = _demeaned_pair(panel, y, x)
+    first, second = np.triu_indices(panel.n_periods, k=1)
+    betas, weights, aggregate, total = _read_out(
+        xy[first, second], xx[first, second], panel, x
+    )
     labels = panel.periods
-    dens, nums, pairs = [], [], []
-    for ti in range(t - 1):
-        for si in range(ti + 1, t):
-            dx = xt[:, si] - xt[:, ti]
-            dy = yt[:, si] - yt[:, ti]
-            dens.append(float(dx @ dx))
-            nums.append(float(dx @ dy))
-            pairs.append((labels[ti], labels[si]))
-    total = float(sum(dens))
-    if scale == 0.0 or total <= DEGENERACY_TOL * scale:
-        raise NoIdentifyingVariation(
-            f"no identifying variation in '{x}' after the two-way transformation"
+    components = [
+        PairComponent(
+            first=labels[ti],
+            second=labels[si],
+            beta=beta,
+            weight=weight,
+            n_obs=panel.n_units,
         )
-    components = []
-    aggregate = 0.0
-    for (first, second), den, num in zip(pairs, dens, nums):
-        if den <= DEGENERACY_TOL * scale:
-            components.append(
-                PairComponent(
-                    first=first, second=second, beta=None, weight=0.0, n_obs=n
-                )
-            )
-            continue
-        beta = num / den
-        weight = den / total
-        aggregate += weight * beta
-        components.append(
-            PairComponent(
-                first=first, second=second, beta=beta, weight=weight, n_obs=n
-            )
-        )
+        for ti, si, beta, weight in zip(first, second, betas, weights)
+    ]
     return PairwiseDecomposition(
         components=components, aggregate=aggregate, total_denominator=total
     )

@@ -393,14 +393,14 @@ def theorem2_audit(
     delta_bias = 0.0
     if cov_list:
         wt = np.stack(
-            [demean(panel, name).values for name in cov_list], axis=-1
+            [demean(panel, name) for name in cov_list], axis=-1
         )
         if len(cov_list) == 1:
             pooled = np.array([twfe(panel, "x", cov_list[0]).beta])
         else:
             pooled = np.asarray(twfe_multivariate(panel, "x", cov_list).beta)
         pooled_fit = wt @ pooled
-        xt = demean(panel, "x").values
+        xt = demean(panel, "x")
         bias_sum = 0.0
         for k in range(1, t):
             dwt = wt[:, k:, :] - wt[:, :-k, :]

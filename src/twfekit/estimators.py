@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoIdentifyingVariation
-from .inference import StackedRegression, cluster_robust_se, stack_differences
-from .numerics import fwl_residualize, independent_columns
+from .inference import cluster_robust_se
+from .numerics import fwl_residualize, independent_columns, pair_moments
 from .panel import BalancedPanel, demean
 
 #: An estimator's denominator below this multiple of the treatment's squared
@@ -81,6 +81,13 @@ def _variation_scale(panel: BalancedPanel, var: str) -> float:
     return float(np.sum(centered * centered))
 
 
+def _demeaned_pair(panel: BalancedPanel, y: str, x: str):
+    """Pair moments of cross-sectionally demeaned ``x`` with ``y`` and with
+    itself, each a ``(by_pair, by_unit)`` tuple of :func:`pair_moments`."""
+    xt = demean(panel, x)
+    return pair_moments(xt, demean(panel, y)), pair_moments(xt, xt)
+
+
 def two_way_residual(
     panel: BalancedPanel, var: str, covariates: Sequence[str] | None = None
 ) -> np.ndarray:
@@ -92,11 +99,11 @@ def two_way_residual(
     indicators.  Covariates, when given, are themselves double-demeaned and
     then partialled out observation-wise.
     """
-    within = _within(demean(panel, var).values)
+    within = _within(demean(panel, var))
     if not covariates:
         return within
     controls = np.column_stack(
-        [_within(demean(panel, c).values).ravel() for c in covariates]
+        [_within(demean(panel, c)).ravel() for c in covariates]
     )
     return fwl_residualize(within.ravel(), controls).reshape(within.shape)
 
@@ -131,8 +138,11 @@ def twfe(
     t = panel.n_periods
     se_value = None
     if se:
-        stacked = stack_differences(ry, rx, panel.cluster_id, range(1, t))
-        se_value = cluster_robust_se(stacked)
+        _, cross = pair_moments(rx, ry)
+        _, sq = pair_moments(rx, rx)
+        se_value = cluster_robust_se(
+            cross.sum(axis=1), sq.sum(axis=1), panel.cluster_id
+        )
     return Estimate(
         beta=beta,
         se=se_value,
@@ -156,21 +166,16 @@ def fd(
         raise NoIdentifyingVariation(
             f"gap must satisfy 1 <= k <= {panel.n_periods - 1}, got {k}"
         )
-    xt = demean(panel, x).values
-    yt = demean(panel, y).values
-    dx = xt[:, k:] - xt[:, :-k]
-    dy = yt[:, k:] - yt[:, :-k]
-    den = float(np.sum(dx * dx))
+    (_, cross), (_, sq) = _demeaned_pair(panel, y, x)
+    cross, sq = cross[:, k - 1], sq[:, k - 1]
+    den = float(sq.sum())
     _check_denominator(
         den,
         _variation_scale(panel, x),
         f"no identifying variation in '{x}' at gap {k}",
     )
-    beta = float(np.sum(dx * dy)) / den
-    se_value = None
-    if se:
-        stacked = stack_differences(yt, xt, panel.cluster_id, [k])
-        se_value = cluster_robust_se(stacked)
+    beta = float(cross.sum()) / den
+    se_value = cluster_robust_se(cross, sq, panel.cluster_id) if se else None
     return Estimate(
         beta=beta,
         se=se_value,
@@ -188,8 +193,8 @@ def twfe_two_period(
         raise ValueError(f"need s > t, got pair ({t}, {s})")
     ti = panel.period_index(t)
     si = panel.period_index(s)
-    xt = demean(panel, x).values
-    yt = demean(panel, y).values
+    xt = demean(panel, x)
+    yt = demean(panel, y)
     dx = xt[:, si] - xt[:, ti]
     dy = yt[:, si] - yt[:, ti]
     den = float(dx @ dx)
@@ -214,22 +219,19 @@ def twfe_multivariate(
 ) -> Estimate:
     """Two-way fixed-effects coefficients on several regressors at once.
 
-    Solves the normal equations accumulated over all period pairs of the
-    cross-sectionally demeaned regressors; on a balanced panel this matches
-    the dummy-variable regression of ``y`` on all of ``xs`` plus unit and
-    period indicators.  ``beta`` is a vector aligned with ``xs``;
+    Solves the normal equations of all period-pair differences, formed as
+    ``T`` times the double-demeaned cross products; on a balanced panel
+    this matches the dummy-variable regression of ``y`` on all of ``xs``
+    plus unit and period indicators.  ``beta`` is a vector aligned with ``xs``;
     ``denominator`` reports the smallest eigenvalue of the normal-equation
     matrix.
     """
     names = list(xs)
     if not names:
         raise ValueError("need at least one regressor")
-    stack = np.stack([demean(panel, name).values for name in names], axis=-1)
-    yt = demean(panel, y).values
-    n, t, p = stack.shape
-
+    n, t = panel.n_units, panel.n_periods
     design = np.column_stack(
-        [_within(stack[:, :, j]).ravel() for j in range(p)]
+        [two_way_residual(panel, name).ravel() for name in names]
     )
     try:
         _, dependent = independent_columns(design)
@@ -244,13 +246,10 @@ def twfe_multivariate(
             f"collinear regressors after the two-way transformation: {bad}"
         )
 
-    a = np.zeros((p, p))
-    b = np.zeros(p)
-    for ti in range(t - 1):
-        for si in range(ti + 1, t):
-            d = stack[:, si, :] - stack[:, ti, :]
-            a += d.T @ d
-            b += d.T @ (yt[:, si] - yt[:, ti])
+    # Full-range lemma: summed over all period pairs, products of
+    # differences equal T times products of double-demeaned values.
+    a = t * (design.T @ design)
+    b = t * (design.T @ two_way_residual(panel, y).ravel())
     beta = np.linalg.solve(a, b)
     smallest = float(np.linalg.eigvalsh(a)[0])
     return Estimate(
@@ -270,19 +269,15 @@ def twfe_iv(panel: BalancedPanel, y: str, x: str, z: str) -> Estimate:
     with treatment differences.  Matches two-stage least squares with unit
     and period indicators in both stages.
     """
-    xt = demean(panel, x).values
-    yt = demean(panel, y).values
-    zt = demean(panel, z).values
+    xw = two_way_residual(panel, x)
+    zw = two_way_residual(panel, z)
     t = panel.n_periods
-    num = den = xvar = zvar = 0.0
-    for k in range(1, t):
-        dxk = xt[:, k:] - xt[:, :-k]
-        dzk = zt[:, k:] - zt[:, :-k]
-        dyk = yt[:, k:] - yt[:, :-k]
-        num += float(np.sum(dzk * dyk))
-        den += float(np.sum(dzk * dxk))
-        xvar += float(np.sum(dxk * dxk))
-        zvar += float(np.sum(dzk * dzk))
+    # Full-range lemma: each pair-difference sum is T times the sum of
+    # products of double-demeaned values.
+    num = t * float(np.sum(zw * two_way_residual(panel, y)))
+    den = t * float(np.sum(zw * xw))
+    xvar = t * float(np.sum(xw * xw))
+    zvar = t * float(np.sum(zw * zw))
     # Guard the difference sums against the raw variation of each series
     # before forming their Cauchy-Schwarz product: a purely additive series
     # leaves only roundoff in the differences, which would otherwise shrink

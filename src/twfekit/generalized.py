@@ -29,9 +29,14 @@ import numpy as np
 
 from .decomposition import PairComponent, PairwiseDecomposition
 from .errors import NoIdentifyingVariation, PanelError
-from .estimators import DEGENERACY_TOL, Estimate, _variation_scale
-from .inference import StackedRegression, cluster_robust_se, stack_differences
-from .numerics import fwl_residualize
+from .estimators import (
+    DEGENERACY_TOL,
+    Estimate,
+    _demeaned_pair,
+    _variation_scale,
+)
+from .inference import cluster_robust_se
+from .numerics import fwl_residualize, pair_moments
 from .panel import BalancedPanel, demean
 
 WEIGHT_SCHEMES = ("ssr", "raw")
@@ -163,25 +168,17 @@ def gap_restricted(
             f"gap range [{gap_range.k_min}, {gap_range.k_max}] exceeds the "
             f"largest available gap {t - 1}"
         )
-    xt = demean(panel, x).values
-    yt = demean(panel, y).values
-    num = den = 0.0
-    for k in range(gap_range.k_min, gap_range.k_max + 1):
-        dx = xt[:, k:] - xt[:, :-k]
-        dy = yt[:, k:] - yt[:, :-k]
-        den += float(np.sum(dx * dx))
-        num += float(np.sum(dx * dy))
+    gaps = slice(gap_range.k_min - 1, gap_range.k_max)
+    (_, cross), (_, sq) = _demeaned_pair(panel, y, x)
+    cross, sq = cross[:, gaps].sum(axis=1), sq[:, gaps].sum(axis=1)
+    num, den = float(cross.sum()), float(sq.sum())
     scale = _variation_scale(panel, x)
     if scale == 0.0 or den <= DEGENERACY_TOL * scale:
         raise NoIdentifyingVariation(
             f"no identifying variation in '{x}' for gaps "
             f"{gap_range.k_min}-{gap_range.k_max}"
         )
-    se_value = None
-    if se:
-        gaps = range(gap_range.k_min, gap_range.k_max + 1)
-        stacked = stack_differences(yt, xt, panel.cluster_id, gaps)
-        se_value = cluster_robust_se(stacked)
+    se_value = cluster_robust_se(cross, sq, panel.cluster_id) if se else None
     return Estimate(
         beta=num / den,
         se=se_value,
@@ -313,13 +310,13 @@ def generalized_twfe(
 
     yv = panel.values(y)
     xv = panel.values(x)
-    xt = demean(panel, x).values
+    xt = demean(panel, x)
+    raw_by_pair, _ = pair_moments(xt, xt)
     n = panel.n_units
     labels = panel.periods
     # panel-wide centred treatment variation: the scale against which a
     # pair's difference variation counts as numerically zero
-    xc = xv - xv.mean()
-    x_scale = float(np.sum(xc * xc))
+    x_scale = _variation_scale(panel, x)
 
     invariant_cols = [
         _time_invariant_column(panel, name) for name in spec.time_invariant
@@ -339,8 +336,9 @@ def generalized_twfe(
     components: list[PairComponent] = []
     raw_dens: list[float] = []
     ssrs: list[float] = []
-    crosses: list[float] = []
-    residual_rows: list[tuple[np.ndarray, np.ndarray]] = []
+    # per-unit sums of v*u and v^2 over the live pairs, for the SE
+    unit_cross = np.zeros(n)
+    unit_sq = np.zeros(n)
 
     for ti in range(t_count - 1):
         for si in range(ti + 1, t_count):
@@ -360,19 +358,21 @@ def generalized_twfe(
             rx = fwl_residualize(dx, controls)
             ry = fwl_residualize(dy, controls)
             ssr = float(rx @ rx)
-            cross = float(rx @ ry)
-            d_raw = xt[:, si] - xt[:, ti]
-            raw_den = float(d_raw @ d_raw)
+            raw_den = float(raw_by_pair[ti, si])
             raw_dens.append(raw_den)
             ssrs.append(ssr)
-            crosses.append(cross)
-            residual_rows.append((ry, rx))
             degenerate = (
                 x_scale == 0.0
                 or raw_den <= DEGENERACY_TOL * x_scale
                 or ssr <= DEGENERACY_TOL * raw_den
             )
-            beta = None if degenerate else cross / ssr
+            beta = None if degenerate else float(rx @ ry) / ssr
+            if not degenerate:
+                # the raw scheme rescales a pair's residuals by
+                # sqrt(raw_den / ssr), so its products scale by the square
+                f2 = raw_den / ssr if weight_scheme == "raw" else 1.0
+                unit_cross += f2 * (rx * ry)
+                unit_sq += f2 * (rx * rx)
             components.append(
                 PairComponent(
                     first=labels[ti],
@@ -415,24 +415,9 @@ def generalized_twfe(
         )
         aggregate += weight * components[i].beta
 
-    se_value = None
-    if se:
-        resp, reg, clu = [], [], []
-        cluster = np.asarray(panel.cluster_id)
-        for i in live:
-            ry, rx = residual_rows[i]
-            if weight_scheme == "raw":
-                factor = float(np.sqrt(raw_dens[i] / ssrs[i]))
-                ry, rx = ry * factor, rx * factor
-            resp.append(ry)
-            reg.append(rx)
-            clu.append(cluster)
-        stacked = StackedRegression(
-            response=np.concatenate(resp),
-            regressor=np.concatenate(reg),
-            cluster=np.concatenate(clu),
-        )
-        se_value = cluster_robust_se(stacked)
+    se_value = (
+        cluster_robust_se(unit_cross, unit_sq, panel.cluster_id) if se else None
+    )
 
     estimate = Estimate(
         beta=aggregate,

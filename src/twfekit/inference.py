@@ -2,28 +2,31 @@
 
 Convention
 ----------
-Every point estimator in this package is a ratio of sums over *differenced*
-observations (gap differences or period-pair differences).  For inference,
-those differenced observations are stacked into one long single-regressor
-regression whose pooled slope reproduces the point estimate exactly; the
-variance is then the standard one-regressor cluster-robust sandwich
+Every point estimator in this package is a pooled slope over *differenced*
+observations (gap differences or period-pair differences): with regressor
+differences ``v`` and response differences ``u``, the slope is
+``sum(v u) / sum(v^2)``.  Its variance is the one-regressor cluster-robust
+sandwich of those differenced observations, built from per-unit sums alone.
+With ``cross_i = sum v u`` and ``sq_i = sum v^2`` over unit ``i``'s
+differenced observations, unit ``i``'s score at the pooled slope ``b`` is
+``cross_i - b * sq_i``, and
 
-    Var = den^-2 * sum_g (sum_{rows in g} v_r e_r)^2 * G / (G - 1)
+    Var = den^-2 * sum_g (sum_{i in g} (cross_i - b * sq_i))^2 * G / (G - 1)
 
-with ``den = sum_r v_r^2``, residuals ``e_r`` at the pooled slope, clusters
-``g`` (one per sampling unit by default), and the usual small-sample factor
-``G/(G-1)``.  Confidence intervals use normal critical values.
+with ``den = sum_i sq_i``, clusters ``g`` (one per sampling unit by default),
+and the usual small-sample factor ``G/(G-1)``.  Confidence intervals use
+normal critical values.
 
-This is a reporting convention for the stacked representation, chosen so that
-one formula serves the plain, gap-restricted, and covariate-adjusted
-estimators alike; it is not the only defensible variance for these
-estimators.
+Summing scores per unit first gives exactly the sandwich of the long
+regression that stacks every differenced observation as a row, without
+building those rows.  This is a reporting convention, chosen so that one
+formula serves the plain, gap-restricted, and covariate-adjusted estimators
+alike; it is not the only defensible variance for these estimators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,92 +34,39 @@ import numpy as np
 from .errors import NoIdentifyingVariation
 
 
-@dataclass
-class StackedRegression:
-    """Single-regressor regression rows with a cluster label per row."""
+def cluster_robust_se(
+    cross: np.ndarray, sq: np.ndarray, cluster_id: Sequence[str]
+) -> float:
+    """Cluster-robust standard error of the pooled slope ``sum(cross) / sum(sq)``.
 
-    response: np.ndarray
-    regressor: np.ndarray
-    cluster: np.ndarray
-
-    def __post_init__(self):
-        self.response = np.asarray(self.response, dtype=float).ravel()
-        self.regressor = np.asarray(self.regressor, dtype=float).ravel()
-        self.cluster = np.asarray(self.cluster).ravel()
-        n = self.response.shape[0]
-        if self.regressor.shape[0] != n or self.cluster.shape[0] != n:
-            raise ValueError(
-                f"row count mismatch: response {n}, regressor "
-                f"{self.regressor.shape[0]}, cluster {self.cluster.shape[0]}"
-            )
-        if n == 0:
-            raise ValueError("stacked regression has no rows")
-
-
-def stack_differences(
-    response_matrix: np.ndarray,
-    regressor_matrix: np.ndarray,
-    cluster_ids: Sequence[str],
-    gaps: Sequence[int],
-) -> StackedRegression:
-    """Stack gap-difference rows of two (units x periods) matrices.
-
-    For each gap ``k`` in ``gaps`` and each start period, one row per unit is
-    emitted (gap-major, then start period, then unit), each carrying its
-    unit's cluster label.  The pooled slope of the result equals
-    ``sum(dy * dx) / sum(dx^2)`` over all emitted rows, which is how every
-    estimator in this package aggregates.
-    """
-    ry = np.asarray(response_matrix, dtype=float)
-    rx = np.asarray(regressor_matrix, dtype=float)
-    if ry.shape != rx.shape:
-        raise ValueError(f"matrix shape mismatch: {ry.shape} vs {rx.shape}")
-    cluster = np.asarray(cluster_ids)
-    if cluster.shape[0] != ry.shape[0]:
-        raise ValueError("one cluster label per unit is required")
-    n, t = ry.shape
-    resp, reg, clu = [], [], []
-    for k in gaps:
-        if not 1 <= k <= t - 1:
-            raise ValueError(f"gap {k} invalid for {t} periods")
-        dy = ry[:, k:] - ry[:, :-k]
-        dx = rx[:, k:] - rx[:, :-k]
-        for start in range(t - k):
-            resp.append(dy[:, start])
-            reg.append(dx[:, start])
-            clu.append(cluster)
-    if not resp:
-        raise ValueError("no gaps supplied")
-    return StackedRegression(
-        response=np.concatenate(resp),
-        regressor=np.concatenate(reg),
-        cluster=np.concatenate(clu),
-    )
-
-
-def cluster_robust_se(stacked: StackedRegression) -> float:
-    """Cluster-robust standard error of the pooled slope of ``stacked``.
-
+    ``cross[i]`` and ``sq[i]`` are unit ``i``'s sums of ``v u`` and ``v^2``
+    over its differenced observations, and ``cluster_id[i]`` its cluster.
     Scores are summed within each cluster before squaring, so the result is
     invariant to relabelling or reordering clusters.  Requires at least two
     clusters and a regressor with positive variation.
     """
-    v = stacked.regressor
-    u = stacked.response
-    den = float(v @ v)
-    if den <= 0.0:
-        raise NoIdentifyingVariation(
-            "zero regressor variation in stacked regression"
+    cross = np.asarray(cross, dtype=float).ravel()
+    sq = np.asarray(sq, dtype=float).ravel()
+    labels = np.asarray(cluster_id).ravel()
+    n = cross.shape[0]
+    if sq.shape[0] != n or labels.shape[0] != n:
+        raise ValueError(
+            f"length mismatch: cross {n}, sq {sq.shape[0]}, "
+            f"cluster_id {labels.shape[0]}"
         )
-    labels, codes = np.unique(stacked.cluster, return_inverse=True)
-    n_clusters = labels.shape[0]
+    den = float(sq.sum())
+    if den <= 0.0:
+        raise NoIdentifyingVariation("zero regressor variation")
+    groups, codes = np.unique(labels, return_inverse=True)
+    n_clusters = groups.shape[0]
     if n_clusters < 2:
         raise ValueError(
             f"cluster-robust inference needs at least 2 clusters, got {n_clusters}"
         )
-    slope = float(u @ v) / den
-    residuals = u - slope * v
-    scores = np.bincount(codes, weights=v * residuals, minlength=n_clusters)
+    slope = float(cross.sum()) / den
+    scores = np.bincount(
+        codes.ravel(), weights=cross - slope * sq, minlength=n_clusters
+    )
     meat = float(scores @ scores)
     variance = meat / (den * den) * (n_clusters / (n_clusters - 1.0))
     return math.sqrt(variance)

@@ -133,6 +133,43 @@ def fwl_residualize(target: np.ndarray, controls: np.ndarray | None) -> np.ndarr
     return fit.residuals
 
 
+def pair_moments(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of period-pair difference products of two units x periods arrays.
+
+    For every pair of periods ``t < s`` and unit ``i`` the product
+    ``(a[i, s] - a[i, t]) * (b[i, s] - b[i, t])`` is formed from the exact
+    differences, one gap ``k = s - t`` at a time, so unit offsets cancel
+    before any product is taken and no units x pairs array is built.
+    Returns
+
+    ``by_pair``
+        ``(T, T)`` array; ``by_pair[t, s]`` is the product summed over units
+        for ``t < s`` and zero on and below the diagonal;
+    ``by_unit``
+        ``(N, T - 1)`` array; ``by_unit[i, k - 1]`` is unit ``i``'s product
+        summed over the start periods of gap ``k``.
+
+    Every estimator in the package is a ratio of sums of these moments.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    # period-major copies keep each gap's slices contiguous
+    at = np.ascontiguousarray(a.T)
+    bt = np.ascontiguousarray(b.T)
+    t, n = at.shape
+    by_pair = np.zeros((t, t))
+    by_unit = np.empty((n, t - 1))
+    for k in range(1, t):
+        prod = at[k:] - at[:-k]
+        prod *= bt[k:] - bt[:-k]
+        starts = np.arange(t - k)
+        by_pair[starts, starts + k] = prod.sum(axis=1)
+        by_unit[:, k - 1] = prod.sum(axis=0)
+    return by_pair, by_unit
+
+
 def pairwise_cross_moment(x_seq, y_seq) -> tuple[float, float]:
     """Both sides of the centred-moment / pairwise-difference identity.
 

@@ -136,48 +136,32 @@ class BalancedPanel:
         return idx
 
 
-@dataclass(frozen=True)
-class DemeanedSeries:
-    """A series with per-period cross-sectional means removed."""
-
-    name: str
-    values: np.ndarray  # (n_units, n_periods); columns sum to ~0
-
-
-@dataclass(frozen=True)
-class DifferencedSeries:
-    """Gap-``k`` forward differences of a series.
-
-    ``values[i, t]`` holds ``v[i, t + gap] - v[i, t]``; there are
-    ``n_periods - gap`` start periods.
-    """
-
-    name: str
-    gap: int
-    values: np.ndarray  # (n_units, n_periods - gap)
-
-
-def demean(panel: BalancedPanel, var: str) -> DemeanedSeries:
+def demean(panel: BalancedPanel, var: str) -> np.ndarray:
     """Cross-sectionally demean ``var``: subtract each period's mean over units.
 
-    Two passes of mean removal are used so column sums are zero to roundoff
-    even for badly centred data.
+    Returns a (n_units, n_periods) array whose columns sum to zero.  Two
+    passes of mean removal are used so column sums are zero to roundoff even
+    for badly centred data.
     """
     v = panel.values(var)
     centered = v - v.mean(axis=0)
     centered -= centered.mean(axis=0)
-    return DemeanedSeries(name=var, values=centered)
+    return centered
 
 
-def k_difference(panel: BalancedPanel, var: str, k: int) -> DifferencedSeries:
-    """Forward difference ``v[i, t+k] - v[i, t]`` over all start periods."""
+def k_difference(panel: BalancedPanel, var: str, k: int) -> np.ndarray:
+    """Forward difference ``v[i, t+k] - v[i, t]`` over all start periods.
+
+    Returns a (n_units, n_periods - k) array; column ``t`` holds the
+    difference starting in period ``periods[t]``.
+    """
     k = int(k)
     if not 1 <= k <= panel.n_periods - 1:
         raise PanelError(
             f"gap must satisfy 1 <= k <= {panel.n_periods - 1}, got {k}"
         )
     v = panel.values(var)
-    return DifferencedSeries(name=var, gap=k, values=v[:, k:] - v[:, :-k])
+    return v[:, k:] - v[:, :-k]
 
 
 def _parse_time(cell: str, line_num: int) -> int:

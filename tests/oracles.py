@@ -127,3 +127,139 @@ def window_slope(periods, values):
     design = np.column_stack([p, np.ones(p.size)])
     coef, _, _, _ = np.linalg.lstsq(design, np.asarray(values, float), rcond=None)
     return float(coef[0])
+
+
+# ---------------------------------------------------------------------------
+# stacked-row inference reference: every differenced observation is one row
+
+
+class StackedRegression:
+    """Single-regressor regression rows with a cluster label per row."""
+
+    def __init__(self, response, regressor, cluster):
+        self.response = np.asarray(response, dtype=float).ravel()
+        self.regressor = np.asarray(regressor, dtype=float).ravel()
+        self.cluster = np.asarray(cluster).ravel()
+        n = self.response.shape[0]
+        if self.regressor.shape[0] != n or self.cluster.shape[0] != n:
+            raise ValueError(
+                f"row count mismatch: response {n}, regressor "
+                f"{self.regressor.shape[0]}, cluster {self.cluster.shape[0]}"
+            )
+        if n == 0:
+            raise ValueError("stacked regression has no rows")
+
+
+def stack_differences(response_matrix, regressor_matrix, cluster_ids, gaps):
+    """Stack gap-difference rows of two (units x periods) matrices.
+
+    For each gap ``k`` in ``gaps`` and each start period, one row per unit is
+    emitted (gap-major, then start period, then unit), each carrying its
+    unit's cluster label.
+    """
+    ry = np.asarray(response_matrix, dtype=float)
+    rx = np.asarray(regressor_matrix, dtype=float)
+    if ry.shape != rx.shape:
+        raise ValueError(f"matrix shape mismatch: {ry.shape} vs {rx.shape}")
+    cluster = np.asarray(cluster_ids)
+    if cluster.shape[0] != ry.shape[0]:
+        raise ValueError("one cluster label per unit is required")
+    t = ry.shape[1]
+    resp, reg, clu = [], [], []
+    for k in gaps:
+        if not 1 <= k <= t - 1:
+            raise ValueError(f"gap {k} invalid for {t} periods")
+        for start in range(t - k):
+            resp.append(ry[:, start + k] - ry[:, start])
+            reg.append(rx[:, start + k] - rx[:, start])
+            clu.append(cluster)
+    if not resp:
+        raise ValueError("no gaps supplied")
+    return StackedRegression(
+        response=np.concatenate(resp),
+        regressor=np.concatenate(reg),
+        cluster=np.concatenate(clu),
+    )
+
+
+def stacked_se(stacked):
+    """Cluster-robust SE of the pooled slope, looping over cluster labels."""
+    u, v = stacked.response, stacked.regressor
+    den = float(v @ v)
+    e = u - float(u @ v) / den * v
+    labels = sorted(set(stacked.cluster.tolist()))
+    meat = 0.0
+    for lab in labels:
+        mask = stacked.cluster == lab
+        meat += float(np.sum(v[mask] * e[mask])) ** 2
+    g = len(labels)
+    return float(np.sqrt(meat / den**2 * g / (g - 1.0)))
+
+
+def generalized_stack(panel, y, x, control_cols_at, k_min, k_max, scheme):
+    """Stacked residualized pair rows of the covariate-adjusted estimator.
+
+    ``control_cols_at(t, s)`` gives the control columns (intercept excluded)
+    of the column-index pair ``(t, s)``; every pair is assumed live.  Under
+    the ``raw`` scheme each pair's rows are rescaled so their treatment
+    variation equals the pair's demeaned-difference variation.
+    """
+    yv, xv = panel.values(y), panel.values(x)
+    xt = xv - xv.mean(axis=0)
+    resp, reg, clu = [], [], []
+    for t in range(panel.n_periods - 1):
+        for s in range(t + 1, panel.n_periods):
+            if not k_min <= s - t <= k_max:
+                continue
+            c = np.column_stack(
+                [np.ones(panel.n_units)] + list(control_cols_at(t, s))
+            )
+            changes = np.column_stack(
+                [yv[:, s] - yv[:, t], xv[:, s] - xv[:, t]]
+            )
+            coef, _, _, _ = np.linalg.lstsq(c, changes, rcond=None)
+            ry, rx = (changes - c @ coef).T
+            if scheme == "raw":
+                d = xt[:, s] - xt[:, t]
+                factor = np.sqrt(float(d @ d) / float(rx @ rx))
+                ry, rx = ry * factor, rx * factor
+            resp.append(ry)
+            reg.append(rx)
+            clu.append(np.asarray(panel.cluster_id))
+    return StackedRegression(
+        response=np.concatenate(resp),
+        regressor=np.concatenate(reg),
+        cluster=np.concatenate(clu),
+    )
+
+
+# ---------------------------------------------------------------------------
+# decomposition references: one explicit loop per gap or per period pair
+
+
+def loop_fd_components(panel, y, x):
+    """(gap, beta, weight) by looping over gaps of the demeaned arrays."""
+    xv, yv = panel.values(x), panel.values(y)
+    xt, yt = xv - xv.mean(axis=0), yv - yv.mean(axis=0)
+    sums = []
+    for k in range(1, panel.n_periods):
+        dx = xt[:, k:] - xt[:, :-k]
+        dy = yt[:, k:] - yt[:, :-k]
+        sums.append((k, float(np.sum(dx * dy)), float(np.sum(dx * dx))))
+    total = sum(den for _, _, den in sums)
+    return [(k, num / den, den / total) for k, num, den in sums]
+
+
+def loop_pair_components(panel, y, x):
+    """(first, second, beta, weight) by looping over period pairs."""
+    xv, yv = panel.values(x), panel.values(y)
+    xt, yt = xv - xv.mean(axis=0), yv - yv.mean(axis=0)
+    sums = []
+    for t in range(panel.n_periods - 1):
+        for s in range(t + 1, panel.n_periods):
+            dx = xt[:, s] - xt[:, t]
+            dy = yt[:, s] - yt[:, t]
+            labels = panel.periods[t], panel.periods[s]
+            sums.append((*labels, float(dx @ dy), float(dx @ dx)))
+    total = sum(den for _, _, _, den in sums)
+    return [(a, b, num / den, den / total) for a, b, num, den in sums]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from twfekit import (
     load_panel,
     twfe,
 )
-from twfekit.cli import load_run_config, main
+from twfekit.cli import _pretrend_configs, load_run_config, main
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture
@@ -105,6 +108,34 @@ class TestLoadRunConfig:
         assert rc.analyses[0].name == "main"
         assert rc.analyses[0].kind == "twfe"
         assert rc.analyses[0].options["y"] == "y"
+
+    def test_readme_example_parses(self, tmp_path):
+        with open(README) as fh:
+            block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+        rc = load_run_config(str(write_config(tmp_path, block)))
+        assert rc.seed == 0
+        assert rc.schema.series == ("log_emp", "log_min_wage")
+        assert rc.schema.cluster == "region"
+        assert rc.delimiter == ","
+        shortrun = {a.name: a for a in rc.analyses}["shortrun"]
+        assert _pretrend_configs(shortrun.options) == (
+            PretrendConfig("log_emp", -12, -3),
+        )
+
+    def test_delimiter(self, tmp_path):
+        head = "[run]\ninput = p.csv\n\n[schema]\nunit = s\ntime = t\n"
+        tail = "\n[analysis:a]\nkind = twfe\n"
+        for line, want in (
+            ("delimiter=;", ";"),
+            ("delimiter = |   ; pipe", "|"),
+            ("delimiter=#", "#"),
+        ):
+            cfg = write_config(tmp_path, head + line + tail)
+            assert load_run_config(str(cfg)).delimiter == want
+        for line in ("delimiter = ;", "delimiter = ::"):
+            cfg = write_config(tmp_path, head + line + tail)
+            with pytest.raises(ValueError, match="'delimiter'.*one character"):
+                load_run_config(str(cfg))
 
 
 class TestRunCommand:
@@ -205,7 +236,7 @@ x = x
 kind = generalized
 y = y
 x = x
-pretrend = w:-6:-3
+pretrend = w:-6:-3:3
 presample = {pre_csv}
 k_min = 1
 k_max = 2
@@ -218,7 +249,10 @@ summary = yes
         spec = CovariateSpec(
             pre_period=(
                 PretrendConfig(
-                    variable="w", window_start_offset=-6, window_end_offset=-3
+                    variable="w",
+                    window_start_offset=-6,
+                    window_end_offset=-3,
+                    min_points=3,
                 ),
             )
         )
@@ -229,6 +263,17 @@ summary = yes
         with open(outdir / "trendadj_estimate.json") as fh:
             got = json.load(fh)
         assert got["beta"] == want.estimate.beta
+        assert got["parameters"] == {
+            "y": "y",
+            "x": "x",
+            "time_invariant": [],
+            "differenced": [],
+            "pre_period": ["w:-6:-3:3"],
+            "weight_scheme": "ssr",
+            "k_min": 1,
+            "k_max": 2,
+            "presample": str(pre_csv),
+        }
         with open(outdir / "trendadj_components.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["n_controls"] == "1"
@@ -306,6 +351,86 @@ summary = yes
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_every_csv_cell_is_a_number_label_or_empty(
+        self, tmp_path, panel_csv
+    ):
+        outdir = tmp_path / "out"
+        body = BASE.format(input=panel_csv, outdir=outdir) + """
+[analysis:plain]
+kind = twfe
+y = y
+x = x
+covariates = w
+se = true
+
+[analysis:short]
+kind = fd
+y = y
+x = x
+se = true
+
+[analysis:banded]
+kind = gap_restricted
+y = y
+x = x
+k_min = 1
+k_max = 2
+se = true
+
+[analysis:adjusted]
+kind = generalized
+y = y
+x = x
+differenced = w
+weight_scheme = raw
+se = true
+summary = yes
+
+[analysis:bygap]
+kind = fd_decomposition
+y = y
+x = x
+figure = yes
+summary = yes
+
+[analysis:bypair]
+kind = pairwise_decomposition
+y = y
+x = x
+summary = yes
+
+[analysis:check]
+kind = equivalence
+y = y
+x = x
+
+[analysis:weights]
+kind = causal_weights
+y = y
+x = x
+
+[analysis:mc]
+kind = simulation
+scenario = parallel_trends
+replications = 2
+n_units = 20
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 0
+        # A label is free text, but never the repr of an object such as
+        # np.float64(1.5), which a CSV reader cannot turn back into a number.
+        call = re.compile(r"\w\(")
+        names = sorted(n for n in os.listdir(outdir) if n.endswith(".csv"))
+        assert len(names) == 18
+        for name in names:
+            with open(outdir / name, newline="") as fh:
+                for row in csv.reader(fh):
+                    for cell in row:
+                        try:
+                            float(cell)
+                        except ValueError:
+                            assert not call.search(cell), (name, cell)
 
     def test_format_restriction(self, tmp_path, panel_csv):
         outdir = tmp_path / "out"

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_panel
-from twfekit import (
-    NoIdentifyingVariation,
-    cluster_robust_se,
-    stack_differences,
-    twfe,
-)
+from helpers import make_panel, random_panel
+from oracles import stack_differences, stacked_se
+from twfekit import NoIdentifyingVariation, cluster_robust_se, twfe
 from twfekit.estimators import two_way_residual
-from twfekit.inference import StackedRegression
 
 
 def hc_singleton_oracle(u, v):
@@ -36,15 +31,14 @@ def grouped_oracle(u, v, cluster):
 
 
 class TestClusterRobustSe:
+    # With one differenced observation per unit, a unit's sums are that
+    # observation's own products: cross = v * u and sq = v^2.
     def test_singleton_clusters_match_direct_oracle(self, rng):
         for _ in range(10):
             n = int(rng.integers(5, 100))
             v = rng.normal(size=n)
             u = 0.5 * v + rng.normal(size=n)
-            stacked = StackedRegression(
-                response=u, regressor=v, cluster=np.arange(n)
-            )
-            got = cluster_robust_se(stacked)
+            got = cluster_robust_se(v * u, v * v, np.arange(n))
             want = hc_singleton_oracle(u, v)
             assert abs(got - want) < 1e-10 * max(1.0, want)
 
@@ -53,65 +47,47 @@ class TestClusterRobustSe:
         v = rng.normal(size=n)
         u = -0.3 * v + rng.normal(size=n)
         cluster = [f"g{i % 7}" for i in range(n)]
-        stacked = StackedRegression(response=u, regressor=v, cluster=cluster)
-        got = cluster_robust_se(stacked)
+        got = cluster_robust_se(v * u, v * v, cluster)
         want = grouped_oracle(u, v, cluster)
         assert abs(got - want) < 1e-10 * max(1.0, want)
 
     def test_relabel_and_reorder_invariance(self, rng):
         n = 40
-        v = rng.normal(size=n)
-        u = rng.normal(size=n)
+        cross = rng.normal(size=n)
+        sq = rng.uniform(0.1, 2.0, size=n)
         cluster = np.array([f"c{i % 5}" for i in range(n)])
-        base = cluster_robust_se(
-            StackedRegression(response=u, regressor=v, cluster=cluster)
-        )
+        base = cluster_robust_se(cross, sq, cluster)
         renamed = np.array([f"zzz_{c}" for c in cluster])
-        assert cluster_robust_se(
-            StackedRegression(response=u, regressor=v, cluster=renamed)
-        ) == pytest.approx(base, rel=1e-14)
-        order = rng.permutation(n)
-        shuffled = cluster_robust_se(
-            StackedRegression(
-                response=u[order], regressor=v[order], cluster=cluster[order]
-            )
+        assert cluster_robust_se(cross, sq, renamed) == pytest.approx(
+            base, rel=1e-14
         )
+        order = rng.permutation(n)
+        shuffled = cluster_robust_se(cross[order], sq[order], cluster[order])
         assert shuffled == pytest.approx(base, rel=1e-12)
 
     def test_perfect_fit_gives_zero(self, rng):
         v = rng.normal(size=30)
-        stacked = StackedRegression(
-            response=2.0 * v, regressor=v, cluster=np.arange(30) % 6
-        )
-        assert cluster_robust_se(stacked) == 0.0
+        assert cluster_robust_se(2.0 * v * v, v * v, np.arange(30) % 6) == 0.0
 
     def test_too_few_clusters(self, rng):
         v = rng.normal(size=10)
-        stacked = StackedRegression(
-            response=rng.normal(size=10), regressor=v, cluster=np.zeros(10)
-        )
         with pytest.raises(ValueError, match="at least 2 clusters"):
-            cluster_robust_se(stacked)
+            cluster_robust_se(v * rng.normal(size=10), v * v, np.zeros(10))
 
     def test_zero_regressor(self):
-        stacked = StackedRegression(
-            response=np.arange(4.0),
-            regressor=np.zeros(4),
-            cluster=np.arange(4),
-        )
         with pytest.raises(NoIdentifyingVariation, match="zero regressor"):
-            cluster_robust_se(stacked)
+            cluster_robust_se(np.zeros(4), np.zeros(4), np.arange(4))
 
     def test_row_count_mismatch(self):
-        with pytest.raises(ValueError, match="row count mismatch"):
-            StackedRegression(
-                response=np.arange(3.0),
-                regressor=np.arange(4.0),
-                cluster=np.arange(3),
-            )
+        with pytest.raises(ValueError, match="length mismatch"):
+            cluster_robust_se(np.arange(3.0), np.arange(4.0), np.arange(3))
+        with pytest.raises(ValueError, match="length mismatch"):
+            cluster_robust_se(np.arange(3.0), np.arange(3.0), np.arange(4))
 
 
 class TestStackDifferences:
+    """The stacked-row reference in ``oracles`` that the SE tests use."""
+
     def test_pooled_slope_reproduces_twfe(self, rng):
         panel = random_panel(rng, 15, 6)
         ry = two_way_residual(panel, "y")
@@ -161,7 +137,7 @@ class TestStackDifferences:
 
 class TestTwfeStandardError:
     def test_equals_conventional_unit_clustered_sandwich(self, rng):
-        # The stacked-difference SE for the plain two-way estimator equals
+        # The difference-based SE for the plain two-way estimator equals
         # the usual unit-clustered sandwich from the levels regression: per
         # unit, the sum of pair-difference cross products is the panel length
         # times the double-demeaned cross product, and the common factor
@@ -192,8 +168,6 @@ class TestTwfeStandardError:
         panel = random_panel(rng, n, t)
         # two units per cluster
         cluster = tuple(f"state{i // 2}" for i in range(n))
-        from helpers import make_panel
-
         grouped = make_panel(
             {"y": panel.values("y"), "x": panel.values("x")}, cluster=cluster
         )
@@ -205,7 +179,5 @@ class TestTwfeStandardError:
         ry = two_way_residual(grouped, "y")
         rx = two_way_residual(grouped, "x")
         stacked = stack_differences(ry, rx, grouped.cluster_id, range(1, t))
-        want = grouped_oracle(
-            stacked.response, stacked.regressor, list(stacked.cluster)
-        )
+        want = stacked_se(stacked)
         assert abs(est_grp.se - want) < 1e-10 * max(1.0, want)

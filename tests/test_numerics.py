@@ -8,7 +8,7 @@ from twfekit import (
     ols,
     pairwise_cross_moment,
 )
-from twfekit.numerics import independent_columns
+from twfekit.numerics import independent_columns, pair_moments
 
 
 class TestOls:
@@ -127,6 +127,42 @@ class TestFwlResidualize:
     def test_row_mismatch(self, rng):
         with pytest.raises(ValueError, match="rows"):
             fwl_residualize(np.ones(5), np.ones((4, 1)))
+
+
+class TestPairMoments:
+    def test_matches_explicit_loop(self, rng):
+        for n, t in ((2, 2), (5, 3), (7, 6)):
+            a = rng.normal(size=(n, t))
+            b = rng.normal(size=(n, t))
+            by_pair, by_unit = pair_moments(a, b)
+            want_pair = np.zeros((t, t))
+            want_unit = np.zeros((n, t - 1))
+            for i in range(n):
+                for first in range(t):
+                    for second in range(first + 1, t):
+                        prod = (a[i, second] - a[i, first]) * (
+                            b[i, second] - b[i, first]
+                        )
+                        want_pair[first, second] += prod
+                        want_unit[i, second - first - 1] += prod
+            np.testing.assert_allclose(by_pair, want_pair, atol=1e-12)
+            np.testing.assert_allclose(by_unit, want_unit, atol=1e-12)
+
+    def test_full_range_lemma(self, rng):
+        # summed over all pairs, a unit's products equal T times its
+        # centred cross moment (see pairwise_cross_moment)
+        a = rng.normal(size=(4, 5))
+        b = rng.normal(size=(4, 5))
+        _, by_unit = pair_moments(a, b)
+        ac = a - a.mean(axis=1, keepdims=True)
+        bc = b - b.mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(
+            by_unit.sum(axis=1), 5 * np.sum(ac * bc, axis=1), rtol=1e-12
+        )
+
+    def test_shape_mismatch(self, rng):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            pair_moments(np.zeros((3, 4)), np.zeros((3, 5)))
 
 
 class TestPairwiseCrossMoment:
