@@ -204,7 +204,7 @@ def load_run_config(path: str) -> RunConfig:
         input_path=run.get("input", "").strip() or None,
         output_dir=run.get("output_dir", ".").strip(),
         formats=formats,
-        seed=int(run.get("seed", "0")),
+        seed=_get_int(run, "seed", 0),
         schema=schema,
         delimiter=delimiter,
         balance=balance,
@@ -214,14 +214,6 @@ def load_run_config(path: str) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # artifact writers
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _to_plain(value):
@@ -242,8 +234,7 @@ def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -260,9 +251,9 @@ def _write_report(outdir, name, suffix, payload, formats) -> None:
         rows = []
         for key, value in payload.items():
             if isinstance(value, dict):
-                rows.extend((f"{key}.{k}", _fmt(v)) for k, v in value.items())
+                rows.extend((f"{key}.{k}", v) for k, v in value.items())
             else:
-                rows.append((key, _fmt(value)))
+                rows.append((key, value))
         _write_csv(base + ".csv", ("field", "value"), rows)
 
 
@@ -354,14 +345,15 @@ def _pretrend_configs(options) -> tuple[PretrendConfig, ...]:
                 f"pretrend spec '{token}' must look like "
                 f"'variable:start_offset:end_offset[:min_points]'"
             )
-        configs.append(
-            PretrendConfig(
-                variable=parts[0],
-                window_start_offset=int(parts[1]),
-                window_end_offset=int(parts[2]),
-                min_points=int(parts[3]) if len(parts) == 4 else None,
-            )
-        )
+        numbers = []
+        for part in parts[1:]:
+            try:
+                numbers.append(int(part))
+            except ValueError:
+                raise ValueError(
+                    f"pretrend spec '{token}': '{part}' is not an integer"
+                ) from None
+        configs.append(PretrendConfig(parts[0], *numbers))
     return tuple(configs)
 
 
@@ -523,15 +515,12 @@ def _run_analysis(
         _write_csv(
             os.path.join(outdir, f"{name}_weights.csv"),
             ("unit", "gap", "start_period", "weight"),
-            [
-                (
-                    panel.units[report.unit_index[j]],
-                    int(report.gap[j]),
-                    int(report.start_period[j]),
-                    float(report.weight[j]),
-                )
-                for j in range(report.weight.shape[0])
-            ],
+            zip(
+                map(panel.units.__getitem__, report.unit_index.tolist()),
+                report.gap.tolist(),
+                report.start_period.tolist(),
+                report.weight.tolist(),
+            ),
         )
         _write_report(
             outdir, name, "report",

@@ -68,8 +68,9 @@ class PretrendConfig:
     negative, so the window lies strictly before ``t``).  Window periods may
     come from the panel itself or from an earlier ``presample`` panel.
 
-    ``min_points``: how many window periods must be available per unit;
-    ``None`` requires the full window.
+    ``min_points``: how many window periods must be available (panels are
+    balanced, so the count is the same for every unit); ``None`` requires
+    the full window.
     """
 
     variable: str
@@ -188,18 +189,21 @@ def gap_restricted(
     )
 
 
-def _check_presample(panel: BalancedPanel, presample: BalancedPanel) -> None:
+def _presample_rows(panel: BalancedPanel, presample: BalancedPanel) -> np.ndarray:
+    """Validate ``presample`` and return the row of each panel unit in it."""
     if presample.periods[-1] >= panel.periods[0]:
         raise PanelError(
             f"presample must end before the panel starts; presample ends in "
             f"{presample.periods[-1]}, panel starts in {panel.periods[0]}"
         )
-    missing = [u for u in panel.units if u not in set(presample.units)]
+    row = {u: i for i, u in enumerate(presample.units)}
+    missing = [u for u in panel.units if u not in row]
     if missing:
         raise PanelError(
             f"presample is missing {len(missing)} panel units, "
             f"first: '{missing[0]}'"
         )
+    return np.array([row[u] for u in panel.units])
 
 
 def pretrend_covariate(
@@ -212,56 +216,47 @@ def pretrend_covariate(
 
     Returns one slope per panel unit, aligned with ``panel.units``.  Window
     values are taken from the panel where its range covers them and from
-    ``presample`` otherwise.  Raises :class:`PanelError` when a unit has
-    fewer available window periods than ``config.min_points`` (default: the
-    full window).
+    ``presample`` otherwise.  Both panels are balanced, so the window periods
+    found are the same for every unit: the slopes are one product of the
+    row-centred units x window block with the centred window periods.
+    Raises :class:`PanelError` when fewer window periods are available than
+    ``config.min_points`` (default: the full window).
     """
     t = int(t)
     panel.period_index(t)  # validates the anchor period
-    main = main_col = None
-    if config.variable in panel.series:
-        main = panel.values(config.variable)
-        main_col = {p: j for j, p in enumerate(panel.periods)}
-    elif presample is None or config.variable not in presample.series:
+    name = config.variable
+    if name not in panel.series and (
+        presample is None or name not in presample.series
+    ):
         raise PanelError(
-            f"pre-trend variable '{config.variable}' is in neither the panel "
-            f"nor the pre-sample"
+            f"pre-trend variable '{name}' is in neither the panel nor the "
+            f"pre-sample"
         )
-    pre_values = pre_row = pre_col = None
-    if presample is not None:
-        _check_presample(panel, presample)
-        pre_values = presample.values(config.variable)
-        pre_row = {u: i for i, u in enumerate(presample.units)}
-        pre_col = {p: j for j, p in enumerate(presample.periods)}
-
     window = range(
         t + config.window_start_offset, t + config.window_end_offset + 1
     )
+    # the presample ends before the panel starts, so its periods come first
+    found: list[int] = []
+    blocks: list[np.ndarray] = []
+    if presample is not None:
+        rows = _presample_rows(panel, presample)
+        cols = [j for j, p in enumerate(presample.periods) if p in window]
+        blocks.append(presample.values(name)[np.ix_(rows, cols)])
+        found.extend(presample.periods[j] for j in cols)
+    if name in panel.series:
+        cols = [j for j, p in enumerate(panel.periods) if p in window]
+        blocks.append(panel.values(name)[:, cols])
+        found.extend(panel.periods[j] for j in cols)
     needed = config.min_points or config.window_length
-
-    slopes = np.empty(panel.n_units)
-    for i, unit in enumerate(panel.units):
-        periods_found = []
-        values_found = []
-        for period in window:
-            if main_col is not None and period in main_col:
-                periods_found.append(period)
-                values_found.append(main[i, main_col[period]])
-            elif pre_col is not None and period in pre_col:
-                periods_found.append(period)
-                values_found.append(pre_values[pre_row[unit], pre_col[period]])
-        if len(periods_found) < max(needed, 2):
-            raise PanelError(
-                f"pre-trend window before period {t} for unit '{unit}': "
-                f"only {len(periods_found)} of {needed} required periods "
-                f"available"
-            )
-        p = np.array(periods_found, dtype=float)
-        v = np.array(values_found, dtype=float)
-        pc = p - p.mean()
-        vc = v - v.mean()
-        slopes[i] = float(pc @ vc) / float(pc @ pc)
-    return slopes
+    if len(found) < needed:
+        raise PanelError(
+            f"pre-trend window before period {t}: only {len(found)} of "
+            f"{needed} required periods available"
+        )
+    values = np.hstack(blocks)
+    pc = np.array(found, dtype=float)
+    pc -= pc.mean()
+    return (values - values.mean(axis=1, keepdims=True)) @ pc / float(pc @ pc)
 
 
 def _time_invariant_column(panel: BalancedPanel, name: str) -> np.ndarray:
@@ -289,7 +284,7 @@ def generalized_twfe(
     """Covariate-adjusted, gap-restricted weighted average of pair slopes.
 
     For each period pair ``(t, s)`` with gap in ``gap_range``, the pair's
-    outcome change and treatment change are separately residualized on an
+    outcome change and treatment change are residualized, in one fit, on an
     intercept plus the controls from ``spec``; the pair estimate is the
     slope of the residualized changes, and pair weights follow
     ``weight_scheme`` (see module docstring).  With an empty spec and the
@@ -318,21 +313,13 @@ def generalized_twfe(
     # pair's difference variation counts as numerically zero
     x_scale = _variation_scale(panel, x)
 
-    invariant_cols = [
+    # column order (intercept, time-invariant, differenced, pre-trend) sets
+    # which member of a collinear group the left-to-right sweep drops
+    fixed_cols = [np.ones(n)] + [
         _time_invariant_column(panel, name) for name in spec.time_invariant
     ]
-    diff_sources = {name: panel.values(name) for name in spec.differenced}
-    pretrend_cache: dict[tuple[int, int], np.ndarray] = {}
+    diff_sources = [panel.values(name) for name in spec.differenced]
 
-    def pretrend_at(cfg_idx: int, t_label: int) -> np.ndarray:
-        key = (cfg_idx, t_label)
-        if key not in pretrend_cache:
-            pretrend_cache[key] = pretrend_covariate(
-                panel, spec.pre_period[cfg_idx], t_label, presample
-            )
-        return pretrend_cache[key]
-
-    intercept = np.ones(n)
     components: list[PairComponent] = []
     raw_dens: list[float] = []
     ssrs: list[float] = []
@@ -340,23 +327,19 @@ def generalized_twfe(
     unit_cross = np.zeros(n)
     unit_sq = np.zeros(n)
 
-    for ti in range(t_count - 1):
-        for si in range(ti + 1, t_count):
-            k = si - ti
-            if not rng.k_min <= k <= rng.k_max:
-                continue
-            dy = yv[:, si] - yv[:, ti]
-            dx = xv[:, si] - xv[:, ti]
-            cols = [intercept]
-            cols.extend(invariant_cols)
-            for name in spec.differenced:
-                src = diff_sources[name]
-                cols.append(src[:, si] - src[:, ti])
-            for cfg_idx in range(len(spec.pre_period)):
-                cols.append(pretrend_at(cfg_idx, labels[ti]))
-            controls = np.column_stack(cols)
-            rx = fwl_residualize(dx, controls)
-            ry = fwl_residualize(dy, controls)
+    # anchors with at least one pair whose gap is in range
+    for ti in range(t_count - rng.k_min):
+        pretrend_cols = [
+            pretrend_covariate(panel, cfg, labels[ti], presample)
+            for cfg in spec.pre_period
+        ]
+        for si in range(ti + rng.k_min, min(ti + rng.k_max, t_count - 1) + 1):
+            diff_cols = [src[:, si] - src[:, ti] for src in diff_sources]
+            controls = np.column_stack(fixed_cols + diff_cols + pretrend_cols)
+            changes = np.column_stack(
+                [xv[:, si] - xv[:, ti], yv[:, si] - yv[:, ti]]
+            )
+            rx, ry = fwl_residualize(changes, controls).T
             ssr = float(rx @ rx)
             raw_den = float(raw_by_pair[ti, si])
             raw_dens.append(raw_den)
@@ -384,10 +367,6 @@ def generalized_twfe(
                 )
             )
 
-    if not components:
-        raise NoIdentifyingVariation(
-            f"no period pairs with gaps {rng.k_min}-{rng.k_max}"
-        )
     weight_basis = ssrs if weight_scheme == "ssr" else raw_dens
     live = [i for i, c in enumerate(components) if c.beta is not None]
     if not live:

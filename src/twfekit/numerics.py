@@ -27,17 +27,19 @@ class LeastSquaresFit:
     """Solution of a least-squares problem on the retained design columns.
 
     ``coefficients[j]`` belongs to original column ``retained_columns[j]``;
-    dropped columns have no coefficient.
+    dropped columns have no coefficient.  For an ``(n, m)`` response,
+    ``coefficients`` and ``residuals`` carry a trailing axis of length ``m``
+    and ``sum_sq_residuals`` is an array of ``m`` sums.
     """
 
     coefficients: np.ndarray
     residuals: np.ndarray
-    sum_sq_residuals: float
+    sum_sq_residuals: float | np.ndarray
     retained_columns: list[int]
     dropped_columns: list[int]
 
     def coefficient(self, column: int) -> float:
-        """Coefficient on original design column ``column`` (0.0 if dropped)."""
+        """Coefficient on design column ``column`` (0.0 if dropped); 1-D fits."""
         if column in self.dropped_columns:
             return 0.0
         return float(self.coefficients[self.retained_columns.index(column)])
@@ -86,11 +88,15 @@ def ols(design: np.ndarray, response: np.ndarray) -> LeastSquaresFit:
 
     Dependent columns are dropped (see module docstring) before solving, so
     the returned coefficients are always those of a full-rank subproblem.
+    ``response`` is ``(n,)`` or ``(n, m)``; an ``(n, m)`` response fits its
+    ``m`` columns on the one retained design, so the drop decision is made
+    once, ``coefficients`` and ``residuals`` gain a trailing axis of length
+    ``m`` and ``sum_sq_residuals`` holds one sum per column.
     """
     x = np.asarray(design, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    y = np.asarray(response, dtype=float).ravel()
+    y = _response(response)
     if x.shape[0] != y.shape[0]:
         raise ValueError(
             f"design has {x.shape[0]} rows but response has {y.shape[0]}"
@@ -99,10 +105,14 @@ def ols(design: np.ndarray, response: np.ndarray) -> LeastSquaresFit:
     kept = x[:, retained]
     coef, _, _, _ = np.linalg.lstsq(kept, y, rcond=None)
     residuals = y - kept @ coef
+    if y.ndim == 1:
+        ssr = float(residuals @ residuals)
+    else:
+        ssr = np.einsum("ij,ij->j", residuals, residuals)
     return LeastSquaresFit(
         coefficients=coef,
         residuals=residuals,
-        sum_sq_residuals=float(residuals @ residuals),
+        sum_sq_residuals=ssr,
         retained_columns=retained,
         dropped_columns=dropped,
     )
@@ -111,10 +121,12 @@ def ols(design: np.ndarray, response: np.ndarray) -> LeastSquaresFit:
 def fwl_residualize(target: np.ndarray, controls: np.ndarray | None) -> np.ndarray:
     """Residual of ``target`` after projecting out ``controls``.
 
+    ``target`` is ``(n,)`` or ``(n, m)``; the residual has its shape, and
+    the ``m`` columns share one fit (one drop decision) on ``controls``.
     ``controls`` may be ``None`` or have zero columns (target returned
     unchanged).  An all-zero control block projects out nothing.
     """
-    y = np.asarray(target, dtype=float).ravel()
+    y = _response(target)
     if controls is None:
         return y.copy()
     c = np.asarray(controls, dtype=float)
@@ -131,6 +143,13 @@ def fwl_residualize(target: np.ndarray, controls: np.ndarray | None) -> np.ndarr
     except NoIdentifyingVariation:
         return y.copy()
     return fit.residuals
+
+
+def _response(values) -> np.ndarray:
+    y = np.asarray(values, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"response must be (n,) or (n, m), got shape {y.shape}")
+    return y
 
 
 def pair_moments(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

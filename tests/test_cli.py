@@ -12,12 +12,13 @@ from twfekit import (
     GapRange,
     PanelSchema,
     PretrendConfig,
+    causal_weights,
     fd_decomposition,
     generalized_twfe,
     load_panel,
     twfe,
 )
-from twfekit.cli import _pretrend_configs, load_run_config, main
+from twfekit.cli import _pretrend_configs, _write_csv, load_run_config, main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -293,6 +294,13 @@ x = x
             rows = list(csv.DictReader(fh))
         total = sum(float(r["weight"]) for r in rows)
         assert abs(total - 1.0) < 1e-10
+        report = causal_weights(panel, "y", "x")
+        assert len(rows) == report.weight.shape[0]
+        for j, row in enumerate(rows):
+            assert row["unit"] == panel.units[report.unit_index[j]]
+            assert int(row["gap"]) == report.gap[j]
+            assert int(row["start_period"]) == report.start_period[j]
+            assert float(row["weight"]) == report.weight[j]
         with open(outdir / "mass_report.json") as fh:
             report = json.load(fh)
         assert abs(report["total_mass"] - 1.0) < 1e-12
@@ -446,7 +454,47 @@ x = x
         assert not (outdir / "plain_estimate.json").exists()
 
 
+class TestWriters:
+    def test_numpy_scalars_and_none(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        _write_csv(path, ("a", "b", "c"), [(np.float64(1.5), None, np.int64(3))])
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["a", "b", "c"], ["1.5", "", "3"]]
+
+
 class TestRunErrors:
+    def test_bad_seed_names_key(self, tmp_path, capsys):
+        body = f"""
+[run]
+output_dir = {tmp_path / "o"}
+seed = abc
+
+[analysis:mc]
+kind = simulation
+scenario = parallel_trends
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "option 'seed' must be an integer, got 'abc'" in (
+            capsys.readouterr().err
+        )
+
+    def test_bad_pretrend_offset_names_token(
+        self, tmp_path, panel_csv, capsys
+    ):
+        body = BASE.format(input=panel_csv, outdir=tmp_path / "o") + """
+[analysis:adj]
+kind = generalized
+y = y
+x = x
+pretrend = w:-6:x
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "pretrend spec 'w:-6:x': 'x' is not an integer" in (
+            capsys.readouterr().err
+        )
+
     def test_config_not_found(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "missing.ini")])
         assert code == 1

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
+import twfekit.numerics
 from helpers import make_panel, random_panel
 from twfekit import (
+    BalancedPanel,
     CovariateSpec,
     GapRange,
     NoIdentifyingVariation,
@@ -97,6 +99,57 @@ class TestPretrendCovariate:
                 vals = [lookup(i, p) for p in window]
                 want = oracles.window_slope(window, vals)
                 assert abs(column[i] - want) < 1e-10 * max(1.0, abs(want))
+
+    def test_presample_units_shuffled_superset(self, rng):
+        n = 6
+        panel = random_panel(rng, n, 4, first_period=2000,
+                             extra_series=("w",))
+        extra = ("v000", "v001", "v002")
+        pre_units = list(panel.units + extra)
+        rng.shuffle(pre_units)
+        presample = BalancedPanel(
+            units=tuple(pre_units),
+            periods=tuple(range(1988, 2000)),
+            series={"w": rng.normal(size=(len(pre_units), 12))},
+        )
+        pre_row = {u: i for i, u in enumerate(presample.units)}
+        config = PretrendConfig(
+            variable="w", window_start_offset=-7, window_end_offset=-2
+        )
+        for t_label in panel.periods:
+            column = pretrend_covariate(panel, config, t_label, presample)
+            window = list(range(t_label - 7, t_label - 1))
+            for i, unit in enumerate(panel.units):
+                vals = [
+                    panel.values("w")[i, p - 2000] if p >= 2000
+                    else presample.values("w")[pre_row[unit], p - 1988]
+                    for p in window
+                ]
+                want = oracles.window_slope(window, vals)
+                assert abs(column[i] - want) < 1e-10 * max(1.0, abs(want))
+
+    def test_partial_window_under_min_points(self, rng):
+        n = 5
+        panel = random_panel(rng, n, 4, first_period=2000,
+                             extra_series=("w",))
+        presample = make_panel(
+            {"w": rng.normal(size=(n, 4))}, first_period=1996
+        )
+        config = PretrendConfig(
+            variable="w", window_start_offset=-8, window_end_offset=-3,
+            min_points=4,
+        )
+        # window 1995..2000: 1995 is missing, 1996..1999 from the
+        # presample and 2000 from the panel
+        column = pretrend_covariate(panel, config, 2003, presample)
+        found = list(range(1996, 2001))
+        for i in range(n):
+            vals = list(presample.values("w")[i]) + [panel.values("w")[i, 0]]
+            want = oracles.window_slope(found, vals)
+            assert abs(column[i] - want) < 1e-10 * max(1.0, abs(want))
+        # window 1993..1998 holds only 1996..1998
+        with pytest.raises(PanelError, match="only 3 of 4 required periods"):
+            pretrend_covariate(panel, config, 2001, presample)
 
     def test_short_window_error(self, rng):
         n = 4
@@ -271,6 +324,36 @@ class TestGeneralizedTwfe:
             want, _ = oracles.pair_adjusted_slope(dy, dx, [slope_col])
             assert rel_gap(comp.beta, want) < 1e-8
             assert comp.n_controls == 1
+
+    def test_one_fit_per_pair(self, rng, monkeypatch):
+        n, t = 15, 6
+        base = random_panel(rng, n, t, first_period=2000,
+                            extra_series=("v",))
+        series = {name: base.values(name) for name in ("y", "x", "v")}
+        series["w"] = np.broadcast_to(rng.normal(size=(n, 1)), (n, t)).copy()
+        panel = make_panel(series, first_period=2000)
+        presample = make_panel(
+            {"v": rng.normal(size=(n, 10))}, first_period=1990
+        )
+        spec = CovariateSpec(
+            time_invariant=("w",),
+            differenced=("v",),
+            pre_period=(PretrendConfig("v", -6, -2),),
+        )
+        original = twfekit.numerics.ols
+        shapes = []
+
+        def counting_ols(design, response):
+            shapes.append(np.shape(response))
+            return original(design, response)
+
+        monkeypatch.setattr(twfekit.numerics, "ols", counting_ols)
+        result = generalized_twfe(
+            panel, "y", "x", spec=spec, gap_range=GapRange(2, 4),
+            presample=presample,
+        )
+        assert len(result.decomposition.components) == 9
+        assert shapes == [(n, 2)] * 9
 
     def test_pretrend_variable_missing_everywhere(self, rng):
         panel = random_panel(rng, 6, 3)

@@ -129,6 +129,54 @@ class TestFwlResidualize:
             fwl_residualize(np.ones(5), np.ones((4, 1)))
 
 
+class TestMultiColumnResponse:
+    """An (n, m) response is m fits sharing one drop decision."""
+
+    def _design(self, rng, n):
+        a = rng.normal(size=n)
+        return np.column_stack([np.ones(n), a, 2.0 * a, rng.normal(size=n)])
+
+    def test_ols_matches_column_fits(self, rng):
+        design = self._design(rng, 50)
+        response = rng.normal(size=(50, 3))
+        fit = ols(design, response)
+        assert fit.coefficients.shape == (3, 3)
+        assert fit.residuals.shape == (50, 3)
+        for j in range(3):
+            single = ols(design, response[:, j])
+            assert fit.dropped_columns == single.dropped_columns == [2]
+            assert fit.retained_columns == single.retained_columns
+            assert np.abs(fit.residuals[:, j] - single.residuals).max() < 1e-12
+            assert (
+                np.abs(fit.coefficients[:, j] - single.coefficients).max()
+                < 1e-12
+            )
+            assert abs(
+                fit.sum_sq_residuals[j] - single.sum_sq_residuals
+            ) < 1e-12 * single.sum_sq_residuals
+
+    def test_fwl_matches_column_fits(self, rng):
+        controls = self._design(rng, 40)
+        target = rng.normal(size=(40, 2))
+        out = fwl_residualize(target, controls)
+        assert out.shape == (40, 2)
+        for j in range(2):
+            single = fwl_residualize(target[:, j], controls)
+            assert np.abs(out[:, j] - single).max() < 1e-12
+        assert np.array_equal(fwl_residualize(target, None), target)
+        assert np.array_equal(
+            fwl_residualize(target, np.zeros((40, 2))), target
+        )
+
+    def test_other_shapes_rejected(self):
+        with pytest.raises(ValueError, match="response"):
+            ols(np.ones((4, 1)), np.ones((4, 1, 1)))
+        with pytest.raises(ValueError, match="response"):
+            ols(np.ones((1, 1)), np.float64(1.0))
+        with pytest.raises(ValueError, match="response"):
+            fwl_residualize(np.ones((4, 2, 1)), np.ones((4, 1)))
+
+
 class TestPairMoments:
     def test_matches_explicit_loop(self, rng):
         for n, t in ((2, 2), (5, 3), (7, 6)):
