@@ -540,16 +540,16 @@ def _run_analysis(
         if replications < 1:
             raise ValueError("'replications' must be at least 1")
         overrides: dict = {"seed": config.seed}
-        for key, caster in (
-            ("n_units", int),
-            ("n_periods", int),
-            ("tau", float),
-            ("noise_sd", float),
-            ("tau_unit_sd", float),
-            ("feedback", float),
+        for key, getter in (
+            ("n_units", _get_int),
+            ("n_periods", _get_int),
+            ("tau", _get_float),
+            ("noise_sd", _get_float),
+            ("tau_unit_sd", _get_float),
+            ("feedback", _get_float),
         ):
             if key in opts:
-                overrides[key] = caster(opts[key])
+                overrides[key] = getter(opts, key)
         preset = scenario_preset(scenario, **overrides)
         audit_covs = _covariates(opts)
         rows = []

@@ -46,7 +46,7 @@ from .estimators import (
     twfe_multivariate,
     two_way_residual,
 )
-from .numerics import ols
+from .numerics import project_cells
 from .panel import BalancedPanel, demean
 
 
@@ -345,6 +345,12 @@ def theorem2_audit(
 
     Needs simulated data: the decomposition evaluates potential outcomes,
     which real panels do not carry.
+
+    One loop over gaps accumulates every term.  With covariates, each gap
+    projects the treatment change of all its (gap, start) cells onto their
+    covariate changes in one :func:`~twfekit.numerics.project_cells` sweep,
+    under the same left-to-right drop rule as ``numerics.ols``, so extra
+    memory stays O(N·T·m) for ``m`` covariates.
     """
     if not isinstance(sim, SimulatedPanel):
         raise TypeError(
@@ -360,10 +366,19 @@ def theorem2_audit(
     base = sim.baseline
     t = panel.n_periods
 
+    if cov_list:
+        wt = np.stack([demean(panel, name) for name in cov_list], axis=-1)
+        if len(cov_list) == 1:
+            pooled = np.array([twfe(panel, "x", cov_list[0]).beta])
+        else:
+            pooled = np.asarray(twfe_multivariate(panel, "x", cov_list).beta)
+        pooled_fit = wt @ pooled
+        xt = demean(panel, "x")
+
     den = 0.0
     tau_sum = 0.0
     trend_sum = 0.0
-    trend_by_gap: list[np.ndarray] = []
+    bias_sum = 0.0
     for k in range(1, t):
         dx = xv[:, k:] - xv[:, :-k]
         dr = r[:, k:] - r[:, :-k]
@@ -375,7 +390,16 @@ def theorem2_audit(
             slope[:, k:] - slope[:, :-k]
         )
         trend_sum += float(np.sum(trend * dr))
-        trend_by_gap.append(trend)
+        if cov_list:
+            # Split the trend term: every (gap, start) cell's
+            # treatment-on-covariate projection is compared with the pooled
+            # (two-way) projection; cells whose projection drifts from the
+            # pooled one load the untreated trend onto the estimate.
+            projected, _ = project_cells(
+                wt[:, k:, :] - wt[:, :-k, :], xt[:, k:] - xt[:, :-k]
+            )
+            dpooled = pooled_fit[:, k:] - pooled_fit[:, :-k]
+            bias_sum += float(np.sum(trend * (projected - dpooled)))
     scale = _variation_scale(panel, "x")
     if scale == 0.0 or den <= DEGENERACY_TOL * scale:
         raise NoIdentifyingVariation(
@@ -385,38 +409,7 @@ def theorem2_audit(
     tau_weighted_sum = tau_sum / den
     trend_term = trend_sum / den
     identity_gap = fitted.beta - tau_weighted_sum - trend_term
-
-    # With covariates, split the trend term: for every (gap, start) cell,
-    # compare that cell's treatment-on-covariate projection with the pooled
-    # (two-way) projection; cells whose projection drifts from the pooled one
-    # load the untreated trend onto the estimate.
-    delta_bias = 0.0
-    if cov_list:
-        wt = np.stack(
-            [demean(panel, name) for name in cov_list], axis=-1
-        )
-        if len(cov_list) == 1:
-            pooled = np.array([twfe(panel, "x", cov_list[0]).beta])
-        else:
-            pooled = np.asarray(twfe_multivariate(panel, "x", cov_list).beta)
-        pooled_fit = wt @ pooled
-        xt = demean(panel, "x")
-        bias_sum = 0.0
-        for k in range(1, t):
-            dwt = wt[:, k:, :] - wt[:, :-k, :]
-            dxt = xt[:, k:] - xt[:, :-k]
-            dpooled = pooled_fit[:, k:] - pooled_fit[:, :-k]
-            trend = trend_by_gap[k - 1]
-            for start in range(dxt.shape[1]):
-                try:
-                    fit = ols(dwt[:, start, :], dxt[:, start])
-                    projected = dxt[:, start] - fit.residuals
-                except NoIdentifyingVariation:
-                    projected = np.zeros(panel.n_units)
-                bias_sum += float(
-                    trend[:, start] @ (projected - dpooled[:, start])
-                )
-        delta_bias = bias_sum / den
+    delta_bias = bias_sum / den
 
     return Theorem2Audit(
         estimate=fitted.beta,

@@ -8,6 +8,11 @@ re-orthogonalized once); a column whose residual norm falls below
 Because the sweep runs left to right, the *later*-indexed member of a
 collinear group is always the one removed, which keeps drop decisions
 deterministic and lets callers order columns by priority.
+
+``project_cells`` applies the same rule to many small designs at once: each
+cell of an ``(n, S, m)`` stack keeps its own columns by the left-to-right
+sweep, with ``RANK_TOL`` taken relative to that cell's largest column norm,
+and the sweep runs column by column, vectorized across cells.
 """
 
 from __future__ import annotations
@@ -116,6 +121,53 @@ def ols(design: np.ndarray, response: np.ndarray) -> LeastSquaresFit:
         retained_columns=retained,
         dropped_columns=dropped,
     )
+
+
+def project_cells(
+    design: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projection of each cell's target onto that cell's retained columns.
+
+    ``design`` is ``(n, S, m)``, a stack of ``S`` cells of ``n`` rows and
+    ``m`` columns, and ``target`` is ``(n, S)``.  Cell ``s`` keeps the
+    columns of ``design[:, s, :]`` that :func:`independent_columns` would
+    retain (modified Gram-Schmidt, re-orthogonalized once, a column dropped
+    when its residual norm is at most ``RANK_TOL`` times the cell's largest
+    column norm); a dropped column gets a zero basis column.  Returns
+
+    ``projection``
+        ``(n, S)`` array; column ``s`` is ``target[:, s]`` projected onto
+        the retained columns of cell ``s`` (zero for an all-zero cell);
+    ``retained``
+        ``(S, m)`` boolean array; ``retained[s, j]`` says whether cell
+        ``s`` kept column ``j``.
+    """
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(target, dtype=float)
+    if x.ndim != 3 or y.shape != x.shape[:2]:
+        raise ValueError(
+            f"design must be (n, S, m) and target (n, S), got shapes "
+            f"{x.shape} and {y.shape}"
+        )
+    tol = RANK_TOL * np.sqrt(np.einsum("isj,isj->sj", x, x)).max(
+        axis=1, initial=0.0
+    )
+    basis = np.zeros_like(x)
+    retained = np.zeros(x.shape[1:], dtype=bool)
+    for j in range(x.shape[2]):
+        v = x[:, :, j].copy()
+        if j:
+            q = basis[:, :, :j]
+            # the same two passes as independent_columns, one per cell
+            v -= np.einsum("isl,sl->is", q, np.einsum("isl,is->sl", q, v))
+            v -= np.einsum("isl,sl->is", q, np.einsum("isl,is->sl", q, v))
+        norm = np.sqrt(np.einsum("is,is->s", v, v))
+        retained[:, j] = keep = norm > tol
+        basis[:, :, j] = v * np.divide(
+            1.0, norm, out=np.zeros_like(norm), where=keep
+        )
+    coef = np.einsum("isj,is->sj", basis, y)
+    return np.einsum("isj,sj->is", basis, coef), retained
 
 
 def fwl_residualize(target: np.ndarray, controls: np.ndarray | None) -> np.ndarray:

@@ -3,10 +3,16 @@
 Everything here deliberately avoids the package's closed-form paths:
 designs are materialized with explicit unit and period indicator columns
 and solved with numpy's lstsq, so agreement with the library's demeaned-sum
-formulas is a genuine two-route check, not a tautology.
+formulas is a genuine two-route check, not a tautology.  The exception is
+``audit_loop``, which keeps the library's former per-cell ``ols`` loop as
+the reference for the batched audit.
 """
 
 import numpy as np
+
+from twfekit import NoIdentifyingVariation, ols, twfe, twfe_multivariate
+from twfekit.estimators import two_way_residual
+from twfekit.panel import demean
 
 
 def _two_way_dummies(n, t):
@@ -263,3 +269,65 @@ def loop_pair_components(panel, y, x):
             sums.append((*labels, float(dx @ dy), float(dx @ dx)))
     total = sum(den for _, _, _, den in sums)
     return [(a, b, num / den, den / total) for a, b, num, den in sums]
+
+
+# ---------------------------------------------------------------------------
+# causal-accounting reference: one dense fit per (gap, start) cell
+
+
+def audit_loop(sim, covariates=()):
+    """``theorem2_audit`` fields computed with one ``ols`` call per cell.
+
+    The gap sums are formed exactly as the library forms them, so every
+    field but ``delta_bias_term`` (and ``residual_gap``, which depends on
+    it) is expected to match bit for bit.
+    """
+    panel = sim.panel
+    cov_list = list(covariates)
+    fitted = twfe(panel, "y", "x", cov_list or None)
+    r = two_way_residual(panel, "x", cov_list or None)
+    xv = panel.values("x")
+    slope, base, t = sim.effect_slope, sim.baseline, panel.n_periods
+    den = tau_sum = trend_sum = 0.0
+    trend_by_gap = []
+    for k in range(1, t):
+        dx = xv[:, k:] - xv[:, :-k]
+        dr = r[:, k:] - r[:, :-k]
+        den += float(np.sum(dx * dr))
+        tau_sum += float(np.sum(slope[:, k:] * dx * dr))
+        trend = (base[:, k:] - base[:, :-k]) + xv[:, :-k] * (
+            slope[:, k:] - slope[:, :-k]
+        )
+        trend_sum += float(np.sum(trend * dr))
+        trend_by_gap.append(trend)
+    bias_sum = 0.0
+    if cov_list:
+        wt = np.stack([demean(panel, name) for name in cov_list], axis=-1)
+        if len(cov_list) == 1:
+            pooled = np.array([twfe(panel, "x", cov_list[0]).beta])
+        else:
+            pooled = np.asarray(twfe_multivariate(panel, "x", cov_list).beta)
+        pooled_fit = wt @ pooled
+        xt = demean(panel, "x")
+        for k in range(1, t):
+            dwt = wt[:, k:, :] - wt[:, :-k, :]
+            dxt = xt[:, k:] - xt[:, :-k]
+            dpooled = pooled_fit[:, k:] - pooled_fit[:, :-k]
+            for start in range(dxt.shape[1]):
+                try:
+                    fit = ols(dwt[:, start, :], dxt[:, start])
+                    projected = dxt[:, start] - fit.residuals
+                except NoIdentifyingVariation:
+                    projected = np.zeros(panel.n_units)
+                bias_sum += float(
+                    trend_by_gap[k - 1][:, start]
+                    @ (projected - dpooled[:, start])
+                )
+    return {
+        "estimate": fitted.beta,
+        "tau_weighted_sum": tau_sum / den,
+        "trend_term": trend_sum / den,
+        "delta_bias_term": bias_sum / den,
+        "identity_gap": fitted.beta - tau_sum / den - trend_sum / den,
+        "denominator": den,
+    }

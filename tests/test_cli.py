@@ -479,6 +479,35 @@ scenario = parallel_trends
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("n_units", "abc", "an integer"),
+            ("n_periods", "4.5", "an integer"),
+            ("tau", "x1", "a number"),
+            ("noise_sd", "wide", "a number"),
+            ("tau_unit_sd", "-", "a number"),
+            ("feedback", "0,3", "a number"),
+        ],
+    )
+    def test_bad_simulation_override_names_key(
+        self, tmp_path, capsys, key, value, kind
+    ):
+        body = f"""
+[run]
+output_dir = {tmp_path / "o"}
+
+[analysis:mc]
+kind = simulation
+scenario = parallel_trends
+{key} = {value}
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"option '{key}' must be {kind}, got '{value}'" in (
+            capsys.readouterr().err
+        )
+
     def test_bad_pretrend_offset_names_token(
         self, tmp_path, panel_csv, capsys
     ):

@@ -15,6 +15,7 @@ from twfekit import (
     theorem2_audit,
     twfe,
 )
+from twfekit import numerics
 from helpers import make_panel
 
 
@@ -189,6 +190,28 @@ class TestTheorem2Audit:
         assert audit.trend_term == pytest.approx(
             audit.delta_bias_term + audit.residual_gap, abs=1e-12
         )
+
+    def test_rank_sweeps_do_not_grow_with_periods(self, monkeypatch):
+        # every ols fit runs one rank sweep; the covariate split must not
+        # add one fit per (gap, start) cell
+        sweep = numerics.independent_columns
+        counts = []
+
+        def counted(design):
+            counts[-1] += 1
+            return sweep(design)
+
+        monkeypatch.setattr(numerics, "independent_columns", counted)
+        per_audit = []
+        for t in (4, 12, 29):
+            cfg = scenario_preset("time_varying_delta", n_units=50,
+                                  n_periods=t)
+            sim = simulate(cfg)
+            counts.append(0)
+            theorem2_audit(sim, covariates=["w"])
+            per_audit.append(counts[-1])
+        assert per_audit[0] > 0
+        assert per_audit == [per_audit[0]] * 3
 
     def test_constant_tau_sum_is_exact(self):
         # with a constant effect slope, the weighted tau sum collapses to

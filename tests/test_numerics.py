@@ -8,7 +8,7 @@ from twfekit import (
     ols,
     pairwise_cross_moment,
 )
-from twfekit.numerics import independent_columns, pair_moments
+from twfekit.numerics import independent_columns, pair_moments, project_cells
 
 
 class TestOls:
@@ -175,6 +175,55 @@ class TestMultiColumnResponse:
             ols(np.ones((1, 1)), np.float64(1.0))
         with pytest.raises(ValueError, match="response"):
             fwl_residualize(np.ones((4, 2, 1)), np.ones((4, 1)))
+
+
+class TestProjectCells:
+    """The batched sweep against one ``ols`` fit per cell."""
+
+    def _cells(self, rng, n=30):
+        a, b, c = rng.normal(size=(3, n))
+        e = rng.normal(size=n)
+        cells = [
+            np.column_stack([a, b, c]),  # full rank
+            np.column_stack([a, b, a]),  # exact duplicate
+            np.column_stack([np.zeros(n), b, c]),  # zero first column
+            np.zeros((n, 3)),  # all-zero cell
+            # 1e-11 off collinearity: below RANK_TOL, so dropped
+            np.column_stack([a, 2.0 * a + 1e-11 * e, c]),
+            np.column_stack([1e4 * a, b, 1e4 * a - 3.0 * b]),  # badly scaled
+        ]
+        return np.stack(cells, axis=1), rng.normal(size=(n, len(cells)))
+
+    def test_matches_cell_fits(self, rng):
+        design, target = self._cells(rng)
+        projection, retained = project_cells(design, target)
+        assert projection.shape == target.shape
+        assert retained.shape == design.shape[1:]
+        for s in range(design.shape[1]):
+            try:
+                fit = ols(design[:, s, :], target[:, s])
+            except NoIdentifyingVariation:
+                assert not retained[s].any()
+                assert np.array_equal(projection[:, s], np.zeros(30))
+                continue
+            assert np.flatnonzero(retained[s]).tolist() == fit.retained_columns
+            want = target[:, s] - fit.residuals
+            scale = np.linalg.norm(target[:, s])
+            assert np.abs(projection[:, s] - want).max() < 1e-12 * scale
+        assert retained.tolist() == [
+            [True, True, True],
+            [True, True, False],
+            [False, True, True],
+            [False, False, False],
+            [True, False, True],
+            [True, True, False],
+        ]
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError, match="design must be"):
+            project_cells(np.zeros((4, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="design must be"):
+            project_cells(np.zeros((4, 3, 2)), np.zeros((4, 2)))
 
 
 class TestPairMoments:

@@ -10,12 +10,17 @@ import oracles
 from helpers import make_panel
 from twfekit import (
     CovariateSpec,
+    DgpConfig,
     GapRange,
+    SimulatedPanel,
     fd,
     fd_decomposition,
     gap_restricted,
     generalized_twfe,
     pairwise_decomposition,
+    scenario_preset,
+    simulate,
+    theorem2_audit,
     twfe,
 )
 
@@ -59,6 +64,51 @@ def _clusters(panel, grouped):
 def _double_demean(values):
     a = values - values.mean(axis=0)
     return a - a.mean(axis=1, keepdims=True)
+
+
+def _adversarial_sim(kind, collinear=False):
+    """``_adversarial`` panel as a simulation with heterogeneous effects.
+
+    With ``collinear``, a second covariate ``w2`` equals ``2 w`` except in
+    one period, so the two covariate changes are collinear in every
+    (gap, start) cell that does not touch that period.
+    """
+    panel = _adversarial(kind)
+    rng = np.random.default_rng([11, len(kind)])
+    series = {name: panel.values(name) for name in panel.series}
+    base = series["y"]
+    slope = 2.0 + rng.normal(size=base.shape)
+    series["y"] = base + slope * series["x"]
+    if collinear:
+        w2 = 2.0 * series["w"]
+        w2[:, -1] += rng.normal(size=base.shape[0])
+        series["w2"] = w2
+    return SimulatedPanel(make_panel(series), DgpConfig(), base, slope)
+
+
+def _check_audit(sim, covariates):
+    audit = theorem2_audit(sim, covariates)
+    want = oracles.audit_loop(sim, covariates)
+    for name in ("estimate", "tau_weighted_sum", "trend_term",
+                 "identity_gap", "denominator"):
+        assert getattr(audit, name) == want[name], name
+    # relative to the trend term it splits: at T=2 the single cell is the
+    # pooled fit, so the bias is zero up to roundoff on either route
+    bias = want["delta_bias_term"]
+    scale = max(abs(bias), abs(want["trend_term"]))
+    assert abs(audit.delta_bias_term - bias) <= 1e-10 * scale
+    assert audit.residual_gap == audit.trend_term - audit.delta_bias_term
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_audit_matches_cell_loop(kind):
+    _check_audit(_adversarial_sim(kind), ["w"])
+
+
+@pytest.mark.parametrize("order", (["w", "w2"], ["w2", "w"]), ids="-".join)
+@pytest.mark.parametrize("kind", KINDS)
+def test_audit_matches_cell_loop_collinear_covariates(kind, order):
+    _check_audit(_adversarial_sim(kind, collinear=True), order)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -136,16 +186,19 @@ def test_standard_errors_match_stacked_rows(kind, grouped):
 
 
 def test_no_units_by_pairs_allocation():
-    # Neither the kernel nor the SE path may build an array with one entry
-    # per unit and period pair (or per stacked row).
+    # Neither the kernel, the SE path nor the audit may build an array
+    # with one entry per unit and period pair (or per stacked row).
     rng = np.random.default_rng(3)
     n, t = 500, 60
     panel = make_panel(
         {"y": rng.normal(size=(n, t)), "x": rng.normal(size=(n, t))},
         cluster=[f"state{i % 50}" for i in range(n)],
     )
+    sim = simulate(scenario_preset("time_varying_delta", n_units=n,
+                                   n_periods=t))
     units_by_pairs = n * t * (t - 1) // 2 * 8
     calls = (
+        lambda: theorem2_audit(sim, ["w"]),
         lambda: twfe(panel, "y", "x", se=True),
         lambda: fd(panel, "y", "x", 1, se=True),
         lambda: gap_restricted(panel, "y", "x", GapRange(1, t - 1), se=True),
