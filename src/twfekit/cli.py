@@ -80,6 +80,14 @@ from .panel import BalancedPanel, PanelSchema, load_panel
 
 FORMATS = ("csv", "json")
 ANALYSIS_PREFIX = "analysis:"
+SUMMARY_FIELDS = (
+    "mean", "sd", "p5", "p25", "median", "p75", "p95", "n_components"
+)
+# per-replication columns of a simulation, after the replication number
+AUDIT_FIELDS = (
+    "estimate", "tau_weighted_sum", "trend_term", "delta_bias_term",
+    "identity_gap",
+)
 
 
 @dataclass
@@ -116,30 +124,25 @@ def _get_bool(options: dict[str, str], key: str, default: bool = False) -> bool:
     raise ValueError(f"option '{key}' must be a boolean, got '{options[key]}'")
 
 
-def _get_int(options: dict[str, str], key: str, default: int | None = None) -> int:
+def _get_number(options, key: str, default, kind: type, noun: str):
     if key not in options:
         if default is None:
             raise ValueError(f"missing required option '{key}'")
         return default
     try:
-        return int(options[key])
+        return kind(options[key])
     except ValueError:
         raise ValueError(
-            f"option '{key}' must be an integer, got '{options[key]}'"
+            f"option '{key}' must be {noun}, got '{options[key]}'"
         ) from None
+
+
+def _get_int(options, key: str, default: int | None = None) -> int:
+    return _get_number(options, key, default, int, "an integer")
 
 
 def _get_float(options, key: str, default: float | None = None) -> float:
-    if key not in options:
-        if default is None:
-            raise ValueError(f"missing required option '{key}'")
-        return default
-    try:
-        return float(options[key])
-    except ValueError:
-        raise ValueError(
-            f"option '{key}' must be a number, got '{options[key]}'"
-        ) from None
+    return _get_number(options, key, default, float, "a number")
 
 
 def _require(options: dict[str, str], key: str) -> str:
@@ -270,46 +273,26 @@ def _estimate_payload(operation: str, params: dict, est: Estimate) -> dict:
 
 
 def _write_components(outdir: str, name: str, decomposition) -> None:
-    path = os.path.join(outdir, f"{name}_components.csv")
+    components = decomposition.components
     if isinstance(decomposition, FdDecomposition):
         header = ("gap", "beta", "weight", "n_obs")
-        rows = [
-            (c.gap, c.beta, c.weight, c.n_obs)
-            for c in decomposition.components
-        ]
     else:
-        with_controls = any(
-            c.n_controls is not None for c in decomposition.components
-        )
         header = ("first", "second", "beta", "weight", "n_obs")
-        if with_controls:
-            header = header + ("n_controls",)
-        rows = []
-        for c in decomposition.components:
-            row = [c.first, c.second, c.beta, c.weight, c.n_obs]
-            if with_controls:
-                row.append(c.n_controls)
-            rows.append(row)
-    _write_csv(path, header, rows)
+        if any(c.n_controls is not None for c in components):
+            header += ("n_controls",)
+    _write_csv(
+        os.path.join(outdir, f"{name}_components.csv"),
+        header,
+        [[getattr(c, field) for field in header] for c in components],
+    )
 
 
 def _write_summary_table(outdir: str, name: str, decomposition) -> None:
     summary = weighted_summary(decomposition)
     _write_csv(
         os.path.join(outdir, f"{name}_summary_table.csv"),
-        ("mean", "sd", "p5", "p25", "median", "p75", "p95", "n_components"),
-        [
-            (
-                summary.mean,
-                summary.sd,
-                summary.p5,
-                summary.p25,
-                summary.median,
-                summary.p75,
-                summary.p95,
-                summary.n_components,
-            )
-        ],
+        SUMMARY_FIELDS,
+        [[getattr(summary, field) for field in SUMMARY_FIELDS]],
     )
 
 
@@ -318,16 +301,11 @@ def _write_summary_table(outdir: str, name: str, decomposition) -> None:
 
 
 def _covariates(options) -> list[str] | None:
-    if "covariates" not in options:
-        return None
-    names = _split(options["covariates"])
-    return names or None
+    return _split(options.get("covariates", "")) or None
 
 
 def _gap_range(options, required: bool) -> GapRange | None:
-    has_min = "k_min" in options
-    has_max = "k_max" in options
-    if not (has_min or has_max):
+    if "k_min" not in options and "k_max" not in options:
         if required:
             raise ValueError("missing required options 'k_min' and 'k_max'")
         return None
@@ -371,32 +349,23 @@ def _run_analysis(
             f"analysis '{name}' needs an input panel; set 'input' in [run]"
         )
 
-    if analysis.kind == "twfe":
+    if analysis.kind in ("twfe", "fd", "gap_restricted"):
         y, x = _require(opts, "y"), _require(opts, "x")
-        covs = _covariates(opts)
-        est = twfe(panel, y, x, covs, se=_get_bool(opts, "se"))
-        params = {"y": y, "x": x, "covariates": covs or []}
+        params: dict = {"y": y, "x": x}
+        if analysis.kind == "twfe":
+            covs = _covariates(opts)
+            est = twfe(panel, y, x, covs, se=_get_bool(opts, "se"))
+            params["covariates"] = covs or []
+        elif analysis.kind == "fd":
+            params["gap"] = _get_int(opts, "gap", 1)
+            est = fd(panel, y, x, params["gap"], se=_get_bool(opts, "se"))
+        else:
+            rng = _gap_range(opts, required=True)
+            est = gap_restricted(panel, y, x, rng, se=_get_bool(opts, "se"))
+            params.update(k_min=rng.k_min, k_max=rng.k_max)
         _write_report(
             outdir, name, "estimate",
-            _estimate_payload("twfe", params, est), config.formats,
-        )
-    elif analysis.kind == "fd":
-        y, x = _require(opts, "y"), _require(opts, "x")
-        gap = _get_int(opts, "gap", 1)
-        est = fd(panel, y, x, gap, se=_get_bool(opts, "se"))
-        params = {"y": y, "x": x, "gap": gap}
-        _write_report(
-            outdir, name, "estimate",
-            _estimate_payload("fd", params, est), config.formats,
-        )
-    elif analysis.kind == "gap_restricted":
-        y, x = _require(opts, "y"), _require(opts, "x")
-        rng = _gap_range(opts, required=True)
-        est = gap_restricted(panel, y, x, rng, se=_get_bool(opts, "se"))
-        params = {"y": y, "x": x, "k_min": rng.k_min, "k_max": rng.k_max}
-        _write_report(
-            outdir, name, "estimate",
-            _estimate_payload("gap_restricted", params, est), config.formats,
+            _estimate_payload(analysis.kind, params, est), config.formats,
         )
     elif analysis.kind == "generalized":
         y, x = _require(opts, "y"), _require(opts, "x")
@@ -450,13 +419,15 @@ def _run_analysis(
         _write_components(outdir, name, result.decomposition)
         if _get_bool(opts, "summary"):
             _write_summary_table(outdir, name, result.decomposition)
-    elif analysis.kind == "fd_decomposition":
+    elif analysis.kind in ("fd_decomposition", "pairwise_decomposition"):
         y, x = _require(opts, "y"), _require(opts, "x")
-        decomp = fd_decomposition(panel, y, x)
+        by_gap = analysis.kind == "fd_decomposition"
+        decompose = fd_decomposition if by_gap else pairwise_decomposition
+        decomp = decompose(panel, y, x)
         _write_report(
             outdir, name, "estimate",
             {
-                "operation": "fd_decomposition",
+                "operation": analysis.kind,
                 "parameters": {"y": y, "x": x},
                 "aggregate": decomp.aggregate,
                 "total_denominator": decomp.total_denominator,
@@ -465,32 +436,12 @@ def _run_analysis(
             config.formats,
         )
         _write_components(outdir, name, decomp)
-        if _get_bool(opts, "figure"):
+        if by_gap and _get_bool(opts, "figure"):
             _write_csv(
                 os.path.join(outdir, f"{name}_figure.csv"),
                 ("gap", "beta", "weight"),
-                [
-                    (c.gap, c.beta, c.weight)
-                    for c in decomp.components
-                ],
+                [(c.gap, c.beta, c.weight) for c in decomp.components],
             )
-        if _get_bool(opts, "summary"):
-            _write_summary_table(outdir, name, decomp)
-    elif analysis.kind == "pairwise_decomposition":
-        y, x = _require(opts, "y"), _require(opts, "x")
-        decomp = pairwise_decomposition(panel, y, x)
-        _write_report(
-            outdir, name, "estimate",
-            {
-                "operation": "pairwise_decomposition",
-                "parameters": {"y": y, "x": x},
-                "aggregate": decomp.aggregate,
-                "total_denominator": decomp.total_denominator,
-                "n_components": len(decomp.components),
-            },
-            config.formats,
-        )
-        _write_components(outdir, name, decomp)
         if _get_bool(opts, "summary"):
             _write_summary_table(outdir, name, decomp)
     elif analysis.kind == "equivalence":
@@ -556,26 +507,10 @@ def _run_analysis(
         for rep in range(replications):
             sim = simulate_replication(preset, rep)
             audit = theorem2_audit(sim, audit_covs)
-            rows.append(
-                (
-                    rep,
-                    audit.estimate,
-                    audit.tau_weighted_sum,
-                    audit.trend_term,
-                    audit.delta_bias_term,
-                    audit.identity_gap,
-                )
-            )
+            rows.append((rep, *(getattr(audit, f) for f in AUDIT_FIELDS)))
         _write_csv(
             os.path.join(outdir, f"{name}_replications.csv"),
-            (
-                "replication",
-                "estimate",
-                "tau_weighted_sum",
-                "trend_term",
-                "delta_bias_term",
-                "identity_gap",
-            ),
+            ("replication",) + AUDIT_FIELDS,
             rows,
         )
         estimates = np.array([row[1] for row in rows])

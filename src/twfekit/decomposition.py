@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoIdentifyingVariation
-from .estimators import DEGENERACY_TOL, _demeaned_pair, _variation_scale, twfe
+from .estimators import DEGENERACY_TOL, _check_two_way, _demeaned_pair, twfe
 from .panel import BalancedPanel
 
 
@@ -40,8 +39,10 @@ class FdComponent:
 class PairComponent:
     """One period pair's contribution.
 
-    ``n_controls`` is only populated by the covariate-adjusted estimator,
-    where each pair carries its own control count.
+    ``n_controls`` and ``dropped_controls`` are only populated by the
+    covariate-adjusted estimator, where each pair carries its own control
+    count and the names of the controls it dropped as collinear, in control
+    order.
     """
 
     first: int
@@ -50,6 +51,7 @@ class PairComponent:
     weight: float
     n_obs: int
     n_controls: int | None = None
+    dropped_controls: tuple[str, ...] = ()
 
 
 @dataclass
@@ -97,13 +99,8 @@ class EquivalenceReport:
 def _read_out(nums, dens, panel: BalancedPanel, x: str):
     """Component estimates ``nums / dens``, their weights, the aggregate and
     the total denominator; degenerate components get ``None`` and ``0.0``."""
-    scale = _variation_scale(panel, x)
     total = float(dens.sum())
-    if scale == 0.0 or total <= DEGENERACY_TOL * scale:
-        raise NoIdentifyingVariation(
-            f"no identifying variation in '{x}' after the two-way transformation"
-        )
-    live = dens > DEGENERACY_TOL * scale
+    live = dens > DEGENERACY_TOL * _check_two_way(total, panel, x)
     betas = [
         float(nu / de) if ok else None for nu, de, ok in zip(nums, dens, live)
     ]

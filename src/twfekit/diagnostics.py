@@ -38,10 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoIdentifyingVariation
 from .estimators import (
-    DEGENERACY_TOL,
-    _variation_scale,
+    _check_two_way,
+    _twfe_fit,
     twfe,
     twfe_multivariate,
     two_way_residual,
@@ -300,12 +299,7 @@ def causal_weights(
         products.append(prod.ravel())
     flat = np.concatenate(products)
     den = float(flat.sum())
-    scale = _variation_scale(panel, x)
-    if scale == 0.0 or den <= DEGENERACY_TOL * scale:
-        raise NoIdentifyingVariation(
-            f"no identifying variation in '{x}' after the two-way "
-            f"transformation"
-        )
+    _check_two_way(den, panel, x)
     weights = flat / den
     return CausalWeightReport(
         unit_index=np.concatenate(units),
@@ -359,21 +353,24 @@ def theorem2_audit(
         )
     panel = sim.panel
     cov_list = list(covariates) if covariates else []
-    fitted = twfe(panel, "y", "x", cov_list or None)
-    r = two_way_residual(panel, "x", cov_list or None)
+    # twfe(panel, "y", "x", covariates), whose x residual the accounting uses
+    r, _, _, estimate = _twfe_fit(panel, "y", "x", cov_list or None)
     xv = panel.values("x")
     slope = sim.effect_slope
     base = sim.baseline
     t = panel.n_periods
 
     if cov_list:
-        wt = np.stack([demean(panel, name) for name in cov_list], axis=-1)
+        # period-major demeaned x and covariates: each gap's cells are
+        # contiguous (S, n) blocks for project_cells
+        cells = np.stack(
+            [demean(panel, name).T for name in ["x"] + cov_list]
+        )
         if len(cov_list) == 1:
             pooled = np.array([twfe(panel, "x", cov_list[0]).beta])
         else:
             pooled = np.asarray(twfe_multivariate(panel, "x", cov_list).beta)
-        pooled_fit = wt @ pooled
-        xt = demean(panel, "x")
+        pooled_fit = np.einsum("m,mtn->tn", pooled, cells[1:])
 
     den = 0.0
     tau_sum = 0.0
@@ -395,24 +392,22 @@ def theorem2_audit(
             # treatment-on-covariate projection is compared with the pooled
             # (two-way) projection; cells whose projection drifts from the
             # pooled one load the untreated trend onto the estimate.
-            projected, _ = project_cells(
-                wt[:, k:, :] - wt[:, :-k, :], xt[:, k:] - xt[:, :-k]
-            )
-            dpooled = pooled_fit[:, k:] - pooled_fit[:, :-k]
-            bias_sum += float(np.sum(trend * (projected - dpooled)))
-    scale = _variation_scale(panel, "x")
-    if scale == 0.0 or den <= DEGENERACY_TOL * scale:
-        raise NoIdentifyingVariation(
-            "no identifying variation in 'x' after the two-way transformation"
-        )
+            changes = cells[:, k:] - cells[:, :-k]
+            (drift,), _ = project_cells(changes[1:], changes[:1])
+            # projected minus pooled change, with projected = change - drift
+            np.subtract(changes[0], drift, out=drift)
+            drift -= pooled_fit[k:]
+            drift += pooled_fit[:-k]
+            bias_sum += float(np.einsum("is,si->", trend, drift))
+    _check_two_way(den, panel, "x")
 
     tau_weighted_sum = tau_sum / den
     trend_term = trend_sum / den
-    identity_gap = fitted.beta - tau_weighted_sum - trend_term
+    identity_gap = estimate - tau_weighted_sum - trend_term
     delta_bias = bias_sum / den
 
     return Theorem2Audit(
-        estimate=fitted.beta,
+        estimate=estimate,
         tau_weighted_sum=tau_weighted_sum,
         trend_term=trend_term,
         delta_bias_term=delta_bias,

@@ -113,6 +113,28 @@ def _check_denominator(den: float, scale: float, message: str) -> None:
         raise NoIdentifyingVariation(message)
 
 
+def _check_two_way(den: float, panel: BalancedPanel, x: str) -> float:
+    """Raise unless ``den`` is live against ``x``'s centred variation, the
+    scale returned."""
+    scale = _variation_scale(panel, x)
+    _check_denominator(
+        den,
+        scale,
+        f"no identifying variation in '{x}' after the two-way transformation",
+    )
+    return scale
+
+
+def _twfe_fit(panel: BalancedPanel, y: str, x: str, covariates=None):
+    """``(rx, ry, den, beta)``: the two-way residuals of ``x`` and ``y``, the
+    slope's denominator (checked against degeneracy) and the slope."""
+    rx = two_way_residual(panel, x, covariates)
+    ry = two_way_residual(panel, y, covariates)
+    den = float(np.sum(rx * rx))
+    _check_two_way(den, panel, x)
+    return rx, ry, den, float(np.sum(rx * ry)) / den
+
+
 def twfe(
     panel: BalancedPanel,
     y: str,
@@ -126,15 +148,7 @@ def twfe(
     unit indicators, and period indicators (plus ``covariates`` if given),
     but is computed in closed form from demeaned arrays.
     """
-    rx = two_way_residual(panel, x, covariates)
-    ry = two_way_residual(panel, y, covariates)
-    den = float(np.sum(rx * rx))
-    _check_denominator(
-        den,
-        _variation_scale(panel, x),
-        f"no identifying variation in '{x}' after the two-way transformation",
-    )
-    beta = float(np.sum(rx * ry)) / den
+    rx, ry, den, beta = _twfe_fit(panel, y, x, covariates)
     t = panel.n_periods
     se_value = None
     if se:

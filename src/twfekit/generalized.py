@@ -19,11 +19,19 @@ share of residual treatment variation after adjustment (``"ssr"``); the
 of the plain pairwise decomposition.  Either way, weights are nonnegative,
 are normalized within the restricted pair set, and a degenerate pair (its
 controls absorb all treatment variation) gets weight ``0.0``.
+
+A pair's controls come in the order intercept, time-invariant, differenced,
+pre-trend, so the rank rule of ``numerics`` drops the later member of a
+collinear group; each component names the controls its pair dropped.  The
+pairs of one gap are residualized together by one
+``numerics.project_cells`` call, which sweeps the intercept and the
+time-invariant columns, the same in every pair, only once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -32,11 +40,12 @@ from .errors import NoIdentifyingVariation, PanelError
 from .estimators import (
     DEGENERACY_TOL,
     Estimate,
+    _check_denominator,
     _demeaned_pair,
     _variation_scale,
 )
 from .inference import cluster_robust_se
-from .numerics import fwl_residualize, pair_moments
+from .numerics import pair_moments, project_cells
 from .panel import BalancedPanel, demean
 
 WEIGHT_SCHEMES = ("ssr", "raw")
@@ -145,10 +154,22 @@ class CovariateSpec:
 
 @dataclass
 class GeneralizedResult:
-    """Aggregate estimate plus its per-pair decomposition."""
+    """Aggregate estimate plus its per-pair decomposition.
+
+    ``n_degenerate`` counts the pairs with ``beta=None`` and weight ``0.0``.
+    """
 
     estimate: Estimate
     decomposition: PairwiseDecomposition
+    n_degenerate: int
+
+
+def _check_gaps(rng: GapRange, t_count: int) -> None:
+    if rng.k_max > t_count - 1:
+        raise ValueError(
+            f"gap range [{rng.k_min}, {rng.k_max}] exceeds the largest "
+            f"available gap {t_count - 1}"
+        )
 
 
 def gap_restricted(
@@ -163,22 +184,17 @@ def gap_restricted(
     ``GapRange(1, T - 1)`` reproduces the plain two-way estimate;
     ``GapRange(k, k)`` reproduces the pooled gap-``k`` difference estimator.
     """
-    t = panel.n_periods
-    if gap_range.k_max > t - 1:
-        raise ValueError(
-            f"gap range [{gap_range.k_min}, {gap_range.k_max}] exceeds the "
-            f"largest available gap {t - 1}"
-        )
+    _check_gaps(gap_range, panel.n_periods)
     gaps = slice(gap_range.k_min - 1, gap_range.k_max)
     (_, cross), (_, sq) = _demeaned_pair(panel, y, x)
     cross, sq = cross[:, gaps].sum(axis=1), sq[:, gaps].sum(axis=1)
     num, den = float(cross.sum()), float(sq.sum())
-    scale = _variation_scale(panel, x)
-    if scale == 0.0 or den <= DEGENERACY_TOL * scale:
-        raise NoIdentifyingVariation(
-            f"no identifying variation in '{x}' for gaps "
-            f"{gap_range.k_min}-{gap_range.k_max}"
-        )
+    _check_denominator(
+        den,
+        _variation_scale(panel, x),
+        f"no identifying variation in '{x}' for gaps "
+        f"{gap_range.k_min}-{gap_range.k_max}",
+    )
     se_value = cluster_robust_se(cross, sq, panel.cluster_id) if se else None
     return Estimate(
         beta=num / den,
@@ -206,6 +222,60 @@ def _presample_rows(panel: BalancedPanel, presample: BalancedPanel) -> np.ndarra
     return np.array([row[u] for u in panel.units])
 
 
+def _pretrend_slopes(
+    panel: BalancedPanel,
+    configs,
+    anchors,
+    presample: BalancedPanel | None,
+) -> np.ndarray:
+    """``(len(configs), len(anchors), N)`` pre-trend slopes before each anchor.
+
+    The presample is validated once, and each variable's values are gathered
+    once (the presample's, then the panel's), so each window is one mask
+    over the calendar.
+    """
+    rows = None
+    slopes = np.empty((len(configs), len(anchors), panel.n_units))
+    for c, config in enumerate(configs):
+        name = config.variable
+        if name not in panel.series and (
+            presample is None or name not in presample.series
+        ):
+            raise PanelError(
+                f"pre-trend variable '{name}' is in neither the panel nor the "
+                f"pre-sample"
+            )
+        calendar: list[int] = []
+        blocks: list[np.ndarray] = []
+        if presample is not None:
+            if rows is None:
+                rows = _presample_rows(panel, presample)
+            blocks.append(presample.values(name)[rows])
+            calendar.extend(presample.periods)
+        if name in panel.series:
+            blocks.append(panel.values(name))
+            calendar.extend(panel.periods)
+        periods, values = np.array(calendar), np.hstack(blocks)
+        needed = config.min_points or config.window_length
+        for a, t in enumerate(anchors):
+            cols = (periods >= t + config.window_start_offset) & (
+                periods <= t + config.window_end_offset
+            )
+            if cols.sum() < needed:
+                raise PanelError(
+                    f"pre-trend window before period {t}: only {cols.sum()} "
+                    f"of {needed} required periods available"
+                )
+            window = values[:, cols]
+            pc = periods[cols].astype(float)
+            pc -= pc.mean()
+            slopes[c, a] = (
+                (window - window.mean(axis=1, keepdims=True)) @ pc
+                / float(pc @ pc)
+            )
+    return slopes
+
+
 def pretrend_covariate(
     panel: BalancedPanel,
     config: PretrendConfig,
@@ -224,39 +294,7 @@ def pretrend_covariate(
     """
     t = int(t)
     panel.period_index(t)  # validates the anchor period
-    name = config.variable
-    if name not in panel.series and (
-        presample is None or name not in presample.series
-    ):
-        raise PanelError(
-            f"pre-trend variable '{name}' is in neither the panel nor the "
-            f"pre-sample"
-        )
-    window = range(
-        t + config.window_start_offset, t + config.window_end_offset + 1
-    )
-    # the presample ends before the panel starts, so its periods come first
-    found: list[int] = []
-    blocks: list[np.ndarray] = []
-    if presample is not None:
-        rows = _presample_rows(panel, presample)
-        cols = [j for j, p in enumerate(presample.periods) if p in window]
-        blocks.append(presample.values(name)[np.ix_(rows, cols)])
-        found.extend(presample.periods[j] for j in cols)
-    if name in panel.series:
-        cols = [j for j, p in enumerate(panel.periods) if p in window]
-        blocks.append(panel.values(name)[:, cols])
-        found.extend(panel.periods[j] for j in cols)
-    needed = config.min_points or config.window_length
-    if len(found) < needed:
-        raise PanelError(
-            f"pre-trend window before period {t}: only {len(found)} of "
-            f"{needed} required periods available"
-        )
-    values = np.hstack(blocks)
-    pc = np.array(found, dtype=float)
-    pc -= pc.mean()
-    return (values - values.mean(axis=1, keepdims=True)) @ pc / float(pc @ pc)
+    return _pretrend_slopes(panel, (config,), [t], presample)[0, 0]
 
 
 def _time_invariant_column(panel: BalancedPanel, name: str) -> np.ndarray:
@@ -284,11 +322,14 @@ def generalized_twfe(
     """Covariate-adjusted, gap-restricted weighted average of pair slopes.
 
     For each period pair ``(t, s)`` with gap in ``gap_range``, the pair's
-    outcome change and treatment change are residualized, in one fit, on an
-    intercept plus the controls from ``spec``; the pair estimate is the
-    slope of the residualized changes, and pair weights follow
-    ``weight_scheme`` (see module docstring).  With an empty spec and the
-    full gap range this reproduces the plain two-way estimate.
+    outcome change and treatment change are residualized on an intercept
+    plus the controls from ``spec``; the pair estimate is the slope of the
+    residualized changes, and pair weights follow ``weight_scheme`` (see
+    module docstring).  With an empty spec and the full gap range this
+    reproduces the plain two-way estimate.  Each component's
+    ``dropped_controls`` names the controls its pair dropped as collinear
+    (``"intercept"``, a series name, or ``"variable:start:end"`` for a
+    pre-trend control).  Extra memory is O(N·T) per gap, never per pair.
     """
     if weight_scheme not in WEIGHT_SCHEMES:
         raise ValueError(
@@ -297,14 +338,8 @@ def generalized_twfe(
         )
     t_count = panel.n_periods
     rng = gap_range or GapRange(1, t_count - 1)
-    if rng.k_max > t_count - 1:
-        raise ValueError(
-            f"gap range [{rng.k_min}, {rng.k_max}] exceeds the largest "
-            f"available gap {t_count - 1}"
-        )
+    _check_gaps(rng, t_count)
 
-    yv = panel.values(y)
-    xv = panel.values(x)
     xt = demean(panel, x)
     raw_by_pair, _ = pair_moments(xt, xt)
     n = panel.n_units
@@ -313,86 +348,83 @@ def generalized_twfe(
     # pair's difference variation counts as numerically zero
     x_scale = _variation_scale(panel, x)
 
-    # column order (intercept, time-invariant, differenced, pre-trend) sets
-    # which member of a collinear group the left-to-right sweep drops
-    fixed_cols = [np.ones(n)] + [
+    # the intercept and time-invariant columns are the same in every pair
+    names = ("intercept",) + spec.time_invariant + spec.differenced + tuple(
+        f"{c.variable}:{c.window_start_offset}:{c.window_end_offset}"
+        for c in spec.pre_period
+    )
+    shared = np.column_stack([np.ones(n)] + [
         _time_invariant_column(panel, name) for name in spec.time_invariant
-    ]
-    diff_sources = [panel.values(name) for name in spec.differenced]
+    ])
+    # period-major x, y and differenced controls: a gap's changes are
+    # contiguous (start, unit) blocks
+    series = np.stack(
+        [panel.values(name).T for name in (x, y) + spec.differenced]
+    )
+    # the anchors with a pair in range
+    anchors = labels[: t_count - rng.k_min]
+    pretrend = _pretrend_slopes(panel, spec.pre_period, anchors, presample)
 
-    components: list[PairComponent] = []
-    raw_dens: list[float] = []
-    ssrs: list[float] = []
     # per-unit sums of v*u and v^2 over the live pairs, for the SE
     unit_cross = np.zeros(n)
     unit_sq = np.zeros(n)
-
-    # anchors with at least one pair whose gap is in range
-    for ti in range(t_count - rng.k_min):
-        pretrend_cols = [
-            pretrend_covariate(panel, cfg, labels[ti], presample)
-            for cfg in spec.pre_period
-        ]
-        for si in range(ti + rng.k_min, min(ti + rng.k_max, t_count - 1) + 1):
-            diff_cols = [src[:, si] - src[:, ti] for src in diff_sources]
-            controls = np.column_stack(fixed_cols + diff_cols + pretrend_cols)
-            changes = np.column_stack(
-                [xv[:, si] - xv[:, ti], yv[:, si] - yv[:, ti]]
-            )
-            rx, ry = fwl_residualize(changes, controls).T
-            ssr = float(rx @ rx)
-            raw_den = float(raw_by_pair[ti, si])
-            raw_dens.append(raw_den)
-            ssrs.append(ssr)
-            degenerate = (
-                x_scale == 0.0
-                or raw_den <= DEGENERACY_TOL * x_scale
-                or ssr <= DEGENERACY_TOL * raw_den
-            )
-            beta = None if degenerate else float(rx @ ry) / ssr
-            if not degenerate:
-                # the raw scheme rescales a pair's residuals by
-                # sqrt(raw_den / ssr), so its products scale by the square
-                f2 = raw_den / ssr if weight_scheme == "raw" else 1.0
-                unit_cross += f2 * (rx * ry)
-                unit_sq += f2 * (rx * rx)
-            components.append(
-                PairComponent(
-                    first=labels[ti],
-                    second=labels[si],
-                    beta=beta,
-                    weight=0.0,
-                    n_obs=n,
-                    n_controls=spec.n_controls,
-                )
-            )
-
-    weight_basis = ssrs if weight_scheme == "ssr" else raw_dens
-    live = [i for i, c in enumerate(components) if c.beta is not None]
-    if not live:
+    # (first, second, beta or None, weight basis, dropped controls)
+    pairs: list[tuple] = []
+    for k in range(rng.k_min, rng.k_max + 1):
+        # the pairs of gap k, one per start period, form one stack of cells
+        changes = series[:, k:] - series[:, :-k]
+        starts = t_count - k
+        (rx, ry), retained = project_cells(
+            np.concatenate([changes[2:], pretrend[:, :starts]]),
+            changes[:2],
+            shared,
+        )
+        ssr = np.einsum("sn,sn->s", rx, rx)
+        raw_den = np.diagonal(raw_by_pair, k)
+        live = (
+            (x_scale > 0.0)
+            & (raw_den > DEGENERACY_TOL * x_scale)
+            & (ssr > DEGENERACY_TOL * raw_den)
+        )
+        # the raw scheme rescales a pair's residuals by sqrt(raw_den / ssr),
+        # so its products scale by the square
+        f2 = live.astype(float)
+        if weight_scheme == "raw":
+            f2 = np.divide(raw_den, ssr, out=np.zeros(starts), where=live)
+        unit_cross += f2 @ (rx * ry)
+        unit_sq += f2 @ (rx * rx)
+        beta = np.divide(
+            np.einsum("sn,sn->s", rx, ry), ssr, out=np.zeros(starts), where=live
+        )
+        pairs += zip(
+            labels[:starts],
+            labels[k:],
+            np.where(live, beta, None).tolist(),
+            (ssr if weight_scheme == "ssr" else raw_den).tolist(),
+            [tuple(compress(names, ~kept)) for kept in retained],
+        )
+    pairs.sort(key=lambda pair: pair[:2])  # anchor-major, as pairwise
+    live_basis = [basis for _, _, beta, basis, _ in pairs if beta is not None]
+    if not live_basis:
         raise NoIdentifyingVariation(
             f"no identifying variation in '{x}' for any pair with gaps "
             f"{rng.k_min}-{rng.k_max}"
         )
-    total = float(sum(weight_basis[i] for i in live))
-    if total <= 0.0:
-        raise NoIdentifyingVariation(
-            f"controls absorb all treatment variation in '{x}' for gaps "
-            f"{rng.k_min}-{rng.k_max}"
+    # positive: a live pair has ssr and raw_den above zero
+    total = float(sum(live_basis))
+    components = [
+        PairComponent(
+            first=first,
+            second=second,
+            beta=beta,
+            weight=0.0 if beta is None else basis / total,
+            n_obs=n,
+            n_controls=spec.n_controls,
+            dropped_controls=dropped,
         )
-    aggregate = 0.0
-    for i in live:
-        weight = weight_basis[i] / total
-        c = components[i]
-        components[i] = PairComponent(
-            first=c.first,
-            second=c.second,
-            beta=c.beta,
-            weight=weight,
-            n_obs=c.n_obs,
-            n_controls=c.n_controls,
-        )
-        aggregate += weight * components[i].beta
+        for first, second, beta, basis, dropped in pairs
+    ]
+    aggregate = sum(c.weight * c.beta for c in components if c.beta is not None)
 
     se_value = (
         cluster_robust_se(unit_cross, unit_sq, panel.cluster_id) if se else None
@@ -411,4 +443,8 @@ def generalized_twfe(
     decomposition = PairwiseDecomposition(
         components=components, aggregate=aggregate, total_denominator=total
     )
-    return GeneralizedResult(estimate=estimate, decomposition=decomposition)
+    return GeneralizedResult(
+        estimate=estimate,
+        decomposition=decomposition,
+        n_degenerate=len(components) - len(live_basis),
+    )

@@ -9,10 +9,12 @@ Because the sweep runs left to right, the *later*-indexed member of a
 collinear group is always the one removed, which keeps drop decisions
 deterministic and lets callers order columns by priority.
 
-``project_cells`` applies the same rule to many small designs at once: each
-cell of an ``(n, S, m)`` stack keeps its own columns by the left-to-right
-sweep, with ``RANK_TOL`` taken relative to that cell's largest column norm,
-and the sweep runs column by column, vectorized across cells.
+``project_cells`` is the batched form for stacks of designs with common
+leading columns, such as the period pairs of one gap: the common block is
+swept once and taken out of the rest by one product (Frisch-Waugh-Lovell),
+and only the other columns are swept per design, vectorized across designs.
+Designs that disagree on a common column, since each takes ``RANK_TOL``
+relative to its own largest column norm, are grouped by the ones they keep.
 """
 
 from __future__ import annotations
@@ -67,25 +69,9 @@ def independent_columns(design: np.ndarray) -> tuple[list[int], list[int]]:
         raise NoIdentifyingVariation(
             "no identifying variation: design matrix is zero"
         )
-    tol = RANK_TOL * scale
-    basis: list[np.ndarray] = []
-    retained: list[int] = []
-    dropped: list[int] = []
-    for j in range(p):
-        v = x[:, j].copy()
-        if basis:
-            q = np.column_stack(basis)
-            # "Twice is enough": one re-orthogonalization pass recovers the
-            # digits plain Gram-Schmidt loses on near-dependent columns.
-            v -= q @ (q.T @ v)
-            v -= q @ (q.T @ v)
-        norm = float(np.linalg.norm(v))
-        if norm > tol:
-            retained.append(j)
-            basis.append(v / norm)
-        else:
-            dropped.append(j)
-    return retained, dropped
+    ((_, _, kept),) = _sweep(x, np.array([RANK_TOL * scale]))
+    retained = [j for j in range(p) if kept[j]]
+    return retained, [j for j in range(p) if not kept[j]]
 
 
 def ols(design: np.ndarray, response: np.ndarray) -> LeastSquaresFit:
@@ -124,50 +110,87 @@ def ols(design: np.ndarray, response: np.ndarray) -> LeastSquaresFit:
 
 
 def project_cells(
-    design: np.ndarray, target: np.ndarray
+    varying: np.ndarray,
+    targets: np.ndarray,
+    shared: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projection of each cell's target onto that cell's retained columns.
+    """Residuals of each cell's targets on that cell's retained columns.
 
-    ``design`` is ``(n, S, m)``, a stack of ``S`` cells of ``n`` rows and
-    ``m`` columns, and ``target`` is ``(n, S)``.  Cell ``s`` keeps the
-    columns of ``design[:, s, :]`` that :func:`independent_columns` would
-    retain (modified Gram-Schmidt, re-orthogonalized once, a column dropped
-    when its residual norm is at most ``RANK_TOL`` times the cell's largest
-    column norm); a dropped column gets a zero basis column.  Returns
-
-    ``projection``
-        ``(n, S)`` array; column ``s`` is ``target[:, s]`` projected onto
-        the retained columns of cell ``s`` (zero for an all-zero cell);
-    ``retained``
-        ``(S, m)`` boolean array; ``retained[s, j]`` says whether cell
-        ``s`` kept column ``j``.
+    Cell ``s`` of ``S`` has the design ``[shared, *varying[:, s]]``: the
+    ``(n, p0)`` block ``shared`` (or none) is common to every cell, and
+    ``varying`` is ``(m, S, n)``, column-major.  ``targets`` is ``(r, S, n)``.
+    Returns the ``(r, S, n)`` residuals (the targets themselves in an
+    all-zero cell) and the ``(S, p0 + m)`` mask of the design columns each
+    cell retains by :func:`independent_columns`' rule.
     """
-    x = np.asarray(design, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if x.ndim != 3 or y.shape != x.shape[:2]:
+    v, y = np.asarray(varying, dtype=float), np.asarray(targets, dtype=float)
+    c = np.empty((v.shape[-1], 0)) if shared is None else np.asarray(shared, float)
+    if v.ndim != 3 or y.ndim != 3 or y.shape[1:] != v.shape[1:] or (
+        c.ndim != 2 or c.shape[:1] != v.shape[2:]
+    ):
         raise ValueError(
-            f"design must be (n, S, m) and target (n, S), got shapes "
-            f"{x.shape} and {y.shape}"
+            f"need varying (m, S, n), targets (r, S, n) and shared (n, p0), "
+            f"got shapes {v.shape}, {y.shape} and {c.shape}"
         )
-    tol = RANK_TOL * np.sqrt(np.einsum("isj,isj->sj", x, x)).max(
-        axis=1, initial=0.0
-    )
-    basis = np.zeros_like(x)
-    retained = np.zeros(x.shape[1:], dtype=bool)
-    for j in range(x.shape[2]):
-        v = x[:, :, j].copy()
-        if j:
-            q = basis[:, :, :j]
-            # the same two passes as independent_columns, one per cell
-            v -= np.einsum("isl,sl->is", q, np.einsum("isl,is->sl", q, v))
-            v -= np.einsum("isl,sl->is", q, np.einsum("isl,is->sl", q, v))
-        norm = np.sqrt(np.einsum("is,is->s", v, v))
-        retained[:, j] = keep = norm > tol
-        basis[:, :, j] = v * np.divide(
-            1.0, norm, out=np.zeros_like(norm), where=keep
-        )
-    coef = np.einsum("isj,is->sj", basis, y)
-    return np.einsum("isj,sj->is", basis, coef), retained
+    (m, s_count, _), p0 = v.shape, c.shape[1]
+    # each cell's largest column norm, the shared ones included
+    shared_max = float(np.sqrt(np.einsum("ij,ij->j", c, c)).max()) if p0 else 0.0
+    norms = np.sqrt(np.einsum("msn,msn->sm", v, v))
+    tol = RANK_TOL * norms.max(axis=1, initial=shared_max)
+    basis = v.copy()
+    residuals = y.copy()
+    retained = np.zeros((s_count, p0 + m), dtype=bool)
+    for cells, q, kept in _sweep(c, tol) if p0 else ():
+        retained[cells, :p0] = kept
+        outside = np.ones(s_count, dtype=bool)
+        outside[cells] = False
+        # Frisch-Waugh-Lovell: one product takes the shared basis out of
+        # the group's cells, twice for the columns as in the sweep; zeroed
+        # coefficients leave the other cells as they are, without copies
+        for block, passes in ((basis, 2), (residuals, 1)):
+            for _ in range(passes):
+                coef = block @ q
+                coef[:, outside] = 0.0
+                block -= coef @ q.T
+    # the varying columns, swept per cell and vectorized across cells; each
+    # column becomes its cell's next basis vector (zero when dropped)
+    for j in range(m):
+        col, earlier = basis[j], basis[:j]
+        for _ in range(2 if j else 0):
+            col -= np.einsum(
+                "ls,lsn->sn", np.einsum("lsn,sn->ls", earlier, col), earlier
+            )
+        norm = np.sqrt(np.einsum("sn,sn->s", col, col))
+        retained[:, p0 + j] = keep = norm > tol
+        col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=keep)[:, None]
+        residuals -= np.einsum("rsn,sn->rs", residuals, col)[:, :, None] * col
+    return residuals, retained
+
+
+def _sweep(design: np.ndarray, tol: np.ndarray) -> list:
+    """The left-to-right sweep of ``design``'s columns under tolerances ``tol``.
+
+    A residual norm between two tolerances splits them, so the result is a
+    list of ``(indices into tol, (n, k) orthonormal basis, keep flags)``.
+    """
+    groups = [(np.arange(tol.size), design[:, :0], [])]
+    for j in range(design.shape[1]):
+        split = []
+        for cells, q, kept in groups:
+            col = design[:, j].copy()
+            # "Twice is enough": one re-orthogonalization pass recovers the
+            # digits plain Gram-Schmidt loses on near-dependent columns.
+            for _ in range(2 if q.shape[1] else 0):
+                col -= q @ (q.T @ col)
+            norm = float(np.linalg.norm(col))
+            keep = norm > tol[cells]
+            if keep.any():
+                basis = np.column_stack([q, col / norm])
+                split.append((cells[keep], basis, kept + [True]))
+            if not keep.all():
+                split.append((cells[~keep], q, kept + [False]))
+        groups = split
+    return groups
 
 
 def fwl_residualize(target: np.ndarray, controls: np.ndarray | None) -> np.ndarray:

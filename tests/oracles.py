@@ -3,15 +3,24 @@
 Everything here deliberately avoids the package's closed-form paths:
 designs are materialized with explicit unit and period indicator columns
 and solved with numpy's lstsq, so agreement with the library's demeaned-sum
-formulas is a genuine two-route check, not a tautology.  The exception is
-``audit_loop``, which keeps the library's former per-cell ``ols`` loop as
-the reference for the batched audit.
+formulas is a genuine two-route check, not a tautology.  The exceptions
+are ``audit_loop`` and ``generalized_loop``, which keep the library's former
+per-cell and per-pair ``ols`` loops as the references for the batched
+audit and the batched covariate-adjusted estimator.
 """
 
 import numpy as np
 
-from twfekit import NoIdentifyingVariation, ols, twfe, twfe_multivariate
-from twfekit.estimators import two_way_residual
+from twfekit import (
+    NoIdentifyingVariation,
+    cluster_robust_se,
+    ols,
+    twfe,
+    twfe_multivariate,
+)
+from twfekit.estimators import DEGENERACY_TOL, _variation_scale, two_way_residual
+from twfekit.generalized import _time_invariant_column
+from twfekit.numerics import pair_moments
 from twfekit.panel import demean
 
 
@@ -331,3 +340,94 @@ def audit_loop(sim, covariates=()):
         "identity_gap": fitted.beta - tau_sum / den - trend_sum / den,
         "denominator": den,
     }
+
+
+# ---------------------------------------------------------------------------
+# covariate-adjusted reference: one dense fit per period pair
+
+
+def _pretrend_column(panel, cfg, t, presample):
+    """``window_slope`` of each unit over ``cfg``'s window before period
+    ``t``, its values looked up one period at a time in the presample and
+    then the panel."""
+    window = range(t + cfg.window_start_offset, t + cfg.window_end_offset + 1)
+    column = []
+    for unit in panel.units:
+        found = []
+        for source in (presample, panel):
+            if source is None or cfg.variable not in source.series:
+                continue
+            row = source.values(cfg.variable)[source.units.index(unit)]
+            found += [(p, v) for p, v in zip(source.periods, row) if p in window]
+        periods, values = zip(*found)
+        column.append(window_slope(periods, values))
+    return np.array(column)
+
+
+def generalized_loop(panel, y, x, spec, k_min, k_max, scheme, presample=None):
+    """``generalized_twfe`` computed with one ``ols`` call per pair.
+
+    Returns ``(components, estimate, se, n_degenerate)``; each component is
+    ``(first, second, beta, weight, dropped_controls)``, in the library's
+    anchor-major order, and the SE is cluster-robust by ``panel.cluster_id``.
+    The pre-trend controls are per-unit ``window_slope`` fits, not the
+    library's batched slopes.
+    """
+    yv, xv = panel.values(y), panel.values(x)
+    xt = demean(panel, x)
+    raw_by_pair, _ = pair_moments(xt, xt)
+    n, t_count, labels = panel.n_units, panel.n_periods, panel.periods
+    x_scale = _variation_scale(panel, x)
+    names = ["intercept", *spec.time_invariant, *spec.differenced] + [
+        f"{c.variable}:{c.window_start_offset}:{c.window_end_offset}"
+        for c in spec.pre_period
+    ]
+    fixed = [np.ones(n)] + [
+        _time_invariant_column(panel, name) for name in spec.time_invariant
+    ]
+    pairs = []
+    unit_cross, unit_sq = np.zeros(n), np.zeros(n)
+    for ti in range(t_count - k_min):
+        pretrend = [
+            _pretrend_column(panel, cfg, labels[ti], presample)
+            for cfg in spec.pre_period
+        ]
+        for si in range(ti + k_min, min(ti + k_max, t_count - 1) + 1):
+            diffs = [
+                panel.values(name)[:, si] - panel.values(name)[:, ti]
+                for name in spec.differenced
+            ]
+            controls = np.column_stack(fixed + diffs + pretrend)
+            changes = np.column_stack(
+                [xv[:, si] - xv[:, ti], yv[:, si] - yv[:, ti]]
+            )
+            try:
+                fit = ols(controls, changes)
+                rx, ry = fit.residuals.T
+                dropped = tuple(names[j] for j in fit.dropped_columns)
+            except NoIdentifyingVariation:
+                rx, ry = changes.T
+                dropped = tuple(names)
+            ssr = float(rx @ rx)
+            raw_den = float(raw_by_pair[ti, si])
+            degenerate = (
+                x_scale == 0.0
+                or raw_den <= DEGENERACY_TOL * x_scale
+                or ssr <= DEGENERACY_TOL * raw_den
+            )
+            beta = None if degenerate else float(rx @ ry) / ssr
+            if not degenerate:
+                f2 = raw_den / ssr if scheme == "raw" else 1.0
+                unit_cross += f2 * (rx * ry)
+                unit_sq += f2 * (rx * rx)
+            basis = ssr if scheme == "ssr" else raw_den
+            pairs.append((labels[ti], labels[si], beta, basis, dropped))
+    total = sum(basis for _, _, beta, basis, _ in pairs if beta is not None)
+    components = [
+        (first, second, beta, 0.0 if beta is None else basis / total, dropped)
+        for first, second, beta, basis, dropped in pairs
+    ]
+    estimate = sum(c[2] * c[3] for c in components if c[2] is not None)
+    se = cluster_robust_se(unit_cross, unit_sq, panel.cluster_id)
+    n_degenerate = sum(c[2] is None for c in components)
+    return components, estimate, se, n_degenerate

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+import twfekit.generalized
 import twfekit.numerics
 from helpers import make_panel, random_panel
 from twfekit import (
@@ -325,7 +326,7 @@ class TestGeneralizedTwfe:
             assert rel_gap(comp.beta, want) < 1e-8
             assert comp.n_controls == 1
 
-    def test_one_fit_per_pair(self, rng, monkeypatch):
+    def test_one_kernel_call_per_gap(self, rng, monkeypatch):
         n, t = 15, 6
         base = random_panel(rng, n, t, first_period=2000,
                             extra_series=("v",))
@@ -340,20 +341,46 @@ class TestGeneralizedTwfe:
             differenced=("v",),
             pre_period=(PretrendConfig("v", -6, -2),),
         )
-        original = twfekit.numerics.ols
-        shapes = []
+        original = twfekit.generalized.project_cells
+        stacks = []
 
-        def counting_ols(design, response):
-            shapes.append(np.shape(response))
-            return original(design, response)
+        def counting_kernel(varying, targets, shared=None):
+            stacks.append((varying.shape, targets.shape, np.shape(shared)))
+            return original(varying, targets, shared)
 
-        monkeypatch.setattr(twfekit.numerics, "ols", counting_ols)
+        def no_ols(design, response):
+            raise AssertionError("generalized_twfe must not call ols")
+
+        monkeypatch.setattr(twfekit.generalized, "project_cells",
+                            counting_kernel)
+        monkeypatch.setattr(twfekit.numerics, "ols", no_ols)
         result = generalized_twfe(
             panel, "y", "x", spec=spec, gap_range=GapRange(2, 4),
             presample=presample,
         )
         assert len(result.decomposition.components) == 9
-        assert shapes == [(n, 2)] * 9
+        # one stack per gap: all its start periods, the differenced and
+        # pre-trend columns varying, intercept and w shared
+        assert stacks == [
+            ((2, t - k, n), (2, t - k, n), (n, 2)) for k in (2, 3, 4)
+        ]
+
+    def test_collinear_control_reported_per_pair(self, rng):
+        n, t = 20, 5
+        base = random_panel(rng, n, t, extra_series=("v",))
+        series = {name: base.values(name) for name in ("y", "x", "v")}
+        rural = (rng.random((n, 1)) < 0.4).astype(float)
+        series["rural"] = np.broadcast_to(rural, (n, t)).copy()
+        series["urban"] = 1.0 - series["rural"]
+        panel = make_panel(series)
+        spec = CovariateSpec(
+            time_invariant=("rural", "urban"), differenced=("v",)
+        )
+        result = generalized_twfe(panel, "y", "x", spec=spec)
+        comps = result.decomposition.components
+        assert len(comps) == t * (t - 1) // 2
+        assert all(c.dropped_controls == ("urban",) for c in comps)
+        assert result.n_degenerate == 0
 
     def test_pretrend_variable_missing_everywhere(self, rng):
         panel = random_panel(rng, 6, 3)
@@ -414,6 +441,7 @@ class TestGeneralizedTwfe:
         }
         assert by_label[(1, 3)].weight == 0.0
         assert by_label[(1, 3)].beta is None
+        assert result.n_degenerate == 1
         live = [c.weight for c in result.decomposition.components]
         assert abs(sum(live) - 1.0) < 1e-12
 

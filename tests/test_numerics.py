@@ -192,24 +192,41 @@ class TestProjectCells:
             np.column_stack([a, 2.0 * a + 1e-11 * e, c]),
             np.column_stack([1e4 * a, b, 1e4 * a - 3.0 * b]),  # badly scaled
         ]
-        return np.stack(cells, axis=1), rng.normal(size=(n, len(cells)))
+        # column-major: (m, S, n) columns and (r, S, n) targets
+        varying = np.stack(cells, axis=1).transpose(2, 1, 0)
+        return varying, rng.normal(size=(2, len(cells), n))
 
-    def test_matches_cell_fits(self, rng):
-        design, target = self._cells(rng)
-        projection, retained = project_cells(design, target)
-        assert projection.shape == target.shape
-        assert retained.shape == design.shape[1:]
-        for s in range(design.shape[1]):
+    def _check(self, varying, targets, shared=None):
+        residuals, retained = project_cells(varying, targets, shared)
+        assert residuals.shape == targets.shape
+        assert retained.shape[0] == varying.shape[1]
+        for s in range(varying.shape[1]):
+            design = varying[:, s].T
+            if shared is not None:
+                design = np.column_stack([shared, design])
             try:
-                fit = ols(design[:, s, :], target[:, s])
+                fit = ols(design, targets[:, s].T)
             except NoIdentifyingVariation:
                 assert not retained[s].any()
-                assert np.array_equal(projection[:, s], np.zeros(30))
+                assert np.array_equal(residuals[:, s], targets[:, s])
                 continue
             assert np.flatnonzero(retained[s]).tolist() == fit.retained_columns
-            want = target[:, s] - fit.residuals
-            scale = np.linalg.norm(target[:, s])
-            assert np.abs(projection[:, s] - want).max() < 1e-12 * scale
+            want = fit.residuals
+            if shared is not None:
+                # the shared columns differ in scale by 1e6, which costs the
+                # SVD inside ols digits; unit-norm columns span the same
+                # space with a better-conditioned lstsq
+                kept = design[:, fit.retained_columns]
+                kept = kept / np.linalg.norm(kept, axis=0)
+                y = targets[:, s].T
+                want = y - kept @ np.linalg.lstsq(kept, y, rcond=None)[0]
+            scale = np.linalg.norm(targets[:, s])
+            assert np.abs(residuals[:, s] - want.T).max() < 1e-12 * scale
+        return retained
+
+    def test_matches_cell_fits(self, rng):
+        varying, targets = self._cells(rng)
+        retained = self._check(varying, targets)
         assert retained.tolist() == [
             [True, True, True],
             [True, True, False],
@@ -219,11 +236,26 @@ class TestProjectCells:
             [True, True, False],
         ]
 
+    def test_shared_block_matches_cell_fits(self, rng):
+        n = 30
+        varying, targets = self._cells(rng, n)
+        small = 1e-6 * rng.normal(size=n)
+        # the last shared column repeats the first; ``small`` clears the
+        # tolerance of a cell whose largest column is the intercept, but
+        # not that of the badly scaled cell (1e4 larger columns)
+        shared = np.column_stack([np.ones(n), small, np.ones(n)])
+        retained = self._check(varying, targets, shared)
+        assert retained[:, 0].all() and not retained[:, 2].any()
+        assert retained[:, 1].tolist() == [True] * 5 + [False]
+
     def test_shape_checks(self):
-        with pytest.raises(ValueError, match="design must be"):
-            project_cells(np.zeros((4, 3)), np.zeros((4, 3)))
-        with pytest.raises(ValueError, match="design must be"):
-            project_cells(np.zeros((4, 3, 2)), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="need varying"):
+            project_cells(np.zeros((4, 3)), np.zeros((1, 4, 3)))
+        with pytest.raises(ValueError, match="need varying"):
+            project_cells(np.zeros((2, 4, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="need varying"):
+            project_cells(np.zeros((2, 4, 3)), np.zeros((1, 4, 3)),
+                          np.zeros((4, 1)))
 
 
 class TestPairMoments:

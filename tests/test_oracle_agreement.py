@@ -12,6 +12,7 @@ from twfekit import (
     CovariateSpec,
     DgpConfig,
     GapRange,
+    PretrendConfig,
     SimulatedPanel,
     fd,
     fd_decomposition,
@@ -111,6 +112,87 @@ def test_audit_matches_cell_loop_collinear_covariates(kind, order):
     _check_audit(_adversarial_sim(kind, collinear=True), order)
 
 
+def _check_generalized(panel, spec, scheme, k_min, k_max, presample=None):
+    result = generalized_twfe(
+        panel, "y", "x", spec=spec, gap_range=GapRange(k_min, k_max),
+        weight_scheme=scheme, presample=presample, se=True,
+    )
+    comps, estimate, se, n_degenerate = oracles.generalized_loop(
+        panel, "y", "x", spec, k_min, k_max, scheme, presample
+    )
+    got = result.decomposition.components
+    # the same pairs, the same live pairs, the same dropped controls
+    assert [(c.first, c.second, c.beta is None, c.dropped_controls)
+            for c in got] == [(a, b, beta is None, dropped)
+                              for a, b, beta, _, dropped in comps]
+    for c, (_, _, beta, weight, _) in zip(got, comps):
+        if beta is not None:
+            assert _close(c.beta, beta)
+        assert abs(c.weight - weight) <= 1e-10
+    assert _close(result.estimate.beta, estimate)
+    assert _close(result.estimate.se, se)
+    assert result.n_degenerate == n_degenerate
+    return got
+
+
+def _covariate_panel(kind):
+    """``_adversarial`` panel with a time-invariant ``g``, near-collinear
+    controls and a three-period presample of ``w``."""
+    panel = _adversarial(kind)
+    n, t = panel.n_units, panel.n_periods
+    rng = np.random.default_rng([13, len(kind)])
+    series = {name: panel.values(name) for name in panel.series}
+    series["g"] = np.repeat(rng.normal(size=(n, 1)), t, axis=1)
+    # w2 is collinear with w in every pair that does not touch the last
+    # period; w3 is 1e-11 off collinear (below RANK_TOL) in every pair
+    series["w2"] = 2.0 * series["w"]
+    series["w2"][:, -1] += rng.normal(size=n)
+    series["w3"] = 3.0 * series["w"] + 1e-11 * rng.normal(size=(n, t))
+    # 1e-3 off collinear: kept, and still well enough conditioned to agree
+    series["w4"] = series["w"] + 1e-3 * rng.normal(size=(n, t))
+    presample = make_panel({"w": rng.normal(size=(n, 3))}, first_period=-2)
+    return make_panel(series), presample
+
+
+@pytest.mark.parametrize("scheme", ("ssr", "raw"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_generalized_matches_pair_loop(kind, scheme):
+    panel, presample = _covariate_panel(kind)
+    t = panel.n_periods
+    spec = CovariateSpec(
+        time_invariant=("g",),
+        differenced=("w", "w2", "w3", "w4"),
+        pre_period=(PretrendConfig("w", -3, -1, min_points=2),),
+    )
+    if panel.n_units <= spec.n_controls + 2:
+        # too few units to leave treatment variation behind the controls
+        spec = CovariateSpec()
+    short = min(2, t - 1)
+    for k_min, k_max in {(1, t - 1), (short, max(short, t // 2))}:
+        _check_generalized(panel, spec, scheme, k_min, k_max, presample)
+
+
+@pytest.mark.parametrize("scheme", ("ssr", "raw"))
+def test_generalized_cells_disagree_on_shared_block(scheme):
+    # g's residual norm, about 1e-6 sqrt(n), clears the tolerance of pairs
+    # whose largest column is of order sqrt(n), but not that of pairs
+    # touching the last period, where the differenced v is 1e6 larger
+    rng = np.random.default_rng(17)
+    n, t = 30, 6
+    v = rng.normal(size=(n, t))
+    v[:, -1] *= 1e6
+    panel = make_panel({
+        "y": rng.normal(size=(n, t)),
+        "x": rng.normal(size=(n, t)),
+        "v": v,
+        "g": np.repeat(1e-6 * rng.normal(size=(n, 1)), t, axis=1),
+    })
+    spec = CovariateSpec(time_invariant=("g",), differenced=("v",))
+    got = _check_generalized(panel, spec, scheme, 1, t - 1)
+    for c in got:
+        assert c.dropped_controls == (("g",) if c.second == t else ())
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_decompositions_match_loops(kind):
     panel = _adversarial(kind)
@@ -199,6 +281,7 @@ def test_no_units_by_pairs_allocation():
     units_by_pairs = n * t * (t - 1) // 2 * 8
     calls = (
         lambda: theorem2_audit(sim, ["w"]),
+        lambda: generalized_twfe(panel, "y", "x", se=True),
         lambda: twfe(panel, "y", "x", se=True),
         lambda: fd(panel, "y", "x", 1, se=True),
         lambda: gap_restricted(panel, "y", "x", GapRange(1, t - 1), se=True),
