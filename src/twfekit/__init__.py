@@ -47,12 +47,7 @@ from .generalized import (
     pretrend_covariate,
 )
 from .inference import cluster_robust_se
-from .numerics import (
-    LeastSquaresFit,
-    fwl_residualize,
-    ols,
-    pairwise_cross_moment,
-)
+from .numerics import pairwise_cross_moment
 from .panel import (
     BalancedPanel,
     PanelSchema,
@@ -74,7 +69,6 @@ __all__ = [
     "FdDecomposition",
     "GapRange",
     "GeneralizedResult",
-    "LeastSquaresFit",
     "NoIdentifyingVariation",
     "PairComponent",
     "PairwiseDecomposition",
@@ -90,12 +84,10 @@ __all__ = [
     "demean",
     "fd",
     "fd_decomposition",
-    "fwl_residualize",
     "gap_restricted",
     "generalized_twfe",
     "k_difference",
     "load_panel",
-    "ols",
     "pairwise_cross_moment",
     "pairwise_decomposition",
     "pretrend_covariate",

@@ -343,7 +343,7 @@ def theorem2_audit(
     One loop over gaps accumulates every term.  With covariates, each gap
     projects the treatment change of all its (gap, start) cells onto their
     covariate changes in one :func:`~twfekit.numerics.project_cells` sweep,
-    under the same left-to-right drop rule as ``numerics.ols``, so extra
+    which drops a covariate collinear with earlier ones in a cell, so extra
     memory stays O(N·T·m) for ``m`` covariates.
     """
     if not isinstance(sim, SimulatedPanel):

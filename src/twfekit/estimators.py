@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NoIdentifyingVariation
 from .inference import cluster_robust_se
-from .numerics import fwl_residualize, independent_columns, pair_moments
+from .numerics import pair_moments, project_cells
 from .panel import BalancedPanel, demean
 
 #: An estimator's denominator below this multiple of the treatment's squared
@@ -97,15 +97,22 @@ def two_way_residual(
     demeaning followed by removal of unit means), which on a balanced panel
     equals the residual from regressing ``var`` on unit and period
     indicators.  Covariates, when given, are themselves double-demeaned and
-    then partialled out observation-wise.
+    then partialled out observation-wise, a covariate collinear with earlier
+    ones dropped (see :mod:`twfekit.numerics`).
     """
     within = _within(demean(panel, var))
     if not covariates:
         return within
-    controls = np.column_stack(
-        [_within(demean(panel, c)).ravel() for c in covariates]
-    )
-    return fwl_residualize(within.ravel(), controls).reshape(within.shape)
+    # one projection cell: the covariates vary, the within series is the target
+    controls = np.stack([_within(demean(panel, c)).ravel() for c in covariates])
+    (residual,), _ = project_cells(controls[:, None], within.reshape(1, 1, -1))
+    return residual.reshape(within.shape)
+
+
+def _all_periods(panel: BalancedPanel) -> str:
+    """``periods_used`` of an estimator over every period pair."""
+    t = panel.n_periods
+    return f"all periods, gaps 1-{t - 1}" if t > 2 else "all periods, gap 1"
 
 
 def _check_denominator(den: float, scale: float, message: str) -> None:
@@ -149,7 +156,6 @@ def twfe(
     but is computed in closed form from demeaned arrays.
     """
     rx, ry, den, beta = _twfe_fit(panel, y, x, covariates)
-    t = panel.n_periods
     se_value = None
     if se:
         _, cross = pair_moments(rx, ry)
@@ -161,7 +167,7 @@ def twfe(
         beta=beta,
         se=se_value,
         n_units=panel.n_units,
-        periods_used=f"all periods, gaps 1-{t - 1}" if t > 2 else "all periods, gap 1",
+        periods_used=_all_periods(panel),
         denominator=den,
     )
 
@@ -247,15 +253,15 @@ def twfe_multivariate(
     design = np.column_stack(
         [two_way_residual(panel, name).ravel() for name in names]
     )
-    try:
-        _, dependent = independent_columns(design)
-    except NoIdentifyingVariation:
+    # the drop rule alone, as one projection cell with no targets
+    _, (kept,) = project_cells(design.T[:, None], np.empty((0, 1, n * t)))
+    if not kept.any():
         raise NoIdentifyingVariation(
             "no identifying variation in any regressor after the two-way "
             "transformation"
-        ) from None
-    if dependent:
-        bad = ", ".join(f"'{names[j]}'" for j in dependent)
+        )
+    if not kept.all():
+        bad = ", ".join(f"'{names[j]}'" for j in np.flatnonzero(~kept))
         raise NoIdentifyingVariation(
             f"collinear regressors after the two-way transformation: {bad}"
         )
@@ -270,7 +276,7 @@ def twfe_multivariate(
         beta=beta,
         se=None,
         n_units=n,
-        periods_used=f"all periods, gaps 1-{t - 1}",
+        periods_used=_all_periods(panel),
         denominator=smallest,
     )
 
@@ -317,6 +323,6 @@ def twfe_iv(panel: BalancedPanel, y: str, x: str, z: str) -> Estimate:
         beta=num / den,
         se=None,
         n_units=panel.n_units,
-        periods_used=f"all periods, gaps 1-{t - 1}" if t > 2 else "all periods, gap 1",
+        periods_used=_all_periods(panel),
         denominator=den,
     )

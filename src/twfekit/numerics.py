@@ -1,112 +1,32 @@
 """Dense least-squares primitives shared by the estimators.
 
-Rank handling is the one delicate piece.  Pair-level regressions generate
-many small, often badly scaled designs, so ``ols`` never forms normal
-equations.  Columns are orthogonalized in index order (modified Gram-Schmidt,
-re-orthogonalized once); a column whose residual norm falls below
-``RANK_TOL`` times the largest column norm is declared dependent and dropped.
-Because the sweep runs left to right, the *later*-indexed member of a
-collinear group is always the one removed, which keeps drop decisions
-deterministic and lets callers order columns by priority.
+Every covariate fit in the package is a projection by ``project_cells``:
+one call residualizes the targets of a stack of designs, such as the whole
+panel (one cell) or the period pairs of one gap (one cell per pair).
 
-``project_cells`` is the batched form for stacks of designs with common
-leading columns, such as the period pairs of one gap: the common block is
-swept once and taken out of the rest by one product (Frisch-Waugh-Lovell),
-and only the other columns are swept per design, vectorized across designs.
-Designs that disagree on a common column, since each takes ``RANK_TOL``
-relative to its own largest column norm, are grouped by the ones they keep.
+Rank handling is the one delicate piece.  Pair-level regressions generate
+many small, often badly scaled designs, so ``project_cells`` never forms
+normal equations.  Each design's columns are orthogonalized in index order
+(modified Gram-Schmidt, re-orthogonalized once); a column whose residual
+norm is at most ``RANK_TOL`` times the design's largest column norm is
+declared dependent and dropped.  Because the sweep runs left to right, the
+*later*-indexed member of a collinear group is always the one removed, which
+keeps drop decisions deterministic and lets callers order columns by
+priority.
+
+Designs with common leading columns share one sweep of that block, which is
+then taken out of the rest by one product (Frisch-Waugh-Lovell); only the
+other columns are swept per design, vectorized across designs.  Designs
+that disagree on a common column, since each takes ``RANK_TOL`` relative to
+its own largest column norm, are grouped by the ones they keep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import NoIdentifyingVariation
 
 #: Relative tolerance for declaring a design column linearly dependent.
 RANK_TOL = 1e-10
-
-
-@dataclass
-class LeastSquaresFit:
-    """Solution of a least-squares problem on the retained design columns.
-
-    ``coefficients[j]`` belongs to original column ``retained_columns[j]``;
-    dropped columns have no coefficient.  For an ``(n, m)`` response,
-    ``coefficients`` and ``residuals`` carry a trailing axis of length ``m``
-    and ``sum_sq_residuals`` is an array of ``m`` sums.
-    """
-
-    coefficients: np.ndarray
-    residuals: np.ndarray
-    sum_sq_residuals: float | np.ndarray
-    retained_columns: list[int]
-    dropped_columns: list[int]
-
-    def coefficient(self, column: int) -> float:
-        """Coefficient on design column ``column`` (0.0 if dropped); 1-D fits."""
-        if column in self.dropped_columns:
-            return 0.0
-        return float(self.coefficients[self.retained_columns.index(column)])
-
-
-def independent_columns(design: np.ndarray) -> tuple[list[int], list[int]]:
-    """Split column indices into (retained, dropped) by the left-to-right sweep.
-
-    Raises :class:`NoIdentifyingVariation` if the design is entirely zero.
-    """
-    x = np.asarray(design, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n, p = x.shape
-    if n == 0 or p == 0:
-        raise ValueError("design must have at least one row and one column")
-    col_norms = np.sqrt(np.einsum("ij,ij->j", x, x))
-    scale = float(col_norms.max())
-    if scale == 0.0 or not np.isfinite(scale):
-        raise NoIdentifyingVariation(
-            "no identifying variation: design matrix is zero"
-        )
-    ((_, _, kept),) = _sweep(x, np.array([RANK_TOL * scale]))
-    retained = [j for j in range(p) if kept[j]]
-    return retained, [j for j in range(p) if not kept[j]]
-
-
-def ols(design: np.ndarray, response: np.ndarray) -> LeastSquaresFit:
-    """Least squares of ``response`` on the columns of ``design``.
-
-    Dependent columns are dropped (see module docstring) before solving, so
-    the returned coefficients are always those of a full-rank subproblem.
-    ``response`` is ``(n,)`` or ``(n, m)``; an ``(n, m)`` response fits its
-    ``m`` columns on the one retained design, so the drop decision is made
-    once, ``coefficients`` and ``residuals`` gain a trailing axis of length
-    ``m`` and ``sum_sq_residuals`` holds one sum per column.
-    """
-    x = np.asarray(design, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    y = _response(response)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"design has {x.shape[0]} rows but response has {y.shape[0]}"
-        )
-    retained, dropped = independent_columns(x)
-    kept = x[:, retained]
-    coef, _, _, _ = np.linalg.lstsq(kept, y, rcond=None)
-    residuals = y - kept @ coef
-    if y.ndim == 1:
-        ssr = float(residuals @ residuals)
-    else:
-        ssr = np.einsum("ij,ij->j", residuals, residuals)
-    return LeastSquaresFit(
-        coefficients=coef,
-        residuals=residuals,
-        sum_sq_residuals=ssr,
-        retained_columns=retained,
-        dropped_columns=dropped,
-    )
 
 
 def project_cells(
@@ -121,7 +41,7 @@ def project_cells(
     ``varying`` is ``(m, S, n)``, column-major.  ``targets`` is ``(r, S, n)``.
     Returns the ``(r, S, n)`` residuals (the targets themselves in an
     all-zero cell) and the ``(S, p0 + m)`` mask of the design columns each
-    cell retains by :func:`independent_columns`' rule.
+    cell retains by the drop rule of the module docstring.
     """
     v, y = np.asarray(varying, dtype=float), np.asarray(targets, dtype=float)
     c = np.empty((v.shape[-1], 0)) if shared is None else np.asarray(shared, float)
@@ -191,40 +111,6 @@ def _sweep(design: np.ndarray, tol: np.ndarray) -> list:
                 split.append((cells[~keep], q, kept + [False]))
         groups = split
     return groups
-
-
-def fwl_residualize(target: np.ndarray, controls: np.ndarray | None) -> np.ndarray:
-    """Residual of ``target`` after projecting out ``controls``.
-
-    ``target`` is ``(n,)`` or ``(n, m)``; the residual has its shape, and
-    the ``m`` columns share one fit (one drop decision) on ``controls``.
-    ``controls`` may be ``None`` or have zero columns (target returned
-    unchanged).  An all-zero control block projects out nothing.
-    """
-    y = _response(target)
-    if controls is None:
-        return y.copy()
-    c = np.asarray(controls, dtype=float)
-    if c.ndim == 1:
-        c = c[:, None]
-    if c.shape[1] == 0:
-        return y.copy()
-    if c.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"controls have {c.shape[0]} rows but target has {y.shape[0]}"
-        )
-    try:
-        fit = ols(c, y)
-    except NoIdentifyingVariation:
-        return y.copy()
-    return fit.residuals
-
-
-def _response(values) -> np.ndarray:
-    y = np.asarray(values, dtype=float)
-    if y.ndim not in (1, 2):
-        raise ValueError(f"response must be (n,) or (n, m), got shape {y.shape}")
-    return y
 
 
 def pair_moments(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,22 +6,161 @@ and solved with numpy's lstsq, so agreement with the library's demeaned-sum
 formulas is a genuine two-route check, not a tautology.  The exceptions
 are ``audit_loop`` and ``generalized_loop``, which keep the library's former
 per-cell and per-pair ``ols`` loops as the references for the batched
-audit and the batched covariate-adjusted estimator.
+audit and the batched covariate-adjusted estimator.  ``ols``,
+``fwl_residualize`` and ``independent_columns`` are the library's former
+dense least-squares path, a standalone Gram-Schmidt sweep plus lstsq, kept
+as the reference for ``numerics.project_cells``.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from twfekit import (
     NoIdentifyingVariation,
     cluster_robust_se,
-    ols,
     twfe,
     twfe_multivariate,
 )
 from twfekit.estimators import DEGENERACY_TOL, _variation_scale, two_way_residual
 from twfekit.generalized import _time_invariant_column
-from twfekit.numerics import pair_moments
+from twfekit.numerics import RANK_TOL, pair_moments
 from twfekit.panel import demean
+
+
+# ---------------------------------------------------------------------------
+# dense least squares: one Gram-Schmidt drop decision, then lstsq
+
+
+@dataclass
+class LeastSquaresFit:
+    """Solution of a least-squares problem on the retained design columns.
+
+    ``coefficients[j]`` belongs to original column ``retained_columns[j]``;
+    dropped columns have no coefficient.  For an ``(n, m)`` response,
+    ``coefficients`` and ``residuals`` carry a trailing axis of length ``m``
+    and ``sum_sq_residuals`` is an array of ``m`` sums.
+    """
+
+    coefficients: np.ndarray
+    residuals: np.ndarray
+    sum_sq_residuals: float | np.ndarray
+    retained_columns: list[int]
+    dropped_columns: list[int]
+
+    def coefficient(self, column: int) -> float:
+        """Coefficient on design column ``column`` (0.0 if dropped); 1-D fits."""
+        if column in self.dropped_columns:
+            return 0.0
+        return float(self.coefficients[self.retained_columns.index(column)])
+
+
+def independent_columns(design):
+    """Split column indices into (retained, dropped) by the left-to-right sweep.
+
+    Modified Gram-Schmidt, re-orthogonalized once; a column whose residual
+    norm is at most ``RANK_TOL`` times the largest column norm is dropped.
+    Raises :class:`NoIdentifyingVariation` if the design is entirely zero.
+    """
+    x = np.asarray(design, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    n, p = x.shape
+    if n == 0 or p == 0:
+        raise ValueError("design must have at least one row and one column")
+    col_norms = np.sqrt(np.einsum("ij,ij->j", x, x))
+    scale = float(col_norms.max())
+    if scale == 0.0 or not np.isfinite(scale):
+        raise NoIdentifyingVariation(
+            "no identifying variation: design matrix is zero"
+        )
+    tol = RANK_TOL * scale
+    basis = []
+    retained = []
+    dropped = []
+    for j in range(p):
+        v = x[:, j].copy()
+        if basis:
+            q = np.column_stack(basis)
+            # "Twice is enough": one re-orthogonalization pass recovers the
+            # digits plain Gram-Schmidt loses on near-dependent columns.
+            v -= q @ (q.T @ v)
+            v -= q @ (q.T @ v)
+        norm = float(np.linalg.norm(v))
+        if norm > tol:
+            retained.append(j)
+            basis.append(v / norm)
+        else:
+            dropped.append(j)
+    return retained, dropped
+
+
+def ols(design, response):
+    """Least squares of ``response`` on the columns of ``design``.
+
+    Dependent columns are dropped by :func:`independent_columns` before
+    solving.  ``response`` is ``(n,)`` or ``(n, m)``; an ``(n, m)`` response
+    fits its ``m`` columns on the one retained design, so the drop decision
+    is made once, ``coefficients`` and ``residuals`` gain a trailing axis of
+    length ``m`` and ``sum_sq_residuals`` holds one sum per column.
+    """
+    x = np.asarray(design, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    y = _response(response)
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"design has {x.shape[0]} rows but response has {y.shape[0]}"
+        )
+    retained, dropped = independent_columns(x)
+    kept = x[:, retained]
+    coef, _, _, _ = np.linalg.lstsq(kept, y, rcond=None)
+    residuals = y - kept @ coef
+    if y.ndim == 1:
+        ssr = float(residuals @ residuals)
+    else:
+        ssr = np.einsum("ij,ij->j", residuals, residuals)
+    return LeastSquaresFit(
+        coefficients=coef,
+        residuals=residuals,
+        sum_sq_residuals=ssr,
+        retained_columns=retained,
+        dropped_columns=dropped,
+    )
+
+
+def fwl_residualize(target, controls):
+    """Residual of ``target`` after projecting out ``controls``.
+
+    ``target`` is ``(n,)`` or ``(n, m)``; the residual has its shape, and
+    the ``m`` columns share one fit (one drop decision) on ``controls``.
+    ``controls`` may be ``None`` or have zero columns (target returned
+    unchanged).  An all-zero control block projects out nothing.
+    """
+    y = _response(target)
+    if controls is None:
+        return y.copy()
+    c = np.asarray(controls, dtype=float)
+    if c.ndim == 1:
+        c = c[:, None]
+    if c.shape[1] == 0:
+        return y.copy()
+    if c.shape[0] != y.shape[0]:
+        raise ValueError(
+            f"controls have {c.shape[0]} rows but target has {y.shape[0]}"
+        )
+    try:
+        fit = ols(c, y)
+    except NoIdentifyingVariation:
+        return y.copy()
+    return fit.residuals
+
+
+def _response(values):
+    y = np.asarray(values, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError(f"response must be (n,) or (n, m), got shape {y.shape}")
+    return y
 
 
 def _two_way_dummies(n, t):

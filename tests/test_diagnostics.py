@@ -15,7 +15,7 @@ from twfekit import (
     theorem2_audit,
     twfe,
 )
-from twfekit import numerics
+from twfekit import diagnostics, estimators, numerics
 from helpers import make_panel
 
 
@@ -192,26 +192,31 @@ class TestTheorem2Audit:
         )
 
     def test_rank_sweeps_do_not_grow_with_periods(self, monkeypatch):
-        # every ols fit runs one rank sweep; the covariate split must not
-        # add one fit per (gap, start) cell
-        sweep = numerics.independent_columns
-        counts = []
+        # the covariate split projects each gap's cells in one kernel call,
+        # not one fit per (gap, start) cell; the two-way residuals of x and
+        # y add a fixed number of calls outside the gap loop
+        kernel = numerics.project_cells
+        widths = []
 
-        def counted(design):
-            counts[-1] += 1
-            return sweep(design)
+        def counted(varying, targets, shared=None):
+            widths[-1].append(np.shape(varying)[1])
+            return kernel(varying, targets, shared)
 
-        monkeypatch.setattr(numerics, "independent_columns", counted)
-        per_audit = []
+        for module in (diagnostics, estimators):
+            monkeypatch.setattr(module, "project_cells", counted)
+        other_calls = []
         for t in (4, 12, 29):
             cfg = scenario_preset("time_varying_delta", n_units=50,
                                   n_periods=t)
             sim = simulate(cfg)
-            counts.append(0)
+            widths.append([])
             theorem2_audit(sim, covariates=["w"])
-            per_audit.append(counts[-1])
-        assert per_audit[0] > 0
-        assert per_audit == [per_audit[0]] * 3
+            # the gap loop's calls come last, one per gap, t - k cells wide
+            calls = widths[-1]
+            assert calls[-(t - 1):] == [t - k for k in range(1, t)]
+            other_calls.append(len(calls) - (t - 1))
+        assert other_calls[0] > 0
+        assert other_calls == [other_calls[0]] * 3
 
     def test_constant_tau_sum_is_exact(self):
         # with a constant effect slope, the weighted tau sum collapses to

@@ -81,6 +81,13 @@ class TestTwfe:
         with_se = twfe(panel, "y", "x", se=True)
         assert with_se.se > 0
 
+    def test_all_period_estimators_describe_periods_alike(self, rng):
+        for t, want in ((2, "all periods, gap 1"), (5, "all periods, gaps 1-4")):
+            panel = random_panel(rng, 9, t, extra_series=("z",))
+            assert twfe(panel, "y", "x").periods_used == want
+            assert twfe_iv(panel, "y", "x", "z").periods_used == want
+            assert twfe_multivariate(panel, "y", ["x", "z"]).periods_used == want
+
     def test_two_way_residual_orthogonality(self, rng):
         panel = random_panel(rng, 8, 5, extra_series=("w",))
         r = two_way_residual(panel, "x", ["w"])

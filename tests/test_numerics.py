@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twfekit import (
-    NoIdentifyingVariation,
-    fwl_residualize,
-    ols,
-    pairwise_cross_moment,
-)
-from twfekit.numerics import independent_columns, pair_moments, project_cells
+import twfekit
+from oracles import fwl_residualize, independent_columns, ols
+from twfekit import NoIdentifyingVariation, pairwise_cross_moment
+from twfekit.numerics import pair_moments, project_cells
+
+def test_public_names():
+    for name in twfekit.__all__:
+        assert hasattr(twfekit, name), name
+    # the dense least-squares path left the library for ``oracles``
+    for name in ("ols", "fwl_residualize", "LeastSquaresFit",
+                 "independent_columns"):
+        assert not hasattr(twfekit, name)
+        assert not hasattr(twfekit.numerics, name)
+
+
+# TestOls, TestFwlResidualize and TestMultiColumnResponse check the dense
+# least-squares references in ``oracles`` that TestProjectCells relies on.
 
 
 class TestOls:
@@ -178,7 +188,7 @@ class TestMultiColumnResponse:
 
 
 class TestProjectCells:
-    """The batched sweep against one ``ols`` fit per cell."""
+    """The batched sweep against one ``oracles.ols`` fit per cell."""
 
     def _cells(self, rng, n=30):
         a, b, c = rng.normal(size=(3, n))

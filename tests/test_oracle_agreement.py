@@ -1,6 +1,7 @@
 """Decompositions and standard errors against the loop and stacked-row
 references in ``oracles``, on panels chosen to stress the arithmetic."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from twfekit import (
     CovariateSpec,
     DgpConfig,
     GapRange,
+    NoIdentifyingVariation,
     PretrendConfig,
     SimulatedPanel,
     fd,
@@ -23,6 +25,8 @@ from twfekit import (
     simulate,
     theorem2_audit,
     twfe,
+    twfe_multivariate,
+    two_way_residual,
 )
 
 
@@ -170,6 +174,59 @@ def test_generalized_matches_pair_loop(kind, scheme):
     short = min(2, t - 1)
     for k_min, k_max in {(1, t - 1), (short, max(short, t // 2))}:
         _check_generalized(panel, spec, scheme, k_min, k_max, presample)
+
+
+# whole-panel covariate sets of ``_covariate_panel``, each in both orders:
+# w2 is not collinear with w over the whole panel, w3 always is
+COVARIATE_SETS = (["w", "w2"], ["w2", "w"], ["w", "w3"], ["w3", "w"])
+
+
+def _design(panel, names):
+    return np.column_stack(
+        [_double_demean(panel.values(name)).ravel() for name in names]
+    )
+
+
+@pytest.mark.parametrize("covariates", COVARIATE_SETS, ids="-".join)
+@pytest.mark.parametrize("kind", KINDS)
+def test_two_way_residual_matches_fwl(kind, covariates):
+    panel, _ = _covariate_panel(kind)
+    controls = _design(panel, covariates)
+    for var in ("y", "x"):
+        within = _double_demean(panel.values(var))
+        want = oracles.fwl_residualize(within.ravel(), controls)
+        got = two_way_residual(panel, var, covariates)
+        assert got.shape == within.shape
+        scale = np.abs(within).max()
+        assert np.abs(got.ravel() - want).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "covariates", [c for c in COVARIATE_SETS if "w3" not in c], ids="-".join
+)
+@pytest.mark.parametrize("kind", KINDS)
+def test_twfe_covariates_match_dummy(kind, covariates):
+    # w3 is left out: the dummy lstsq does not resolve a 1e-11 dependency
+    panel, _ = _covariate_panel(kind)
+    got = twfe(panel, "y", "x", covariates).beta
+    want = oracles.dummy_twfe(panel, "y", "x", covariates)
+    assert abs(got - want) <= 1e-8 * max(abs(want), 1e-12)
+
+
+@pytest.mark.parametrize("covariates", COVARIATE_SETS, ids="-".join)
+@pytest.mark.parametrize("kind", KINDS)
+def test_multivariate_dependent_names_match_sweep(kind, covariates):
+    panel, _ = _covariate_panel(kind)
+    names = ["x", *covariates]
+    _, dropped = oracles.independent_columns(_design(panel, names))
+    assert bool(dropped) == ("w3" in covariates)
+    if not dropped:
+        assert twfe_multivariate(panel, "y", names).beta.shape == (3,)
+        return
+    bad = ", ".join(f"'{names[j]}'" for j in dropped)
+    with pytest.raises(NoIdentifyingVariation,
+                       match=f"collinear regressors .*: {re.escape(bad)}$"):
+        twfe_multivariate(panel, "y", names)
 
 
 @pytest.mark.parametrize("scheme", ("ssr", "raw"))
