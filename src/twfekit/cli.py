@@ -48,6 +48,7 @@ import configparser
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, cycle, repeat
 
 import csv
 import json
@@ -56,6 +57,7 @@ import numpy as np
 
 from .decomposition import (
     FdDecomposition,
+    _values,
     fd_decomposition,
     pairwise_decomposition,
     verify_equivalence,
@@ -272,19 +274,35 @@ def _estimate_payload(operation: str, params: dict, est: Estimate) -> dict:
     }
 
 
+def _write_columns(path: str, decomposition, header) -> None:
+    """A decomposition's ``header`` columns, one row per component; a
+    degenerate (NaN) beta is an empty cell."""
+    columns = (_values(getattr(decomposition, field)) for field in header)
+    _write_csv(path, header, zip(*columns))
+
+
 def _write_components(outdir: str, name: str, decomposition) -> None:
-    components = decomposition.components
     if isinstance(decomposition, FdDecomposition):
         header = ("gap", "beta", "weight", "n_obs")
     else:
         header = ("first", "second", "beta", "weight", "n_obs")
-        if any(c.n_controls is not None for c in components):
+        if decomposition.n_controls is not None:
             header += ("n_controls",)
-    _write_csv(
-        os.path.join(outdir, f"{name}_components.csv"),
-        header,
-        [[getattr(c, field) for field in header] for c in components],
+    _write_columns(
+        os.path.join(outdir, f"{name}_components.csv"), decomposition, header
     )
+
+
+def _weight_rows(units, report):
+    """Rows of the weights CSV, converted one gap at a time."""
+    for k, block in report.gap_blocks():
+        starts = block.shape[1]
+        yield zip(
+            chain.from_iterable(map(repeat, units, repeat(starts))),
+            repeat(k),
+            cycle(report.periods[:starts]),
+            block.ravel().tolist(),
+        )
 
 
 def _write_summary_table(outdir: str, name: str, decomposition) -> None:
@@ -431,16 +449,16 @@ def _run_analysis(
                 "parameters": {"y": y, "x": x},
                 "aggregate": decomp.aggregate,
                 "total_denominator": decomp.total_denominator,
-                "n_components": len(decomp.components),
+                "n_components": decomp.beta.size,
             },
             config.formats,
         )
         _write_components(outdir, name, decomp)
         if by_gap and _get_bool(opts, "figure"):
-            _write_csv(
+            _write_columns(
                 os.path.join(outdir, f"{name}_figure.csv"),
+                decomp,
                 ("gap", "beta", "weight"),
-                [(c.gap, c.beta, c.weight) for c in decomp.components],
             )
         if _get_bool(opts, "summary"):
             _write_summary_table(outdir, name, decomp)
@@ -466,12 +484,7 @@ def _run_analysis(
         _write_csv(
             os.path.join(outdir, f"{name}_weights.csv"),
             ("unit", "gap", "start_period", "weight"),
-            zip(
-                map(panel.units.__getitem__, report.unit_index.tolist()),
-                report.gap.tolist(),
-                report.start_period.tolist(),
-                report.weight.tolist(),
-            ),
+            chain.from_iterable(_weight_rows(panel.units, report)),
         )
         _write_report(
             outdir, name, "report",

@@ -11,13 +11,19 @@ both decompositions here reproduce it to floating-point accuracy:
   of squared demeaned treatment differences.
 
 Weights are nonnegative by construction and sum to one.  A component with
-(numerically) zero treatment variation gets weight ``0.0`` and ``beta=None``:
-it cannot move the aggregate, and its own estimate is undefined.
+(numerically) zero treatment variation gets weight ``0.0`` and a NaN
+``beta`` (``None`` in its component object): it cannot move the aggregate,
+and its own estimate is undefined.
+
+Both results hold their components as column arrays, one entry per gap or
+pair; the per-component objects of ``.components`` are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -54,18 +60,98 @@ class PairComponent:
     dropped_controls: tuple[str, ...] = ()
 
 
-@dataclass
+def _values(column) -> list:
+    """``column`` as Python scalars, ``None`` for NaN (a degenerate beta)."""
+    return [None if v != v else v for v in column.tolist()]
+
+
+@dataclass(eq=False)
 class FdDecomposition:
-    components: list[FdComponent]
+    """The by-gap decomposition, held as columns with one entry per gap.
+
+    ``beta`` is NaN and ``weight`` 0.0 for a degenerate gap; ``n_obs`` is
+    the gap's count of differenced observations.  ``components``, one
+    :class:`FdComponent` per gap (``beta=None`` where degenerate), is derived
+    from the columns on first access.
+    """
+
+    gap: np.ndarray
+    beta: np.ndarray
+    weight: np.ndarray
+    n_obs: np.ndarray
     aggregate: float
     total_denominator: float
 
+    def __post_init__(self):
+        self.gap = np.asarray(self.gap)
+        self.beta = np.asarray(self.beta, dtype=float)
+        self.weight = np.asarray(self.weight, dtype=float)
+        self.n_obs = np.asarray(self.n_obs)
 
-@dataclass
+    @cached_property
+    def components(self) -> list[FdComponent]:
+        return list(
+            map(
+                FdComponent,
+                self.gap.tolist(),
+                _values(self.beta),
+                self.weight.tolist(),
+                self.n_obs.tolist(),
+            )
+        )
+
+
+@dataclass(eq=False)
 class PairwiseDecomposition:
-    components: list[PairComponent]
+    """The by-pair decomposition, held as columns with one entry per pair.
+
+    ``first`` and ``second`` are the pair's period labels; ``beta``,
+    ``weight`` and ``n_obs`` are as in :class:`FdDecomposition`.  Only the
+    covariate-adjusted estimator fills ``n_controls`` (an integer column)
+    and ``dropped_controls`` (one tuple of names per pair); elsewhere they
+    are ``None``.  ``components``, one :class:`PairComponent` per pair, is
+    derived from the columns on first access.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    beta: np.ndarray
+    weight: np.ndarray
+    n_obs: np.ndarray
     aggregate: float
     total_denominator: float
+    n_controls: np.ndarray | None = None
+    dropped_controls: list[tuple[str, ...]] | None = None
+
+    def __post_init__(self):
+        self.first = np.asarray(self.first)
+        self.second = np.asarray(self.second)
+        self.beta = np.asarray(self.beta, dtype=float)
+        self.weight = np.asarray(self.weight, dtype=float)
+        self.n_obs = np.asarray(self.n_obs)
+        if self.n_controls is not None:
+            self.n_controls = np.asarray(self.n_controls)
+
+    @cached_property
+    def components(self) -> list[PairComponent]:
+        count = self.beta.size
+        n_controls = (
+            repeat(None, count)
+            if self.n_controls is None
+            else self.n_controls.tolist()
+        )
+        return list(
+            map(
+                PairComponent,
+                self.first.tolist(),
+                self.second.tolist(),
+                _values(self.beta),
+                self.weight.tolist(),
+                self.n_obs.tolist(),
+                n_controls,
+                self.dropped_controls or repeat((), count),
+            )
+        )
 
 
 @dataclass
@@ -97,31 +183,34 @@ class EquivalenceReport:
 
 
 def _read_out(nums, dens, panel: BalancedPanel, x: str):
-    """Component estimates ``nums / dens``, their weights, the aggregate and
-    the total denominator; degenerate components get ``None`` and ``0.0``."""
+    """Component estimates ``nums / dens`` (NaN where degenerate), their
+    weights (0.0 where degenerate), the aggregate and the total denominator.
+
+    The aggregate is the left-to-right sum of ``weight * beta`` over the live
+    components, as a loop over them would form it.
+    """
     total = float(dens.sum())
     live = dens > DEGENERACY_TOL * _check_two_way(total, panel, x)
-    betas = [
-        float(nu / de) if ok else None for nu, de, ok in zip(nums, dens, live)
-    ]
-    weights = [float(de / total) if ok else 0.0 for de, ok in zip(dens, live)]
-    aggregate = sum(w * b for w, b in zip(weights, betas) if b is not None)
-    return betas, weights, float(aggregate), total
+    beta = np.divide(nums, dens, out=np.full(dens.shape, np.nan), where=live)
+    weight = np.divide(dens, total, out=np.zeros(dens.shape), where=live)
+    aggregate = sum((weight[live] * beta[live]).tolist())
+    return beta, weight, float(aggregate), total
 
 
 def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
     """Split the two-way estimate into pooled difference estimators by gap."""
     (_, xy), (_, xx) = _demeaned_pair(panel, y, x)
-    n, t = panel.n_units, panel.n_periods
-    betas, weights, aggregate, total = _read_out(
+    beta, weight, aggregate, total = _read_out(
         xy.sum(axis=0), xx.sum(axis=0), panel, x
     )
-    components = [
-        FdComponent(gap=k, beta=beta, weight=weight, n_obs=n * (t - k))
-        for k, beta, weight in zip(range(1, t), betas, weights)
-    ]
+    gap = np.arange(1, panel.n_periods)
     return FdDecomposition(
-        components=components, aggregate=aggregate, total_denominator=total
+        gap=gap,
+        beta=beta,
+        weight=weight,
+        n_obs=panel.n_units * (panel.n_periods - gap),
+        aggregate=aggregate,
+        total_denominator=total,
     )
 
 
@@ -130,26 +219,22 @@ def pairwise_decomposition(
 ) -> PairwiseDecomposition:
     """Split the two-way estimate into two-period estimators by period pair.
 
-    Components are ordered lexicographically by (first, second) period label.
+    Pairs are ordered lexicographically by (first, second) period label.
     """
     (xy, _), (xx, _) = _demeaned_pair(panel, y, x)
     first, second = np.triu_indices(panel.n_periods, k=1)
-    betas, weights, aggregate, total = _read_out(
+    beta, weight, aggregate, total = _read_out(
         xy[first, second], xx[first, second], panel, x
     )
-    labels = panel.periods
-    components = [
-        PairComponent(
-            first=labels[ti],
-            second=labels[si],
-            beta=beta,
-            weight=weight,
-            n_obs=panel.n_units,
-        )
-        for ti, si, beta, weight in zip(first, second, betas, weights)
-    ]
+    labels = np.asarray(panel.periods)
     return PairwiseDecomposition(
-        components=components, aggregate=aggregate, total_denominator=total
+        first=labels[first],
+        second=labels[second],
+        beta=beta,
+        weight=weight,
+        n_obs=np.full(beta.shape, panel.n_units),
+        aggregate=aggregate,
+        total_denominator=total,
     )
 
 
@@ -175,19 +260,16 @@ def count_pairs(n_periods: int, k_min: int = 1, k_max: int | None = None) -> int
 def weighted_summary(decomposition) -> WeightedSummary:
     """Weighted mean, spread, and quantiles of a decomposition's estimates.
 
-    Accepts either decomposition flavour; components with zero weight (and
-    hence undefined estimates) are excluded.  The weighted mean reproduces
+    Accepts either decomposition flavour and reads its ``beta`` and
+    ``weight`` columns; components with zero weight (and hence undefined
+    estimates) are excluded.  The weighted mean reproduces
     the decomposition's aggregate.
     """
-    points = [
-        (c.beta, c.weight)
-        for c in decomposition.components
-        if c.weight > 0.0 and c.beta is not None
-    ]
-    if not points:
+    keep = (decomposition.weight > 0.0) & ~np.isnan(decomposition.beta)
+    if not keep.any():
         raise ValueError("no components with positive weight to summarize")
-    betas = np.array([b for b, _ in points])
-    weights = np.array([w for _, w in points])
+    betas = decomposition.beta[keep]
+    weights = decomposition.weight[keep]
     total = float(weights.sum())
     mean = float(weights @ betas) / total
     var = float(weights @ (betas - mean) ** 2) / total
@@ -210,7 +292,7 @@ def weighted_summary(decomposition) -> WeightedSummary:
         median=quantile(0.50),
         p75=quantile(0.75),
         p95=quantile(0.95),
-        n_components=len(points),
+        n_components=int(keep.sum()),
     )
 
 
@@ -227,13 +309,9 @@ def verify_equivalence(panel: BalancedPanel, y: str, x: str) -> EquivalenceRepor
     by_pair = pairwise_decomposition(panel, y, x)
     scales = [abs(beta)]
     for decomp in (by_gap, by_pair):
-        scales.append(
-            sum(
-                c.weight * abs(c.beta)
-                for c in decomp.components
-                if c.beta is not None
-            )
-        )
+        live = ~np.isnan(decomp.beta)
+        terms = decomp.weight[live] * np.abs(decomp.beta[live])
+        scales.append(sum(terms.tolist()))
     scale = max(max(scales), 1e-300)
     gap = max(
         abs(beta - by_gap.aggregate), abs(beta - by_pair.aggregate)

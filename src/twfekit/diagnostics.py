@@ -34,17 +34,12 @@ Scenario presets
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import (
-    _check_two_way,
-    _twfe_fit,
-    twfe,
-    twfe_multivariate,
-    two_way_residual,
-)
+from .estimators import _check_two_way, _twfe_fit, _within, two_way_residual
 from .numerics import project_cells
 from .panel import BalancedPanel, demean
 
@@ -249,25 +244,74 @@ def simulate_replication(config: DgpConfig, index: int) -> SimulatedPanel:
     return simulate(replace(config, seed=base_seed + (int(index),)))
 
 
-@dataclass
+def _gap_blocks(flat: np.ndarray, n: int, t: int):
+    """``(k, block)`` per gap ``k``: the ``(n, T - k)`` views of ``flat``
+    when it holds its entries gap by gap, then unit by unit, then start by
+    start."""
+    offset = 0
+    for k in range(1, t):
+        size = n * (t - k)
+        yield k, flat[offset : offset + size].reshape(n, t - k)
+        offset += size
+
+
+@dataclass(eq=False)
 class CausalWeightReport:
     """Observation-level weights on realized treatment changes.
 
     Entry ``j`` says: the gap-``gap[j]`` treatment change of unit
     ``unit_index[j]`` starting in period ``start_period[j]`` receives weight
-    ``weight[j]`` in the estimate's causal accounting.  ``total_mass`` is
-    their sum (one up to roundoff); ``negative_mass`` is the summed weight
-    below zero, reported as-is — a large magnitude warns that the estimate
-    places substantial negative weight on some realized changes.
+    ``weight[j]`` in the estimate's causal accounting.  Entries run gap by
+    gap, then unit by unit, then start by start.  ``total_mass`` is their
+    sum (one up to roundoff); ``negative_mass`` is the summed weight below
+    zero, reported as-is — a large magnitude warns that the estimate places
+    substantial negative weight on some realized changes.
+
+    Only ``weight`` is stored: ``unit_index``, ``gap`` and ``start_period``
+    follow from the panel's shape (``n_units`` and ``periods``), and are
+    computed on first access.
     """
 
-    unit_index: np.ndarray
-    gap: np.ndarray
-    start_period: np.ndarray
     weight: np.ndarray
     total_mass: float
     negative_mass: float
     denominator: float
+    n_units: int
+    periods: tuple[int, ...]
+
+    def gap_blocks(self):
+        """``(k, block)`` per gap, where ``block`` is the ``(n_units, T - k)``
+        view of ``weight`` with ``block[i, j]`` the weight of unit ``i``'s
+        gap-``k`` change starting in ``periods[j]``."""
+        return _gap_blocks(self.weight, self.n_units, len(self.periods))
+
+    @cached_property
+    def gap(self) -> np.ndarray:
+        return np.repeat(*self._gap_sizes())
+
+    @property
+    def unit_index(self) -> np.ndarray:
+        return self._unit_and_start[0]
+
+    @property
+    def start_period(self) -> np.ndarray:
+        return self._unit_and_start[1]
+
+    def _gap_sizes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gaps ``1..T-1`` and their entry counts ``n_units * (T - k)``."""
+        t = len(self.periods)
+        gaps = np.arange(1, t)
+        return gaps, self.n_units * (t - gaps)
+
+    @cached_property
+    def _unit_and_start(self) -> tuple[np.ndarray, np.ndarray]:
+        # each entry's offset in its gap block is (unit row, start column)
+        _, sizes = self._gap_sizes()
+        offset = np.arange(self.weight.size) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
+        )
+        unit, start = np.divmod(offset, len(self.periods) - self.gap)
+        return unit, np.asarray(self.periods)[start]
 
 
 def causal_weights(
@@ -286,29 +330,22 @@ def causal_weights(
     del y  # weights depend only on the treatment design
     r = two_way_residual(panel, x, covariates)
     xv = panel.values(x)
-    t = panel.n_periods
-    units, gaps, starts, products = [], [], [], []
-    for k in range(1, t):
-        dx = xv[:, k:] - xv[:, :-k]
-        dr = r[:, k:] - r[:, :-k]
-        prod = dx * dr
-        n, m = prod.shape
-        units.append(np.repeat(np.arange(n), m))
-        gaps.append(np.full(n * m, k))
-        starts.append(np.tile(np.array(panel.periods[:m]), n))
-        products.append(prod.ravel())
-    flat = np.concatenate(products)
+    n, t = xv.shape
+    # each gap's dx * dr, written in place into its block of the flat array
+    flat = np.empty(n * t * (t - 1) // 2)
+    for k, block in _gap_blocks(flat, n, t):
+        np.subtract(xv[:, k:], xv[:, :-k], out=block)
+        block *= r[:, k:] - r[:, :-k]
     den = float(flat.sum())
     _check_two_way(den, panel, x)
-    weights = flat / den
+    flat /= den
     return CausalWeightReport(
-        unit_index=np.concatenate(units),
-        gap=np.concatenate(gaps),
-        start_period=np.concatenate(starts),
-        weight=weights,
-        total_mass=float(weights.sum()),
-        negative_mass=float(weights[weights < 0.0].sum()),
+        weight=flat,
+        total_mass=float(flat.sum()),
+        negative_mass=float(flat[flat < 0.0].sum()),
         denominator=den,
+        n_units=n,
+        periods=panel.periods,
     )
 
 
@@ -366,11 +403,10 @@ def theorem2_audit(
         cells = np.stack(
             [demean(panel, name).T for name in ["x"] + cov_list]
         )
-        if len(cov_list) == 1:
-            pooled = np.array([twfe(panel, "x", cov_list[0]).beta])
-        else:
-            pooled = np.asarray(twfe_multivariate(panel, "x", cov_list).beta)
-        pooled_fit = np.einsum("m,mtn->tn", pooled, cells[1:])
+        # the pooled (two-way) projection of x on the covariates is the
+        # within x minus its residual r, up to unit means, which cancel in
+        # period differences
+        pooled_fit = np.ascontiguousarray((_within(cells[0].T) - r).T)
 
     den = 0.0
     tau_sum = 0.0

@@ -253,13 +253,13 @@ def twfe_multivariate(
     design = np.column_stack(
         [two_way_residual(panel, name).ravel() for name in names]
     )
+    # each regressor's own variation, judged as twfe judges it: the drop
+    # rule below is relative to the largest column, so it keeps a lone
+    # column of roundoff
+    for name, column in zip(names, design.T):
+        _check_two_way(float(column @ column), panel, name)
     # the drop rule alone, as one projection cell with no targets
     _, (kept,) = project_cells(design.T[:, None], np.empty((0, 1, n * t)))
-    if not kept.any():
-        raise NoIdentifyingVariation(
-            "no identifying variation in any regressor after the two-way "
-            "transformation"
-        )
     if not kept.all():
         bad = ", ".join(f"'{names[j]}'" for j in np.flatnonzero(~kept))
         raise NoIdentifyingVariation(

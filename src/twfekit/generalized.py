@@ -35,7 +35,7 @@ from itertools import compress
 
 import numpy as np
 
-from .decomposition import PairComponent, PairwiseDecomposition
+from .decomposition import PairwiseDecomposition
 from .errors import NoIdentifyingVariation, PanelError
 from .estimators import (
     DEGENERACY_TOL,
@@ -156,7 +156,7 @@ class CovariateSpec:
 class GeneralizedResult:
     """Aggregate estimate plus its per-pair decomposition.
 
-    ``n_degenerate`` counts the pairs with ``beta=None`` and weight ``0.0``.
+    ``n_degenerate`` counts the pairs with a NaN ``beta`` and weight ``0.0``.
     """
 
     estimate: Estimate
@@ -326,10 +326,11 @@ def generalized_twfe(
     plus the controls from ``spec``; the pair estimate is the slope of the
     residualized changes, and pair weights follow ``weight_scheme`` (see
     module docstring).  With an empty spec and the full gap range this
-    reproduces the plain two-way estimate.  Each component's
-    ``dropped_controls`` names the controls its pair dropped as collinear
-    (``"intercept"``, a series name, or ``"variable:start:end"`` for a
-    pre-trend control).  Extra memory is O(N·T) per gap, never per pair.
+    reproduces the plain two-way estimate.  The decomposition's
+    ``dropped_controls`` column holds, per pair, the names of the controls
+    it dropped as collinear (``"intercept"``, a series name, or
+    ``"variable:start:end"`` for a pre-trend control).  Extra memory is
+    O(N·T) per gap, never per pair.
     """
     if weight_scheme not in WEIGHT_SCHEMES:
         raise ValueError(
@@ -368,8 +369,10 @@ def generalized_twfe(
     # per-unit sums of v*u and v^2 over the live pairs, for the SE
     unit_cross = np.zeros(n)
     unit_sq = np.zeros(n)
-    # (first, second, beta or None, weight basis, dropped controls)
-    pairs: list[tuple] = []
+    # per gap: start and end period indices, beta (NaN where degenerate)
+    # and weight basis
+    columns: list[tuple] = []
+    dropped: list[tuple[str, ...]] = []
     for k in range(rng.k_min, rng.k_max + 1):
         # the pairs of gap k, one per start period, form one stack of cells
         changes = series[:, k:] - series[:, :-k]
@@ -394,37 +397,29 @@ def generalized_twfe(
         unit_cross += f2 @ (rx * ry)
         unit_sq += f2 @ (rx * rx)
         beta = np.divide(
-            np.einsum("sn,sn->s", rx, ry), ssr, out=np.zeros(starts), where=live
+            np.einsum("sn,sn->s", rx, ry), ssr,
+            out=np.full(starts, np.nan), where=live,
         )
-        pairs += zip(
-            labels[:starts],
-            labels[k:],
-            np.where(live, beta, None).tolist(),
-            (ssr if weight_scheme == "ssr" else raw_den).tolist(),
-            [tuple(compress(names, ~kept)) for kept in retained],
-        )
-    pairs.sort(key=lambda pair: pair[:2])  # anchor-major, as pairwise
-    live_basis = [basis for _, _, beta, basis, _ in pairs if beta is not None]
-    if not live_basis:
+        basis = ssr if weight_scheme == "ssr" else raw_den
+        columns.append((np.arange(starts), np.arange(k, t_count), beta, basis))
+        dropped += [tuple(compress(names, ~kept)) for kept in retained]
+    first, second, beta, basis = map(np.concatenate, zip(*columns))
+    order = np.lexsort((second, first))  # anchor-major, as pairwise
+    first, second, beta, basis = (
+        column[order] for column in (first, second, beta, basis)
+    )
+    live = ~np.isnan(beta)
+    if not live.any():
         raise NoIdentifyingVariation(
             f"no identifying variation in '{x}' for any pair with gaps "
             f"{rng.k_min}-{rng.k_max}"
         )
-    # positive: a live pair has ssr and raw_den above zero
-    total = float(sum(live_basis))
-    components = [
-        PairComponent(
-            first=first,
-            second=second,
-            beta=beta,
-            weight=0.0 if beta is None else basis / total,
-            n_obs=n,
-            n_controls=spec.n_controls,
-            dropped_controls=dropped,
-        )
-        for first, second, beta, basis, dropped in pairs
-    ]
-    aggregate = sum(c.weight * c.beta for c in components if c.beta is not None)
+    # positive: a live pair has ssr and raw_den above zero; summed left to
+    # right over the live pairs, as a loop over them would
+    total = float(sum(basis[live].tolist()))
+    weight = np.divide(basis, total, out=np.zeros(basis.shape), where=live)
+    aggregate = sum((weight[live] * beta[live]).tolist())
+    count = beta.size
 
     se_value = (
         cluster_robust_se(unit_cross, unit_sq, panel.cluster_id) if se else None
@@ -435,16 +430,25 @@ def generalized_twfe(
         se=se_value,
         n_units=n,
         periods_used=(
-            f"gaps {rng.k_min}-{rng.k_max} ({len(components)} pairs, "
+            f"gaps {rng.k_min}-{rng.k_max} ({count} pairs, "
             f"{weight_scheme} weights)"
         ),
         denominator=total,
     )
+    periods = np.asarray(labels)
     decomposition = PairwiseDecomposition(
-        components=components, aggregate=aggregate, total_denominator=total
+        first=periods[first],
+        second=periods[second],
+        beta=beta,
+        weight=weight,
+        n_obs=np.full(count, n),
+        aggregate=aggregate,
+        total_denominator=total,
+        n_controls=np.full(count, spec.n_controls),
+        dropped_controls=[dropped[i] for i in order.tolist()],
     )
     return GeneralizedResult(
         estimate=estimate,
         decomposition=decomposition,
-        n_degenerate=len(components) - len(live_basis),
+        n_degenerate=count - int(live.sum()),
     )

@@ -6,10 +6,12 @@ and solved with numpy's lstsq, so agreement with the library's demeaned-sum
 formulas is a genuine two-route check, not a tautology.  The exceptions
 are ``audit_loop`` and ``generalized_loop``, which keep the library's former
 per-cell and per-pair ``ols`` loops as the references for the batched
-audit and the batched covariate-adjusted estimator.  ``ols``,
-``fwl_residualize`` and ``independent_columns`` are the library's former
-dense least-squares path, a standalone Gram-Schmidt sweep plus lstsq, kept
-as the reference for ``numerics.project_cells``.
+audit and the batched covariate-adjusted estimator, and
+``causal_weights_loop``, which keeps the library's former index-array build
+of the causal weights.  ``ols``, ``fwl_residualize`` and
+``independent_columns`` are the library's former dense least-squares path, a
+standalone Gram-Schmidt sweep plus lstsq, kept as the reference for
+``numerics.project_cells``.
 """
 
 from dataclasses import dataclass
@@ -417,6 +419,36 @@ def loop_pair_components(panel, y, x):
             sums.append((*labels, float(dx @ dy), float(dx @ dx)))
     total = sum(den for _, _, _, den in sums)
     return [(a, b, num / den, den / total) for a, b, num, den in sums]
+
+
+def causal_weights_loop(panel, x, covariates=None):
+    """``causal_weights`` fields with every index array spelled out.
+
+    The library's former build: per gap, the unit, gap and start period of
+    each entry by ``repeat``, ``full`` and ``tile``, joined with the
+    products by ``concatenate``.  The products and their sum are formed as
+    the library forms them, so every field is expected to match bit for bit.
+    """
+    r = two_way_residual(panel, x, covariates)
+    xv = panel.values(x)
+    units, gaps, starts, products = [], [], [], []
+    for k in range(1, panel.n_periods):
+        prod = (xv[:, k:] - xv[:, :-k]) * (r[:, k:] - r[:, :-k])
+        n, m = prod.shape
+        units.append(np.repeat(np.arange(n), m))
+        gaps.append(np.full(n * m, k))
+        starts.append(np.tile(np.array(panel.periods[:m]), n))
+        products.append(prod.ravel())
+    flat = np.concatenate(products)
+    weight = flat / float(flat.sum())
+    return {
+        "unit_index": np.concatenate(units),
+        "gap": np.concatenate(gaps),
+        "start_period": np.concatenate(starts),
+        "weight": weight,
+        "total_mass": float(weight.sum()),
+        "negative_mass": float(weight[weight < 0.0].sum()),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 
@@ -436,9 +437,40 @@ n_units = 20
                 for row in csv.reader(fh):
                     for cell in row:
                         try:
-                            float(cell)
+                            value = float(cell)
                         except ValueError:
                             assert not call.search(cell), (name, cell)
+                        else:
+                            # float() parses "nan" and "inf": a degenerate
+                            # estimate is an empty cell, never a NaN
+                            assert math.isfinite(value), (name, cell)
+
+    def test_degenerate_pair_is_an_empty_cell(self, tmp_path, rng):
+        n, t = 9, 4
+        x = rng.normal(size=(n, t))
+        x[:, 2] = x[:, 0] + 1.5  # periods 2000 and 2002 differ by a shift
+        panel = make_panel(
+            {"y": rng.normal(size=(n, t)), "x": x}, first_period=2000
+        )
+        path = write_panel_csv(
+            tmp_path / "panel.csv", panel, unit_col="state", time_col="year"
+        )
+        outdir = tmp_path / "out"
+        body = BASE.format(input=path, outdir=outdir) + """
+[analysis:bypair]
+kind = pairwise_decomposition
+y = y
+x = x
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 0
+        with open(outdir / "bypair_components.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6
+        for row in rows:
+            dead = (row["first"], row["second"]) == ("2000", "2002")
+            assert (row["beta"] == "") == dead
+            assert (row["weight"] == "0.0") == dead
 
     def test_format_restriction(self, tmp_path, panel_csv):
         outdir = tmp_path / "out"

@@ -148,13 +148,13 @@ class TestWeightedSummary:
 
     def test_two_equal_weight_components(self):
         # Synthetic decomposition with known values
-        from twfekit.decomposition import FdComponent, FdDecomposition
+        from twfekit.decomposition import FdDecomposition
 
         dec = FdDecomposition(
-            components=(
-                FdComponent(gap=1, beta=0.0, weight=0.5, n_obs=10),
-                FdComponent(gap=2, beta=1.0, weight=0.5, n_obs=10),
-            ),
+            gap=[1, 2],
+            beta=[0.0, 1.0],
+            weight=[0.5, 0.5],
+            n_obs=[10, 10],
             aggregate=0.5,
             total_denominator=1.0,
         )
@@ -168,12 +168,14 @@ class TestWeightedSummary:
         assert s.sd == 0.5
 
     def test_single_component(self):
-        from twfekit.decomposition import PairComponent, PairwiseDecomposition
+        from twfekit.decomposition import PairwiseDecomposition
 
         dec = PairwiseDecomposition(
-            components=(
-                PairComponent(first=1, second=2, beta=3.0, weight=1.0, n_obs=4),
-            ),
+            first=[1],
+            second=[2],
+            beta=[3.0],
+            weight=[1.0],
+            n_obs=[4],
             aggregate=3.0,
             total_denominator=1.0,
         )
@@ -184,13 +186,13 @@ class TestWeightedSummary:
         assert s.n_components == 1
 
     def test_zero_weight_components_excluded(self):
-        from twfekit.decomposition import FdComponent, FdDecomposition
+        from twfekit.decomposition import FdDecomposition
 
         dec = FdDecomposition(
-            components=(
-                FdComponent(gap=1, beta=2.0, weight=1.0, n_obs=10),
-                FdComponent(gap=2, beta=None, weight=0.0, n_obs=10),
-            ),
+            gap=[1, 2],
+            beta=[2.0, np.nan],
+            weight=[1.0, 0.0],
+            n_obs=[10, 10],
             aggregate=2.0,
             total_denominator=1.0,
         )
@@ -199,10 +201,13 @@ class TestWeightedSummary:
         assert s.mean == 2.0
 
     def test_all_degenerate_raises(self):
-        from twfekit.decomposition import FdComponent, FdDecomposition
+        from twfekit.decomposition import FdDecomposition
 
         dec = FdDecomposition(
-            components=(FdComponent(gap=1, beta=None, weight=0.0, n_obs=0),),
+            gap=[1],
+            beta=[np.nan],
+            weight=[0.0],
+            n_obs=[0],
             aggregate=0.0,
             total_denominator=0.0,
         )

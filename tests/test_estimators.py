@@ -186,6 +186,18 @@ class TestMultivariate:
         with pytest.raises(NoIdentifyingVariation, match="'x_copy'"):
             twfe_multivariate(panel, "y", ["x", "x_copy"])
 
+    def test_purely_additive_regressor_raises(self, rng):
+        # the two-way transformation leaves only roundoff of a unit plus a
+        # period effect; as a lone column it would pass the collinearity
+        # check, which is relative to the largest column
+        n, t = 8, 5
+        additive = rng.normal(size=(n, 1)) + rng.normal(size=(1, t))
+        panel = make_panel({"y": rng.normal(size=(n, t)), "a": additive})
+        with pytest.raises(NoIdentifyingVariation, match="'a'"):
+            twfe(panel, "y", "a")
+        with pytest.raises(NoIdentifyingVariation, match="'a'"):
+            twfe_multivariate(panel, "y", ["a"])
+
     def test_empty_regressor_list(self, rng):
         panel = random_panel(rng, 4, 3)
         with pytest.raises(ValueError, match="at least one"):

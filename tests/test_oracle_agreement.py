@@ -3,6 +3,7 @@ references in ``oracles``, on panels chosen to stress the arithmetic."""
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from twfekit import (
     DgpConfig,
     GapRange,
     NoIdentifyingVariation,
+    PairComponent,
     PretrendConfig,
     SimulatedPanel,
+    causal_weights,
     fd,
     fd_decomposition,
     gap_restricted,
@@ -108,6 +111,23 @@ def _check_audit(sim, covariates):
 @pytest.mark.parametrize("kind", KINDS)
 def test_audit_matches_cell_loop(kind):
     _check_audit(_adversarial_sim(kind), ["w"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_audit_drops_near_collinear_covariate(kind):
+    # w3 is 1e-11 off 3 w, below RANK_TOL: twfe drops it, and so does the
+    # audit, whose pooled split is read off the same x residual
+    sim = _adversarial_sim(kind)
+    series = {name: sim.panel.values(name) for name in sim.panel.series}
+    rng = np.random.default_rng([19, len(kind)])
+    w = series["w"]
+    series["w3"] = 3.0 * w + 1e-11 * rng.normal(size=w.shape)
+    got = theorem2_audit(replace(sim, panel=make_panel(series)), ["w", "w3"])
+    want = theorem2_audit(sim, ["w"])
+    for name in ("estimate", "tau_weighted_sum", "trend_term",
+                 "delta_bias_term", "residual_gap", "identity_gap",
+                 "denominator"):
+        assert _close(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("order", (["w", "w2"], ["w2", "w"]), ids="-".join)
@@ -270,6 +290,81 @@ def test_decompositions_match_loops(kind):
         assert _close(comp.beta, beta)
         assert abs(comp.weight - weight) <= 1e-10 * max(1.0, abs(beta))
         assert type(comp.beta) is float and type(comp.weight) is float
+
+
+def _with_degenerate_pair(panel):
+    """``panel`` with x in the third period a shift of the first, so the
+    pair of periods 1 and 3 carries no treatment variation."""
+    series = {name: panel.values(name).copy() for name in panel.series}
+    series["x"][:, 2] = series["x"][:, 0] + 1.5
+    return make_panel(series)
+
+
+def _check_columns(decomp, fields):
+    """``decomp.components`` is built once and agrees with the columns
+    field for field, a NaN beta being a ``None`` one."""
+    comps = decomp.components
+    assert comps is decomp.components
+    assert len(comps) == decomp.beta.size
+    for name in fields:
+        column = getattr(decomp, name)
+        values = [getattr(c, name) for c in comps]
+        if column is None:  # only the covariate-adjusted estimator fills it
+            assert all(v == PairComponent.__dataclass_fields__[name].default
+                       for v in values), name
+        elif name == "dropped_controls":
+            assert values == list(column)
+        elif name == "beta":
+            assert [v is None for v in values] == np.isnan(column).tolist()
+            assert [v for v in values if v is not None] == (
+                column[~np.isnan(column)].tolist()
+            )
+        else:
+            assert values == column.tolist(), name
+            assert all(type(v) is type(w)
+                       for v, w in zip(values, column.tolist())), name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_decomposition_columns_match_components(kind):
+    panel = _adversarial(kind)
+    pair_fields = ("first", "second", "beta", "weight", "n_obs",
+                   "n_controls", "dropped_controls")
+    spec = CovariateSpec(differenced=("w",) if panel.n_units >= 5 else ())
+    # with a third period, also a panel with one degenerate pair
+    variants = [(panel, 0)]
+    if panel.n_periods >= 3:
+        variants.append((_with_degenerate_pair(panel), 1))
+    for panel, n_degenerate in variants:
+        by_gap = fd_decomposition(panel, "y", "x")
+        _check_columns(by_gap, ("gap", "beta", "weight", "n_obs"))
+        by_pair = pairwise_decomposition(panel, "y", "x")
+        assert np.isnan(by_pair.beta).sum() == n_degenerate
+        _check_columns(by_pair, pair_fields)
+        for scheme in ("ssr", "raw"):
+            result = generalized_twfe(panel, "y", "x", spec=spec,
+                                      weight_scheme=scheme)
+            assert np.isnan(result.decomposition.beta).sum() == (
+                result.n_degenerate
+            )
+            assert result.n_degenerate >= n_degenerate
+            _check_columns(result.decomposition, pair_fields)
+
+
+@pytest.mark.parametrize("covariates", (None, ["w"]), ids=("plain", "w"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_causal_weights_match_index_build(kind, covariates):
+    panel = _adversarial(kind)
+    report = causal_weights(panel, "y", "x", covariates)
+    want = oracles.causal_weights_loop(panel, "x", covariates)
+    for name in ("unit_index", "gap", "start_period", "weight"):
+        got = getattr(report, name)
+        assert got.dtype == want[name].dtype, name
+        np.testing.assert_array_equal(got, want[name], err_msg=name)
+        # derived on first access, then the same array
+        assert getattr(report, name) is got, name
+    assert report.total_mass == want["total_mass"]
+    assert report.negative_mass == want["negative_mass"]
 
 
 @pytest.mark.parametrize("grouped", (False, True), ids=("unit", "grouped"))
