@@ -48,7 +48,7 @@ import configparser
 import os
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, cycle, repeat
+from operator import add
 
 import csv
 import json
@@ -85,6 +85,9 @@ ANALYSIS_PREFIX = "analysis:"
 SUMMARY_FIELDS = (
     "mean", "sd", "p5", "p25", "median", "p75", "p95", "n_components"
 )
+# rows of the weights CSV formatted per write; bounds the writer's transient
+# strings whatever the panel's size
+WEIGHT_ROWS_PER_WRITE = 8192
 # per-replication columns of a simulation, after the replication number
 AUDIT_FIELDS = (
     "estimate", "tau_weighted_sum", "trend_term", "delta_bias_term",
@@ -293,16 +296,39 @@ def _write_components(outdir: str, name: str, decomposition) -> None:
     )
 
 
-def _weight_rows(units, report):
-    """Rows of the weights CSV, converted one gap at a time."""
-    for k, block in report.gap_blocks():
-        starts = block.shape[1]
-        yield zip(
-            chain.from_iterable(map(repeat, units, repeat(starts))),
-            repeat(k),
-            cycle(report.periods[:starts]),
-            block.ravel().tolist(),
-        )
+class _Echo:
+    """A file stand-in whose ``write`` returns its text, so that
+    ``csv.writer(_Echo()).writerow`` returns the row as ``csv`` formats it."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _write_weights(path: str, units, report) -> None:
+    """The weights CSV, ordered by gap, then unit, then start period.
+
+    Each unit label is quoted once by ``csv`` itself (as the first of two
+    fields, so an empty label stays empty), and rows are joined from
+    ``label,gap,start,`` prefixes and the weights' ``repr``, about
+    :data:`WEIGHT_ROWS_PER_WRITE` at a time: the bytes ``csv.writer`` would
+    write for the same rows.
+    """
+    echo = csv.writer(_Echo())
+    labels = [echo.writerow((unit, None))[: -len(",\r\n")] for unit in units]
+    with open(path, "w", newline="") as handle:
+        handle.write(echo.writerow(("unit", "gap", "start_period", "weight")))
+        for k, block in report.gap_blocks():
+            starts = [f",{k},{p}," for p in report.periods[: block.shape[1]]]
+            step = max(1, WEIGHT_ROWS_PER_WRITE // len(starts))
+            for lo in range(0, len(labels), step):
+                prefixes = [
+                    label + start
+                    for label in labels[lo : lo + step]
+                    for start in starts
+                ]
+                weights = map(repr, block[lo : lo + step].ravel().tolist())
+                handle.write("\r\n".join(map(add, prefixes, weights)))
+                handle.write("\r\n")
 
 
 def _write_summary_table(outdir: str, name: str, decomposition) -> None:
@@ -481,10 +507,8 @@ def _run_analysis(
         y, x = _require(opts, "y"), _require(opts, "x")
         covs = _covariates(opts)
         report = causal_weights(panel, y, x, covs)
-        _write_csv(
-            os.path.join(outdir, f"{name}_weights.csv"),
-            ("unit", "gap", "start_period", "weight"),
-            chain.from_iterable(_weight_rows(panel.units, report)),
+        _write_weights(
+            os.path.join(outdir, f"{name}_weights.csv"), panel.units, report
         )
         _write_report(
             outdir, name, "report",

@@ -197,9 +197,9 @@ def _read_out(nums, dens, panel: BalancedPanel, x: str):
     return beta, weight, float(aggregate), total
 
 
-def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
-    """Split the two-way estimate into pooled difference estimators by gap."""
-    (_, xy), (_, xx) = _demeaned_pair(panel, y, x)
+def _by_gap(moments, panel: BalancedPanel, x: str) -> FdDecomposition:
+    """The by-gap decomposition read off ``_demeaned_pair`` moments."""
+    (_, xy), (_, xx) = moments
     beta, weight, aggregate, total = _read_out(
         xy.sum(axis=0), xx.sum(axis=0), panel, x
     )
@@ -214,14 +214,9 @@ def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
     )
 
 
-def pairwise_decomposition(
-    panel: BalancedPanel, y: str, x: str
-) -> PairwiseDecomposition:
-    """Split the two-way estimate into two-period estimators by period pair.
-
-    Pairs are ordered lexicographically by (first, second) period label.
-    """
-    (xy, _), (xx, _) = _demeaned_pair(panel, y, x)
+def _by_pair(moments, panel: BalancedPanel, x: str) -> PairwiseDecomposition:
+    """The by-pair decomposition read off ``_demeaned_pair`` moments."""
+    (xy, _), (xx, _) = moments
     first, second = np.triu_indices(panel.n_periods, k=1)
     beta, weight, aggregate, total = _read_out(
         xy[first, second], xx[first, second], panel, x
@@ -236,6 +231,21 @@ def pairwise_decomposition(
         aggregate=aggregate,
         total_denominator=total,
     )
+
+
+def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
+    """Split the two-way estimate into pooled difference estimators by gap."""
+    return _by_gap(_demeaned_pair(panel, y, x), panel, x)
+
+
+def pairwise_decomposition(
+    panel: BalancedPanel, y: str, x: str
+) -> PairwiseDecomposition:
+    """Split the two-way estimate into two-period estimators by period pair.
+
+    Pairs are ordered lexicographically by (first, second) period label.
+    """
+    return _by_pair(_demeaned_pair(panel, y, x), panel, x)
 
 
 def count_pairs(n_periods: int, k_min: int = 1, k_max: int | None = None) -> int:
@@ -305,8 +315,9 @@ def verify_equivalence(panel: BalancedPanel, y: str, x: str) -> EquivalenceRepor
     estimate itself is near zero.
     """
     beta = twfe(panel, y, x).beta
-    by_gap = fd_decomposition(panel, y, x)
-    by_pair = pairwise_decomposition(panel, y, x)
+    moments = _demeaned_pair(panel, y, x)
+    by_gap = _by_gap(moments, panel, x)
+    by_pair = _by_pair(moments, panel, x)
     scales = [abs(beta)]
     for decomp in (by_gap, by_pair):
         live = ~np.isnan(decomp.beta)

@@ -21,7 +21,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from itertools import count, islice
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -164,23 +167,79 @@ def k_difference(panel: BalancedPanel, var: str, k: int) -> np.ndarray:
     return v[:, k:] - v[:, :-k]
 
 
-def _parse_time(cell: str, line_num: int) -> int:
+#: Data rows read and converted at a time.  Bounds the transient row strings
+#: of a load: holding every row at once would double its peak memory.
+_CHUNK_ROWS = 8192
+
+
+class _Layout(NamedTuple):
+    """Where a file's fields live: the header width and column positions."""
+
+    width: int
+    unit: int
+    time: int
+    cluster: int | None
+    names: list[str]
+    columns: list[int]
+
+
+class _IrregularRows(Exception):
+    """A chunk holds a row that only the row-by-row re-scan can name."""
+
+
+def _read_layout(reader, schema: PanelSchema, path) -> _Layout:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    positions: dict[str, int] = {}
+    for idx, name in enumerate(header):
+        if name in positions:
+            raise PanelError(f"duplicate column '{name}' in header")
+        positions[name] = idx
+
+    def column(name: str) -> int:
+        if name not in positions:
+            raise PanelError(f"column '{name}' not found in header {header}")
+        return positions[name]
+
+    unit_col = column(schema.unit)
+    time_col = column(schema.time)
+    cluster_col = column(schema.cluster) if schema.cluster else None
+    if schema.series is None:
+        reserved = {unit_col, time_col, cluster_col}
+        names = [h for i, h in enumerate(header) if i not in reserved]
+    else:
+        names = list(schema.series)
+    if not names:
+        raise PanelError("no series columns to load")
+    return _Layout(
+        len(header), unit_col, time_col, cluster_col, names,
+        [column(name) for name in names],
+    )
+
+
+def _time_label(cell: str) -> int:
+    """``cell`` as an integer time label (``1990.0`` is accepted); raises
+    ``ValueError`` otherwise."""
     text = cell.strip()
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
         value = float(text)
+    if not value.is_integer():
+        raise ValueError(cell)
+    return int(value)
+
+
+def _parse_time(cell: str, line_num: int) -> int:
+    try:
+        return _time_label(cell)
     except ValueError:
         raise PanelError(
             f"line {line_num}: time label '{cell}' is not an integer"
         ) from None
-    if not value.is_integer():
-        raise PanelError(
-            f"line {line_num}: time label '{cell}' is not an integer"
-        )
-    return int(value)
 
 
 def _parse_value(cell: str, column: str, line_num: int) -> float:
@@ -195,6 +254,122 @@ def _parse_value(cell: str, column: str, line_num: int) -> float:
             f"line {line_num}: non-finite value '{cell}' in column '{column}'"
         )
     return value
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not any(map(str.strip, row))
+
+
+def _regular_columns(rows, layout: _Layout):
+    """The columns of ``rows`` with the unit column stripped, or ``None``
+    when a row has the wrong width or no unit label."""
+    if not set(map(len, rows)) <= {layout.width}:
+        return None
+    columns = list(zip(*rows)) or [()] * layout.width
+    columns[layout.unit] = list(map(str.strip, columns[layout.unit]))
+    return None if "" in columns[layout.unit] else columns
+
+
+def _chunk_columns(rows, layout: _Layout):
+    """:func:`_regular_columns` of ``rows`` with blank rows skipped."""
+    columns = _regular_columns(rows, layout)
+    if columns is None:
+        columns = _regular_columns(
+            [row for row in rows if not _is_blank(row)], layout
+        )
+        if columns is None:
+            raise _IrregularRows
+    return columns
+
+
+def _encode(codes: dict[str, int], labels) -> map:
+    """Integer codes of ``labels``, adding unseen labels to ``codes``."""
+    labels = list(labels)
+    codes.update(zip(set(labels).difference(codes), count(len(codes))))
+    return map(codes.__getitem__, labels)
+
+
+def _time_labels(cells) -> list[int]:
+    try:
+        return list(map(int, cells))
+    except ValueError:
+        return list(map(_time_label, cells))
+
+
+def _read_columns(reader, layout: _Layout):
+    """Every data row, read and converted :data:`_CHUNK_ROWS` rows at a time.
+
+    Returns the unit labels in code order, the cluster labels in code order,
+    and the per-row unit codes, periods, cluster codes (empty without a
+    cluster column) and one ``float64`` array per series.  Raises
+    ``ValueError``, ``OverflowError`` or :class:`_IrregularRows` on a row
+    that :func:`_raise_row_error` must name.
+    """
+    units: dict[str, int] = {}
+    clusters: dict[str, int] = {}
+    unit, period, cluster = array("q"), array("q"), array("q")
+    values = [array("d") for _ in layout.columns]
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        columns = _chunk_columns(rows, layout)
+        unit.extend(_encode(units, columns[layout.unit]))
+        period.extend(_time_labels(columns[layout.time]))
+        for out, col in zip(values, layout.columns):
+            out.extend(map(float, columns[col]))
+        if layout.cluster is not None:
+            labels = map(str.strip, columns[layout.cluster])
+            cluster.extend(_encode(clusters, labels))
+    arrays = [np.asarray(a) for a in (unit, period, cluster, *values)]
+    return list(units), list(clusters), *arrays
+
+
+def _raise_row_error(path, delimiter: str, layout: _Layout) -> NoReturn:
+    """Re-read ``path`` row by row and raise the error of its first bad row."""
+    seen: set[tuple[str, int]] = set()
+    cluster_of: dict[str, str] = {}
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        next(reader)
+        for row in reader:
+            line_num = reader.line_num
+            if _is_blank(row):
+                continue
+            if len(row) != layout.width:
+                raise PanelError(
+                    f"line {line_num}: expected {layout.width} fields, "
+                    f"got {len(row)}"
+                )
+            unit = row[layout.unit].strip()
+            if not unit:
+                raise PanelError(f"line {line_num}: empty unit label")
+            period = _parse_time(row[layout.time], line_num)
+            if (unit, period) in seen:
+                raise PanelError(
+                    f"line {line_num}: duplicate observation for unit "
+                    f"'{unit}' in period {period}"
+                )
+            seen.add((unit, period))
+            for name, col in zip(layout.names, layout.columns):
+                _parse_value(row[col], name, line_num)
+            if layout.cluster is not None:
+                label = row[layout.cluster].strip()
+                first = cluster_of.setdefault(unit, label)
+                if first != label:
+                    raise PanelError(
+                        f"line {line_num}: cluster label for unit '{unit}' "
+                        f"changed from '{first}' to '{label}'"
+                    )
+    # every row is valid, so the fast read failed on a time label that does
+    # not fit in 64 bits
+    raise PanelError(f"{path}: time labels must fit in a 64-bit integer")
+
+
+def _has_duplicates(unit, period, n_units: int, first: int, span: int) -> bool:
+    """Whether a (unit, period) cell occurs twice."""
+    cells = n_units * span
+    if cells <= 4 * unit.size + 65536:
+        return np.bincount(unit * span + (period - first), minlength=cells).max() > 1
+    # a sparse file: sort the keys rather than count over a mostly empty grid
+    return np.unique(np.column_stack([unit, period]), axis=0).shape[0] < unit.size
 
 
 def load_panel(
@@ -216,6 +391,8 @@ def load_panel(
 
     The result is invariant to the physical row order of the file: units and
     periods are sorted, so shuffled copies of a file load identically.
+    Values parse with Python ``float()``; a bad row is reported with its line
+    number.
     """
     if balance not in ("error", "drop-units"):
         raise ValueError(
@@ -223,119 +400,77 @@ def load_panel(
         )
     with open(path, newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
+        layout = _read_layout(reader, schema, path)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        positions: dict[str, int] = {}
-        for idx, name in enumerate(header):
-            if name in positions:
-                raise PanelError(f"duplicate column '{name}' in header")
-            positions[name] = idx
-
-        def column(name: str) -> int:
-            if name not in positions:
-                raise PanelError(
-                    f"column '{name}' not found in header {header}"
-                )
-            return positions[name]
-
-        unit_col = column(schema.unit)
-        time_col = column(schema.time)
-        cluster_col = column(schema.cluster) if schema.cluster else None
-        if schema.series is None:
-            reserved = {unit_col, time_col}
-            if cluster_col is not None:
-                reserved.add(cluster_col)
-            series_names = [h for i, h in enumerate(header) if i not in reserved]
-        else:
-            series_names = list(schema.series)
-        if not series_names:
-            raise PanelError("no series columns to load")
-        series_cols = [column(name) for name in series_names]
-
-        cells: dict[tuple[str, int], list[float]] = {}
-        cluster_of: dict[str, str] = {}
-        for row in reader:
-            line_num = reader.line_num
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise PanelError(
-                    f"line {line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            unit = row[unit_col].strip()
-            if not unit:
-                raise PanelError(f"line {line_num}: empty unit label")
-            period = _parse_time(row[time_col], line_num)
-            key = (unit, period)
-            if key in cells:
-                raise PanelError(
-                    f"line {line_num}: duplicate observation for unit "
-                    f"'{unit}' in period {period}"
-                )
-            cells[key] = [
-                _parse_value(row[col], name, line_num)
-                for name, col in zip(series_names, series_cols)
-            ]
-            if cluster_col is not None:
-                label = row[cluster_col].strip()
-                seen = cluster_of.setdefault(unit, label)
-                if seen != label:
-                    raise PanelError(
-                        f"line {line_num}: cluster label for unit '{unit}' "
-                        f"changed from '{seen}' to '{label}'"
-                    )
-
-    if not cells:
+            units, clusters, unit, period, cluster, *values = _read_columns(
+                reader, layout
+            )
+        except (ValueError, OverflowError, _IrregularRows):
+            _raise_row_error(path, delimiter, layout)
+    if not unit.size:
         raise PanelError(f"{path}: no data rows")
-    all_units = sorted({u for u, _ in cells})
-    observed = sorted({p for _, p in cells})
-    periods = list(range(observed[0], observed[-1] + 1))
-    missing_labels = sorted(set(periods) - set(observed))
-    if missing_labels:
+
+    # units in label order: ``unit`` becomes each row's sorted position
+    order = sorted(range(len(units)), key=units.__getitem__)
+    position = np.empty(len(units), dtype=np.int64)
+    position[order] = np.arange(len(units))
+    unit = position[unit]
+    labels = [units[code] for code in order]
+    first, last = int(period.min()), int(period.max())
+    span = last - first + 1
+    # one (unit, cluster) key per unit, in unit order, when labels agree
+    unit_cluster = np.unique(unit * len(clusters) + cluster) if clusters else None
+    if (
+        not all(np.isfinite(v).all() for v in values)
+        or _has_duplicates(unit, period, len(labels), first, span)
+        or (unit_cluster is not None and unit_cluster.size != len(labels))
+    ):
+        _raise_row_error(path, delimiter, layout)
+
+    observed = np.unique(period)
+    if observed.size != span:
+        missing = observed[np.flatnonzero(np.diff(observed) > 1)[0]] + 1
         raise PanelError(
             f"time labels must be consecutive integers; no observations "
-            f"in period {missing_labels[0]}"
+            f"in period {missing}"
         )
 
-    complete = []
-    for unit in all_units:
-        holes = [p for p in periods if (unit, p) not in cells]
-        if not holes:
-            complete.append(unit)
-        elif balance == "error":
-            raise PanelError(
-                f"unbalanced panel: unit '{unit}' has no observation in "
-                f"period {holes[0]} (use balance='drop-units' to drop "
-                f"incomplete units)"
-            )
-    dropped = len(all_units) - len(complete)
-    if dropped:
+    complete = np.bincount(unit, minlength=len(labels)) == span
+    incomplete = np.flatnonzero(~complete)
+    if incomplete.size and balance == "error":
+        hole = np.ones(span, dtype=bool)
+        hole[period[unit == incomplete[0]] - first] = False
+        raise PanelError(
+            f"unbalanced panel: unit '{labels[incomplete[0]]}' has no "
+            f"observation in period {first + int(np.argmax(hole))} (use "
+            f"balance='drop-units' to drop incomplete units)"
+        )
+    if incomplete.size:
         warnings.warn(
-            f"dropped {dropped} of {len(all_units)} units with incomplete "
-            f"records",
+            f"dropped {incomplete.size} of {len(labels)} units with "
+            f"incomplete records",
             stacklevel=2,
         )
-    if len(complete) < 2:
-        raise PanelError(
-            f"only {len(complete)} complete units remain; need at least 2"
-        )
+    kept = int(complete.sum())
+    if kept < 2:
+        raise PanelError(f"only {kept} complete units remain; need at least 2")
 
-    data = {
-        name: np.empty((len(complete), len(periods)))
-        for name in series_names
-    }
-    for i, unit in enumerate(complete):
-        for t, period in enumerate(periods):
-            row_values = cells[(unit, period)]
-            for name, value in zip(series_names, row_values):
-                data[name][i, t] = value
-    cluster = tuple(cluster_of[u] for u in complete) if schema.cluster else ()
+    # one scatter per series into the complete units' rows
+    row = np.cumsum(complete) - 1
+    keep = complete[unit]
+    cell = row[unit[keep]] * span + (period[keep] - first)
+    data = {}
+    for name, column in zip(layout.names, values):
+        data[name] = np.empty(kept * span)
+        data[name][cell] = column[keep]
+    kept_units = np.flatnonzero(complete).tolist()
+    cluster_id = ()
+    if clusters:
+        code = (unit_cluster % len(clusters)).tolist()
+        cluster_id = tuple(clusters[code[i]] for i in kept_units)
     return BalancedPanel(
-        units=tuple(complete),
-        periods=tuple(periods),
-        series=data,
-        cluster_id=cluster,
+        units=tuple(labels[i] for i in kept_units),
+        periods=tuple(range(first, last + 1)),
+        series={name: v.reshape(kept, span) for name, v in data.items()},
+        cluster_id=cluster_id,
     )

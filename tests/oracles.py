@@ -11,15 +11,23 @@ audit and the batched covariate-adjusted estimator, and
 of the causal weights.  ``ols``, ``fwl_residualize`` and
 ``independent_columns`` are the library's former dense least-squares path, a
 standalone Gram-Schmidt sweep plus lstsq, kept as the reference for
-``numerics.project_cells``.
+``numerics.project_cells``.  ``load_panel_loop`` and ``write_weights_csv``
+keep the former row-by-row CSV loader and ``csv.writer`` weights rows as the
+references for the chunked loader and the prefix-joined weights writer.
 """
 
+import csv
+import math
+import warnings
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
 from twfekit import (
+    BalancedPanel,
     NoIdentifyingVariation,
+    PanelError,
     cluster_robust_se,
     twfe,
     twfe_multivariate,
@@ -27,7 +35,7 @@ from twfekit import (
 from twfekit.estimators import DEGENERACY_TOL, _variation_scale, two_way_residual
 from twfekit.generalized import _time_invariant_column
 from twfekit.numerics import RANK_TOL, pair_moments
-from twfekit.panel import demean
+from twfekit.panel import PanelSchema, demean
 
 
 # ---------------------------------------------------------------------------
@@ -602,3 +610,192 @@ def generalized_loop(panel, y, x, spec, k_min, k_max, scheme, presample=None):
     se = cluster_robust_se(unit_cross, unit_sq, panel.cluster_id)
     n_degenerate = sum(c[2] is None for c in components)
     return components, estimate, se, n_degenerate
+
+
+# ---------------------------------------------------------------------------
+# I/O references: the former row-by-row CSV loader and weights-CSV rows
+
+
+def _parse_time(cell, line_num):
+    text = cell.strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        raise PanelError(
+            f"line {line_num}: time label '{cell}' is not an integer"
+        ) from None
+    if not value.is_integer():
+        raise PanelError(
+            f"line {line_num}: time label '{cell}' is not an integer"
+        )
+    return int(value)
+
+
+def _parse_value(cell, column, line_num):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise PanelError(
+            f"line {line_num}: non-numeric value '{cell}' in column '{column}'"
+        ) from None
+    if not math.isfinite(value):
+        raise PanelError(
+            f"line {line_num}: non-finite value '{cell}' in column '{column}'"
+        )
+    return value
+
+
+def load_panel_loop(
+    path,
+    schema: PanelSchema,
+    delimiter: str = ",",
+    balance: str = "error",
+) -> BalancedPanel:
+    """The library's former ``load_panel``: every row parsed on its own into
+    a dict of cells, then an ``n_units * n_periods`` fill loop.  Kept as the
+    reference for the chunked column loader; same errors, same warning."""
+    if balance not in ("error", "drop-units"):
+        raise ValueError(
+            f"balance must be 'error' or 'drop-units', got '{balance}'"
+        )
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise PanelError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        positions: dict[str, int] = {}
+        for idx, name in enumerate(header):
+            if name in positions:
+                raise PanelError(f"duplicate column '{name}' in header")
+            positions[name] = idx
+
+        def column(name: str) -> int:
+            if name not in positions:
+                raise PanelError(
+                    f"column '{name}' not found in header {header}"
+                )
+            return positions[name]
+
+        unit_col = column(schema.unit)
+        time_col = column(schema.time)
+        cluster_col = column(schema.cluster) if schema.cluster else None
+        if schema.series is None:
+            reserved = {unit_col, time_col}
+            if cluster_col is not None:
+                reserved.add(cluster_col)
+            series_names = [h for i, h in enumerate(header) if i not in reserved]
+        else:
+            series_names = list(schema.series)
+        if not series_names:
+            raise PanelError("no series columns to load")
+        series_cols = [column(name) for name in series_names]
+
+        cells: dict[tuple[str, int], list[float]] = {}
+        cluster_of: dict[str, str] = {}
+        for row in reader:
+            line_num = reader.line_num
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise PanelError(
+                    f"line {line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            unit = row[unit_col].strip()
+            if not unit:
+                raise PanelError(f"line {line_num}: empty unit label")
+            period = _parse_time(row[time_col], line_num)
+            key = (unit, period)
+            if key in cells:
+                raise PanelError(
+                    f"line {line_num}: duplicate observation for unit "
+                    f"'{unit}' in period {period}"
+                )
+            cells[key] = [
+                _parse_value(row[col], name, line_num)
+                for name, col in zip(series_names, series_cols)
+            ]
+            if cluster_col is not None:
+                label = row[cluster_col].strip()
+                seen = cluster_of.setdefault(unit, label)
+                if seen != label:
+                    raise PanelError(
+                        f"line {line_num}: cluster label for unit '{unit}' "
+                        f"changed from '{seen}' to '{label}'"
+                    )
+
+    if not cells:
+        raise PanelError(f"{path}: no data rows")
+    all_units = sorted({u for u, _ in cells})
+    observed = sorted({p for _, p in cells})
+    periods = list(range(observed[0], observed[-1] + 1))
+    missing_labels = sorted(set(periods) - set(observed))
+    if missing_labels:
+        raise PanelError(
+            f"time labels must be consecutive integers; no observations "
+            f"in period {missing_labels[0]}"
+        )
+
+    complete = []
+    for unit in all_units:
+        holes = [p for p in periods if (unit, p) not in cells]
+        if not holes:
+            complete.append(unit)
+        elif balance == "error":
+            raise PanelError(
+                f"unbalanced panel: unit '{unit}' has no observation in "
+                f"period {holes[0]} (use balance='drop-units' to drop "
+                f"incomplete units)"
+            )
+    dropped = len(all_units) - len(complete)
+    if dropped:
+        warnings.warn(
+            f"dropped {dropped} of {len(all_units)} units with incomplete "
+            f"records",
+            stacklevel=2,
+        )
+    if len(complete) < 2:
+        raise PanelError(
+            f"only {len(complete)} complete units remain; need at least 2"
+        )
+
+    data = {
+        name: np.empty((len(complete), len(periods)))
+        for name in series_names
+    }
+    for i, unit in enumerate(complete):
+        for t, period in enumerate(periods):
+            row_values = cells[(unit, period)]
+            for name, value in zip(series_names, row_values):
+                data[name][i, t] = value
+    cluster = tuple(cluster_of[u] for u in complete) if schema.cluster else ()
+    return BalancedPanel(
+        units=tuple(complete),
+        periods=tuple(periods),
+        series=data,
+        cluster_id=cluster,
+    )
+
+
+def write_weights_csv(path, units, report):
+    """The weights CSV as the CLI formerly wrote it: ``csv.writer`` rows of
+    (unit, gap, start period, weight), built per gap from ``chain``,
+    ``cycle`` and ``repeat``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("unit", "gap", "start_period", "weight"))
+        for k, block in report.gap_blocks():
+            starts = block.shape[1]
+            writer.writerows(
+                zip(
+                    chain.from_iterable(map(repeat, units, repeat(starts))),
+                    repeat(k),
+                    cycle(report.periods[:starts]),
+                    block.ravel().tolist(),
+                )
+            )

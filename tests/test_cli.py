@@ -7,8 +7,10 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from helpers import make_panel, random_panel, write_panel_csv
 from twfekit import (
+    BalancedPanel,
     CovariateSpec,
     GapRange,
     PanelSchema,
@@ -19,7 +21,14 @@ from twfekit import (
     load_panel,
     twfe,
 )
-from twfekit.cli import _pretrend_configs, _write_csv, load_run_config, main
+from twfekit import cli
+from twfekit.cli import (
+    _pretrend_configs,
+    _write_csv,
+    _write_weights,
+    load_run_config,
+    main,
+)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -302,6 +311,9 @@ x = x
             assert int(row["gap"]) == report.gap[j]
             assert int(row["start_period"]) == report.start_period[j]
             assert float(row["weight"]) == report.weight[j]
+        oracles.write_weights_csv(tmp_path / "want.csv", panel.units, report)
+        want = (tmp_path / "want.csv").read_bytes()
+        assert (outdir / "mass_weights.csv").read_bytes() == want
         with open(outdir / "mass_report.json") as fh:
             report = json.load(fh)
         assert abs(report["total_mass"] - 1.0) < 1e-12
@@ -492,6 +504,29 @@ class TestWriters:
         _write_csv(path, ("a", "b", "c"), [(np.float64(1.5), None, np.int64(3))])
         with open(path, newline="") as fh:
             assert list(csv.reader(fh)) == [["a", "b", "c"], ["1.5", "", "3"]]
+
+
+    # one write per gap, per few units with a remainder, and per unit
+    @pytest.mark.parametrize("rows_per_write", [8192, 13, 1])
+    def test_weights_csv_matches_csv_writer(
+        self, tmp_path, rng, monkeypatch, rows_per_write
+    ):
+        monkeypatch.setattr(cli, "WEIGHT_ROWS_PER_WRITE", rows_per_write)
+        units = (
+            "plain", "with,comma", 'with "quote"', "two\nlines", "cr\rlf",
+            " padded ", "", "semi;colon", "tab\tbed", "'single'",
+        )
+        panel = BalancedPanel(
+            units=units,
+            periods=tuple(range(1990, 1997)),
+            series={"y": rng.normal(size=(10, 7)), "x": rng.normal(size=(10, 7))},
+        )
+        report = causal_weights(panel, "y", "x")
+        _write_weights(tmp_path / "got.csv", panel.units, report)
+        oracles.write_weights_csv(tmp_path / "want.csv", panel.units, report)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + 10 * 7 * 6 // 2
 
 
 class TestRunErrors:

@@ -4,6 +4,7 @@ import pytest
 from helpers import make_panel, random_panel
 from twfekit import (
     count_pairs,
+    estimators,
     fd,
     fd_decomposition,
     pairwise_decomposition,
@@ -12,6 +13,7 @@ from twfekit import (
     verify_equivalence,
     weighted_summary,
 )
+from twfekit.numerics import pair_moments
 
 
 class TestFdDecomposition:
@@ -231,3 +233,28 @@ class TestVerifyEquivalence:
         panel = random_panel(rng, 2, 2)
         report = verify_equivalence(panel, "y", "x")
         assert report.max_rel_gap < 1e-12
+
+    def test_one_moment_sweep_same_numbers(self, rng, monkeypatch):
+        panel = random_panel(rng, 30, 9, dist="heavy")
+        by_gap = fd_decomposition(panel, "y", "x")
+        by_pair = pairwise_decomposition(panel, "y", "x")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pair_moments(*args)
+
+        monkeypatch.setattr(estimators, "pair_moments", counted)
+        report = verify_equivalence(panel, "y", "x")
+        # one demeaned (x·y, x·x) pair feeds both decompositions
+        assert len(calls) == 2
+        assert report.fd_aggregate == by_gap.aggregate
+        assert report.pairwise_aggregate == by_pair.aggregate
+        beta = twfe(panel, "y", "x").beta
+        scales = [abs(beta)]
+        for decomp in (by_gap, by_pair):
+            live = ~np.isnan(decomp.beta)
+            terms = decomp.weight[live] * np.abs(decomp.beta[live])
+            scales.append(sum(terms.tolist()))
+        gap = max(abs(beta - by_gap.aggregate), abs(beta - by_pair.aggregate))
+        assert report.max_rel_gap == gap / max(scales)

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import oracles
 from helpers import make_panel, random_panel, write_panel_csv
 from twfekit import (
     BalancedPanel,
@@ -10,6 +13,7 @@ from twfekit import (
     k_difference,
     load_panel,
 )
+from twfekit.panel import _CHUNK_ROWS
 
 SCHEMA = PanelSchema(unit="unit", time="year")
 
@@ -278,3 +282,233 @@ class TestLoadPanel:
         path.write_text("unit,year,y\na,1,1.0\nb,1,2.0\n")
         with pytest.raises(ValueError, match="balance must be"):
             load_panel(path, SCHEMA, balance="impute")
+
+
+def _load_both(path, schema=SCHEMA, **kwargs):
+    """``load_panel`` and ``oracles.load_panel_loop`` on one file, each with
+    the warning messages it raised; both must succeed."""
+    loaded = []
+    for load in (load_panel, oracles.load_panel_loop):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            panel = load(path, schema, **kwargs)
+        loaded.append((panel, [str(w.message) for w in caught]))
+    return loaded
+
+
+def _assert_same_load(path, schema=SCHEMA, **kwargs):
+    (got, got_warnings), (want, want_warnings) = _load_both(path, schema, **kwargs)
+    assert got.units == want.units
+    assert got.periods == want.periods
+    assert got.cluster_id == want.cluster_id
+    assert list(got.series) == list(want.series)
+    for name in want.series:
+        assert got.values(name).tobytes() == want.values(name).tobytes()
+    assert got_warnings == want_warnings
+    return got, got_warnings
+
+
+def _assert_same_error(path, schema=SCHEMA, **kwargs):
+    with pytest.raises(PanelError) as want:
+        oracles.load_panel_loop(path, schema, **kwargs)
+    with pytest.raises(PanelError) as got:
+        load_panel(path, schema, **kwargs)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def _long_rows(n_units, n_periods, rng):
+    """Data lines of a long file, one per (unit, period), in unit order."""
+    values = rng.normal(size=(n_units, n_periods, 2)).tolist()
+    return [
+        f"u{i:04d},{2000 + j},{values[i][j][0]!r},{values[i][j][1]!r}"
+        for i in range(n_units)
+        for j in range(n_periods)
+    ]
+
+
+# more rows than one chunk of the loader
+LONG = (_CHUNK_ROWS // 20 + 7, 20)
+
+
+class TestLoadPanelMatchesLoop:
+    """The chunked loader against the former row-by-row loader."""
+
+    def test_shuffled_rows(self, rng, tmp_path):
+        panel = random_panel(rng, 7, 5, extra_series=("w",))
+        order = rng.permutation(35)
+        path = write_panel_csv(tmp_path / "p.csv", panel, order=order)
+        got, _ = _assert_same_load(path)
+        assert got.units == panel.units
+
+    def test_semicolon_delimiter(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "unit;year;y;x\n"
+            "b;1;1.5;2\na;2;-3e-5;4\na;1;0.25;1e3\nb;2;7;8.125\n"
+        )
+        got, _ = _assert_same_load(path, delimiter=";")
+        assert got.units == ("a", "b")
+
+    def test_whitespace_padded_cells(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            " unit , year , y \n"
+            " a , 1 ,  1.5\n\ta\t,\t2\t, 2.5 \n"
+            "b,  1, 3.5 \nb , 2 ,4.5\n"
+            # str.strip whitespace that int() does not skip
+            "c,\x1c1\x1f,5.5\nc,2,6.5\n"
+        )
+        got, _ = _assert_same_load(path)
+        assert got.units == ("a", "b", "c") and got.periods == (1, 2)
+
+    def test_float_time_labels(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "unit,year,y\n"
+            "a,1990.0,1\na,1991,2\nb,1.99e3,3\nb,1991.0,4\n"
+        )
+        got, _ = _assert_same_load(path)
+        assert got.periods == (1990, 1991)
+
+    def test_quoted_unit_labels(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "unit,year,y\n"
+            '"Dallas, TX",1,1\n"Dallas, TX",2,2\n'
+            '"the ""big"" one",1,3\n"the ""big"" one",2,4\n'
+            '"two\nlines",1,5\n"two\nlines",2,6\n'
+        )
+        got, _ = _assert_same_load(path)
+        assert got.units == ("Dallas, TX", 'the "big" one', "two\nlines")
+
+    def test_drop_units_warning(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "unit,year,y\n"
+            "c,1,1\nc,2,2\nc,3,3\n"
+            "a,1,4\na,3,5\n"
+            "b,1,6\nb,2,7\nb,3,8\n"
+            "d,2,9\n"
+        )
+        got, messages = _assert_same_load(path, balance="drop-units")
+        assert got.units == ("b", "c")
+        assert messages == ["dropped 2 of 4 units with incomplete records"]
+
+    def test_cluster_column(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "region,unit,year,y\n"
+            "north,b,1,1\n south ,a,2,2\nsouth,a,1,3\nnorth,b,2,4\n"
+            "east,c,2,5\neast,c,1,6\n"
+        )
+        schema = PanelSchema(unit="unit", time="year", cluster="region")
+        got, _ = _assert_same_load(path, schema)
+        assert got.cluster_id == ("south", "north", "east")
+
+    def test_blank_rows(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "unit,year,y\n\na,1,1\n , ,  \n,,\na,2,2\n  \nb,1,3\nb,2,4\n\n"
+        )
+        _assert_same_load(path)
+
+    def test_longer_than_one_chunk(self, rng, tmp_path):
+        rows = _long_rows(*LONG, rng)
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        rows.insert(_CHUNK_ROWS - 1, "")
+        rows.insert(_CHUNK_ROWS + 5, ",,,")
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(["unit,year,y,x"] + rows) + "\n")
+        got, _ = _assert_same_load(path)
+        assert got.values("y").shape == LONG
+
+
+class TestLoadPanelErrorsMatchLoop:
+    """Line-numbered errors equal to the former loader's, wherever the bad
+    row sits."""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN "])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(f"unit,year,y\na,1,1\na,2,{cell}\nb,1,3\nb,2,4\n")
+        message = _assert_same_error(path)
+        assert message.startswith("line 3: non-finite value")
+
+    def test_bad_row_after_blank_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("unit,year,y\na,1,1\n\n\na,2,1,9\nb,1,3\nb,2,4\n")
+        assert _assert_same_error(path) == "line 5: expected 3 fields, got 4"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "u0003,2001,1.0",  # ragged
+            ",2001,1.0,2.0",  # no unit label
+            "u0003,2001.5,1.0,2.0",  # non-integer time label
+            "u0003,2001,oops,2.0",  # non-numeric value
+            "u0003,2001,1.0,inf",  # non-finite value
+            "u0000,2001,1.0,2.0",  # duplicate of a first-chunk cell
+        ],
+    )
+    def test_bad_row_past_first_chunk(self, rng, tmp_path, bad):
+        rows = _long_rows(*LONG, rng)
+        rows.insert(_CHUNK_ROWS + 100, bad)
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(["unit,year,y,x"] + rows) + "\n")
+        message = _assert_same_error(path)
+        assert message.startswith(f"line {_CHUNK_ROWS + 102}:")
+
+    def test_non_integer_time_label_mid_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "unit,year,y\na,1,1\na,2,2\nb,1,3\nb,two,4\nc,1,5\nc,2,6\n"
+        )
+        assert _assert_same_error(path) == (
+            "line 5: time label 'two' is not an integer"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the first of several bad rows is named
+            "unit,year,y\na,1,1\na,1,2\nb,x,3\nb,2,inf\n",
+            "unit,year,y\na,1,nan\na,1,2\n",
+            # a cluster label that changes
+            "unit,year,region,y\na,1,n,1\nb,1,s,2\na,2,s,3\nb,2,s,4\n",
+            # whole-file errors after every row parsed
+            "unit,year,region,y\n",
+            "unit,year,region,y\na,1,n,1\na,3,n,2\nb,1,n,3\nb,3,n,4\n",
+            "unit,year,region,y\na,1,n,1\na,2,n,2\nb,1,n,3\nb,3,n,4\n",
+        ],
+    )
+    def test_errors(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        schema = (
+            PanelSchema(unit="unit", time="year", cluster="region")
+            if "region" in text
+            else SCHEMA
+        )
+        _assert_same_error(path, schema)
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_sparse_file(self, tmp_path, duplicate):
+        # 400 units with one row each over 400 periods: the unit x period
+        # grid is far larger than the file
+        rows = [f"u{i:03d},{i},1.0" for i in range(400)]
+        if duplicate:
+            rows.append("u123,123,2.0")
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(["unit,year,y"] + rows) + "\n")
+        message = _assert_same_error(path)
+        assert ("duplicate" in message) == duplicate
+
+    def test_time_label_beyond_64_bits(self, tmp_path):
+        path = tmp_path / "p.csv"
+        big = 2**63
+        path.write_text(
+            f"unit,year,y\na,{big},1\na,{big + 1},2\nb,{big},3\nb,{big + 1},4\n"
+        )
+        with pytest.raises(PanelError, match="64-bit"):
+            load_panel(path, SCHEMA)
