@@ -47,7 +47,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import add
 
 import csv
@@ -70,7 +70,7 @@ from .diagnostics import (
     theorem2_audit,
 )
 from .errors import NoIdentifyingVariation, PanelError
-from .estimators import Estimate, fd, twfe
+from .estimators import fd, twfe
 from .generalized import (
     CovariateSpec,
     GapRange,
@@ -82,6 +82,10 @@ from .panel import BalancedPanel, PanelSchema, load_panel
 
 FORMATS = ("csv", "json")
 ANALYSIS_PREFIX = "analysis:"
+KINDS = (
+    "twfe", "fd", "gap_restricted", "generalized", "fd_decomposition",
+    "pairwise_decomposition", "equivalence", "causal_weights", "simulation",
+)
 SUMMARY_FIELDS = (
     "mean", "sd", "p5", "p25", "median", "p75", "p95", "n_components"
 )
@@ -265,18 +269,6 @@ def _write_report(outdir, name, suffix, payload, formats) -> None:
         _write_csv(base + ".csv", ("field", "value"), rows)
 
 
-def _estimate_payload(operation: str, params: dict, est: Estimate) -> dict:
-    return {
-        "operation": operation,
-        "parameters": params,
-        "beta": est.beta,
-        "se": est.se,
-        "n_units": est.n_units,
-        "periods_used": est.periods_used,
-        "denominator": est.denominator,
-    }
-
-
 def _write_columns(path: str, decomposition, header) -> None:
     """A decomposition's ``header`` columns, one row per component; a
     degenerate (NaN) beta is an empty cell."""
@@ -384,35 +376,35 @@ def _run_analysis(
     panel: BalancedPanel | None,
     config: RunConfig,
 ) -> None:
-    opts = analysis.options
-    name = analysis.name
-    outdir = config.output_dir
-    needs_panel = analysis.kind != "simulation"
-    if needs_panel and panel is None:
-        raise ValueError(
-            f"analysis '{name}' needs an input panel; set 'input' in [run]"
-        )
+    """Compute one analysis and write its artifacts.
 
-    if analysis.kind in ("twfe", "fd", "gap_restricted"):
+    Each kind sets its report's suffix, ``params`` and ``fields``, and
+    ``decomp`` when it has a decomposition; the report, then the
+    decomposition's tables, are written after the chain.
+    """
+    opts, kind, name = analysis.options, analysis.kind, analysis.name
+    outdir = config.output_dir
+    suffix, decomp = "estimate", None
+    if kind != "simulation":
         y, x = _require(opts, "y"), _require(opts, "x")
         params: dict = {"y": y, "x": x}
-        if analysis.kind == "twfe":
-            covs = _covariates(opts)
-            est = twfe(panel, y, x, covs, se=_get_bool(opts, "se"))
-            params["covariates"] = covs or []
-        elif analysis.kind == "fd":
-            params["gap"] = _get_int(opts, "gap", 1)
-            est = fd(panel, y, x, params["gap"], se=_get_bool(opts, "se"))
-        else:
-            rng = _gap_range(opts, required=True)
-            est = gap_restricted(panel, y, x, rng, se=_get_bool(opts, "se"))
-            params.update(k_min=rng.k_min, k_max=rng.k_max)
-        _write_report(
-            outdir, name, "estimate",
-            _estimate_payload(analysis.kind, params, est), config.formats,
+
+    if kind == "twfe":
+        covs = _covariates(opts)
+        fields = asdict(twfe(panel, y, x, covs, se=_get_bool(opts, "se")))
+        params["covariates"] = covs or []
+    elif kind == "fd":
+        params["gap"] = _get_int(opts, "gap", 1)
+        fields = asdict(
+            fd(panel, y, x, params["gap"], se=_get_bool(opts, "se"))
         )
-    elif analysis.kind == "generalized":
-        y, x = _require(opts, "y"), _require(opts, "x")
+    elif kind == "gap_restricted":
+        rng = _gap_range(opts, required=True)
+        fields = asdict(
+            gap_restricted(panel, y, x, rng, se=_get_bool(opts, "se"))
+        )
+        params.update(k_min=rng.k_min, k_max=rng.k_max)
+    elif kind == "generalized":
         spec = CovariateSpec(
             time_invariant=tuple(_split(opts.get("time_invariant", ""))),
             differenced=tuple(_split(opts.get("differenced", ""))),
@@ -421,108 +413,61 @@ def _run_analysis(
         presample = None
         if opts.get("presample", "").strip():
             presample = load_panel(
-                opts["presample"].strip(),
-                config.schema,
-                delimiter=config.delimiter,
-                balance=config.balance,
+                opts["presample"].strip(), config.schema,
+                delimiter=config.delimiter, balance=config.balance,
             )
         scheme = opts.get("weight_scheme", "ssr").strip()
         gap_range = _gap_range(opts, required=False)
         result = generalized_twfe(
-            panel,
-            y,
-            x,
-            spec=spec,
-            gap_range=gap_range,
-            weight_scheme=scheme,
-            presample=presample,
-            se=_get_bool(opts, "se"),
+            panel, y, x, spec=spec, gap_range=gap_range, weight_scheme=scheme,
+            presample=presample, se=_get_bool(opts, "se"),
         )
-        params = {
-            "y": y,
-            "x": x,
-            "time_invariant": list(spec.time_invariant),
-            "differenced": list(spec.differenced),
-            "pre_period": [
+        params.update(
+            time_invariant=list(spec.time_invariant),
+            differenced=list(spec.differenced),
+            pre_period=[
                 f"{c.variable}:{c.window_start_offset}:{c.window_end_offset}"
                 + (f":{c.min_points}" if c.min_points is not None else "")
                 for c in spec.pre_period
             ],
-            "weight_scheme": scheme,
-        }
+            weight_scheme=scheme,
+        )
         if gap_range is not None:
-            params["k_min"] = gap_range.k_min
-            params["k_max"] = gap_range.k_max
+            params.update(k_min=gap_range.k_min, k_max=gap_range.k_max)
         if presample is not None:
             params["presample"] = opts["presample"].strip()
-        _write_report(
-            outdir, name, "estimate",
-            _estimate_payload("generalized", params, result.estimate),
-            config.formats,
+        fields = asdict(result.estimate)
+        decomp = result.decomposition
+    elif kind in ("fd_decomposition", "pairwise_decomposition"):
+        decompose = (
+            fd_decomposition if kind == "fd_decomposition"
+            else pairwise_decomposition
         )
-        _write_components(outdir, name, result.decomposition)
-        if _get_bool(opts, "summary"):
-            _write_summary_table(outdir, name, result.decomposition)
-    elif analysis.kind in ("fd_decomposition", "pairwise_decomposition"):
-        y, x = _require(opts, "y"), _require(opts, "x")
-        by_gap = analysis.kind == "fd_decomposition"
-        decompose = fd_decomposition if by_gap else pairwise_decomposition
         decomp = decompose(panel, y, x)
-        _write_report(
-            outdir, name, "estimate",
-            {
-                "operation": analysis.kind,
-                "parameters": {"y": y, "x": x},
-                "aggregate": decomp.aggregate,
-                "total_denominator": decomp.total_denominator,
-                "n_components": decomp.beta.size,
-            },
-            config.formats,
-        )
-        _write_components(outdir, name, decomp)
-        if by_gap and _get_bool(opts, "figure"):
-            _write_columns(
-                os.path.join(outdir, f"{name}_figure.csv"),
-                decomp,
-                ("gap", "beta", "weight"),
-            )
-        if _get_bool(opts, "summary"):
-            _write_summary_table(outdir, name, decomp)
-    elif analysis.kind == "equivalence":
-        y, x = _require(opts, "y"), _require(opts, "x")
-        report = verify_equivalence(panel, y, x)
-        _write_report(
-            outdir, name, "report",
-            {
-                "operation": "equivalence",
-                "parameters": {"y": y, "x": x},
-                "twfe_beta": report.twfe_beta,
-                "fd_aggregate": report.fd_aggregate,
-                "pairwise_aggregate": report.pairwise_aggregate,
-                "max_rel_gap": report.max_rel_gap,
-            },
-            config.formats,
-        )
-    elif analysis.kind == "causal_weights":
-        y, x = _require(opts, "y"), _require(opts, "x")
+        fields = {
+            "aggregate": decomp.aggregate,
+            "total_denominator": decomp.total_denominator,
+            "n_components": decomp.beta.size,
+        }
+    elif kind == "equivalence":
+        suffix = "report"
+        fields = asdict(verify_equivalence(panel, y, x))
+    elif kind == "causal_weights":
+        suffix = "report"
         covs = _covariates(opts)
         report = causal_weights(panel, y, x, covs)
         _write_weights(
             os.path.join(outdir, f"{name}_weights.csv"), panel.units, report
         )
-        _write_report(
-            outdir, name, "report",
-            {
-                "operation": "causal_weights",
-                "parameters": {"y": y, "x": x, "covariates": covs or []},
-                "total_mass": report.total_mass,
-                "negative_mass": report.negative_mass,
-                "denominator": report.denominator,
-                "n_weights": int(report.weight.shape[0]),
-            },
-            config.formats,
-        )
-    elif analysis.kind == "simulation":
+        params["covariates"] = covs or []
+        fields = {
+            "total_mass": report.total_mass,
+            "negative_mass": report.negative_mass,
+            "denominator": report.denominator,
+            "n_weights": int(report.weight.shape[0]),
+        }
+    else:  # simulation
+        suffix = "audit"
         scenario = _require(opts, "scenario")
         replications = _get_int(opts, "replications", 1)
         if replications < 1:
@@ -540,50 +485,71 @@ def _run_analysis(
                 overrides[key] = getter(opts, key)
         preset = scenario_preset(scenario, **overrides)
         audit_covs = _covariates(opts)
-        rows = []
-        for rep in range(replications):
-            sim = simulate_replication(preset, rep)
-            audit = theorem2_audit(sim, audit_covs)
-            rows.append((rep, *(getattr(audit, f) for f in AUDIT_FIELDS)))
+        audits = [
+            theorem2_audit(simulate_replication(preset, rep), audit_covs)
+            for rep in range(replications)
+        ]
+        column = {f: [getattr(a, f) for a in audits] for f in AUDIT_FIELDS}
         _write_csv(
             os.path.join(outdir, f"{name}_replications.csv"),
             ("replication",) + AUDIT_FIELDS,
-            rows,
+            zip(range(replications), *column.values()),
         )
-        estimates = np.array([row[1] for row in rows])
-        payload = {
-            "operation": "simulation",
-            "parameters": {
-                "scenario": scenario,
-                "replications": replications,
-                "n_units": preset.n_units,
-                "n_periods": preset.n_periods,
-                "tau": preset.tau,
-                "seed": config.seed,
-                "covariates": audit_covs or [],
-            },
+        params = {
+            "scenario": scenario,
+            "replications": replications,
+            "n_units": preset.n_units,
+            "n_periods": preset.n_periods,
+            "tau": preset.tau,
+            "seed": config.seed,
+            "covariates": audit_covs or [],
+        }
+        estimates = np.array(column["estimate"])
+        fields = {
             "mean_estimate": float(estimates.mean()),
             "sd_estimate": float(estimates.std(ddof=1))
             if replications > 1
             else 0.0,
-            "mean_tau_weighted_sum": float(
-                np.mean([row[2] for row in rows])
-            ),
-            "mean_trend_term": float(np.mean([row[3] for row in rows])),
-            "mean_delta_bias_term": float(np.mean([row[4] for row in rows])),
-            "max_abs_identity_gap": float(
-                max(abs(row[5]) for row in rows)
-            ),
         }
-        _write_report(outdir, name, "audit", payload, config.formats)
-    else:
-        raise ValueError(
-            f"analysis '{name}': unknown kind '{analysis.kind}'"
+        for f in ("tau_weighted_sum", "trend_term", "delta_bias_term"):
+            fields[f"mean_{f}"] = float(np.mean(column[f]))
+        fields["max_abs_identity_gap"] = float(
+            max(map(abs, column["identity_gap"]))
         )
+
+    _write_report(
+        outdir, name, suffix,
+        {"operation": kind, "parameters": params, **fields},
+        config.formats,
+    )
+    if decomp is not None:
+        _write_components(outdir, name, decomp)
+        if kind == "fd_decomposition" and _get_bool(opts, "figure"):
+            _write_columns(
+                os.path.join(outdir, f"{name}_figure.csv"),
+                decomp,
+                ("gap", "beta", "weight"),
+            )
+        if _get_bool(opts, "summary"):
+            _write_summary_table(outdir, name, decomp)
 
 
 def run(config: RunConfig) -> int:
-    """Execute every analysis in ``config``; returns a process exit code."""
+    """Execute every analysis in ``config``; returns a process exit code.
+
+    Every analysis's kind, and its need for a panel, is checked before the
+    panel is loaded or any analysis runs.
+    """
+    for analysis in config.analyses:
+        if analysis.kind not in KINDS:
+            raise ValueError(
+                f"analysis '{analysis.name}': unknown kind '{analysis.kind}'"
+            )
+        if analysis.kind != "simulation" and config.input_path is None:
+            raise ValueError(
+                f"analysis '{analysis.name}' needs an input panel; set "
+                f"'input' in [run]"
+            )
     panel = None
     if config.input_path is not None:
         if config.schema is None:
@@ -607,6 +573,8 @@ def selfcheck(
     stream=None,
 ) -> int:
     """Random-panel decomposition audit; exit 0 only if all gaps are tiny."""
+    if panels < 1:
+        raise ValueError(f"'panels' must be at least 1, got {panels}")
     stream = stream or sys.stdout
     rng = np.random.default_rng(seed)
     worst = 0.0

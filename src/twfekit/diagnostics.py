@@ -59,9 +59,6 @@ class DgpConfig:
     n_periods: int = 5
     tau: float = 2.0
     tau_unit_sd: float = 0.0
-    tau_time_drift: float = 0.0
-    unit_effect_sd: float = 1.0
-    time_effect_sd: float = 1.0
     treatment_noise_sd: float = 1.0
     noise_sd: float = 1.0
     noise_walk: bool = False
@@ -86,13 +83,7 @@ class DgpConfig:
                 f"covariate_mode must be 'walk' or 'factor', got "
                 f"'{self.covariate_mode}'"
             )
-        for name in (
-            "tau_unit_sd",
-            "unit_effect_sd",
-            "time_effect_sd",
-            "treatment_noise_sd",
-            "noise_sd",
-        ):
+        for name in ("tau_unit_sd", "treatment_noise_sd", "noise_sd"):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -153,10 +144,6 @@ class SimulatedPanel:
     baseline: np.ndarray
     effect_slope: np.ndarray
 
-    def potential_outcome(self, treatment: np.ndarray) -> np.ndarray:
-        """Outcome matrix had current treatment been ``treatment`` everywhere."""
-        return self.baseline + self.effect_slope * np.asarray(treatment, dtype=float)
-
 
 def simulate(config: DgpConfig) -> SimulatedPanel:
     """Draw one panel from the configured process.
@@ -168,8 +155,8 @@ def simulate(config: DgpConfig) -> SimulatedPanel:
     rng = np.random.default_rng(config.seed)
     n, t = config.n_units, config.n_periods
 
-    alpha = rng.normal(0.0, config.unit_effect_sd, n)
-    gamma = rng.normal(0.0, config.time_effect_sd, t)
+    alpha = rng.normal(0.0, 1.0, n)
+    gamma = rng.normal(0.0, 1.0, t)
     tau_dev = rng.normal(0.0, config.tau_unit_sd, n)
     a = rng.normal(0.0, 1.0, n)
     g = rng.normal(0.0, 1.0, t)
@@ -178,12 +165,7 @@ def simulate(config: DgpConfig) -> SimulatedPanel:
     eps_draw = rng.normal(0.0, config.noise_sd, (n, t))
     nu = rng.normal(0.0, config.treatment_noise_sd, (n, t))
 
-    drift = (
-        config.tau_time_drift * np.linspace(0.0, 1.0, t)
-        if t > 1
-        else np.zeros(t)
-    )
-    slope = (config.tau + tau_dev)[:, None] + drift[None, :]
+    slope = np.repeat((config.tau + tau_dev)[:, None], t, axis=1)
 
     if config.covariate_mode == "factor":
         # Unit loading times a rising deterministic profile: the covariate's

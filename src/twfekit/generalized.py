@@ -139,10 +139,6 @@ class CovariateSpec:
         object.__setattr__(self, "pre_period", tuple(self.pre_period))
 
     @property
-    def is_empty(self) -> bool:
-        return not (self.time_invariant or self.differenced or self.pre_period)
-
-    @property
     def n_controls(self) -> int:
         """Number of control columns per pair (the intercept is not counted)."""
         return (

@@ -1,4 +1,4 @@
-"""Balanced-panel container, CSV ingestion, and the two core array transforms.
+"""Balanced-panel container, CSV ingestion, and two array transforms.
 
 A :class:`BalancedPanel` is rectangular by construction: every unit is observed
 in every period, periods are consecutive integers, and every stored series is a
@@ -6,14 +6,14 @@ finite ``float64`` array of shape ``(n_units, n_periods)``.  Estimation code in
 the rest of the package relies on those guarantees and never re-checks them, so
 all validation lives here.
 
-The two transforms every estimator is built from:
-
 ``demean``
     removes the cross-sectional (per-period) mean from a series, i.e. maps
-    ``v_it`` to ``v_it - mean_j(v_jt)``.
+    ``v_it`` to ``v_it - mean_j(v_jt)``.  Every estimator starts from it.
 ``k_difference``
     forms the gap-``k`` forward difference ``v_i,t+k - v_it`` for every start
-    period ``t``.
+    period ``t``: a public convenience for inspecting one gap.  No estimator
+    calls it; they difference inside :func:`~twfekit.numerics.pair_moments`
+    and the other kernels of :mod:`twfekit.numerics`.
 """
 
 from __future__ import annotations

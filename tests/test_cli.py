@@ -63,6 +63,135 @@ time = year
 """
 
 
+# A config with one analysis of every kind; ``{presample}`` is a CSV of
+# earlier periods for the ``generalized`` analysis's pre-trend control.
+EVERY_KIND = """
+[analysis:plain]
+kind = twfe
+y = y
+x = x
+covariates = w
+se = true
+
+[analysis:short]
+kind = fd
+y = y
+x = x
+gap = 2
+se = true
+
+[analysis:banded]
+kind = gap_restricted
+y = y
+x = x
+k_min = 1
+k_max = 2
+
+[analysis:trendadj]
+kind = generalized
+y = y
+x = x
+differenced = w
+pretrend = w:-6:-3:3
+presample = {presample}
+k_min = 1
+k_max = 2
+se = true
+summary = yes
+
+[analysis:bygap]
+kind = fd_decomposition
+y = y
+x = x
+figure = yes
+summary = yes
+
+[analysis:bypair]
+kind = pairwise_decomposition
+y = y
+x = x
+summary = yes
+
+[analysis:check]
+kind = equivalence
+y = y
+x = x
+
+[analysis:mass]
+kind = causal_weights
+y = y
+x = x
+covariates = w
+
+[analysis:mc]
+kind = simulation
+scenario = time_varying_delta
+replications = 3
+n_units = 20
+covariates = w
+"""
+
+# Each scalar report's fields in file order, as its CSV twin lists them in
+# the ``field`` column: the ``parameters`` object is spelled out one
+# ``parameters.*`` row per key.
+REPORT_FIELDS = {
+    "plain_estimate": [
+        "operation", "parameters.y", "parameters.x", "parameters.covariates",
+        "beta", "se", "n_units", "periods_used", "denominator",
+    ],
+    "short_estimate": [
+        "operation", "parameters.y", "parameters.x", "parameters.gap",
+        "beta", "se", "n_units", "periods_used", "denominator",
+    ],
+    "banded_estimate": [
+        "operation", "parameters.y", "parameters.x", "parameters.k_min",
+        "parameters.k_max",
+        "beta", "se", "n_units", "periods_used", "denominator",
+    ],
+    "trendadj_estimate": [
+        "operation", "parameters.y", "parameters.x",
+        "parameters.time_invariant", "parameters.differenced",
+        "parameters.pre_period", "parameters.weight_scheme",
+        "parameters.k_min", "parameters.k_max", "parameters.presample",
+        "beta", "se", "n_units", "periods_used", "denominator",
+    ],
+    "bygap_estimate": [
+        "operation", "parameters.y", "parameters.x",
+        "aggregate", "total_denominator", "n_components",
+    ],
+    "bypair_estimate": [
+        "operation", "parameters.y", "parameters.x",
+        "aggregate", "total_denominator", "n_components",
+    ],
+    "check_report": [
+        "operation", "parameters.y", "parameters.x",
+        "twfe_beta", "fd_aggregate", "pairwise_aggregate", "max_rel_gap",
+    ],
+    "mass_report": [
+        "operation", "parameters.y", "parameters.x", "parameters.covariates",
+        "total_mass", "negative_mass", "denominator", "n_weights",
+    ],
+    "mc_audit": [
+        "operation", "parameters.scenario", "parameters.replications",
+        "parameters.n_units", "parameters.n_periods", "parameters.tau",
+        "parameters.seed", "parameters.covariates",
+        "mean_estimate", "sd_estimate", "mean_tau_weighted_sum",
+        "mean_trend_term", "mean_delta_bias_term", "max_abs_identity_gap",
+    ],
+}
+
+
+@pytest.fixture
+def every_kind_config(tmp_path, rng, panel_csv):
+    """The :data:`EVERY_KIND` config writing to ``tmp_path / "out"``."""
+    pre = make_panel({"w": rng.normal(size=(12, 6))}, first_period=1994)
+    pre_csv = write_panel_csv(
+        tmp_path / "pre.csv", pre, unit_col="state", time_col="year"
+    )
+    body = BASE.format(input=panel_csv, outdir=tmp_path / "out")
+    return write_config(tmp_path, body + EVERY_KIND.format(presample=pre_csv))
+
+
 class TestLoadRunConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
@@ -345,33 +474,42 @@ n_units = 50
         assert audit["max_abs_identity_gap"] < 1e-12
         assert abs(audit["mean_estimate"] - 2.0) < 0.5
 
-    def test_reruns_are_byte_identical(self, tmp_path, panel_csv):
-        body = BASE.format(input=panel_csv, outdir=tmp_path / "a") + """
-[analysis:plain]
-kind = twfe
-y = y
-x = x
-se = true
-
-[analysis:bygap]
-kind = fd_decomposition
-y = y
-x = x
-summary = yes
-"""
-        cfg = write_config(tmp_path, body)
-        assert main(["run", "--config", str(cfg)]) == 0
+    def test_reruns_are_byte_identical(self, tmp_path, every_kind_config):
+        cfg = str(every_kind_config)
+        assert main(["run", "--config", cfg]) == 0
         assert (
-            main(["run", "--config", str(cfg),
-                  "--output-dir", str(tmp_path / "b")]) == 0
+            main(["run", "--config", cfg,
+                  "--output-dir", str(tmp_path / "again")]) == 0
         )
-        names_a = sorted(os.listdir(tmp_path / "a"))
-        names_b = sorted(os.listdir(tmp_path / "b"))
-        assert names_a == names_b
-        for name in names_a:
-            assert (tmp_path / "a" / name).read_bytes() == (
-                tmp_path / "b" / name
+        names = sorted(os.listdir(tmp_path / "out"))
+        assert names == sorted(os.listdir(tmp_path / "again"))
+        # 9 scalar reports in two formats, 3 component tables, 3 summary
+        # tables, a figure, the weights and the replications
+        assert len(names) == 2 * 9 + 3 + 3 + 1 + 1 + 1
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "again" / name
             ).read_bytes()
+
+    def test_report_fields_in_order(self, tmp_path, every_kind_config):
+        assert main(["run", "--config", str(every_kind_config)]) == 0
+        outdir = tmp_path / "out"
+        reports = sorted(n for n in os.listdir(outdir) if n.endswith(".json"))
+        assert reports == sorted(f"{stem}.json" for stem in REPORT_FIELDS)
+        for stem, fields in REPORT_FIELDS.items():
+            with open(outdir / f"{stem}.json") as fh:
+                payload = json.load(fh)
+            flat = []
+            for key, value in payload.items():
+                if isinstance(value, dict):
+                    flat.extend(f"{key}.{k}" for k in value)
+                else:
+                    flat.append(key)
+            assert flat == fields, stem
+            with open(outdir / f"{stem}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["field", "value"], stem
+            assert [row[0] for row in rows[1:]] == fields, stem
 
     def test_every_csv_cell_is_a_number_label_or_empty(
         self, tmp_path, panel_csv
@@ -638,6 +776,45 @@ x = x
         assert main(["run", "--config", str(cfg)]) == 1
         assert "needs an input panel" in capsys.readouterr().err
 
+    # a valid simulation first: nothing may run before the config is checked
+    @pytest.mark.parametrize(
+        "analysis, message",
+        [
+            ("kind = simulaton", "analysis 'typo': unknown kind 'simulaton'"),
+            (
+                "kind = twfe\ny = y\nx = x",
+                "analysis 'typo' needs an input panel; set 'input' in [run]",
+            ),
+        ],
+    )
+    def test_config_errors_precede_any_work(
+        self, tmp_path, capsys, analysis, message
+    ):
+        body = f"""
+[run]
+output_dir = {tmp_path / "o"}
+
+[analysis:mc]
+kind = simulation
+scenario = parallel_trends
+replications = 2
+
+[analysis:typo]
+{analysis}
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_kind_precedes_panel_load(self, tmp_path, capsys):
+        body = BASE.format(
+            input=tmp_path / "missing.csv", outdir=tmp_path / "o"
+        ) + "\n[analysis:bad]\nkind = anova\n"
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "analysis 'bad': unknown kind 'anova'" in capsys.readouterr().err
+
     def test_unknown_series_in_analysis(self, tmp_path, panel_csv, capsys):
         body = BASE.format(input=panel_csv, outdir=tmp_path / "o") + """
 [analysis:plain]
@@ -664,6 +841,15 @@ class TestSelfcheck:
         second = capsys.readouterr().out
         assert first == second
         assert "10 panels" in first
+
+    @pytest.mark.parametrize("panels", [0, -3])
+    def test_no_panels_is_an_error(self, capsys, panels):
+        with pytest.raises(ValueError, match="'panels' must be at least 1"):
+            cli.selfcheck(panels=panels)
+        assert main(["selfcheck", "--panels", str(panels)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'panels' must be at least 1, got {panels}" in captured.err
 
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["selfcheck", "--panels", "5",
