@@ -82,10 +82,24 @@ from .panel import BalancedPanel, PanelSchema, load_panel
 
 FORMATS = ("csv", "json")
 ANALYSIS_PREFIX = "analysis:"
-KINDS = (
-    "twfe", "fd", "gap_restricted", "generalized", "fd_decomposition",
-    "pairwise_decomposition", "equivalence", "causal_weights", "simulation",
-)
+# each analysis kind and the options its branch reads, besides ``kind``
+KINDS = {
+    "twfe": {"y", "x", "covariates", "se"},
+    "fd": {"y", "x", "gap", "se"},
+    "gap_restricted": {"y", "x", "k_min", "k_max", "se"},
+    "generalized": {
+        "y", "x", "time_invariant", "differenced", "pretrend", "presample",
+        "weight_scheme", "k_min", "k_max", "se", "summary",
+    },
+    "fd_decomposition": {"y", "x", "figure", "summary"},
+    "pairwise_decomposition": {"y", "x", "summary"},
+    "equivalence": {"y", "x"},
+    "causal_weights": {"y", "x", "covariates"},
+    "simulation": {
+        "scenario", "replications", "n_units", "n_periods", "tau",
+        "noise_sd", "tau_unit_sd", "feedback", "covariates",
+    },
+}
 SUMMARY_FIELDS = (
     "mean", "sd", "p5", "p25", "median", "p75", "p95", "n_components"
 )
@@ -209,6 +223,9 @@ def load_run_config(path: str) -> RunConfig:
         kind = options.pop("kind", "").strip()
         if not kind:
             raise ValueError(f"analysis '{name}': missing 'kind' option")
+        # a [DEFAULT] key reaches only the kinds that read it
+        inherited = set(parser.defaults()) - KINDS.get(kind, set())
+        options = {k: v for k, v in options.items() if k not in inherited}
         analyses.append(AnalysisConfig(name=name, kind=kind, options=options))
     if not analyses:
         raise ValueError(f"{path}: no [analysis:NAME] sections")
@@ -228,20 +245,6 @@ def load_run_config(path: str) -> RunConfig:
 # artifact writers
 
 
-def _to_plain(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_to_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _to_plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_plain(v) for v in value]
-    return value
-
-
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -251,7 +254,7 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
-        json.dump(_to_plain(payload), handle, indent=2)
+        json.dump(payload, handle, indent=2)
         handle.write("\n")
 
 
@@ -537,14 +540,19 @@ def _run_analysis(
 def run(config: RunConfig) -> int:
     """Execute every analysis in ``config``; returns a process exit code.
 
-    Every analysis's kind, and its need for a panel, is checked before the
-    panel is loaded or any analysis runs.
+    Every analysis's kind, options and need for a panel are checked before
+    the panel is loaded or any analysis runs.
     """
     for analysis in config.analyses:
         if analysis.kind not in KINDS:
             raise ValueError(
                 f"analysis '{analysis.name}': unknown kind '{analysis.kind}'"
             )
+        for key in analysis.options:
+            if key not in KINDS[analysis.kind]:
+                raise ValueError(
+                    f"analysis '{analysis.name}': unknown option '{key}'"
+                )
         if analysis.kind != "simulation" and config.input_path is None:
             raise ValueError(
                 f"analysis '{analysis.name}' needs an input panel; set "

@@ -13,7 +13,9 @@ both decompositions here reproduce it to floating-point accuracy:
 Weights are nonnegative by construction and sum to one.  A component with
 (numerically) zero treatment variation gets weight ``0.0`` and a NaN
 ``beta`` (``None`` in its component object): it cannot move the aggregate,
-and its own estimate is undefined.
+and its own estimate is undefined.  The total denominator, the weights and
+the aggregate are all taken over the live components, by the one read-out
+that the covariate-adjusted estimator of ``generalized`` shares.
 
 Both results hold their components as column arrays, one entry per gap or
 pair; the per-component objects of ``.components`` are built only when read.
@@ -182,35 +184,48 @@ class EquivalenceReport:
     max_rel_gap: float
 
 
-def _read_out(nums, dens, panel: BalancedPanel, x: str):
-    """Component estimates ``nums / dens`` (NaN where degenerate), their
-    weights (0.0 where degenerate), the aggregate and the total denominator.
+def _slopes(nums, dens, panel: BalancedPanel, x: str) -> np.ndarray:
+    """Component estimates ``nums / dens``, NaN where ``dens`` is degenerate
+    against ``x``'s variation; raises when their sum is."""
+    live = dens > DEGENERACY_TOL * _check_two_way(float(dens.sum()), panel, x)
+    return np.divide(nums, dens, out=np.full(dens.shape, np.nan), where=live)
 
-    The aggregate is the left-to-right sum of ``weight * beta`` over the live
-    components, as a loop over them would form it.
+
+def _read_out(beta, basis) -> dict:
+    """The columns of components with estimates ``beta`` (NaN where
+    degenerate) and weight bases ``basis``, all taken over the live ones: the
+    total sums their bases, a degenerate one weighs 0.0, and the aggregate is
+    the left-to-right sum of ``weight * beta``, as a loop over them forms it.
     """
-    total = float(dens.sum())
-    live = dens > DEGENERACY_TOL * _check_two_way(total, panel, x)
-    beta = np.divide(nums, dens, out=np.full(dens.shape, np.nan), where=live)
-    weight = np.divide(dens, total, out=np.zeros(dens.shape), where=live)
-    aggregate = sum((weight[live] * beta[live]).tolist())
-    return beta, weight, float(aggregate), total
+    live = ~np.isnan(beta)
+    total = float(basis[live].sum())
+    weight = np.divide(basis, total, out=np.zeros(basis.shape), where=live)
+    aggregate = float(sum((weight[live] * beta[live]).tolist()))
+    return dict(beta=beta, weight=weight, aggregate=aggregate,
+                total_denominator=total)
 
 
 def _by_gap(moments, panel: BalancedPanel, x: str) -> FdDecomposition:
     """The by-gap decomposition read off ``_demeaned_pair`` moments."""
     (_, xy), (_, xx) = moments
-    beta, weight, aggregate, total = _read_out(
-        xy.sum(axis=0), xx.sum(axis=0), panel, x
-    )
+    dens = xx.sum(axis=0)
     gap = np.arange(1, panel.n_periods)
     return FdDecomposition(
         gap=gap,
-        beta=beta,
-        weight=weight,
         n_obs=panel.n_units * (panel.n_periods - gap),
-        aggregate=aggregate,
-        total_denominator=total,
+        **_read_out(_slopes(xy.sum(axis=0), dens, panel, x), dens),
+    )
+
+
+def _pair_decomposition(panel, first, second, beta, basis, **columns):
+    """The by-pair decomposition of the pairs of period indices ``first``
+    and ``second``; ``columns`` are the covariate-adjusted estimator's."""
+    labels = np.asarray(panel.periods)
+    return PairwiseDecomposition(
+        first=labels[first], second=labels[second],
+        n_obs=np.full(beta.shape, panel.n_units),
+        **_read_out(beta, basis),
+        **columns,
     )
 
 
@@ -218,19 +233,9 @@ def _by_pair(moments, panel: BalancedPanel, x: str) -> PairwiseDecomposition:
     """The by-pair decomposition read off ``_demeaned_pair`` moments."""
     (xy, _), (xx, _) = moments
     first, second = np.triu_indices(panel.n_periods, k=1)
-    beta, weight, aggregate, total = _read_out(
-        xy[first, second], xx[first, second], panel, x
-    )
-    labels = np.asarray(panel.periods)
-    return PairwiseDecomposition(
-        first=labels[first],
-        second=labels[second],
-        beta=beta,
-        weight=weight,
-        n_obs=np.full(beta.shape, panel.n_units),
-        aggregate=aggregate,
-        total_denominator=total,
-    )
+    dens = xx[first, second]
+    beta = _slopes(xy[first, second], dens, panel, x)
+    return _pair_decomposition(panel, first, second, beta, dens)
 
 
 def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:

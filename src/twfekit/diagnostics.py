@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import _check_two_way, _twfe_fit, _within, two_way_residual
+from .estimators import _check_two_way, _twfe_fit, two_way_residual
 from .numerics import project_cells
 from .panel import BalancedPanel, demean
 
@@ -385,10 +385,6 @@ def theorem2_audit(
         cells = np.stack(
             [demean(panel, name).T for name in ["x"] + cov_list]
         )
-        # the pooled (two-way) projection of x on the covariates is the
-        # within x minus its residual r, up to unit means, which cancel in
-        # period differences
-        pooled_fit = np.ascontiguousarray((_within(cells[0].T) - r).T)
 
     den = 0.0
     tau_sum = 0.0
@@ -412,10 +408,10 @@ def theorem2_audit(
             # pooled one load the untreated trend onto the estimate.
             changes = cells[:, k:] - cells[:, :-k]
             (drift,), _ = project_cells(changes[1:], changes[:1])
-            # projected minus pooled change, with projected = change - drift
-            np.subtract(changes[0], drift, out=drift)
-            drift -= pooled_fit[k:]
-            drift += pooled_fit[:-k]
+            # projected minus pooled change: (change - drift) - (change - dr),
+            # since the pooled projection of x is x less its residual r, up
+            # to unit means, which cancel in period differences
+            np.subtract(dr.T, drift, out=drift)
             bias_sum += float(np.einsum("is,si->", trend, drift))
     _check_two_way(den, panel, "x")
 

@@ -10,7 +10,9 @@ estimators here share that structure:
     effects, computed from double-demeaned arrays (optionally after
     partialling out covariates observation-wise).
 ``fd``
-    pooled gap-``k`` difference estimator with per-start-period intercepts.
+    pooled gap-``k`` difference estimator with per-start-period intercepts:
+    the one-gap case of the pooled-gap slope, whose gap range
+    ``generalized.gap_restricted`` widens.
 ``twfe_two_period``
     two-way estimator restricted to a single pair of periods.
 ``twfe_multivariate``
@@ -158,16 +160,33 @@ def twfe(
     rx, ry, den, beta = _twfe_fit(panel, y, x, covariates)
     se_value = None
     if se:
-        _, cross = pair_moments(rx, ry)
-        _, sq = pair_moments(rx, rx)
-        se_value = cluster_robust_se(
-            cross.sum(axis=1), sq.sum(axis=1), panel.cluster_id
-        )
+        # the full-range lemma, unit by unit: a unit's pair-difference sums
+        # are T times its sums of double-demeaned products
+        t = panel.n_periods
+        cross, sq = (t * np.einsum("it,it->i", rx, r) for r in (ry, rx))
+        se_value = cluster_robust_se(cross, sq, panel.cluster_id)
     return Estimate(
         beta=beta,
         se=se_value,
         n_units=panel.n_units,
         periods_used=_all_periods(panel),
+        denominator=den,
+    )
+
+
+def _pooled_gaps(panel, y, x, k_min, k_max, se, where, periods_used):
+    """The pooled slope over gaps ``k_min`` to ``k_max`` of cross-sectionally
+    demeaned ``y`` and ``x``; ``where`` ends the no-variation message."""
+    (_, cross), (_, sq) = _demeaned_pair(panel, y, x)
+    cross, sq = (m[:, k_min - 1 : k_max].sum(axis=1) for m in (cross, sq))
+    den = float(sq.sum())
+    message = f"no identifying variation in '{x}' {where}"
+    _check_denominator(den, _variation_scale(panel, x), message)
+    return Estimate(
+        beta=float(cross.sum()) / den,
+        se=cluster_robust_se(cross, sq, panel.cluster_id) if se else None,
+        n_units=panel.n_units,
+        periods_used=periods_used,
         denominator=den,
     )
 
@@ -186,22 +205,9 @@ def fd(
         raise NoIdentifyingVariation(
             f"gap must satisfy 1 <= k <= {panel.n_periods - 1}, got {k}"
         )
-    (_, cross), (_, sq) = _demeaned_pair(panel, y, x)
-    cross, sq = cross[:, k - 1], sq[:, k - 1]
-    den = float(sq.sum())
-    _check_denominator(
-        den,
-        _variation_scale(panel, x),
-        f"no identifying variation in '{x}' at gap {k}",
-    )
-    beta = float(cross.sum()) / den
-    se_value = cluster_robust_se(cross, sq, panel.cluster_id) if se else None
-    return Estimate(
-        beta=beta,
-        se=se_value,
-        n_units=panel.n_units,
-        periods_used=f"gap {k} ({panel.n_periods - k} start periods)",
-        denominator=den,
+    return _pooled_gaps(
+        panel, y, x, k, k, se, f"at gap {k}",
+        f"gap {k} ({panel.n_periods - k} start periods)",
     )
 
 

@@ -35,18 +35,12 @@ from itertools import compress
 
 import numpy as np
 
-from .decomposition import PairwiseDecomposition
+from .decomposition import PairwiseDecomposition, _pair_decomposition
 from .errors import NoIdentifyingVariation, PanelError
-from .estimators import (
-    DEGENERACY_TOL,
-    Estimate,
-    _check_denominator,
-    _demeaned_pair,
-    _variation_scale,
-)
+from .estimators import DEGENERACY_TOL, Estimate, _pooled_gaps, _variation_scale
 from .inference import cluster_robust_se
-from .numerics import pair_moments, project_cells
-from .panel import BalancedPanel, demean
+from .numerics import project_cells
+from .panel import BalancedPanel
 
 WEIGHT_SCHEMES = ("ssr", "raw")
 
@@ -181,23 +175,10 @@ def gap_restricted(
     ``GapRange(k, k)`` reproduces the pooled gap-``k`` difference estimator.
     """
     _check_gaps(gap_range, panel.n_periods)
-    gaps = slice(gap_range.k_min - 1, gap_range.k_max)
-    (_, cross), (_, sq) = _demeaned_pair(panel, y, x)
-    cross, sq = cross[:, gaps].sum(axis=1), sq[:, gaps].sum(axis=1)
-    num, den = float(cross.sum()), float(sq.sum())
-    _check_denominator(
-        den,
-        _variation_scale(panel, x),
-        f"no identifying variation in '{x}' for gaps "
-        f"{gap_range.k_min}-{gap_range.k_max}",
-    )
-    se_value = cluster_robust_se(cross, sq, panel.cluster_id) if se else None
-    return Estimate(
-        beta=num / den,
-        se=se_value,
-        n_units=panel.n_units,
-        periods_used=f"gaps {gap_range.k_min}-{gap_range.k_max}",
-        denominator=den,
+    k_min, k_max = gap_range.k_min, gap_range.k_max
+    return _pooled_gaps(
+        panel, y, x, k_min, k_max, se, f"for gaps {k_min}-{k_max}",
+        f"gaps {k_min}-{k_max}",
     )
 
 
@@ -337,10 +318,7 @@ def generalized_twfe(
     rng = gap_range or GapRange(1, t_count - 1)
     _check_gaps(rng, t_count)
 
-    xt = demean(panel, x)
-    raw_by_pair, _ = pair_moments(xt, xt)
     n = panel.n_units
-    labels = panel.periods
     # panel-wide centred treatment variation: the scale against which a
     # pair's difference variation counts as numerically zero
     x_scale = _variation_scale(panel, x)
@@ -359,7 +337,7 @@ def generalized_twfe(
         [panel.values(name).T for name in (x, y) + spec.differenced]
     )
     # the anchors with a pair in range
-    anchors = labels[: t_count - rng.k_min]
+    anchors = panel.periods[: t_count - rng.k_min]
     pretrend = _pretrend_slopes(panel, spec.pre_period, anchors, presample)
 
     # per-unit sums of v*u and v^2 over the live pairs, for the SE
@@ -379,7 +357,10 @@ def generalized_twfe(
             shared,
         )
         ssr = np.einsum("sn,sn->s", rx, rx)
-        raw_den = np.diagonal(raw_by_pair, k)
+        # the plain pairwise decomposition's basis: the pair's x changes,
+        # centred across units
+        dx = changes[0] - changes[0].mean(axis=1, keepdims=True)
+        raw_den = np.einsum("sn,sn->s", dx, dx)
         live = (
             (x_scale > 0.0)
             & (raw_den > DEGENERACY_TOL * x_scale)
@@ -401,50 +382,27 @@ def generalized_twfe(
         dropped += [tuple(compress(names, ~kept)) for kept in retained]
     first, second, beta, basis = map(np.concatenate, zip(*columns))
     order = np.lexsort((second, first))  # anchor-major, as pairwise
-    first, second, beta, basis = (
-        column[order] for column in (first, second, beta, basis)
-    )
-    live = ~np.isnan(beta)
-    if not live.any():
+    beta = beta[order]
+    n_degenerate = int(np.isnan(beta).sum())
+    if n_degenerate == beta.size:
         raise NoIdentifyingVariation(
             f"no identifying variation in '{x}' for any pair with gaps "
             f"{rng.k_min}-{rng.k_max}"
         )
-    # positive: a live pair has ssr and raw_den above zero; summed left to
-    # right over the live pairs, as a loop over them would
-    total = float(sum(basis[live].tolist()))
-    weight = np.divide(basis, total, out=np.zeros(basis.shape), where=live)
-    aggregate = sum((weight[live] * beta[live]).tolist())
-    count = beta.size
-
-    se_value = (
-        cluster_robust_se(unit_cross, unit_sq, panel.cluster_id) if se else None
-    )
-
-    estimate = Estimate(
-        beta=aggregate,
-        se=se_value,
-        n_units=n,
-        periods_used=(
-            f"gaps {rng.k_min}-{rng.k_max} ({count} pairs, "
-            f"{weight_scheme} weights)"
-        ),
-        denominator=total,
-    )
-    periods = np.asarray(labels)
-    decomposition = PairwiseDecomposition(
-        first=periods[first],
-        second=periods[second],
-        beta=beta,
-        weight=weight,
-        n_obs=np.full(count, n),
-        aggregate=aggregate,
-        total_denominator=total,
-        n_controls=np.full(count, spec.n_controls),
+    decomposition = _pair_decomposition(
+        panel, first[order], second[order], beta, basis[order],
+        n_controls=np.full(beta.size, spec.n_controls),
         dropped_controls=[dropped[i] for i in order.tolist()],
     )
-    return GeneralizedResult(
-        estimate=estimate,
-        decomposition=decomposition,
-        n_degenerate=count - int(live.sum()),
+    estimate = Estimate(
+        beta=decomposition.aggregate,
+        se=cluster_robust_se(unit_cross, unit_sq, panel.cluster_id)
+        if se else None,
+        n_units=n,
+        periods_used=(
+            f"gaps {rng.k_min}-{rng.k_max} ({beta.size} pairs, "
+            f"{weight_scheme} weights)"
+        ),
+        denominator=decomposition.total_denominator,
     )
+    return GeneralizedResult(estimate, decomposition, n_degenerate)

@@ -261,6 +261,15 @@ class TestLoadRunConfig:
         assert _pretrend_configs(shortrun.options) == (
             PretrendConfig("log_emp", -12, -3),
         )
+        for analysis in rc.analyses:
+            assert set(analysis.options) <= cli.KINDS[analysis.kind]
+
+    def test_readme_lists_the_options_of_each_kind(self):
+        with open(README) as fh:
+            rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", fh.read(), re.M)
+        documented = {kind: set(re.findall(r"`(\w+)`", options))
+                      for kind, options in rows}
+        assert documented == cli.KINDS
 
     def test_delimiter(self, tmp_path):
         head = "[run]\ninput = p.csv\n\n[schema]\nunit = s\ntime = t\n"
@@ -635,6 +644,27 @@ x = x
         assert (outdir / "plain_estimate.csv").exists()
         assert not (outdir / "plain_estimate.json").exists()
 
+    def test_default_keys_reach_the_kinds_that_read_them(
+        self, tmp_path, panel_csv
+    ):
+        outdir = tmp_path / "out"
+        body = BASE.format(input=panel_csv, outdir=outdir) + """
+[DEFAULT]
+y = y
+x = x
+summary = yes
+
+[analysis:plain]
+kind = twfe
+
+[analysis:bypair]
+kind = pairwise_decomposition
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert (outdir / "bypair_summary_table.csv").exists()
+        assert not (outdir / "plain_summary_table.csv").exists()
+
 
 class TestWriters:
     def test_numpy_scalars_and_none(self, tmp_path):
@@ -784,6 +814,10 @@ x = x
             (
                 "kind = twfe\ny = y\nx = x",
                 "analysis 'typo' needs an input panel; set 'input' in [run]",
+            ),
+            (
+                "kind = simulation\nscenario = parallel_trends\nn_unit = 30",
+                "analysis 'typo': unknown option 'n_unit'",
             ),
         ],
     )

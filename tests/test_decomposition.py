@@ -3,10 +3,14 @@ import pytest
 
 from helpers import make_panel, random_panel
 from twfekit import (
+    GapRange,
     count_pairs,
     estimators,
     fd,
     fd_decomposition,
+    gap_restricted,
+    generalized,
+    generalized_twfe,
     pairwise_decomposition,
     twfe,
     twfe_two_period,
@@ -258,3 +262,26 @@ class TestVerifyEquivalence:
             scales.append(sum(terms.tolist()))
         gap = max(abs(beta - by_gap.aggregate), abs(beta - by_pair.aggregate))
         assert report.max_rel_gap == gap / max(scales)
+
+
+def test_pair_moment_sweeps_per_estimator(rng, monkeypatch):
+    # the full-range lemma leaves twfe and generalized_twfe no pair sweep;
+    # the pooled-gap slopes need one per demeaned (x·y, x·x) pair
+    panel = random_panel(rng, 30, 9, dist="heavy")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pair_moments(*args)
+
+    monkeypatch.setattr(estimators, "pair_moments", counted)
+    assert not hasattr(generalized, "pair_moments")
+    for call, sweeps in (
+        (lambda: twfe(panel, "y", "x", se=True), 0),
+        (lambda: generalized_twfe(panel, "y", "x", se=True), 0),
+        (lambda: fd(panel, "y", "x", 2, se=True), 2),
+        (lambda: gap_restricted(panel, "y", "x", GapRange(1, 3), se=True), 2),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == sweeps

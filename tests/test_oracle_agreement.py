@@ -351,6 +351,30 @@ def test_decomposition_columns_match_components(kind):
             _check_columns(result.decomposition, pair_fields)
 
 
+@pytest.mark.parametrize("scheme", ("ssr", "raw"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_generalized_without_controls_is_pairwise(kind, scheme):
+    # the two share one read-out, so they agree column by column, the
+    # degenerate pair included
+    panel = _adversarial(kind)
+    variants = [panel]
+    if panel.n_periods >= 3:
+        variants.append(_with_degenerate_pair(panel))
+    for panel in variants:
+        want = pairwise_decomposition(panel, "y", "x")
+        got = generalized_twfe(panel, "y", "x", weight_scheme=scheme)
+        got = got.decomposition
+        for name in ("first", "second", "n_obs"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        dead = np.isnan(want.beta)
+        np.testing.assert_array_equal(np.isnan(got.beta), dead)
+        for a, b in zip(got.beta[~dead], want.beta[~dead]):
+            assert _close(a, b)
+        assert np.abs(got.weight - want.weight).max() <= 1e-12
+        assert _close(got.aggregate, want.aggregate)
+
+
 @pytest.mark.parametrize("covariates", (None, ["w"]), ids=("plain", "w"))
 @pytest.mark.parametrize("kind", KINDS)
 def test_causal_weights_match_index_build(kind, covariates):
@@ -386,6 +410,17 @@ def test_standard_errors_match_stacked_rows(kind, grouped):
             _double_demean(yv), _double_demean(xv), cluster, range(1, t)
         ),
     )
+    if panel.n_units >= 5:
+        # the full-range lemma under a covariate projection
+        w = _double_demean(panel.values("w")).ravel()
+        ry, rx = (
+            oracles.fwl_residualize(_double_demean(v).ravel(), w).reshape(v.shape)
+            for v in (yv, xv)
+        )
+        check(
+            twfe(panel, "y", "x", ["w"], se=True),
+            oracles.stack_differences(ry, rx, cluster, range(1, t)),
+        )
     for k in sorted({1, t - 1}):
         check(
             fd(panel, "y", "x", k, se=True),
