@@ -34,7 +34,6 @@ from .estimators import (
     twfe,
     twfe_iv,
     twfe_multivariate,
-    twfe_two_period,
     two_way_residual,
 )
 from .generalized import (
@@ -48,13 +47,7 @@ from .generalized import (
 )
 from .inference import cluster_robust_se
 from .numerics import pairwise_cross_moment
-from .panel import (
-    BalancedPanel,
-    PanelSchema,
-    demean,
-    k_difference,
-    load_panel,
-)
+from .panel import BalancedPanel, PanelSchema, demean, load_panel
 
 __version__ = "0.1.0"
 
@@ -86,7 +79,6 @@ __all__ = [
     "fd_decomposition",
     "gap_restricted",
     "generalized_twfe",
-    "k_difference",
     "load_panel",
     "pairwise_cross_moment",
     "pairwise_decomposition",
@@ -99,7 +91,6 @@ __all__ = [
     "twfe",
     "twfe_iv",
     "twfe_multivariate",
-    "twfe_two_period",
     "two_way_residual",
     "verify_equivalence",
     "weighted_summary",

@@ -41,7 +41,7 @@ import numpy as np
 
 from .estimators import _check_two_way, _twfe_fit, two_way_residual
 from .numerics import project_cells
-from .panel import BalancedPanel, demean
+from .panel import BalancedPanel
 
 
 @dataclass(frozen=True)
@@ -380,10 +380,11 @@ def theorem2_audit(
     t = panel.n_periods
 
     if cov_list:
-        # period-major demeaned x and covariates: each gap's cells are
-        # contiguous (S, n) blocks for project_cells
+        # period-major two-way residuals of x and the covariates: each
+        # gap's cells are contiguous (S, n) blocks for project_cells, and
+        # their changes are the period-demeaned changes, unit means cancelling
         cells = np.stack(
-            [demean(panel, name).T for name in ["x"] + cov_list]
+            [two_way_residual(panel, name).T for name in ["x"] + cov_list]
         )
 
     den = 0.0

@@ -1,25 +1,27 @@
-"""Panel estimators in closed demeaned-difference form.
+"""Panel estimators in closed two-way-residual form.
 
-After cross-sectionally demeaning each series (``demean``), the two-way
-fixed-effects slope on a balanced panel is a plain ratio of sums over
-differenced observations; no dummy variables are ever materialized.  All
-estimators here share that structure:
+Every estimator here reads one transform, :func:`two_way_residual`: each
+series less its unit and period means, which on a balanced panel is the
+residual from regressing it on unit and period indicators.  The two-way
+fixed-effects slope is a plain ratio of sums over that residual, and the
+pair-difference estimators are ratios of sums over its period differences,
+in which the unit means cancel; no dummy variables are ever materialized.
 
 ``twfe``
     slope on ``x`` from least squares of ``y`` on ``x`` plus unit and period
-    effects, computed from double-demeaned arrays (optionally after
-    partialling out covariates observation-wise).
+    effects (optionally after partialling out covariates observation-wise).
 ``fd``
     pooled gap-``k`` difference estimator with per-start-period intercepts:
     the one-gap case of the pooled-gap slope, whose gap range
     ``generalized.gap_restricted`` widens.
-``twfe_two_period``
-    two-way estimator restricted to a single pair of periods.
 ``twfe_multivariate``
     several regressors at once, solved from pairwise-difference normal
     equations.
 ``twfe_iv``
     instrumental-variable analogue: ratio of instrument cross moments.
+
+A single period pair's slope is a column of
+:func:`~twfekit.decomposition.pairwise_decomposition`.
 
 Every estimator raises :class:`NoIdentifyingVariation` instead of dividing
 by a degenerate denominator; "degenerate" means at most ``1e-12`` times the
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import NoIdentifyingVariation
 from .inference import cluster_robust_se
 from .numerics import pair_moments, project_cells
-from .panel import BalancedPanel, demean
+from .panel import BalancedPanel
 
 #: An estimator's denominator below this multiple of the treatment's squared
 #: scale is treated as zero identifying variation.
@@ -70,9 +72,16 @@ class Estimate:
     denominator: float
 
 
-def _within(values: np.ndarray) -> np.ndarray:
-    """Remove per-unit (row) means; second pass tightens the row sums."""
+def _two_way(values: np.ndarray) -> np.ndarray:
+    """``values`` less its unit (row) and period (column) means.
+
+    Unit means go first, so that offsets far larger than the within-unit
+    variation leave before any period mean is taken, whose roundoff would
+    otherwise scale with them.  The last pass clears the roundoff that the
+    period pass leaves in the row sums.
+    """
     w = values - values.mean(axis=1, keepdims=True)
+    w -= w.mean(axis=0)
     w -= w.mean(axis=1, keepdims=True)
     return w
 
@@ -83,11 +92,14 @@ def _variation_scale(panel: BalancedPanel, var: str) -> float:
     return float(np.sum(centered * centered))
 
 
-def _demeaned_pair(panel: BalancedPanel, y: str, x: str):
-    """Pair moments of cross-sectionally demeaned ``x`` with ``y`` and with
-    itself, each a ``(by_pair, by_unit)`` tuple of :func:`pair_moments`."""
-    xt = demean(panel, x)
-    return pair_moments(xt, demean(panel, y)), pair_moments(xt, xt)
+def _pair_sums(rx: np.ndarray, ry: np.ndarray):
+    """Pair moments of the two-way residual ``rx`` with ``ry`` and with
+    itself, each a ``(by_pair, by_unit)`` tuple of :func:`pair_moments`.
+
+    Unit means cancel in every period difference, so these are the sums of
+    the period-demeaned series' differences, without the unit offsets.
+    """
+    return pair_moments(rx, ry), pair_moments(rx, rx)
 
 
 def two_way_residual(
@@ -95,20 +107,25 @@ def two_way_residual(
 ) -> np.ndarray:
     """Residual of ``var`` after the two-way projection, as a units x periods array.
 
-    With no covariates this is the double-demeaned series (cross-sectional
-    demeaning followed by removal of unit means), which on a balanced panel
-    equals the residual from regressing ``var`` on unit and period
-    indicators.  Covariates, when given, are themselves double-demeaned and
-    then partialled out observation-wise, a covariate collinear with earlier
-    ones dropped (see :mod:`twfekit.numerics`).
+    With no covariates this is the series less its unit means, then its
+    period means, then its unit means again (:func:`_two_way`), which on a
+    balanced panel equals the residual from regressing ``var`` on unit and
+    period indicators.  Covariates, when given, are transformed the same way
+    and then partialled out observation-wise, a covariate collinear with
+    earlier ones dropped (see :mod:`twfekit.numerics`).
     """
-    within = _within(demean(panel, var))
+    within = _two_way(panel.values(var))
     if not covariates:
         return within
     # one projection cell: the covariates vary, the within series is the target
-    controls = np.stack([_within(demean(panel, c)).ravel() for c in covariates])
+    controls = np.stack([_two_way(panel.values(c)).ravel() for c in covariates])
     (residual,), _ = project_cells(controls[:, None], within.reshape(1, 1, -1))
     return residual.reshape(within.shape)
+
+
+def _residual_sums(panel: BalancedPanel, y: str, x: str):
+    """:func:`_pair_sums` of the two-way residuals of ``x`` and ``y``."""
+    return _pair_sums(two_way_residual(panel, x), two_way_residual(panel, y))
 
 
 def _all_periods(panel: BalancedPanel) -> str:
@@ -155,7 +172,7 @@ def twfe(
 
     Equals the coefficient on ``x`` from least squares of ``y`` on ``x``,
     unit indicators, and period indicators (plus ``covariates`` if given),
-    but is computed in closed form from demeaned arrays.
+    but is computed in closed form from the two-way residuals.
     """
     rx, ry, den, beta = _twfe_fit(panel, y, x, covariates)
     se_value = None
@@ -175,9 +192,10 @@ def twfe(
 
 
 def _pooled_gaps(panel, y, x, k_min, k_max, se, where, periods_used):
-    """The pooled slope over gaps ``k_min`` to ``k_max`` of cross-sectionally
-    demeaned ``y`` and ``x``; ``where`` ends the no-variation message."""
-    (_, cross), (_, sq) = _demeaned_pair(panel, y, x)
+    """The pooled slope over gaps ``k_min`` to ``k_max``, read off the gap
+    differences of the two-way residuals of ``y`` and ``x``; ``where`` ends
+    the no-variation message."""
+    (_, cross), (_, sq) = _residual_sums(panel, y, x)
     cross, sq = (m[:, k_min - 1 : k_max].sum(axis=1) for m in (cross, sq))
     den = float(sq.sum())
     message = f"no identifying variation in '{x}' {where}"
@@ -196,47 +214,19 @@ def fd(
 ) -> Estimate:
     """Pooled gap-``k`` difference estimator with per-start-period intercepts.
 
-    Demeaning each series cross-sectionally before differencing is exactly
-    equivalent to giving every start period its own intercept in a stacked
-    difference regression.
+    Differencing the period-demeaned series (here, the two-way residual,
+    whose unit means cancel in the differences) is exactly equivalent to
+    giving every start period its own intercept in a stacked difference
+    regression.  A gap outside ``1..T-1`` raises :class:`ValueError`.
     """
     k = int(k)
     if not 1 <= k <= panel.n_periods - 1:
-        raise NoIdentifyingVariation(
+        raise ValueError(
             f"gap must satisfy 1 <= k <= {panel.n_periods - 1}, got {k}"
         )
     return _pooled_gaps(
         panel, y, x, k, k, se, f"at gap {k}",
         f"gap {k} ({panel.n_periods - k} start periods)",
-    )
-
-
-def twfe_two_period(
-    panel: BalancedPanel, y: str, x: str, t: int, s: int
-) -> Estimate:
-    """Two-way estimator using only the period pair ``(t, s)`` with ``s > t``."""
-    if not s > t:
-        raise ValueError(f"need s > t, got pair ({t}, {s})")
-    ti = panel.period_index(t)
-    si = panel.period_index(s)
-    xt = demean(panel, x)
-    yt = demean(panel, y)
-    dx = xt[:, si] - xt[:, ti]
-    dy = yt[:, si] - yt[:, ti]
-    den = float(dx @ dx)
-    scale = float(xt[:, ti] @ xt[:, ti] + xt[:, si] @ xt[:, si])
-    _check_denominator(
-        den,
-        scale,
-        f"no identifying variation in '{x}' for period pair ({t}, {s})",
-    )
-    beta = float(dx @ dy) / den
-    return Estimate(
-        beta=beta,
-        se=None,
-        n_units=panel.n_units,
-        periods_used=f"pair ({t}, {s})",
-        denominator=den,
     )
 
 

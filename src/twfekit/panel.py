@@ -1,4 +1,4 @@
-"""Balanced-panel container, CSV ingestion, and two array transforms.
+"""Balanced-panel container, CSV ingestion, and a cross-sectional transform.
 
 A :class:`BalancedPanel` is rectangular by construction: every unit is observed
 in every period, periods are consecutive integers, and every stored series is a
@@ -8,12 +8,10 @@ all validation lives here.
 
 ``demean``
     removes the cross-sectional (per-period) mean from a series, i.e. maps
-    ``v_it`` to ``v_it - mean_j(v_jt)``.  Every estimator starts from it.
-``k_difference``
-    forms the gap-``k`` forward difference ``v_i,t+k - v_it`` for every start
-    period ``t``: a public convenience for inspecting one gap.  No estimator
-    calls it; they difference inside :func:`~twfekit.numerics.pair_moments`
-    and the other kernels of :mod:`twfekit.numerics`.
+    ``v_it`` to ``v_it - mean_j(v_jt)``: a public convenience for inspecting
+    a series.  No estimator calls it; they all read
+    :func:`~twfekit.estimators.two_way_residual`, whose period differences
+    equal this series' differences.
 """
 
 from __future__ import annotations
@@ -144,27 +142,14 @@ def demean(panel: BalancedPanel, var: str) -> np.ndarray:
 
     Returns a (n_units, n_periods) array whose columns sum to zero.  Two
     passes of mean removal are used so column sums are zero to roundoff even
-    for badly centred data.
+    for badly centred data.  Unit offsets stay in the result; the
+    estimators centre through :func:`~twfekit.estimators.two_way_residual`,
+    which removes them first.
     """
     v = panel.values(var)
     centered = v - v.mean(axis=0)
     centered -= centered.mean(axis=0)
     return centered
-
-
-def k_difference(panel: BalancedPanel, var: str, k: int) -> np.ndarray:
-    """Forward difference ``v[i, t+k] - v[i, t]`` over all start periods.
-
-    Returns a (n_units, n_periods - k) array; column ``t`` holds the
-    difference starting in period ``periods[t]``.
-    """
-    k = int(k)
-    if not 1 <= k <= panel.n_periods - 1:
-        raise PanelError(
-            f"gap must satisfy 1 <= k <= {panel.n_periods - 1}, got {k}"
-        )
-    v = panel.values(var)
-    return v[:, k:] - v[:, :-k]
 
 
 #: Data rows read and converted at a time.  Bounds the transient row strings

@@ -52,3 +52,26 @@ def write_panel_csv(path, panel, unit_col="unit", time_col="year", order=None):
         for row in rows:
             handle.write(",".join(row) + "\n")
     return path
+
+
+ADVERSARIAL_KINDS = ("unit offsets", "t(2) tails", "random walk", "T=2", "N=2")
+
+
+def adversarial_panel(kind, seed=7):
+    """Panel with series y, x, w of one of ``ADVERSARIAL_KINDS``."""
+    rng = np.random.default_rng([seed, len(kind)])
+    n, t = {"T=2": (9, 2), "N=2": (2, 6)}.get(kind, (25, 7))
+
+    def draw():
+        if kind == "t(2) tails":
+            return rng.standard_t(2, size=(n, t))
+        if kind == "random walk":
+            return np.cumsum(rng.normal(size=(n, t)), axis=1)
+        return rng.normal(size=(n, t))
+
+    series = {"y": draw(), "x": draw(), "w": draw()}
+    if kind == "unit offsets":
+        # unit effects 1e4 times the within-unit variation
+        for name in series:
+            series[name] = series[name] + 1e4 * rng.normal(size=(n, 1))
+    return make_panel(series)

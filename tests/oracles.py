@@ -14,12 +14,16 @@ standalone Gram-Schmidt sweep plus lstsq, kept as the reference for
 ``numerics.project_cells``.  ``load_panel_loop`` and ``write_weights_csv``
 keep the former row-by-row CSV loader and ``csv.writer`` weights rows as the
 references for the chunked loader and the prefix-joined weights writer.
+``exact_two_way`` and ``exact_pair_sums`` are the two-way residual and its
+pair-difference sums in exact rational arithmetic (``fractions``), the
+references against which the library's floating-point sums are judged.
 """
 
 import csv
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, cycle, repeat
 
 import numpy as np
@@ -291,6 +295,41 @@ def window_slope(periods, values):
     design = np.column_stack([p, np.ones(p.size)])
     coef, _, _, _ = np.linalg.lstsq(design, np.asarray(values, float), rcond=None)
     return float(coef[0])
+
+
+# ---------------------------------------------------------------------------
+# exact references: every sum in rational arithmetic, rounded once at the end
+
+
+def exact_two_way(values):
+    """Two-way residual of a units x periods array, as rows of Fractions.
+
+    Each entry is the value less its unit mean and its period mean plus the
+    grand mean, all exact, so the result does not depend on the order in
+    which the means are removed.
+    """
+    rows = [[Fraction(v) for v in row] for row in np.asarray(values).tolist()]
+    n, t = len(rows), len(rows[0])
+    unit = [sum(row) / t for row in rows]
+    period = [sum(row[j] for row in rows) / n for j in range(t)]
+    grand = sum(unit) / n
+    return [
+        [v - unit[i] - period[j] + grand for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+def exact_pair_sums(a, b):
+    """``{(t, s): sum_i (a[i][s] - a[i][t]) * (b[i][s] - b[i][t])}`` over the
+    period index pairs ``t < s`` of two exact units x periods arrays."""
+    t_count = len(a[0])
+    return {
+        (t, s): sum(
+            (ra[s] - ra[t]) * (rb[s] - rb[t]) for ra, rb in zip(a, b)
+        )
+        for t in range(t_count - 1)
+        for s in range(t + 1, t_count)
+    }
 
 
 # ---------------------------------------------------------------------------

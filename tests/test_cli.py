@@ -860,6 +860,18 @@ x = x
         assert main(["run", "--config", str(cfg)]) == 1
         assert "wage" in capsys.readouterr().err
 
+    def test_fd_gap_out_of_range(self, tmp_path, panel, panel_csv, capsys):
+        body = BASE.format(input=panel_csv, outdir=tmp_path / "o") + f"""
+[analysis:far]
+kind = fd
+y = y
+x = x
+gap = {panel.n_periods}
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "error: gap must satisfy 1 <= k <=" in capsys.readouterr().err
+
 
 class TestSelfcheck:
     def test_passes_and_prints(self, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from helpers import make_panel, random_panel
 from twfekit import (
     GapRange,
@@ -13,7 +14,6 @@ from twfekit import (
     generalized_twfe,
     pairwise_decomposition,
     twfe,
-    twfe_two_period,
     verify_equivalence,
     weighted_summary,
 )
@@ -83,8 +83,10 @@ class TestPairwiseDecomposition:
             (1991, 1992), (1991, 1993), (1992, 1993),
         ]
         for comp in dec.components:
-            est = twfe_two_period(panel, "y", "x", comp.first, comp.second)
-            assert abs(comp.beta - est.beta) < 1e-10 * max(1.0, abs(est.beta))
+            want = oracles.dummy_two_period(
+                panel, "y", "x", comp.first, comp.second
+            )
+            assert abs(comp.beta - want) < 1e-10 * max(1.0, abs(want))
             # one differenced observation per unit for each pair
             assert comp.n_obs == panel.n_units
 
@@ -250,7 +252,7 @@ class TestVerifyEquivalence:
 
         monkeypatch.setattr(estimators, "pair_moments", counted)
         report = verify_equivalence(panel, "y", "x")
-        # one demeaned (x·y, x·x) pair feeds both decompositions
+        # one residual (x·y, x·x) pair of sweeps feeds both decompositions
         assert len(calls) == 2
         assert report.fd_aggregate == by_gap.aggregate
         assert report.pairwise_aggregate == by_pair.aggregate
@@ -266,7 +268,7 @@ class TestVerifyEquivalence:
 
 def test_pair_moment_sweeps_per_estimator(rng, monkeypatch):
     # the full-range lemma leaves twfe and generalized_twfe no pair sweep;
-    # the pooled-gap slopes need one per demeaned (x·y, x·x) pair
+    # the pooled-gap slopes need one per residual (x·y, x·x) pair
     panel = random_panel(rng, 30, 9, dist="heavy")
     calls = []
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import make_panel
+from helpers import ADVERSARIAL_KINDS, adversarial_panel, make_panel
 from twfekit import (
     CovariateSpec,
     DgpConfig,
@@ -31,29 +31,6 @@ from twfekit import (
     twfe_multivariate,
     two_way_residual,
 )
-
-
-def _adversarial(kind, seed=7):
-    """Panel with series y, x, w of one adversarial kind."""
-    rng = np.random.default_rng([seed, len(kind)])
-    n, t = {"T=2": (9, 2), "N=2": (2, 6)}.get(kind, (25, 7))
-
-    def draw():
-        if kind == "t(2) tails":
-            return rng.standard_t(2, size=(n, t))
-        if kind == "random walk":
-            return np.cumsum(rng.normal(size=(n, t)), axis=1)
-        return rng.normal(size=(n, t))
-
-    series = {"y": draw(), "x": draw(), "w": draw()}
-    if kind == "unit offsets":
-        # unit effects 1e4 times the within-unit variation
-        for name in series:
-            series[name] = series[name] + 1e4 * rng.normal(size=(n, 1))
-    return make_panel(series)
-
-
-KINDS = ("unit offsets", "t(2) tails", "random walk", "T=2", "N=2")
 
 
 def _close(got, want):
@@ -81,7 +58,7 @@ def _adversarial_sim(kind, collinear=False):
     one period, so the two covariate changes are collinear in every
     (gap, start) cell that does not touch that period.
     """
-    panel = _adversarial(kind)
+    panel = adversarial_panel(kind)
     rng = np.random.default_rng([11, len(kind)])
     series = {name: panel.values(name) for name in panel.series}
     base = series["y"]
@@ -108,12 +85,12 @@ def _check_audit(sim, covariates):
     assert audit.residual_gap == audit.trend_term - audit.delta_bias_term
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_audit_matches_cell_loop(kind):
     _check_audit(_adversarial_sim(kind), ["w"])
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_audit_drops_near_collinear_covariate(kind):
     # w3 is 1e-11 off 3 w, below RANK_TOL: twfe drops it, and so does the
     # audit, whose pooled split is read off the same x residual
@@ -131,7 +108,7 @@ def test_audit_drops_near_collinear_covariate(kind):
 
 
 @pytest.mark.parametrize("order", (["w", "w2"], ["w2", "w"]), ids="-".join)
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_audit_matches_cell_loop_collinear_covariates(kind, order):
     _check_audit(_adversarial_sim(kind, collinear=True), order)
 
@@ -162,7 +139,7 @@ def _check_generalized(panel, spec, scheme, k_min, k_max, presample=None):
 def _covariate_panel(kind):
     """``_adversarial`` panel with a time-invariant ``g``, near-collinear
     controls and a three-period presample of ``w``."""
-    panel = _adversarial(kind)
+    panel = adversarial_panel(kind)
     n, t = panel.n_units, panel.n_periods
     rng = np.random.default_rng([13, len(kind)])
     series = {name: panel.values(name) for name in panel.series}
@@ -179,7 +156,7 @@ def _covariate_panel(kind):
 
 
 @pytest.mark.parametrize("scheme", ("ssr", "raw"))
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_generalized_matches_pair_loop(kind, scheme):
     panel, presample = _covariate_panel(kind)
     t = panel.n_periods
@@ -208,7 +185,7 @@ def _design(panel, names):
 
 
 @pytest.mark.parametrize("covariates", COVARIATE_SETS, ids="-".join)
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_two_way_residual_matches_fwl(kind, covariates):
     panel, _ = _covariate_panel(kind)
     controls = _design(panel, covariates)
@@ -224,7 +201,7 @@ def test_two_way_residual_matches_fwl(kind, covariates):
 @pytest.mark.parametrize(
     "covariates", [c for c in COVARIATE_SETS if "w3" not in c], ids="-".join
 )
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_twfe_covariates_match_dummy(kind, covariates):
     # w3 is left out: the dummy lstsq does not resolve a 1e-11 dependency
     panel, _ = _covariate_panel(kind)
@@ -234,7 +211,7 @@ def test_twfe_covariates_match_dummy(kind, covariates):
 
 
 @pytest.mark.parametrize("covariates", COVARIATE_SETS, ids="-".join)
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_multivariate_dependent_names_match_sweep(kind, covariates):
     panel, _ = _covariate_panel(kind)
     names = ["x", *covariates]
@@ -270,9 +247,9 @@ def test_generalized_cells_disagree_on_shared_block(scheme):
         assert c.dropped_controls == (("g",) if c.second == t else ())
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_decompositions_match_loops(kind):
-    panel = _adversarial(kind)
+    panel = adversarial_panel(kind)
     by_gap = fd_decomposition(panel, "y", "x")
     want = oracles.loop_fd_components(panel, "y", "x")
     assert len(by_gap.components) == len(want)
@@ -325,9 +302,9 @@ def _check_columns(decomp, fields):
                        for v, w in zip(values, column.tolist())), name
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_decomposition_columns_match_components(kind):
-    panel = _adversarial(kind)
+    panel = adversarial_panel(kind)
     pair_fields = ("first", "second", "beta", "weight", "n_obs",
                    "n_controls", "dropped_controls")
     spec = CovariateSpec(differenced=("w",) if panel.n_units >= 5 else ())
@@ -352,11 +329,11 @@ def test_decomposition_columns_match_components(kind):
 
 
 @pytest.mark.parametrize("scheme", ("ssr", "raw"))
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_generalized_without_controls_is_pairwise(kind, scheme):
     # the two share one read-out, so they agree column by column, the
     # degenerate pair included
-    panel = _adversarial(kind)
+    panel = adversarial_panel(kind)
     variants = [panel]
     if panel.n_periods >= 3:
         variants.append(_with_degenerate_pair(panel))
@@ -376,9 +353,9 @@ def test_generalized_without_controls_is_pairwise(kind, scheme):
 
 
 @pytest.mark.parametrize("covariates", (None, ["w"]), ids=("plain", "w"))
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_causal_weights_match_index_build(kind, covariates):
-    panel = _adversarial(kind)
+    panel = adversarial_panel(kind)
     report = causal_weights(panel, "y", "x", covariates)
     want = oracles.causal_weights_loop(panel, "x", covariates)
     for name in ("unit_index", "gap", "start_period", "weight"):
@@ -392,9 +369,9 @@ def test_causal_weights_match_index_build(kind, covariates):
 
 
 @pytest.mark.parametrize("grouped", (False, True), ids=("unit", "grouped"))
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
 def test_standard_errors_match_stacked_rows(kind, grouped):
-    panel = _clusters(_adversarial(kind), grouped)
+    panel = _clusters(adversarial_panel(kind), grouped)
     cluster = panel.cluster_id
     t = panel.n_periods
     yv, xv = panel.values("y"), panel.values("x")

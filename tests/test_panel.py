@@ -10,7 +10,6 @@ from twfekit import (
     PanelError,
     PanelSchema,
     demean,
-    k_difference,
     load_panel,
 )
 from twfekit.panel import _CHUNK_ROWS
@@ -111,20 +110,6 @@ class TestTransforms:
         v = panel.values("y")
         expected = v - v.mean(axis=0)
         assert np.allclose(demean(panel, "y"), expected, atol=1e-12)
-
-    def test_k_difference_matches_slicing(self, rng):
-        panel = random_panel(rng, 4, 6)
-        v = panel.values("x")
-        for k in range(1, 6):
-            diff = k_difference(panel, "x", k)
-            assert diff.shape == (4, 6 - k)
-            assert np.array_equal(diff, v[:, k:] - v[:, :-k])
-
-    def test_k_difference_rejects_bad_gap(self, rng):
-        panel = random_panel(rng, 3, 4)
-        for bad in (0, 4, -1):
-            with pytest.raises(PanelError, match="gap must satisfy"):
-                k_difference(panel, "x", bad)
 
 
 class TestLoadPanel:
