@@ -15,12 +15,13 @@ Both read the period differences of the two-way residuals of ``y`` and
 slope itself is a ratio of sums over; unit means cancel in the differences,
 so these are the differences of the period-demeaned series.
 
-Weights are nonnegative by construction and sum to one.  A component with
-(numerically) zero treatment variation gets weight ``0.0`` and a NaN
-``beta`` (``None`` in its component object): it cannot move the aggregate,
-and its own estimate is undefined.  The total denominator, the weights and
-the aggregate are all taken over the live components, by the one read-out
-that the covariate-adjusted estimator of ``generalized`` shares.
+Weights are nonnegative by construction and sum to one.  A component whose
+share of the two-way treatment variation is numerically zero (the rule of
+:mod:`twfekit.estimators`) gets weight ``0.0`` and a NaN ``beta`` (``None``
+in its component object): it cannot move the aggregate, and its own
+estimate is undefined.  The total denominator, the weights and the
+aggregate are all taken over the live components, by the one read-out that
+the covariate-adjusted estimator of ``generalized`` shares.
 
 Both results hold their components as column arrays, one entry per gap or
 pair; the per-component objects of ``.components`` are built only when read.
@@ -34,13 +35,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .estimators import (
-    DEGENERACY_TOL,
-    _check_two_way,
-    _pair_sums,
-    _residual_sums,
-    _twfe_fit,
-)
+from .estimators import _live, _pair_sums, _twfe_fit
 
 # bound here as well: bench/bench_checks.py checks that the benchmark's
 # tracer patches and restores ``decomposition.twfe``
@@ -199,10 +194,10 @@ class EquivalenceReport:
     max_rel_gap: float
 
 
-def _slopes(nums, dens, panel: BalancedPanel, x: str) -> np.ndarray:
-    """Component estimates ``nums / dens``, NaN where ``dens`` is degenerate
-    against ``x``'s variation; raises when their sum is."""
-    live = dens > DEGENERACY_TOL * _check_two_way(float(dens.sum()), panel, x)
+def _slopes(nums, dens) -> np.ndarray:
+    """Component estimates ``nums / dens``, NaN where a component's ``dens``
+    is not a live share of their sum, the two-way variation."""
+    live = _live(dens, dens.sum())
     return np.divide(nums, dens, out=np.full(dens.shape, np.nan), where=live)
 
 
@@ -220,15 +215,16 @@ def _read_out(beta, basis) -> dict:
                 total_denominator=total)
 
 
-def _by_gap(moments, panel: BalancedPanel, x: str) -> FdDecomposition:
+def _by_gap(moments) -> FdDecomposition:
     """The by-gap decomposition read off ``_pair_sums`` moments."""
     (_, xy), (_, xx) = moments
     dens = xx.sum(axis=0)
-    gap = np.arange(1, panel.n_periods)
+    n, gaps = xx.shape
+    gap = np.arange(1, gaps + 1)
     return FdDecomposition(
         gap=gap,
-        n_obs=panel.n_units * (panel.n_periods - gap),
-        **_read_out(_slopes(xy.sum(axis=0), dens, panel, x), dens),
+        n_obs=n * (gaps + 1 - gap),
+        **_read_out(_slopes(xy.sum(axis=0), dens), dens),
     )
 
 
@@ -244,18 +240,19 @@ def _pair_decomposition(panel, first, second, beta, basis, **columns):
     )
 
 
-def _by_pair(moments, panel: BalancedPanel, x: str) -> PairwiseDecomposition:
+def _by_pair(moments, panel: BalancedPanel) -> PairwiseDecomposition:
     """The by-pair decomposition read off ``_pair_sums`` moments."""
     (xy, _), (xx, _) = moments
     first, second = np.triu_indices(panel.n_periods, k=1)
     dens = xx[first, second]
-    beta = _slopes(xy[first, second], dens, panel, x)
+    beta = _slopes(xy[first, second], dens)
     return _pair_decomposition(panel, first, second, beta, dens)
 
 
 def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
     """Split the two-way estimate into pooled difference estimators by gap."""
-    return _by_gap(_residual_sums(panel, y, x), panel, x)
+    rx, ry, _, _ = _twfe_fit(panel, y, x)
+    return _by_gap(_pair_sums(rx, ry))
 
 
 def pairwise_decomposition(
@@ -265,7 +262,8 @@ def pairwise_decomposition(
 
     Pairs are ordered lexicographically by (first, second) period label.
     """
-    return _by_pair(_residual_sums(panel, y, x), panel, x)
+    rx, ry, _, _ = _twfe_fit(panel, y, x)
+    return _by_pair(_pair_sums(rx, ry), panel)
 
 
 def count_pairs(n_periods: int, k_min: int = 1, k_max: int | None = None) -> int:
@@ -337,8 +335,8 @@ def verify_equivalence(panel: BalancedPanel, y: str, x: str) -> EquivalenceRepor
     """
     rx, ry, _, beta = _twfe_fit(panel, y, x)
     moments = _pair_sums(rx, ry)
-    by_gap = _by_gap(moments, panel, x)
-    by_pair = _by_pair(moments, panel, x)
+    by_gap = _by_gap(moments)
+    by_pair = _by_pair(moments, panel)
     scales = [abs(beta)]
     for decomp in (by_gap, by_pair):
         live = ~np.isnan(decomp.beta)

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import _check_two_way, _twfe_fit, two_way_residual
+from .estimators import _require_variation, _twfe_fit, two_way_residual
 from .numerics import project_cells
 from .panel import BalancedPanel
 
@@ -319,7 +319,7 @@ def causal_weights(
         np.subtract(xv[:, k:], xv[:, :-k], out=block)
         block *= r[:, k:] - r[:, :-k]
     den = float(flat.sum())
-    _check_two_way(den, panel, x)
+    _require_variation(den, panel, x)
     flat /= den
     return CausalWeightReport(
         weight=flat,
@@ -392,15 +392,19 @@ def theorem2_audit(
     trend_sum = 0.0
     bias_sum = 0.0
     for k in range(1, t):
-        dx = xv[:, k:] - xv[:, :-k]
         dr = r[:, k:] - r[:, :-k]
-        den += float(np.sum(dx * dr))
-        tau_sum += float(np.sum(slope[:, k:] * dx * dr))
+        # one gap-sized buffer, which keeps the peak memory down, holds dx,
+        # then slope * dx * dr, then the trend
+        gap = xv[:, k:] - xv[:, :-k]
+        den += float(np.sum(gap * dr))
+        gap *= slope[:, k:]
+        gap *= dr
+        tau_sum += float(gap.sum())
         # Untreated drift of the observation pair: how the potential outcome
         # at the start-period treatment level moves from t to t+k.
-        trend = (base[:, k:] - base[:, :-k]) + xv[:, :-k] * (
-            slope[:, k:] - slope[:, :-k]
-        )
+        trend = np.subtract(slope[:, k:], slope[:, :-k], out=gap)
+        trend *= xv[:, :-k]
+        trend += base[:, k:] - base[:, :-k]
         trend_sum += float(np.sum(trend * dr))
         if cov_list:
             # Split the trend term: every (gap, start) cell's
@@ -414,7 +418,7 @@ def theorem2_audit(
             # to unit means, which cancel in period differences
             np.subtract(dr.T, drift, out=drift)
             bias_sum += float(np.einsum("is,si->", trend, drift))
-    _check_two_way(den, panel, "x")
+    _require_variation(den, panel, "x")
 
     tau_weighted_sum = tau_sum / den
     trend_term = trend_sum / den

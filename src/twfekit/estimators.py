@@ -23,9 +23,15 @@ in which the unit means cancel; no dummy variables are ever materialized.
 A single period pair's slope is a column of
 :func:`~twfekit.decomposition.pairwise_decomposition`.
 
-Every estimator raises :class:`NoIdentifyingVariation` instead of dividing
-by a degenerate denominator; "degenerate" means at most ``1e-12`` times the
-natural squared scale of the treatment series.
+One degeneracy rule, with tolerance ``DEGENERACY_TOL``, serves the package.
+An estimate raises :class:`NoIdentifyingVariation` unless the treatment's
+two-way variation exceeds the tolerance times its variation about the grand
+mean, the raw scale that exposes a purely additive series
+(:func:`_require_variation`).  A gap or period pair is live when its sum of
+squared residual changes exceeds the tolerance times that sum over all
+pairs, ``T * sum(rx**2)``: a share with no unit offsets in it (:func:`_live`).
+A covariate-adjusted pair is also dead when its controls leave at most the
+tolerance times its treatment variation.
 """
 
 from __future__ import annotations
@@ -40,8 +46,7 @@ from .inference import cluster_robust_se
 from .numerics import pair_moments, project_cells
 from .panel import BalancedPanel
 
-#: An estimator's denominator below this multiple of the treatment's squared
-#: scale is treated as zero identifying variation.
+#: A variation at most this multiple of its reference (see above) is zero.
 DEGENERACY_TOL = 1e-12
 
 
@@ -86,12 +91,6 @@ def _two_way(values: np.ndarray) -> np.ndarray:
     return w
 
 
-def _variation_scale(panel: BalancedPanel, var: str) -> float:
-    v = panel.values(var)
-    centered = v - v.mean()
-    return float(np.sum(centered * centered))
-
-
 def _pair_sums(rx: np.ndarray, ry: np.ndarray):
     """Pair moments of the two-way residual ``rx`` with ``ry`` and with
     itself, each a ``(by_pair, by_unit)`` tuple of :func:`pair_moments`.
@@ -123,32 +122,31 @@ def two_way_residual(
     return residual.reshape(within.shape)
 
 
-def _residual_sums(panel: BalancedPanel, y: str, x: str):
-    """:func:`_pair_sums` of the two-way residuals of ``x`` and ``y``."""
-    return _pair_sums(two_way_residual(panel, x), two_way_residual(panel, y))
-
-
 def _all_periods(panel: BalancedPanel) -> str:
     """``periods_used`` of an estimator over every period pair."""
     t = panel.n_periods
     return f"all periods, gaps 1-{t - 1}" if t > 2 else "all periods, gap 1"
 
 
-def _check_denominator(den: float, scale: float, message: str) -> None:
-    if scale == 0.0 or den <= DEGENERACY_TOL * scale:
-        raise NoIdentifyingVariation(message)
+def _live(dens, total):
+    """Whether each variation in ``dens`` exceeds ``DEGENERACY_TOL`` times
+    ``total``, the variation it is a share of."""
+    return dens > DEGENERACY_TOL * total
 
 
-def _check_two_way(den: float, panel: BalancedPanel, x: str) -> float:
-    """Raise unless ``den`` is live against ``x``'s centred variation, the
-    scale returned."""
-    scale = _variation_scale(panel, x)
-    _check_denominator(
-        den,
-        scale,
-        f"no identifying variation in '{x}' after the two-way transformation",
-    )
-    return scale
+def _require_variation(
+    den: float,
+    panel: BalancedPanel,
+    x: str,
+    where: str = "after the two-way transformation",
+) -> None:
+    """Raise :class:`NoIdentifyingVariation` unless ``den``, a two-way
+    variation of ``x``, is live against ``x``'s variation about its grand
+    mean; ``where`` ends the message."""
+    v = panel.values(x)
+    scale = float(np.sum((v - v.mean()) ** 2))
+    if not (scale > 0.0 and _live(den, scale)):
+        raise NoIdentifyingVariation(f"no identifying variation in '{x}' {where}")
 
 
 def _twfe_fit(panel: BalancedPanel, y: str, x: str, covariates=None):
@@ -157,7 +155,7 @@ def _twfe_fit(panel: BalancedPanel, y: str, x: str, covariates=None):
     rx = two_way_residual(panel, x, covariates)
     ry = two_way_residual(panel, y, covariates)
     den = float(np.sum(rx * rx))
-    _check_two_way(den, panel, x)
+    _require_variation(den, panel, x)
     return rx, ry, den, float(np.sum(rx * ry)) / den
 
 
@@ -195,11 +193,12 @@ def _pooled_gaps(panel, y, x, k_min, k_max, se, where, periods_used):
     """The pooled slope over gaps ``k_min`` to ``k_max``, read off the gap
     differences of the two-way residuals of ``y`` and ``x``; ``where`` ends
     the no-variation message."""
-    (_, cross), (_, sq) = _residual_sums(panel, y, x)
+    (_, cross), (_, sq) = _pair_sums(
+        two_way_residual(panel, x), two_way_residual(panel, y)
+    )
     cross, sq = (m[:, k_min - 1 : k_max].sum(axis=1) for m in (cross, sq))
     den = float(sq.sum())
-    message = f"no identifying variation in '{x}' {where}"
-    _check_denominator(den, _variation_scale(panel, x), message)
+    _require_variation(den, panel, x, where)
     return Estimate(
         beta=float(cross.sum()) / den,
         se=cluster_robust_se(cross, sq, panel.cluster_id) if se else None,
@@ -253,7 +252,7 @@ def twfe_multivariate(
     # rule below is relative to the largest column, so it keeps a lone
     # column of roundoff
     for name, column in zip(names, design.T):
-        _check_two_way(float(column @ column), panel, name)
+        _require_variation(float(column @ column), panel, name)
     # the drop rule alone, as one projection cell with no targets
     _, (kept,) = project_cells(design.T[:, None], np.empty((0, 1, n * t)))
     if not kept.all():
@@ -287,34 +286,25 @@ def twfe_iv(panel: BalancedPanel, y: str, x: str, z: str) -> Estimate:
     """
     xw = two_way_residual(panel, x)
     zw = two_way_residual(panel, z)
-    t = panel.n_periods
+    cross = float(np.sum(zw * xw))
+    xvar = float(np.sum(xw * xw))
+    zvar = float(np.sum(zw * zw))
+    # Guard each residual against the raw variation of its series before
+    # forming their Cauchy-Schwarz product: a purely additive series leaves
+    # only roundoff in its residual, which would otherwise shrink the
+    # comparison scale along with the cross moment.
+    irrelevant = f"instrument '{z}' is irrelevant for '{x}'"
+    _require_variation(xvar, panel, x)
+    _require_variation(zvar, panel, z, f"({irrelevant})")
+    if not _live(abs(cross), np.sqrt(xvar * zvar)):
+        raise NoIdentifyingVariation(
+            f"{irrelevant} under the two-way transformation"
+        )
     # Full-range lemma: each pair-difference sum is T times the sum of
     # products of double-demeaned values.
+    t = panel.n_periods
     num = t * float(np.sum(zw * two_way_residual(panel, y)))
-    den = t * float(np.sum(zw * xw))
-    xvar = t * float(np.sum(xw * xw))
-    zvar = t * float(np.sum(zw * zw))
-    # Guard the difference sums against the raw variation of each series
-    # before forming their Cauchy-Schwarz product: a purely additive series
-    # leaves only roundoff in the differences, which would otherwise shrink
-    # the comparison scale along with the denominator.
-    _check_denominator(
-        xvar,
-        t * _variation_scale(panel, x),
-        f"no identifying variation in '{x}' after the two-way transformation",
-    )
-    _check_denominator(
-        zvar,
-        t * _variation_scale(panel, z),
-        f"instrument '{z}' is irrelevant for '{x}' under the two-way "
-        f"transformation",
-    )
-    scale = float(np.sqrt(xvar * zvar))
-    if abs(den) <= DEGENERACY_TOL * scale:
-        raise NoIdentifyingVariation(
-            f"instrument '{z}' is irrelevant for '{x}' under the two-way "
-            f"transformation"
-        )
+    den = t * cross
     return Estimate(
         beta=num / den,
         se=None,

@@ -10,15 +10,17 @@ weighted-average structure:
 ``generalized_twfe``
     additionally adjust each period pair for pair-level controls —
     time-invariant variables, contemporaneous differences of other series,
-    and pre-period trend slopes — by residualizing the outcome and treatment
-    differences on those controls before forming each pair's slope.
+    and pre-period trend slopes — by residualizing the pair's changes of the
+    two-way residuals of the outcome and treatment on those controls before
+    forming its slope.
 
 For the covariate-adjusted estimator each pair's weight is, by default, its
 share of residual treatment variation after adjustment (``"ssr"``); the
-``"raw"`` scheme instead reuses the unadjusted demeaned-difference weights
-of the plain pairwise decomposition.  Either way, weights are nonnegative,
-are normalized within the restricted pair set, and a degenerate pair (its
-controls absorb all treatment variation) gets weight ``0.0``.
+``"raw"`` scheme instead reuses the unadjusted weights of the plain pairwise
+decomposition.  Either way, weights are nonnegative, are normalized within
+the restricted pair set, and a degenerate pair gets weight ``0.0``: its
+share of the two-way treatment variation is numerically zero, or its
+controls absorb that variation (see :mod:`twfekit.estimators`).
 
 A pair's controls come in the order intercept, time-invariant, differenced,
 pre-trend, so the rank rule of ``numerics`` drops the later member of a
@@ -37,7 +39,9 @@ import numpy as np
 
 from .decomposition import PairwiseDecomposition, _pair_decomposition
 from .errors import NoIdentifyingVariation, PanelError
-from .estimators import DEGENERACY_TOL, Estimate, _pooled_gaps, _variation_scale
+from .estimators import (
+    Estimate, _live, _pooled_gaps, _require_variation, two_way_residual,
+)
 from .inference import cluster_robust_se
 from .numerics import project_cells
 from .panel import BalancedPanel
@@ -146,7 +150,8 @@ class CovariateSpec:
 class GeneralizedResult:
     """Aggregate estimate plus its per-pair decomposition.
 
-    ``n_degenerate`` counts the pairs with a NaN ``beta`` and weight ``0.0``.
+    ``n_degenerate`` counts the degenerate pairs (see the module docstring),
+    whose ``beta`` is NaN and weight ``0.0``.
     """
 
     estimate: Estimate
@@ -319,10 +324,6 @@ def generalized_twfe(
     _check_gaps(rng, t_count)
 
     n = panel.n_units
-    # panel-wide centred treatment variation: the scale against which a
-    # pair's difference variation counts as numerically zero
-    x_scale = _variation_scale(panel, x)
-
     # the intercept and time-invariant columns are the same in every pair
     names = ("intercept",) + spec.time_invariant + spec.differenced + tuple(
         f"{c.variable}:{c.window_start_offset}:{c.window_end_offset}"
@@ -331,11 +332,18 @@ def generalized_twfe(
     shared = np.column_stack([np.ones(n)] + [
         _time_invariant_column(panel, name) for name in spec.time_invariant
     ])
-    # period-major x, y and differenced controls: a gap's changes are
+    # period-major two-way residuals of x and y, as every estimator reads
+    # them, then the raw differenced controls: a gap's changes are
     # contiguous (start, unit) blocks
     series = np.stack(
-        [panel.values(name).T for name in (x, y) + spec.differenced]
+        [two_way_residual(panel, name).T for name in (x, y)]
+        + [panel.values(name).T for name in spec.differenced]
     )
+    # the x residual's squared changes summed over all pairs (full-range
+    # lemma): the two-way variation of which each pair's is a share
+    total = t_count * float(np.sum(series[0] * series[0]))
+    where = f"for any pair with gaps {rng.k_min}-{rng.k_max}"
+    _require_variation(total, panel, x, where)
     # the anchors with a pair in range
     anchors = panel.periods[: t_count - rng.k_min]
     pretrend = _pretrend_slopes(panel, spec.pre_period, anchors, presample)
@@ -357,15 +365,10 @@ def generalized_twfe(
             shared,
         )
         ssr = np.einsum("sn,sn->s", rx, rx)
-        # the plain pairwise decomposition's basis: the pair's x changes,
-        # centred across units
-        dx = changes[0] - changes[0].mean(axis=1, keepdims=True)
-        raw_den = np.einsum("sn,sn->s", dx, dx)
-        live = (
-            (x_scale > 0.0)
-            & (raw_den > DEGENERACY_TOL * x_scale)
-            & (ssr > DEGENERACY_TOL * raw_den)
-        )
+        # the plain pairwise decomposition's basis: the pair's changes of
+        # the x residual
+        raw_den = np.einsum("sn,sn->s", changes[0], changes[0])
+        live = _live(raw_den, total) & _live(ssr, raw_den)
         # the raw scheme rescales a pair's residuals by sqrt(raw_den / ssr),
         # so its products scale by the square
         f2 = live.astype(float)
@@ -385,10 +388,7 @@ def generalized_twfe(
     beta = beta[order]
     n_degenerate = int(np.isnan(beta).sum())
     if n_degenerate == beta.size:
-        raise NoIdentifyingVariation(
-            f"no identifying variation in '{x}' for any pair with gaps "
-            f"{rng.k_min}-{rng.k_max}"
-        )
+        raise NoIdentifyingVariation(f"no identifying variation in '{x}' {where}")
     decomposition = _pair_decomposition(
         panel, first[order], second[order], beta, basis[order],
         n_controls=np.full(beta.size, spec.n_controls),

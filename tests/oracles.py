@@ -36,7 +36,7 @@ from twfekit import (
     twfe,
     twfe_multivariate,
 )
-from twfekit.estimators import DEGENERACY_TOL, _variation_scale, two_way_residual
+from twfekit.estimators import DEGENERACY_TOL, two_way_residual
 from twfekit.generalized import _time_invariant_column
 from twfekit.numerics import RANK_TOL, pair_moments
 from twfekit.panel import PanelSchema, demean
@@ -227,11 +227,20 @@ def dummy_fd(panel, y, x, k):
 
 
 def dummy_two_period(panel, y, x, t_label, s_label):
+    """Least squares on the two periods with unit and late-period dummies.
+
+    Each unit's mean over the two periods is subtracted first: the unit
+    dummies absorb it, so lstsq loses no digits to unit offsets.
+    """
     ti = panel.period_index(t_label)
     si = panel.period_index(s_label)
     n = panel.n_units
-    yv = panel.values(y)[:, [ti, si]].ravel()
-    xv = panel.values(x)[:, [ti, si]].ravel()
+
+    def centred(name):
+        v = panel.values(name)[:, [ti, si]]
+        return (v - v.mean(axis=1, keepdims=True)).ravel()
+
+    yv, xv = centred(y), centred(x)
     unit = np.zeros((2 * n, n))
     late = np.zeros((2 * n, 1))
     for i in range(n):
@@ -594,8 +603,10 @@ def generalized_loop(panel, y, x, spec, k_min, k_max, scheme, presample=None):
     yv, xv = panel.values(y), panel.values(x)
     xt = demean(panel, x)
     raw_by_pair, _ = pair_moments(xt, xt)
+    # a pair is dead when its share of the treatment variation summed over
+    # all pairs is numerically zero, or its controls absorb that variation
+    total = float(raw_by_pair.sum())
     n, t_count, labels = panel.n_units, panel.n_periods, panel.periods
-    x_scale = _variation_scale(panel, x)
     names = ["intercept", *spec.time_invariant, *spec.differenced] + [
         f"{c.variable}:{c.window_start_offset}:{c.window_end_offset}"
         for c in spec.pre_period
@@ -629,8 +640,7 @@ def generalized_loop(panel, y, x, spec, k_min, k_max, scheme, presample=None):
             ssr = float(rx @ rx)
             raw_den = float(raw_by_pair[ti, si])
             degenerate = (
-                x_scale == 0.0
-                or raw_den <= DEGENERACY_TOL * x_scale
+                raw_den <= DEGENERACY_TOL * total
                 or ssr <= DEGENERACY_TOL * raw_den
             )
             beta = None if degenerate else float(rx @ ry) / ssr

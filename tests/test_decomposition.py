@@ -92,17 +92,23 @@ class TestPairwiseDecomposition:
 
     def test_degenerate_pair_gets_zero_weight(self, rng):
         n, t = 9, 4
-        x = rng.normal(size=(n, t))
-        x[:, 2] = x[:, 0] + 1.5  # periods 1 and 3 differ by a constant shift
-        panel = make_panel({"y": rng.normal(size=(n, t)), "x": x})
-        dec = pairwise_decomposition(panel, "y", "x")
-        dead = {(c.first, c.second): c for c in dec.components}[(1, 3)]
-        assert dead.weight == 0.0
-        assert dead.beta is None
-        live = [c.weight for c in dec.components if c.beta is not None]
-        assert abs(sum(live) - 1.0) < 1e-12
-        beta = twfe(panel, "y", "x").beta
-        assert abs(dec.aggregate - beta) < 1e-10 * max(1.0, abs(beta))
+        # periods 1 and 3 differ by a constant shift, which unit offsets
+        # keep: the pair's share of the two-way variation stays roundoff
+        for offset in (0.0, 1e4):
+            x = rng.normal(size=(n, t))
+            x[:, 2] = x[:, 0] + 1.5
+            panel = make_panel({
+                "y": rng.normal(size=(n, t)),
+                "x": x + offset * rng.normal(size=(n, 1)),
+            })
+            dec = pairwise_decomposition(panel, "y", "x")
+            dead = {(c.first, c.second): c for c in dec.components}[(1, 3)]
+            assert dead.weight == 0.0
+            assert dead.beta is None
+            live = [c.weight for c in dec.components if c.beta is not None]
+            assert abs(sum(live) - 1.0) < 1e-12
+            beta = twfe(panel, "y", "x").beta
+            assert abs(dec.aggregate - beta) < 1e-10 * max(1.0, abs(beta))
 
 
 class TestCountPairs:

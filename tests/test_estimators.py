@@ -135,10 +135,8 @@ class TestFd:
 class TestTwoPeriod:
     def test_matches_dummy_oracle(self):
         # a period pair's own two-way slope is its pairwise_decomposition
-        # column.  Not on "unit offsets": there the dummy lstsq itself is off
-        # by up to 4.5e-7 against exact rationals, and test_exact_sums holds
-        # the library's pair sums on such panels to 1e-14
-        for kind in [k for k in ADVERSARIAL_KINDS if k != "unit offsets"]:
+        # column
+        for kind in ADVERSARIAL_KINDS:
             panel = adversarial_panel(kind)
             dec = pairwise_decomposition(panel, "y", "x")
             for first, second, beta in zip(dec.first, dec.second, dec.beta):

@@ -23,6 +23,7 @@ from twfekit import (
     fd,
     fd_decomposition,
     gap_restricted,
+    generalized_twfe,
     pairwise_decomposition,
     twfe,
 )
@@ -110,19 +111,18 @@ def test_gap_restricted(kind, seed):
 
 @pytest.mark.parametrize("kind,seed", CASES)
 def test_decomposition_aggregates(kind, seed):
+    # every component is live, at N=2 with large offsets too: a component
+    # is judged by its share of the two-way variation, which has no offsets
     panel, sums = _case(kind, seed)
     beta = _slope(sums, sums[1])
-    by_gap = fd_decomposition(panel, "y", "x")
-    assert not np.isnan(by_gap.beta).any()
-    assert _rel(by_gap.aggregate, beta) <= TOL
-    by_pair = pairwise_decomposition(panel, "y", "x")
-    live = ~np.isnan(by_pair.beta)
-    if kind != "N=2":
-        assert live.all()
-    # with two units and large offsets, the degeneracy rule (relative to the
-    # raw variation) drops real pairs: the reference keeps the same ones
-    pairs = [p for p, keep in zip(sums[1], live.tolist()) if keep]
-    assert _rel(by_pair.aggregate, _slope(sums, pairs)) <= TOL
+    decomps = (
+        fd_decomposition(panel, "y", "x"),
+        pairwise_decomposition(panel, "y", "x"),
+        generalized_twfe(panel, "y", "x").decomposition,
+    )
+    for decomp in decomps:
+        assert not np.isnan(decomp.beta).any()
+        assert _rel(decomp.aggregate, beta) <= TOL
 
 
 @pytest.mark.parametrize("kind,seed", CASES)
