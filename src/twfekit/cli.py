@@ -186,6 +186,10 @@ def load_run_config(path: str) -> RunConfig:
         raise ValueError(f"{path}: missing [run] section")
     run = parser["run"]
     formats = tuple(_split(run.get("formats", "csv json")))
+    if not formats:
+        raise ValueError(
+            f"option 'formats' is empty; choose from {list(FORMATS)}"
+        )
     for fmt in formats:
         if fmt not in FORMATS:
             raise ValueError(

@@ -35,12 +35,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .estimators import _live, _pair_sums, _twfe_fit
+from .estimators import _live, _twfe_fit
 
 # bound here as well: bench/bench_checks.py checks that the benchmark's
 # tracer patches and restores ``decomposition.twfe``
 from .estimators import twfe  # noqa: F401
-from .panel import BalancedPanel
+from .numerics import pair_moments
+from .panel import BalancedPanel, _integer
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,9 @@ class PairComponent:
     """One period pair's contribution.
 
     ``n_controls`` and ``dropped_controls`` are only populated by the
-    covariate-adjusted estimator, where each pair carries its own control
-    count and the names of the controls it dropped as collinear, in control
+    covariate-adjusted estimator: ``n_controls`` is its specification's
+    control count, the same for every pair and counting the controls the
+    pair dropped as collinear, which ``dropped_controls`` names in control
     order.
     """
 
@@ -119,10 +121,12 @@ class PairwiseDecomposition:
 
     ``first`` and ``second`` are the pair's period labels; ``beta``,
     ``weight`` and ``n_obs`` are as in :class:`FdDecomposition`.  Only the
-    covariate-adjusted estimator fills ``n_controls`` (an integer column)
-    and ``dropped_controls`` (one tuple of names per pair); elsewhere they
-    are ``None``.  ``components``, one :class:`PairComponent` per pair, is
-    derived from the columns on first access.
+    covariate-adjusted estimator fills ``n_controls`` (an integer column:
+    its specification's control count, the same in every pair, dropped
+    controls included) and ``dropped_controls`` (one tuple of names per
+    pair); elsewhere they are ``None``.  ``components``, one
+    :class:`PairComponent` per pair, is derived from the columns on first
+    access.
     """
 
     first: np.ndarray
@@ -216,8 +220,8 @@ def _read_out(beta, basis) -> dict:
 
 
 def _by_gap(moments) -> FdDecomposition:
-    """The by-gap decomposition read off ``_pair_sums`` moments."""
-    (_, xy), (_, xx) = moments
+    """The by-gap decomposition read off a full ``pair_moments`` sweep."""
+    _, (xy, xx) = moments
     dens = xx.sum(axis=0)
     n, gaps = xx.shape
     gap = np.arange(1, gaps + 1)
@@ -241,18 +245,17 @@ def _pair_decomposition(panel, first, second, beta, basis, **columns):
 
 
 def _by_pair(moments, panel: BalancedPanel) -> PairwiseDecomposition:
-    """The by-pair decomposition read off ``_pair_sums`` moments."""
-    (xy, _), (xx, _) = moments
+    """The by-pair decomposition read off a full ``pair_moments`` sweep."""
     first, second = np.triu_indices(panel.n_periods, k=1)
-    dens = xx[first, second]
-    beta = _slopes(xy[first, second], dens)
+    xy, dens = moments[0][:, first, second]
+    beta = _slopes(xy, dens)
     return _pair_decomposition(panel, first, second, beta, dens)
 
 
 def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
     """Split the two-way estimate into pooled difference estimators by gap."""
     rx, ry, _, _ = _twfe_fit(panel, y, x)
-    return _by_gap(_pair_sums(rx, ry))
+    return _by_gap(pair_moments(rx, ry))
 
 
 def pairwise_decomposition(
@@ -263,7 +266,7 @@ def pairwise_decomposition(
     Pairs are ordered lexicographically by (first, second) period label.
     """
     rx, ry, _, _ = _twfe_fit(panel, y, x)
-    return _by_pair(_pair_sums(rx, ry), panel)
+    return _by_pair(pair_moments(rx, ry), panel)
 
 
 def count_pairs(n_periods: int, k_min: int = 1, k_max: int | None = None) -> int:
@@ -272,12 +275,12 @@ def count_pairs(n_periods: int, k_min: int = 1, k_max: int | None = None) -> int
     With the defaults this is ``n_periods * (n_periods - 1) / 2``, the total
     pair count.
     """
-    t = int(n_periods)
+    t = _integer(n_periods, "n_periods")
     if t < 2:
         raise ValueError(f"need at least 2 periods, got {t}")
     if k_max is None:
         k_max = t - 1
-    k_min, k_max = int(k_min), int(k_max)
+    k_min, k_max = _integer(k_min, "k_min"), _integer(k_max, "k_max")
     if not 1 <= k_min <= k_max <= t - 1:
         raise ValueError(
             f"need 1 <= k_min <= k_max <= {t - 1}, got [{k_min}, {k_max}]"
@@ -334,7 +337,7 @@ def verify_equivalence(panel: BalancedPanel, y: str, x: str) -> EquivalenceRepor
     estimate itself is near zero.
     """
     rx, ry, _, beta = _twfe_fit(panel, y, x)
-    moments = _pair_sums(rx, ry)
+    moments = pair_moments(rx, ry)
     by_gap = _by_gap(moments)
     by_pair = _by_pair(moments, panel)
     scales = [abs(beta)]

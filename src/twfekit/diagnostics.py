@@ -41,7 +41,7 @@ import numpy as np
 
 from .estimators import _require_variation, _twfe_fit, two_way_residual
 from .numerics import project_cells
-from .panel import BalancedPanel
+from .panel import BalancedPanel, _integer
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,8 @@ def simulate_replication(config: DgpConfig, index: int) -> SimulatedPanel:
     """Replication ``index`` of a study: an independent stream derived from
     ``(config.seed, index)``, so replications never share draws."""
     base_seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
-    return simulate(replace(config, seed=base_seed + (int(index),)))
+    index = _integer(index, "index")
+    return simulate(replace(config, seed=base_seed + (index,)))
 
 
 def _gap_blocks(flat: np.ndarray, n: int, t: int):

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import NoIdentifyingVariation
 from .inference import cluster_robust_se
 from .numerics import pair_moments, project_cells
-from .panel import BalancedPanel
+from .panel import BalancedPanel, _integer
 
 #: A variation at most this multiple of its reference (see above) is zero.
 DEGENERACY_TOL = 1e-12
@@ -89,16 +89,6 @@ def _two_way(values: np.ndarray) -> np.ndarray:
     w -= w.mean(axis=0)
     w -= w.mean(axis=1, keepdims=True)
     return w
-
-
-def _pair_sums(rx: np.ndarray, ry: np.ndarray):
-    """Pair moments of the two-way residual ``rx`` with ``ry`` and with
-    itself, each a ``(by_pair, by_unit)`` tuple of :func:`pair_moments`.
-
-    Unit means cancel in every period difference, so these are the sums of
-    the period-demeaned series' differences, without the unit offsets.
-    """
-    return pair_moments(rx, ry), pair_moments(rx, rx)
 
 
 def two_way_residual(
@@ -189,14 +179,14 @@ def twfe(
     )
 
 
-def _pooled_gaps(panel, y, x, k_min, k_max, se, where, periods_used):
-    """The pooled slope over gaps ``k_min`` to ``k_max``, read off the gap
-    differences of the two-way residuals of ``y`` and ``x``; ``where`` ends
-    the no-variation message."""
-    (_, cross), (_, sq) = _pair_sums(
-        two_way_residual(panel, x), two_way_residual(panel, y)
+def _pooled_gaps(panel, y, x, gaps, se, where, periods_used):
+    """The pooled slope over the gaps ``gaps``, read off one sweep of the
+    gap differences of the two-way residuals of ``x`` and ``y``; ``where``
+    ends the no-variation message."""
+    _, by_unit = pair_moments(
+        two_way_residual(panel, x), two_way_residual(panel, y), gaps
     )
-    cross, sq = (m[:, k_min - 1 : k_max].sum(axis=1) for m in (cross, sq))
+    cross, sq = by_unit.sum(axis=2)
     den = float(sq.sum())
     _require_variation(den, panel, x, where)
     return Estimate(
@@ -218,13 +208,13 @@ def fd(
     giving every start period its own intercept in a stacked difference
     regression.  A gap outside ``1..T-1`` raises :class:`ValueError`.
     """
-    k = int(k)
+    k = _integer(k, "k")
     if not 1 <= k <= panel.n_periods - 1:
         raise ValueError(
             f"gap must satisfy 1 <= k <= {panel.n_periods - 1}, got {k}"
         )
     return _pooled_gaps(
-        panel, y, x, k, k, se, f"at gap {k}",
+        panel, y, x, [k], se, f"at gap {k}",
         f"gap {k} ({panel.n_periods - k} start periods)",
     )
 

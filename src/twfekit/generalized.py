@@ -44,7 +44,7 @@ from .estimators import (
 )
 from .inference import cluster_robust_se
 from .numerics import project_cells
-from .panel import BalancedPanel
+from .panel import BalancedPanel, _integer
 
 WEIGHT_SCHEMES = ("ssr", "raw")
 
@@ -57,8 +57,8 @@ class GapRange:
     k_max: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k_min", int(self.k_min))
-        object.__setattr__(self, "k_max", int(self.k_max))
+        for name in ("k_min", "k_max"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 1 <= self.k_min <= self.k_max:
             raise ValueError(
                 f"need 1 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]"
@@ -86,8 +86,8 @@ class PretrendConfig:
     min_points: int | None = None
 
     def __post_init__(self):
-        start = int(self.window_start_offset)
-        end = int(self.window_end_offset)
+        start = _integer(self.window_start_offset, "window_start_offset")
+        end = _integer(self.window_end_offset, "window_end_offset")
         object.__setattr__(self, "window_start_offset", start)
         object.__setattr__(self, "window_end_offset", end)
         if not start < end <= -1:
@@ -96,7 +96,7 @@ class PretrendConfig:
                 f"[{start}, {end}]"
             )
         if self.min_points is not None:
-            points = int(self.min_points)
+            points = _integer(self.min_points, "min_points")
             object.__setattr__(self, "min_points", points)
             if points < 2:
                 raise ValueError(
@@ -182,7 +182,7 @@ def gap_restricted(
     _check_gaps(gap_range, panel.n_periods)
     k_min, k_max = gap_range.k_min, gap_range.k_max
     return _pooled_gaps(
-        panel, y, x, k_min, k_max, se, f"for gaps {k_min}-{k_max}",
+        panel, y, x, range(k_min, k_max + 1), se, f"for gaps {k_min}-{k_max}",
         f"gaps {k_min}-{k_max}",
     )
 
@@ -274,7 +274,7 @@ def pretrend_covariate(
     Raises :class:`PanelError` when fewer window periods are available than
     ``config.min_points`` (default: the full window).
     """
-    t = int(t)
+    t = _integer(t, "t", PanelError)
     panel.period_index(t)  # validates the anchor period
     return _pretrend_slopes(panel, (config,), [t], presample)[0, 0]
 

@@ -113,40 +113,45 @@ def _sweep(design: np.ndarray, tol: np.ndarray) -> list:
     return groups
 
 
-def pair_moments(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pair_moments(x: np.ndarray, y: np.ndarray, gaps=None):
     """Sums of period-pair difference products of two units x periods arrays.
 
-    For every pair of periods ``t < s`` and unit ``i`` the product
-    ``(a[i, s] - a[i, t]) * (b[i, s] - b[i, t])`` is formed from the exact
-    differences, one gap ``k = s - t`` at a time, so unit offsets cancel
-    before any product is taken and no units x pairs array is built.
-    Returns
+    For every pair of periods ``t < s`` whose gap ``k = s - t`` is in
+    ``gaps`` (default: every gap ``1..T-1``) and every unit ``i``, the
+    changes ``dx = x[i, s] - x[i, t]`` and ``dy = y[i, s] - y[i, t]`` are
+    formed once, one gap at a time, so unit offsets cancel before any
+    product is taken and no units x pairs array is built.  Returns
 
     ``by_pair``
-        ``(T, T)`` array; ``by_pair[t, s]`` is the product summed over units
-        for ``t < s`` and zero on and below the diagonal;
+        ``(2, T, T)`` array; ``by_pair[:, t, s]`` holds ``dx * dy`` and
+        ``dx * dx`` summed over units, zero for pairs not swept and on and
+        below the diagonal;
     ``by_unit``
-        ``(N, T - 1)`` array; ``by_unit[i, k - 1]`` is unit ``i``'s product
-        summed over the start periods of gap ``k``.
+        ``(2, N, len(gaps))`` array; ``by_unit[:, i, j]`` holds unit ``i``'s
+        ``dx * dy`` and ``dx * dx`` summed over the start periods of
+        ``gaps[j]``.
 
     Every estimator in the package is a ratio of sums of these moments.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     # period-major copies keep each gap's slices contiguous
-    at = np.ascontiguousarray(a.T)
-    bt = np.ascontiguousarray(b.T)
-    t, n = at.shape
-    by_pair = np.zeros((t, t))
-    by_unit = np.empty((n, t - 1))
-    for k in range(1, t):
-        prod = at[k:] - at[:-k]
-        prod *= bt[k:] - bt[:-k]
+    xt = np.ascontiguousarray(x.T)
+    yt = np.ascontiguousarray(y.T)
+    t, n = xt.shape
+    gaps = range(1, t) if gaps is None else list(gaps)
+    if not all(1 <= k <= t - 1 for k in gaps):
+        raise ValueError(f"gaps must lie in 1..{t - 1}, got {list(gaps)}")
+    by_pair = np.zeros((2, t, t))
+    by_unit = np.empty((2, n, len(gaps)))
+    for j, k in enumerate(gaps):
+        dx = xt[k:] - xt[:-k]
         starts = np.arange(t - k)
-        by_pair[starts, starts + k] = prod.sum(axis=1)
-        by_unit[:, k - 1] = prod.sum(axis=0)
+        for m, prod in enumerate(((yt[k:] - yt[:-k]) * dx, dx * dx)):
+            by_pair[m, starts, starts + k] = prod.sum(axis=1)
+            by_unit[m, :, j] = prod.sum(axis=0)
     return by_pair, by_unit
 
 

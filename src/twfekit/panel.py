@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -69,7 +70,10 @@ class BalancedPanel:
 
     def __post_init__(self):
         units = tuple(str(u) for u in self.units)
-        periods = tuple(int(p) for p in self.periods)
+        periods = tuple(
+            _integer(p, "each entry of periods", PanelError)
+            for p in self.periods
+        )
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "periods", periods)
         n, t = len(units), len(periods)
@@ -128,7 +132,7 @@ class BalancedPanel:
     def period_index(self, label: int) -> int:
         """Column index of time label ``label``."""
         first = self.periods[0]
-        idx = int(label) - first
+        idx = _integer(label, "label", PanelError) - first
         if not 0 <= idx < self.n_periods:
             raise PanelError(
                 f"period {label} outside panel range "
@@ -205,17 +209,29 @@ def _read_layout(reader, schema: PanelSchema, path) -> _Layout:
     )
 
 
-def _time_label(cell: str) -> int:
-    """``cell`` as an integer time label (``1990.0`` is accepted); raises
-    ``ValueError`` otherwise."""
-    text = cell.strip()
+def _time_label(value) -> int:
+    """``value`` as an integer: an integer (numpy's too), or a number or a
+    numeric string whose value is integral, such as ``1990.0``; raises
+    ``ValueError`` (or ``TypeError``, for a non-number) otherwise."""
+    if isinstance(value, str):
+        value = value.strip()
     try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-    if not value.is_integer():
-        raise ValueError(cell)
-    return int(value)
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        number = float(value)
+    if not number.is_integer():
+        raise ValueError(value)
+    return int(number)
+
+
+def _integer(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an integer by the rule of :func:`_time_label`, which the
+    CSV loader applies to time labels; raises ``error`` naming the argument
+    ``name`` otherwise."""
+    try:
+        return _time_label(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 def _parse_time(cell: str, line_num: int) -> int:

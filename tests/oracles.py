@@ -602,7 +602,7 @@ def generalized_loop(panel, y, x, spec, k_min, k_max, scheme, presample=None):
     """
     yv, xv = panel.values(y), panel.values(x)
     xt = demean(panel, x)
-    raw_by_pair, _ = pair_moments(xt, xt)
+    (_, raw_by_pair), _ = pair_moments(xt, xt)
     # a pair is dead when its share of the treatment variation summed over
     # all pairs is numerically zero, or its controls absorb that variation
     total = float(raw_by_pair.sum())

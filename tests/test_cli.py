@@ -743,6 +743,18 @@ scenario = parallel_trends
             capsys.readouterr().err
         )
 
+    def test_empty_formats(self, tmp_path, panel_csv, capsys):
+        # an empty list would run every analysis and write no report
+        body = BASE.format(input=panel_csv, outdir=tmp_path / "o").replace(
+            "formats = csv json", "formats ="
+        ) + "\n[analysis:plain]\nkind = twfe\ny = y\nx = x\n"
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "option 'formats' is empty; choose from ['csv', 'json']" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_bad_pretrend_offset_names_token(
         self, tmp_path, panel_csv, capsys
     ):

@@ -6,6 +6,7 @@ from helpers import make_panel, random_panel
 from twfekit import (
     GapRange,
     count_pairs,
+    decomposition,
     estimators,
     fd,
     fd_decomposition,
@@ -250,16 +251,10 @@ class TestVerifyEquivalence:
         panel = random_panel(rng, 30, 9, dist="heavy")
         by_gap = fd_decomposition(panel, "y", "x")
         by_pair = pairwise_decomposition(panel, "y", "x")
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return pair_moments(*args)
-
-        monkeypatch.setattr(estimators, "pair_moments", counted)
+        calls = _count_sweeps(monkeypatch)
         report = verify_equivalence(panel, "y", "x")
-        # one residual (x·y, x·x) pair of sweeps feeds both decompositions
-        assert len(calls) == 2
+        # one sweep of the residuals (x·y and x·x) feeds both decompositions
+        assert calls == [None]
         assert report.fd_aggregate == by_gap.aggregate
         assert report.pairwise_aggregate == by_pair.aggregate
         beta = twfe(panel, "y", "x").beta
@@ -272,24 +267,38 @@ class TestVerifyEquivalence:
         assert report.max_rel_gap == gap / max(scales)
 
 
-def test_pair_moment_sweeps_per_estimator(rng, monkeypatch):
-    # the full-range lemma leaves twfe and generalized_twfe no pair sweep;
-    # the pooled-gap slopes need one per residual (x·y, x·x) pair
-    panel = random_panel(rng, 30, 9, dist="heavy")
+def _count_sweeps(monkeypatch) -> list:
+    """Patch every ``pair_moments`` binding to record the ``gaps`` of each
+    call (``None`` for a full sweep); returns the record."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return pair_moments(*args)
+    def counted(x, y, gaps=None):
+        calls.append(None if gaps is None else list(gaps))
+        return pair_moments(x, y, gaps)
 
-    monkeypatch.setattr(estimators, "pair_moments", counted)
+    for module in (estimators, decomposition):
+        monkeypatch.setattr(module, "pair_moments", counted)
+    return calls
+
+
+def test_pair_moment_sweeps_per_estimator(rng, monkeypatch):
+    # the full-range lemma leaves twfe and generalized_twfe no pair sweep;
+    # every other estimate makes one, over only the gaps it reads
+    panel = random_panel(rng, 30, 9, dist="heavy")
+    calls = _count_sweeps(monkeypatch)
     assert not hasattr(generalized, "pair_moments")
     for call, sweeps in (
-        (lambda: twfe(panel, "y", "x", se=True), 0),
-        (lambda: generalized_twfe(panel, "y", "x", se=True), 0),
-        (lambda: fd(panel, "y", "x", 2, se=True), 2),
-        (lambda: gap_restricted(panel, "y", "x", GapRange(1, 3), se=True), 2),
+        (lambda: twfe(panel, "y", "x", se=True), []),
+        (lambda: generalized_twfe(panel, "y", "x", se=True), []),
+        (lambda: fd(panel, "y", "x", 2, se=True), [[2]]),
+        (lambda: fd(panel, "y", "x", 8), [[8]]),
+        (lambda: gap_restricted(panel, "y", "x", GapRange(1, 3), se=True),
+         [[1, 2, 3]]),
+        (lambda: gap_restricted(panel, "y", "x", GapRange(4, 8)),
+         [[4, 5, 6, 7, 8]]),
+        (lambda: fd_decomposition(panel, "y", "x"), [None]),
+        (lambda: pairwise_decomposition(panel, "y", "x"), [None]),
     ):
         calls.clear()
         call()
-        assert len(calls) == sweeps
+        assert calls == sweeps

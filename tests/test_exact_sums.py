@@ -27,7 +27,8 @@ from twfekit import (
     pairwise_decomposition,
     twfe,
 )
-from twfekit.estimators import _pair_sums, two_way_residual
+from twfekit.estimators import two_way_residual
+from twfekit.numerics import pair_moments
 
 TOL = 1e-14
 KINDS = ("offsets", "random walk", "N=2", "T=2")
@@ -76,7 +77,7 @@ def _rel(got, want, scale=None):
 @pytest.mark.parametrize("kind,seed", CASES)
 def test_pair_sums(kind, seed):
     panel, (xy, xx, yy) = _case(kind, seed)
-    (got_xy, _), (got_xx, _) = _pair_sums(
+    (got_xy, got_xx), _ = pair_moments(
         two_way_residual(panel, "x"), two_way_residual(panel, "y")
     )
     for t, s in xx:
@@ -103,10 +104,14 @@ def test_fd_every_gap(kind, seed):
 @pytest.mark.parametrize("kind,seed", CASES)
 def test_gap_restricted(kind, seed):
     panel, sums = _case(kind, seed)
-    k_max = min(2, panel.n_periods - 1)
-    want = _slope(sums, [(t, s) for t, s in sums[1] if s - t <= k_max])
-    got = gap_restricted(panel, "y", "x", GapRange(1, k_max)).beta
-    assert _rel(got, want) <= TOL
+    # from gap 1, from gap 2, and the last gap alone
+    last = panel.n_periods - 1
+    ranges = {(1, min(2, last)), (min(2, last), last), (last, last)}
+    for k_min, k_max in sorted(ranges):
+        pairs = [(t, s) for t, s in sums[1] if k_min <= s - t <= k_max]
+        got = gap_restricted(panel, "y", "x", GapRange(k_min, k_max)).beta
+        want = _slope(sums, pairs)
+        assert _rel(got, want) <= TOL, (k_min, k_max)
 
 
 @pytest.mark.parametrize("kind,seed", CASES)

@@ -270,29 +270,40 @@ class TestProjectCells:
 
 class TestPairMoments:
     def test_matches_explicit_loop(self, rng):
-        for n, t in ((2, 2), (5, 3), (7, 6)):
+        for n, t in ((2, 2), (6, 2), (5, 3), (7, 6)):
             a = rng.normal(size=(n, t))
             b = rng.normal(size=(n, t))
-            by_pair, by_unit = pair_moments(a, b)
-            want_pair = np.zeros((t, t))
-            want_unit = np.zeros((n, t - 1))
+            want_pair = np.zeros((2, t, t))
+            want_unit = np.zeros((2, n, t - 1))
             for i in range(n):
                 for first in range(t):
                     for second in range(first + 1, t):
-                        prod = (a[i, second] - a[i, first]) * (
-                            b[i, second] - b[i, first]
-                        )
-                        want_pair[first, second] += prod
-                        want_unit[i, second - first - 1] += prod
-            np.testing.assert_allclose(by_pair, want_pair, atol=1e-12)
-            np.testing.assert_allclose(by_unit, want_unit, atol=1e-12)
+                        da = a[i, second] - a[i, first]
+                        db = b[i, second] - b[i, first]
+                        for m, prod in enumerate((da * db, da * da)):
+                            want_pair[m, first, second] += prod
+                            want_unit[m, i, second - first - 1] += prod
+            # every gap, the last alone, those above gap 1, and out of order
+            subsets = [None, [t - 1], [t - 1, 1]] + [list(range(2, t))] * (t > 2)
+            gap = np.arange(t)[None, :] - np.arange(t)[:, None]
+            for gaps in subsets:
+                by_pair, by_unit = pair_moments(a, b, gaps)
+                swept = list(range(1, t)) if gaps is None else gaps
+                # the pairs of gaps not swept stay zero
+                np.testing.assert_allclose(
+                    by_pair, want_pair * np.isin(gap, swept), atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    by_unit, want_unit[:, :, np.subtract(swept, 1)],
+                    atol=1e-12,
+                )
 
     def test_full_range_lemma(self, rng):
         # summed over all pairs, a unit's products equal T times its
         # centred cross moment (see pairwise_cross_moment)
         a = rng.normal(size=(4, 5))
         b = rng.normal(size=(4, 5))
-        _, by_unit = pair_moments(a, b)
+        _, (by_unit, _) = pair_moments(a, b)
         ac = a - a.mean(axis=1, keepdims=True)
         bc = b - b.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(
@@ -302,6 +313,11 @@ class TestPairMoments:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError, match="shape mismatch"):
             pair_moments(np.zeros((3, 4)), np.zeros((3, 5)))
+
+    def test_gaps_outside_range(self):
+        for gaps in ([0], [4], [1, -1]):
+            with pytest.raises(ValueError, match=r"gaps must lie in 1\.\.3"):
+                pair_moments(np.zeros((3, 4)), np.zeros((3, 4)), gaps)
 
 
 class TestPairwiseCrossMoment:

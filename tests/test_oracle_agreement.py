@@ -404,10 +404,13 @@ def test_standard_errors_match_stacked_rows(kind, grouped):
             oracles.stack_differences(yt, xt, cluster, [k]),
         )
     k_max = max(1, t // 2)
-    check(
-        gap_restricted(panel, "y", "x", GapRange(1, k_max), se=True),
-        oracles.stack_differences(yt, xt, cluster, range(1, k_max + 1)),
-    )
+    # restricted sweeps from gap 1, from gap 2, and of the last gap alone
+    last = t - 1
+    for lo, hi in sorted({(1, k_max), (min(2, last), last), (last, last)}):
+        check(
+            gap_restricted(panel, "y", "x", GapRange(lo, hi), se=True),
+            oracles.stack_differences(yt, xt, cluster, range(lo, hi + 1)),
+        )
 
     # a differenced control needs enough units to leave variation behind
     with_control = panel.n_units >= 5

@@ -7,10 +7,17 @@ import oracles
 from helpers import make_panel, random_panel, write_panel_csv
 from twfekit import (
     BalancedPanel,
+    GapRange,
     PanelError,
     PanelSchema,
+    PretrendConfig,
+    count_pairs,
     demean,
+    fd,
     load_panel,
+    pretrend_covariate,
+    scenario_preset,
+    simulate_replication,
 )
 from twfekit.panel import _CHUNK_ROWS
 
@@ -497,3 +504,51 @@ class TestLoadPanelErrorsMatchLoop:
         )
         with pytest.raises(PanelError, match="64-bit"):
             load_panel(path, SCHEMA)
+
+
+# the integer arguments of the API, under the rule of the CSV loader's time
+# labels: integral floats and numpy integers are accepted, any other value
+# raises naming the argument (PanelError for a period label)
+_YEARS = make_panel(
+    {name: np.random.default_rng(1).normal(size=(4, 6)) for name in "xy"},
+    first_period=1990,
+)
+_TREND = PretrendConfig("x", -3, -1)
+
+
+def _periods(first):
+    """The stored periods of a panel from ``first``, each with its type."""
+    panel = BalancedPanel("ab", (first, first + 1), {})
+    return [(type(p), p) for p in panel.periods]
+
+
+INTEGER_ARGUMENTS = [
+    # (id, call of the value, argument named, error, an integral value)
+    ("periods", _periods, "each entry of periods", PanelError, 1990),
+    ("period_index", _YEARS.period_index, "label", PanelError, 1992),
+    ("fd", lambda v: fd(_YEARS, "y", "x", v), "k", ValueError, 2),
+    ("GapRange", lambda v: GapRange(v, 3), "k_min", ValueError, 1),
+    ("PretrendConfig", lambda v: PretrendConfig("y", v, -3),
+     "window_start_offset", ValueError, -12),
+    ("count_pairs", count_pairs, "n_periods", ValueError, 5),
+    ("pretrend_covariate",
+     lambda v: pretrend_covariate(_YEARS, _TREND, v).tolist(),
+     "t", PanelError, 1994),
+    ("simulate_replication",
+     lambda v: simulate_replication(
+         scenario_preset("parallel_trends", n_units=4, n_periods=3), v
+     ).panel.values("y").tolist(),
+     "index", ValueError, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, error, value", [case[1:] for case in INTEGER_ARGUMENTS],
+    ids=[case[0] for case in INTEGER_ARGUMENTS],
+)
+def test_integer_arguments(call, name, error, value):
+    want = call(value)
+    assert call(float(value)) == want
+    assert call(np.int64(value)) == want
+    with pytest.raises(error, match=f"^{name} must be an integer, got "):
+        call(value + 0.5)
