@@ -30,7 +30,8 @@ Config layout::
     [analysis:NAME]
     kind = twfe | fd | gap_restricted | generalized | fd_decomposition |
            pairwise_decomposition | equivalence | causal_weights | simulation
-    ... kind-specific options (see README)
+    ... kind-specific options (see README), each read by its reader in
+    OPTIONS when the config loads
 
 ``;`` and ``#`` start an inline comment when preceded by whitespace, so a
 ``;`` or ``#`` delimiter is written without a space before it:
@@ -78,7 +79,7 @@ from .generalized import (
     gap_restricted,
     generalized_twfe,
 )
-from .panel import BalancedPanel, PanelSchema, load_panel
+from .panel import BalancedPanel, PanelSchema, _integer, _time_label, load_panel
 
 FORMATS = ("csv", "json")
 ANALYSIS_PREFIX = "analysis:"
@@ -117,7 +118,7 @@ AUDIT_FIELDS = (
 class AnalysisConfig:
     name: str
     kind: str
-    options: dict[str, str] = field(default_factory=dict)
+    options: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -136,46 +137,88 @@ def _split(text: str) -> list[str]:
     return [tok for tok in text.replace(",", " ").split() if tok]
 
 
-def _get_bool(options: dict[str, str], key: str, default: bool = False) -> bool:
-    if key not in options:
-        return default
-    value = options[key].strip().lower()
+def _boolean(key: str, text: str) -> bool:
+    value = text.strip().lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"option '{key}' must be a boolean, got '{options[key]}'")
+    raise ValueError(f"option '{key}' must be a boolean, got '{text}'")
 
 
-def _get_number(options, key: str, default, kind: type, noun: str):
-    if key not in options:
-        if default is None:
-            raise ValueError(f"missing required option '{key}'")
-        return default
+def _whole(key: str, text: str) -> int:
+    return _integer(text, f"option '{key}'")
+
+
+def _number(key: str, text: str) -> float:
     try:
-        return kind(options[key])
+        return float(text)
     except ValueError:
         raise ValueError(
-            f"option '{key}' must be {noun}, got '{options[key]}'"
+            f"option '{key}' must be a number, got '{text}'"
         ) from None
 
 
-def _get_int(options, key: str, default: int | None = None) -> int:
-    return _get_number(options, key, default, int, "an integer")
+def _names(key: str, text: str) -> list[str]:
+    return _split(text)
 
 
-def _get_float(options, key: str, default: float | None = None) -> float:
-    return _get_number(options, key, default, float, "a number")
+def _text(key: str, text: str) -> str:
+    return text.strip()
 
 
-def _require(options: dict[str, str], key: str) -> str:
-    if key not in options or not options[key].strip():
+def _pretrend(key: str, text: str) -> tuple[PretrendConfig, ...]:
+    configs = []
+    for token in _split(text):
+        parts = token.split(":")
+        if len(parts) not in (3, 4):
+            raise ValueError(
+                f"pretrend spec '{token}' must look like "
+                f"'variable:start_offset:end_offset[:min_points]'"
+            )
+        numbers = []
+        for part in parts[1:]:
+            try:
+                numbers.append(_time_label(part))
+            except ValueError:
+                raise ValueError(
+                    f"pretrend spec '{token}': '{part}' is not an integer"
+                ) from None
+        configs.append(PretrendConfig(parts[0], *numbers))
+    return tuple(configs)
+
+
+# The reader of each analysis option: ``OPTIONS[key](key, text)`` is the
+# value of the option's text, or a ValueError naming ``key``.  Integers,
+# pretrend offsets included, follow the package rule of ``panel._integer``,
+# so ``gap = 2.0`` reads as 2.  Every key of every ``KINDS`` set is here.
+OPTIONS = {
+    **dict.fromkeys(("se", "figure", "summary"), _boolean),
+    **dict.fromkeys(
+        ("gap", "k_min", "k_max", "replications", "n_units", "n_periods"),
+        _whole,
+    ),
+    **dict.fromkeys(("tau", "noise_sd", "tau_unit_sd", "feedback"), _number),
+    **dict.fromkeys(("covariates", "time_invariant", "differenced"), _names),
+    **dict.fromkeys(
+        ("y", "x", "scenario", "weight_scheme", "presample"), _text
+    ),
+    "pretrend": _pretrend,
+}
+
+
+def _require(options: dict, key: str):
+    if options.get(key, "") == "":
         raise ValueError(f"missing required option '{key}'")
-    return options[key].strip()
+    return options[key]
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse an INI config file into a :class:`RunConfig`."""
+    """Parse an INI config file into a :class:`RunConfig`.
+
+    Every analysis's kind, options, option values and need for a panel are
+    checked here, before the panel is loaded or any analysis runs.
+    """
     if not os.path.exists(path):
         raise ValueError(f"config file not found: {path}")
     parser = configparser.ConfigParser(
@@ -216,6 +259,8 @@ def load_run_config(path: str) -> RunConfig:
                 f"'{delimiter}'"
             )
         balance = sec.get("balance", "error").strip()
+    seed = _whole("seed", run["seed"]) if "seed" in run else 0
+    input_path = run.get("input", "").strip() or None
     analyses = []
     for section in parser.sections():
         if not section.startswith(ANALYSIS_PREFIX):
@@ -227,17 +272,29 @@ def load_run_config(path: str) -> RunConfig:
         kind = options.pop("kind", "").strip()
         if not kind:
             raise ValueError(f"analysis '{name}': missing 'kind' option")
+        if kind not in KINDS:
+            raise ValueError(f"analysis '{name}': unknown kind '{kind}'")
         # a [DEFAULT] key reaches only the kinds that read it
-        inherited = set(parser.defaults()) - KINDS.get(kind, set())
+        inherited = set(parser.defaults()) - KINDS[kind]
         options = {k: v for k, v in options.items() if k not in inherited}
-        analyses.append(AnalysisConfig(name=name, kind=kind, options=options))
+        for key in options:
+            if key not in KINDS[kind]:
+                raise ValueError(f"analysis '{name}': unknown option '{key}'")
+        if kind != "simulation" and input_path is None:
+            raise ValueError(
+                f"analysis '{name}' needs an input panel; set 'input' in [run]"
+            )
+        values = {k: OPTIONS[k](k, v) for k, v in options.items()}
+        analyses.append(AnalysisConfig(name=name, kind=kind, options=values))
     if not analyses:
         raise ValueError(f"{path}: no [analysis:NAME] sections")
+    if input_path is not None and schema is None:
+        raise ValueError("an input panel needs a [schema] section")
     return RunConfig(
-        input_path=run.get("input", "").strip() or None,
+        input_path=input_path,
         output_dir=run.get("output_dir", ".").strip(),
         formats=formats,
-        seed=_get_int(run, "seed", 0),
+        seed=seed,
         schema=schema,
         delimiter=delimiter,
         balance=balance,
@@ -343,39 +400,12 @@ def _write_summary_table(outdir: str, name: str, decomposition) -> None:
 # analysis runners
 
 
-def _covariates(options) -> list[str] | None:
-    return _split(options.get("covariates", "")) or None
-
-
 def _gap_range(options, required: bool) -> GapRange | None:
     if "k_min" not in options and "k_max" not in options:
         if required:
             raise ValueError("missing required options 'k_min' and 'k_max'")
         return None
-    return GapRange(_get_int(options, "k_min"), _get_int(options, "k_max"))
-
-
-def _pretrend_configs(options) -> tuple[PretrendConfig, ...]:
-    if "pretrend" not in options:
-        return ()
-    configs = []
-    for token in _split(options["pretrend"]):
-        parts = token.split(":")
-        if len(parts) not in (3, 4):
-            raise ValueError(
-                f"pretrend spec '{token}' must look like "
-                f"'variable:start_offset:end_offset[:min_points]'"
-            )
-        numbers = []
-        for part in parts[1:]:
-            try:
-                numbers.append(int(part))
-            except ValueError:
-                raise ValueError(
-                    f"pretrend spec '{token}': '{part}' is not an integer"
-                ) from None
-        configs.append(PretrendConfig(parts[0], *numbers))
-    return tuple(configs)
+    return GapRange(_require(options, "k_min"), _require(options, "k_max"))
 
 
 def _run_analysis(
@@ -391,43 +421,38 @@ def _run_analysis(
     """
     opts, kind, name = analysis.options, analysis.kind, analysis.name
     outdir = config.output_dir
-    suffix, decomp = "estimate", None
+    suffix, decomp, se = "estimate", None, opts.get("se", False)
     if kind != "simulation":
         y, x = _require(opts, "y"), _require(opts, "x")
         params: dict = {"y": y, "x": x}
 
     if kind == "twfe":
-        covs = _covariates(opts)
-        fields = asdict(twfe(panel, y, x, covs, se=_get_bool(opts, "se")))
-        params["covariates"] = covs or []
+        params["covariates"] = opts.get("covariates", [])
+        fields = asdict(twfe(panel, y, x, params["covariates"], se=se))
     elif kind == "fd":
-        params["gap"] = _get_int(opts, "gap", 1)
-        fields = asdict(
-            fd(panel, y, x, params["gap"], se=_get_bool(opts, "se"))
-        )
+        params["gap"] = opts.get("gap", 1)
+        fields = asdict(fd(panel, y, x, params["gap"], se=se))
     elif kind == "gap_restricted":
         rng = _gap_range(opts, required=True)
-        fields = asdict(
-            gap_restricted(panel, y, x, rng, se=_get_bool(opts, "se"))
-        )
+        fields = asdict(gap_restricted(panel, y, x, rng, se=se))
         params.update(k_min=rng.k_min, k_max=rng.k_max)
     elif kind == "generalized":
         spec = CovariateSpec(
-            time_invariant=tuple(_split(opts.get("time_invariant", ""))),
-            differenced=tuple(_split(opts.get("differenced", ""))),
-            pre_period=_pretrend_configs(opts),
+            time_invariant=opts.get("time_invariant", ()),
+            differenced=opts.get("differenced", ()),
+            pre_period=opts.get("pretrend", ()),
         )
         presample = None
-        if opts.get("presample", "").strip():
+        if opts.get("presample"):
             presample = load_panel(
-                opts["presample"].strip(), config.schema,
+                opts["presample"], config.schema,
                 delimiter=config.delimiter, balance=config.balance,
             )
-        scheme = opts.get("weight_scheme", "ssr").strip()
+        scheme = opts.get("weight_scheme", "ssr")
         gap_range = _gap_range(opts, required=False)
         result = generalized_twfe(
             panel, y, x, spec=spec, gap_range=gap_range, weight_scheme=scheme,
-            presample=presample, se=_get_bool(opts, "se"),
+            presample=presample, se=se,
         )
         params.update(
             time_invariant=list(spec.time_invariant),
@@ -442,7 +467,7 @@ def _run_analysis(
         if gap_range is not None:
             params.update(k_min=gap_range.k_min, k_max=gap_range.k_max)
         if presample is not None:
-            params["presample"] = opts["presample"].strip()
+            params["presample"] = opts["presample"]
         fields = asdict(result.estimate)
         decomp = result.decomposition
     elif kind in ("fd_decomposition", "pairwise_decomposition"):
@@ -461,12 +486,11 @@ def _run_analysis(
         fields = asdict(verify_equivalence(panel, y, x))
     elif kind == "causal_weights":
         suffix = "report"
-        covs = _covariates(opts)
-        report = causal_weights(panel, y, x, covs)
+        params["covariates"] = opts.get("covariates", [])
+        report = causal_weights(panel, y, x, params["covariates"])
         _write_weights(
             os.path.join(outdir, f"{name}_weights.csv"), panel.units, report
         )
-        params["covariates"] = covs or []
         fields = {
             "total_mass": report.total_mass,
             "negative_mass": report.negative_mass,
@@ -476,22 +500,15 @@ def _run_analysis(
     else:  # simulation
         suffix = "audit"
         scenario = _require(opts, "scenario")
-        replications = _get_int(opts, "replications", 1)
+        replications = opts.get("replications", 1)
         if replications < 1:
             raise ValueError("'replications' must be at least 1")
-        overrides: dict = {"seed": config.seed}
-        for key, getter in (
-            ("n_units", _get_int),
-            ("n_periods", _get_int),
-            ("tau", _get_float),
-            ("noise_sd", _get_float),
-            ("tau_unit_sd", _get_float),
-            ("feedback", _get_float),
-        ):
-            if key in opts:
-                overrides[key] = getter(opts, key)
-        preset = scenario_preset(scenario, **overrides)
-        audit_covs = _covariates(opts)
+        audit_covs = opts.get("covariates", [])
+        overrides = {
+            k: v for k, v in opts.items()
+            if k not in ("scenario", "replications", "covariates")
+        }
+        preset = scenario_preset(scenario, seed=config.seed, **overrides)
         audits = [
             theorem2_audit(simulate_replication(preset, rep), audit_covs)
             for rep in range(replications)
@@ -509,7 +526,7 @@ def _run_analysis(
             "n_periods": preset.n_periods,
             "tau": preset.tau,
             "seed": config.seed,
-            "covariates": audit_covs or [],
+            "covariates": audit_covs,
         }
         estimates = np.array(column["estimate"])
         fields = {
@@ -531,41 +548,21 @@ def _run_analysis(
     )
     if decomp is not None:
         _write_components(outdir, name, decomp)
-        if kind == "fd_decomposition" and _get_bool(opts, "figure"):
+        if kind == "fd_decomposition" and opts.get("figure", False):
             _write_columns(
                 os.path.join(outdir, f"{name}_figure.csv"),
                 decomp,
                 ("gap", "beta", "weight"),
             )
-        if _get_bool(opts, "summary"):
+        if opts.get("summary", False):
             _write_summary_table(outdir, name, decomp)
 
 
 def run(config: RunConfig) -> int:
-    """Execute every analysis in ``config``; returns a process exit code.
-
-    Every analysis's kind, options and need for a panel are checked before
-    the panel is loaded or any analysis runs.
-    """
-    for analysis in config.analyses:
-        if analysis.kind not in KINDS:
-            raise ValueError(
-                f"analysis '{analysis.name}': unknown kind '{analysis.kind}'"
-            )
-        for key in analysis.options:
-            if key not in KINDS[analysis.kind]:
-                raise ValueError(
-                    f"analysis '{analysis.name}': unknown option '{key}'"
-                )
-        if analysis.kind != "simulation" and config.input_path is None:
-            raise ValueError(
-                f"analysis '{analysis.name}' needs an input panel; set "
-                f"'input' in [run]"
-            )
+    """Execute every analysis in ``config``, as :func:`load_run_config`
+    checked it; returns a process exit code."""
     panel = None
     if config.input_path is not None:
-        if config.schema is None:
-            raise ValueError("an input panel needs a [schema] section")
         panel = load_panel(
             config.input_path,
             config.schema,
@@ -582,12 +579,10 @@ def selfcheck(
     seed: int = 0,
     panels: int = 40,
     tolerance: float = 1e-10,
-    stream=None,
 ) -> int:
     """Random-panel decomposition audit; exit 0 only if all gaps are tiny."""
     if panels < 1:
         raise ValueError(f"'panels' must be at least 1, got {panels}")
-    stream = stream or sys.stdout
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(panels):
@@ -615,7 +610,6 @@ def selfcheck(
     print(
         f"selfcheck: {panels} panels, max relative equivalence gap "
         f"{worst!r} ({status})",
-        file=stream,
     )
     return 0 if worst < tolerance else 1
 

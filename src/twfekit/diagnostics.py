@@ -33,7 +33,8 @@ Scenario presets
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -72,6 +73,12 @@ class DgpConfig:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
+        for name in ("n_units", "n_periods"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_units < 2:
             raise ValueError(f"n_units must be at least 2, got {self.n_units}")
         if self.n_periods < 2:
@@ -173,10 +180,7 @@ def simulate(config: DgpConfig) -> SimulatedPanel:
         # cell's treatment-on-covariate slope is sharply defined.
         w = np.outer(w_start, np.linspace(1.0, 2.0, t))
     else:
-        w = np.empty((n, t))
-        w[:, 0] = w_start
-        for j in range(1, t):
-            w[:, j] = w[:, j - 1] + w_steps[:, j - 1]
+        w = np.cumsum(np.column_stack([w_start, w_steps]), axis=1)
     c = np.linspace(config.delta_start, config.delta_end, t)
     lam = config.covariate_loading + config.loading_drift * np.linspace(
         0.0, 1.0, t

@@ -16,6 +16,7 @@ from twfekit import (
     PanelSchema,
     PretrendConfig,
     causal_weights,
+    fd,
     fd_decomposition,
     generalized_twfe,
     load_panel,
@@ -23,7 +24,6 @@ from twfekit import (
 )
 from twfekit import cli
 from twfekit.cli import (
-    _pretrend_configs,
     _write_csv,
     _write_weights,
     load_run_config,
@@ -258,11 +258,14 @@ class TestLoadRunConfig:
         assert rc.schema.cluster == "region"
         assert rc.delimiter == ","
         shortrun = {a.name: a for a in rc.analyses}["shortrun"]
-        assert _pretrend_configs(shortrun.options) == (
+        assert shortrun.options["pretrend"] == (
             PretrendConfig("log_emp", -12, -3),
         )
         for analysis in rc.analyses:
             assert set(analysis.options) <= cli.KINDS[analysis.kind]
+
+    def test_every_option_has_one_reader(self):
+        assert set().union(*cli.KINDS.values()) == set(cli.OPTIONS)
 
     def test_readme_lists_the_options_of_each_kind(self):
         with open(README) as fh:
@@ -644,6 +647,45 @@ x = x
         assert (outdir / "plain_estimate.csv").exists()
         assert not (outdir / "plain_estimate.json").exists()
 
+    def test_integral_numbers_read_as_integers(
+        self, tmp_path, rng, panel, panel_csv
+    ):
+        pre = make_panel({"y": rng.normal(size=(12, 6))}, first_period=1994)
+        pre_csv = write_panel_csv(
+            tmp_path / "pre.csv", pre, unit_col="state", time_col="year"
+        )
+        outdir = tmp_path / "out"
+        body = BASE.format(input=panel_csv, outdir=outdir) + f"""
+[analysis:short]
+kind = fd
+y = y
+x = x
+gap = 2.0
+
+[analysis:trendadj]
+kind = generalized
+y = y
+x = x
+pretrend = y:-6.0:-2
+presample = {pre_csv}
+
+[analysis:mc]
+kind = simulation
+scenario = parallel_trends
+n_units = 30.0
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 0
+        with open(outdir / "short_estimate.json") as fh:
+            short = json.load(fh)
+        assert short["parameters"]["gap"] == 2
+        assert short["beta"] == fd(panel, "y", "x", 2).beta
+        with open(outdir / "trendadj_estimate.json") as fh:
+            trendadj = json.load(fh)
+        assert trendadj["parameters"]["pre_period"] == ["y:-6:-2"]
+        with open(outdir / "mc_audit.json") as fh:
+            assert json.load(fh)["parameters"]["n_units"] == 30
+
     def test_default_keys_reach_the_kinds_that_read_them(
         self, tmp_path, panel_csv
     ):
@@ -831,14 +873,39 @@ x = x
                 "kind = simulation\nscenario = parallel_trends\nn_unit = 30",
                 "analysis 'typo': unknown option 'n_unit'",
             ),
+            (
+                "kind = simulation\nscenario = parallel_trends\nn_units = 3O",
+                "option 'n_units' must be an integer, got '3O'",
+            ),
+            (
+                "kind = simulation\nscenario = parallel_trends\ntau = abc",
+                "option 'tau' must be a number, got 'abc'",
+            ),
+            (
+                "kind = twfe\ny = y\nx = x\nse = maybe",
+                "option 'se' must be a boolean, got 'maybe'",
+            ),
+            (
+                "kind = generalized\ny = y\nx = x\npretrend = w:-6:x",
+                "pretrend spec 'w:-6:x': 'x' is not an integer",
+            ),
         ],
     )
     def test_config_errors_precede_any_work(
         self, tmp_path, capsys, analysis, message
     ):
+        # every row but the one about a missing input names an input that
+        # does not exist: the checks precede the panel load too
+        source = ""
+        if "needs an input panel" not in message:
+            source = f"input = {tmp_path / 'missing.csv'}\n"
         body = f"""
 [run]
-output_dir = {tmp_path / "o"}
+{source}output_dir = {tmp_path / "o"}
+
+[schema]
+unit = state
+time = year
 
 [analysis:mc]
 kind = simulation
@@ -851,6 +918,48 @@ replications = 2
         cfg = write_config(tmp_path, body)
         assert main(["run", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "analysis, message",
+        [
+            ("kind = twfe\nx = x", "missing required option 'y'"),
+            (
+                "kind = generalized\ny = y\nx = x\npretrend = w:-6",
+                "pretrend spec 'w:-6' must look like "
+                "'variable:start_offset:end_offset[:min_points]'",
+            ),
+            (
+                "kind = simulation\nscenario = parallel_trends\n"
+                "replications = 0",
+                "'replications' must be at least 1",
+            ),
+        ],
+    )
+    def test_bad_option_is_reported(
+        self, tmp_path, panel_csv, capsys, analysis, message
+    ):
+        body = BASE.format(input=panel_csv, outdir=tmp_path / "o")
+        cfg = write_config(tmp_path, body + f"\n[analysis:a]\n{analysis}\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    def test_input_needs_schema(self, tmp_path, panel_csv, capsys):
+        body = f"""
+[run]
+input = {panel_csv}
+output_dir = {tmp_path / "o"}
+
+[analysis:plain]
+kind = twfe
+y = y
+x = x
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "an input panel needs a [schema] section" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "o").exists()
 
     def test_unknown_kind_precedes_panel_load(self, tmp_path, capsys):

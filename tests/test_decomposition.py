@@ -147,6 +147,8 @@ class TestCountPairs:
             count_pairs(5, 3, 2)
         with pytest.raises(ValueError):
             count_pairs(5, 1, 5)
+        with pytest.raises(ValueError, match="need at least 2 periods, got 1"):
+            count_pairs(1)
 
 
 class TestWeightedSummary:

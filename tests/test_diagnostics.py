@@ -36,6 +36,10 @@ class TestDgpConfig:
             DgpConfig(noise_sd=-0.5)
         with pytest.raises(ValueError):
             DgpConfig(covariate_mode="sine")
+        for name in ("tau", "noise_sd", "feedback", "delta_end"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    DgpConfig(**{name: value})
 
     def test_uses_covariate(self):
         assert DgpConfig(covariate_loading=1.0).uses_covariate

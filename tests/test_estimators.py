@@ -224,6 +224,24 @@ class TestIv:
         with pytest.raises(NoIdentifyingVariation, match="irrelevant"):
             twfe_iv(panel, "y", "x", "z")
 
+    def test_instrument_orthogonal_to_treatment(self, rng):
+        # z varies under the two-way transformation, but its residual is
+        # orthogonal to x's
+        n, t = 10, 4
+        panel = random_panel(rng, n, t, extra_series=("z",))
+        xw = two_way_residual(panel, "x")
+        zw = two_way_residual(panel, "z")
+        z = zw - (np.sum(zw * xw) / np.sum(xw * xw)) * xw
+        panel = make_panel(
+            {"y": panel.values("y"), "x": panel.values("x"), "z": z}
+        )
+        with pytest.raises(
+            NoIdentifyingVariation,
+            match="^instrument 'z' is irrelevant for 'x' under the two-way "
+            "transformation$",
+        ):
+            twfe_iv(panel, "y", "x", "z")
+
     def test_self_instrument_reduces_to_twfe(self, rng):
         panel = random_panel(rng, 8, 5)
         beta_iv = twfe_iv(panel, "y", "x", "x").beta

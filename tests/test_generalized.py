@@ -451,6 +451,20 @@ class TestGeneralizedTwfe:
                 spec=CovariateSpec(),
             )
 
+    def test_every_pair_absorbed_by_a_control_raises(self, rng):
+        panel = random_panel(rng, 8, 5)
+        panel = make_panel({
+            "y": panel.values("y"), "x": panel.values("x"),
+            "w": panel.values("x"),
+        })
+        with pytest.raises(
+            NoIdentifyingVariation,
+            match="^no identifying variation in 'x' for any pair with gaps 1-4$",
+        ):
+            generalized_twfe(
+                panel, "y", "x", spec=CovariateSpec(differenced=("w",))
+            )
+
     def test_unknown_scheme(self, rng):
         panel = random_panel(rng, 5, 3)
         with pytest.raises(ValueError, match="weight_scheme must be one of"):

@@ -7,6 +7,7 @@ import oracles
 from helpers import make_panel, random_panel, write_panel_csv
 from twfekit import (
     BalancedPanel,
+    DgpConfig,
     GapRange,
     PanelError,
     PanelSchema,
@@ -17,6 +18,7 @@ from twfekit import (
     load_panel,
     pretrend_covariate,
     scenario_preset,
+    simulate,
     simulate_replication,
 )
 from twfekit.panel import _CHUNK_ROWS
@@ -472,6 +474,9 @@ class TestLoadPanelErrorsMatchLoop:
             "unit,year,region,y\n",
             "unit,year,region,y\na,1,n,1\na,3,n,2\nb,1,n,3\nb,3,n,4\n",
             "unit,year,region,y\na,1,n,1\na,2,n,2\nb,1,n,3\nb,3,n,4\n",
+            # header errors
+            "unit,year,y,y\na,1,1,2\n",
+            "unit,year\na,1\n",
         ],
     )
     def test_errors(self, tmp_path, text):
@@ -539,6 +544,16 @@ INTEGER_ARGUMENTS = [
          scenario_preset("parallel_trends", n_units=4, n_periods=3), v
      ).panel.values("y").tolist(),
      "index", ValueError, 1),
+    ("DgpConfig.n_units",
+     lambda v: simulate(DgpConfig(n_units=v, n_periods=3)).panel.values(
+         "y"
+     ).tolist(),
+     "n_units", ValueError, 4),
+    ("DgpConfig.n_periods",
+     lambda v: simulate(DgpConfig(n_units=4, n_periods=v)).panel.values(
+         "y"
+     ).tolist(),
+     "n_periods", ValueError, 3),
 ]
 
 
