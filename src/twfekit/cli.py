@@ -70,7 +70,6 @@ from .diagnostics import (
     simulate_replication,
     theorem2_audit,
 )
-from .errors import NoIdentifyingVariation, PanelError
 from .estimators import fd, twfe
 from .generalized import (
     CovariateSpec,
@@ -83,6 +82,11 @@ from .panel import BalancedPanel, PanelSchema, _integer, _time_label, load_panel
 
 FORMATS = ("csv", "json")
 ANALYSIS_PREFIX = "analysis:"
+# the keys of the [run] and [schema] sections
+SECTION_KEYS = {
+    "run": {"input", "output_dir", "formats", "seed"},
+    "schema": {"unit", "time", "series", "cluster", "delimiter", "balance"},
+}
 # each analysis kind and the options its branch reads, besides ``kind``
 KINDS = {
     "twfe": {"y", "x", "covariates", "se"},
@@ -101,9 +105,6 @@ KINDS = {
         "noise_sd", "tau_unit_sd", "feedback", "covariates",
     },
 }
-SUMMARY_FIELDS = (
-    "mean", "sd", "p5", "p25", "median", "p75", "p95", "n_components"
-)
 # rows of the weights CSV formatted per write; bounds the writer's transient
 # strings whatever the panel's size
 WEIGHT_ROWS_PER_WRITE = 8192
@@ -227,6 +228,15 @@ def load_run_config(path: str) -> RunConfig:
     parser.read(path)
     if "run" not in parser:
         raise ValueError(f"{path}: missing [run] section")
+    for section in parser.sections():
+        if section not in SECTION_KEYS and not section.startswith(ANALYSIS_PREFIX):
+            raise ValueError(f"{path}: unknown section [{section}]")
+    # a [DEFAULT] key reaches [run] and [schema] too, and is no error there
+    inherited = set(parser.defaults())
+    for section, keys in SECTION_KEYS.items():
+        for key in parser[section] if section in parser else ():
+            if key not in keys and key not in inherited:
+                raise ValueError(f"[{section}]: unknown option '{key}'")
     run = parser["run"]
     formats = tuple(_split(run.get("formats", "csv json")))
     if not formats:
@@ -260,6 +270,8 @@ def load_run_config(path: str) -> RunConfig:
             )
         balance = sec.get("balance", "error").strip()
     seed = _whole("seed", run["seed"]) if "seed" in run else 0
+    if seed < 0:
+        raise ValueError(f"option 'seed' must be non-negative, got {seed}")
     input_path = run.get("input", "").strip() or None
     analyses = []
     for section in parser.sections():
@@ -388,11 +400,11 @@ def _write_weights(path: str, units, report) -> None:
 
 
 def _write_summary_table(outdir: str, name: str, decomposition) -> None:
-    summary = weighted_summary(decomposition)
+    summary = asdict(weighted_summary(decomposition))
     _write_csv(
         os.path.join(outdir, f"{name}_summary_table.csv"),
-        SUMMARY_FIELDS,
-        [[getattr(summary, field) for field in SUMMARY_FIELDS]],
+        summary.keys(),
+        [summary.values()],
     )
 
 
@@ -656,7 +668,7 @@ def main(argv=None) -> int:
         return selfcheck(
             seed=args.seed, panels=args.panels, tolerance=args.tolerance
         )
-    except (PanelError, NoIdentifyingVariation, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import _require_variation, _twfe_fit, two_way_residual
+from .estimators import _require_variation, _residuals, _twfe_fit, two_way_residual
 from .numerics import project_cells
 from .panel import BalancedPanel, _integer
 
@@ -75,6 +75,11 @@ class DgpConfig:
     def __post_init__(self):
         for name in ("n_units", "n_periods"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        many = isinstance(self.seed, tuple)
+        seeds = tuple(_integer(s, "seed") for s in (self.seed if many else [self.seed]))
+        if any(s < 0 for s in seeds):
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        object.__setattr__(self, "seed", seeds if many else seeds[0])
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -228,6 +233,8 @@ def simulate_replication(config: DgpConfig, index: int) -> SimulatedPanel:
     ``(config.seed, index)``, so replications never share draws."""
     base_seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     index = _integer(index, "index")
+    if index < 0:
+        raise ValueError(f"index must be non-negative, got {index}")
     return simulate(replace(config, seed=base_seed + (index,)))
 
 
@@ -255,8 +262,7 @@ class CausalWeightReport:
     substantial negative weight on some realized changes.
 
     Only ``weight`` is stored: ``unit_index``, ``gap`` and ``start_period``
-    follow from the panel's shape (``n_units`` and ``periods``), and are
-    computed on first access.
+    are read off the layout of :meth:`gap_blocks` on first access.
     """
 
     weight: np.ndarray
@@ -273,32 +279,18 @@ class CausalWeightReport:
         return _gap_blocks(self.weight, self.n_units, len(self.periods))
 
     @cached_property
-    def gap(self) -> np.ndarray:
-        return np.repeat(*self._gap_sizes())
+    def _layout(self) -> list[np.ndarray]:
+        # the (gap, unit row, start period) of each entry, block by block
+        periods = np.asarray(self.periods)
+        blocks = []
+        for k, block in self.gap_blocks():
+            units = np.arange(block.shape[0])[:, None]
+            blocks.append(np.broadcast_arrays(k, units, periods[: block.shape[1]]))
+        return [np.concatenate([a.ravel() for a in col]) for col in zip(*blocks)]
 
-    @property
-    def unit_index(self) -> np.ndarray:
-        return self._unit_and_start[0]
-
-    @property
-    def start_period(self) -> np.ndarray:
-        return self._unit_and_start[1]
-
-    def _gap_sizes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gaps ``1..T-1`` and their entry counts ``n_units * (T - k)``."""
-        t = len(self.periods)
-        gaps = np.arange(1, t)
-        return gaps, self.n_units * (t - gaps)
-
-    @cached_property
-    def _unit_and_start(self) -> tuple[np.ndarray, np.ndarray]:
-        # each entry's offset in its gap block is (unit row, start column)
-        _, sizes = self._gap_sizes()
-        offset = np.arange(self.weight.size) - np.repeat(
-            np.cumsum(sizes) - sizes, sizes
-        )
-        unit, start = np.divmod(offset, len(self.periods) - self.gap)
-        return unit, np.asarray(self.periods)[start]
+    gap = property(lambda self: self._layout[0])
+    unit_index = property(lambda self: self._layout[1])
+    start_period = property(lambda self: self._layout[2])
 
 
 def causal_weights(
@@ -388,8 +380,8 @@ def theorem2_audit(
         # period-major two-way residuals of x and the covariates: each
         # gap's cells are contiguous (S, n) blocks for project_cells, and
         # their changes are the period-demeaned changes, unit means cancelling
-        cells = np.stack(
-            [two_way_residual(panel, name).T for name in ["x"] + cov_list]
+        cells = np.ascontiguousarray(
+            _residuals(panel, ["x"] + cov_list).transpose(0, 2, 1)
         )
 
     den = 0.0

@@ -1,11 +1,12 @@
 """Panel estimators in closed two-way-residual form.
 
-Every estimator here reads one transform, :func:`two_way_residual`: each
+Every estimator here reads one transform, the two-way residual: each
 series less its unit and period means, which on a balanced panel is the
-residual from regressing it on unit and period indicators.  The two-way
-fixed-effects slope is a plain ratio of sums over that residual, and the
-pair-difference estimators are ratios of sums over its period differences,
-in which the unit means cancel; no dummy variables are ever materialized.
+residual from regressing it on unit and period indicators.  An estimate
+reads those of all its series as one stack from :func:`_residuals`, the one
+place where covariates are projected out.  The two-way slope is a plain
+ratio of sums over that residual, and the pair-difference estimators are
+ratios of sums over its period differences, in which the unit means cancel.
 
 ``twfe``
     slope on ``x`` from least squares of ``y`` on ``x`` plus unit and period
@@ -91,6 +92,21 @@ def _two_way(values: np.ndarray) -> np.ndarray:
     return w
 
 
+def _residuals(panel: BalancedPanel, names, covariates=None) -> np.ndarray:
+    """Two-way residuals of the series ``names``, as one ``(m, N, T)`` stack.
+
+    Each series goes through :func:`_two_way` once, and every one is
+    partialled out of the covariates in one projection cell: the drop
+    decision depends only on the covariates, so it is the same for all.
+    """
+    stack = np.stack([_two_way(panel.values(name)) for name in names])
+    if not covariates:
+        return stack
+    controls = np.stack([_two_way(panel.values(c)).ravel() for c in covariates])
+    residuals, _ = project_cells(controls[:, None], stack.reshape(len(names), 1, -1))
+    return residuals.reshape(stack.shape)
+
+
 def two_way_residual(
     panel: BalancedPanel, var: str, covariates: Sequence[str] | None = None
 ) -> np.ndarray:
@@ -103,13 +119,7 @@ def two_way_residual(
     and then partialled out observation-wise, a covariate collinear with
     earlier ones dropped (see :mod:`twfekit.numerics`).
     """
-    within = _two_way(panel.values(var))
-    if not covariates:
-        return within
-    # one projection cell: the covariates vary, the within series is the target
-    controls = np.stack([_two_way(panel.values(c)).ravel() for c in covariates])
-    (residual,), _ = project_cells(controls[:, None], within.reshape(1, 1, -1))
-    return residual.reshape(within.shape)
+    return _residuals(panel, [var], covariates)[0]
 
 
 def _all_periods(panel: BalancedPanel) -> str:
@@ -142,8 +152,7 @@ def _require_variation(
 def _twfe_fit(panel: BalancedPanel, y: str, x: str, covariates=None):
     """``(rx, ry, den, beta)``: the two-way residuals of ``x`` and ``y``, the
     slope's denominator (checked against degeneracy) and the slope."""
-    rx = two_way_residual(panel, x, covariates)
-    ry = two_way_residual(panel, y, covariates)
+    rx, ry = _residuals(panel, [x, y], covariates)
     den = float(np.sum(rx * rx))
     _require_variation(den, panel, x)
     return rx, ry, den, float(np.sum(rx * ry)) / den
@@ -183,9 +192,7 @@ def _pooled_gaps(panel, y, x, gaps, se, where, periods_used):
     """The pooled slope over the gaps ``gaps``, read off one sweep of the
     gap differences of the two-way residuals of ``x`` and ``y``; ``where``
     ends the no-variation message."""
-    _, by_unit = pair_moments(
-        two_way_residual(panel, x), two_way_residual(panel, y), gaps
-    )
+    _, by_unit = pair_moments(*_residuals(panel, [x, y]), gaps)
     cross, sq = by_unit.sum(axis=2)
     den = float(sq.sum())
     _require_variation(den, panel, x, where)
@@ -235,9 +242,10 @@ def twfe_multivariate(
     if not names:
         raise ValueError("need at least one regressor")
     n, t = panel.n_units, panel.n_periods
-    design = np.column_stack(
-        [two_way_residual(panel, name).ravel() for name in names]
-    )
+    rows = _residuals(panel, names + [y]).reshape(len(names) + 1, n * t)
+    # one C-contiguous column per regressor: the products' roundoff
+    # depends on the layout
+    design, target = np.ascontiguousarray(rows[:-1].T), rows[-1]
     # each regressor's own variation, judged as twfe judges it: the drop
     # rule below is relative to the largest column, so it keeps a lone
     # column of roundoff
@@ -254,7 +262,7 @@ def twfe_multivariate(
     # Full-range lemma: summed over all period pairs, products of
     # differences equal T times products of double-demeaned values.
     a = t * (design.T @ design)
-    b = t * (design.T @ two_way_residual(panel, y).ravel())
+    b = t * (design.T @ target)
     beta = np.linalg.solve(a, b)
     smallest = float(np.linalg.eigvalsh(a)[0])
     return Estimate(
@@ -274,8 +282,7 @@ def twfe_iv(panel: BalancedPanel, y: str, x: str, z: str) -> Estimate:
     with treatment differences.  Matches two-stage least squares with unit
     and period indicators in both stages.
     """
-    xw = two_way_residual(panel, x)
-    zw = two_way_residual(panel, z)
+    xw, zw, yw = _residuals(panel, [x, z, y])
     cross = float(np.sum(zw * xw))
     xvar = float(np.sum(xw * xw))
     zvar = float(np.sum(zw * zw))
@@ -293,7 +300,7 @@ def twfe_iv(panel: BalancedPanel, y: str, x: str, z: str) -> Estimate:
     # Full-range lemma: each pair-difference sum is T times the sum of
     # products of double-demeaned values.
     t = panel.n_periods
-    num = t * float(np.sum(zw * two_way_residual(panel, y)))
+    num = t * float(np.sum(zw * yw))
     den = t * cross
     return Estimate(
         beta=num / den,

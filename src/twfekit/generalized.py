@@ -40,7 +40,7 @@ import numpy as np
 from .decomposition import PairwiseDecomposition, _pair_decomposition
 from .errors import NoIdentifyingVariation, PanelError
 from .estimators import (
-    Estimate, _live, _pooled_gaps, _require_variation, two_way_residual,
+    Estimate, _live, _pooled_gaps, _require_variation, _residuals,
 )
 from .inference import cluster_robust_se
 from .numerics import project_cells
@@ -213,8 +213,8 @@ def _pretrend_slopes(
     """``(len(configs), len(anchors), N)`` pre-trend slopes before each anchor.
 
     The presample is validated once, and each variable's values are gathered
-    once (the presample's, then the panel's), so each window is one mask
-    over the calendar.
+    once from the sources that hold it (the presample's, then the panel's),
+    so each window is one mask over the calendar.
     """
     rows = None
     slopes = np.empty((len(configs), len(anchors), panel.n_units))
@@ -232,8 +232,9 @@ def _pretrend_slopes(
         if presample is not None:
             if rows is None:
                 rows = _presample_rows(panel, presample)
-            blocks.append(presample.values(name)[rows])
-            calendar.extend(presample.periods)
+            if name in presample.series:
+                blocks.append(presample.values(name)[rows])
+                calendar.extend(presample.periods)
         if name in panel.series:
             blocks.append(panel.values(name))
             calendar.extend(panel.periods)
@@ -336,7 +337,7 @@ def generalized_twfe(
     # them, then the raw differenced controls: a gap's changes are
     # contiguous (start, unit) blocks
     series = np.stack(
-        [two_way_residual(panel, name).T for name in (x, y)]
+        [r.T for r in _residuals(panel, [x, y])]
         + [panel.values(name).T for name in spec.differenced]
     )
     # the x residual's squared changes summed over all pairs (full-range

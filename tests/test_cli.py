@@ -889,6 +889,11 @@ x = x
                 "kind = generalized\ny = y\nx = x\npretrend = w:-6:x",
                 "pretrend spec 'w:-6:x': 'x' is not an integer",
             ),
+            (
+                "kind = simulation\nscenario = parallel_trends\n\n"
+                "[analysis mc2]\nkind = simulation",
+                "unknown section [analysis mc2]",
+            ),
         ],
     )
     def test_config_errors_precede_any_work(
@@ -918,6 +923,38 @@ replications = 2
         cfg = write_config(tmp_path, body)
         assert main(["run", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "run, schema, message",
+        [
+            ("output_dri = o2", "", "[run]: unknown option 'output_dri'"),
+            ("sed = 5", "", "[run]: unknown option 'sed'"),
+            ("", "clusters = region", "[schema]: unknown option 'clusters'"),
+            ("seed = -1", "", "option 'seed' must be non-negative, got -1"),
+        ],
+    )
+    def test_run_and_schema_errors_precede_any_work(
+        self, tmp_path, capsys, run, schema, message
+    ):
+        body = f"""
+[run]
+input = {tmp_path / 'missing.csv'}
+output_dir = {tmp_path / "o"}
+{run}
+
+[schema]
+unit = state
+time = year
+{schema}
+
+[analysis:mc]
+kind = simulation
+scenario = parallel_trends
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

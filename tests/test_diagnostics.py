@@ -41,6 +41,18 @@ class TestDgpConfig:
                 with pytest.raises(ValueError, match=f"^{name} must be finite"):
                     DgpConfig(**{name: value})
 
+    def test_seed_validation(self):
+        for seed in (-1, (3, -2)):
+            with pytest.raises(ValueError, match="^seed must be non-negative"):
+                DgpConfig(seed=seed)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            DgpConfig(seed=(3, 2.5))
+        # integers by the package rule, as n_units and n_periods
+        assert DgpConfig(seed=2.0).seed == 2
+        assert DgpConfig(seed=(3, np.int64(4))).seed == (3, 4)
+        with pytest.raises(ValueError, match="^index must be non-negative"):
+            simulate_replication(DgpConfig(), -1)
+
     def test_uses_covariate(self):
         assert DgpConfig(covariate_loading=1.0).uses_covariate
         assert DgpConfig(delta_start=0.5, delta_end=0.5).uses_covariate

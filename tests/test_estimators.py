@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+import twfekit.estimators
 from helpers import ADVERSARIAL_KINDS, adversarial_panel, make_panel, random_panel
 from twfekit import (
     NoIdentifyingVariation,
@@ -97,6 +98,21 @@ class TestTwfe:
         assert np.abs(r.mean(axis=1)).max() < 1e-12
         ww = two_way_residual(panel, "w")
         assert abs(float((r * ww).sum())) < 1e-10
+
+    def test_one_projection_for_both_series(self, rng, monkeypatch):
+        # x and y are partialled out of the covariates in one whole-panel
+        # cell, so the covariates' drop decision is made once
+        panel = random_panel(rng, 8, 5, extra_series=("w",))
+        original = twfekit.estimators.project_cells
+        targets = []
+
+        def counted(varying, target, shared=None):
+            targets.append(target.shape)
+            return original(varying, target, shared)
+
+        monkeypatch.setattr(twfekit.estimators, "project_cells", counted)
+        twfe(panel, "y", "x", ["w"])
+        assert targets == [(2, 1, 40)]
 
 
 class TestFd:

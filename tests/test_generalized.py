@@ -180,6 +180,31 @@ class TestPretrendCovariate:
         assert column.shape == (n,)
         assert np.isfinite(column).all()
 
+    def test_variable_only_in_panel(self, rng):
+        # a presample that lacks the variable: its window is the panel's
+        n = 5
+        panel = random_panel(rng, n, 8, first_period=2000,
+                             extra_series=("z",))
+        presample = make_panel(
+            {"w": rng.normal(size=(n, 10))}, first_period=1990
+        )
+        config = PretrendConfig("z", -4, -2)
+        np.testing.assert_array_equal(
+            pretrend_covariate(panel, config, 2006, presample),
+            pretrend_covariate(panel, config, 2006),
+        )
+        # next to a presample-backed control, whose windows before the
+        # anchors 2000 and 2001 are whole, the panel-only one is judged by
+        # its window, which the pairs anchored at the first period lack
+        spec = CovariateSpec(pre_period=(PretrendConfig("w", -6, -2), config))
+        with pytest.raises(
+            PanelError,
+            match="pre-trend window before period 2000: only 0 of 3",
+        ):
+            generalized_twfe(
+                panel, "y", "x", spec, GapRange(6, 7), presample=presample
+            )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PretrendConfig(variable="w", window_start_offset=-2,
