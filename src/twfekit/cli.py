@@ -39,15 +39,22 @@ Config layout::
 
 All floating-point output uses shortest round-trip decimals, and nothing
 time- or host-dependent is ever written, so reruns with the same config and
-input are byte-identical.
+input are byte-identical.  The one large artifact, ``{name}_weights.csv``, is
+written by one process per usable CPU (see :func:`_write_weights`), and its
+bytes do not depend on how many; a run that is killed may leave
+``{name}_weights.csv.partN`` files beside it.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import os
+import shutil
 import sys
+import threading
+import warnings
 from dataclasses import asdict, dataclass, field
 from operator import add
 
@@ -300,6 +307,14 @@ def load_run_config(path: str) -> RunConfig:
         analyses.append(AnalysisConfig(name=name, kind=kind, options=values))
     if not analyses:
         raise ValueError(f"{path}: no [analysis:NAME] sections")
+    # a [DEFAULT] key must reach some section or analysis that reads it
+    read = {"kind"}.union(
+        *(keys for section, keys in SECTION_KEYS.items() if section in parser),
+        *(KINDS[analysis.kind] for analysis in analyses),
+    )
+    for key in parser.defaults():
+        if key not in read:
+            raise ValueError(f"[DEFAULT]: unknown option '{key}'")
     if input_path is not None and schema is None:
         raise ValueError("an input panel needs a [schema] section")
     return RunConfig(
@@ -372,31 +387,115 @@ class _Echo:
         return text
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _weight_chunks(report) -> list:
+    """The weights CSV's rows as ``(lo, starts, rows)`` chunks of about
+    :data:`WEIGHT_ROWS_PER_WRITE` rows, in file order: ``rows`` holds one
+    gap's weights for the units from ``lo`` on, one column per entry of the
+    ``starts`` prefixes."""
+    chunks = []
+    for k, block in report.gap_blocks():
+        starts = [f",{k},{p}," for p in report.periods[: block.shape[1]]]
+        step = max(1, WEIGHT_ROWS_PER_WRITE // len(starts))
+        chunks.extend(
+            (lo, starts, block[lo : lo + step])
+            for lo in range(0, block.shape[0], step)
+        )
+    return chunks
+
+
+def _write_weight_rows(handle, labels: list[str], chunks) -> None:
+    for lo, starts, rows in chunks:
+        prefixes = [
+            label + start
+            for label in labels[lo : lo + len(rows)]
+            for start in starts
+        ]
+        weights = map(repr, rows.ravel().tolist())
+        handle.write("\r\n".join(map(add, prefixes, weights)))
+        handle.write("\r\n")
+
+
+def _split_runs(chunks: list, count: int) -> list[list]:
+    """``chunks`` cut into at most ``count`` contiguous, non-empty runs of
+    about equal row count."""
+    runs = [[] for _ in range(count)]
+    total = sum(rows.size for _, _, rows in chunks)
+    done = 0
+    for chunk in chunks:
+        runs[done * count // total].append(chunk)
+        done += chunk[2].size
+    return [run for run in runs if run]
+
+
 def _write_weights(path: str, units, report) -> None:
     """The weights CSV, ordered by gap, then unit, then start period.
 
     Each unit label is quoted once by ``csv`` itself (as the first of two
     fields, so an empty label stays empty), and rows are joined from
-    ``label,gap,start,`` prefixes and the weights' ``repr``, about
-    :data:`WEIGHT_ROWS_PER_WRITE` at a time: the bytes ``csv.writer`` would
-    write for the same rows.
+    ``label,gap,start,`` prefixes and the weights' ``repr``: the bytes
+    ``csv.writer`` would write for the same rows.
+
+    Formatting is the cost, so the rows are cut into one contiguous run per
+    usable CPU.  This process writes the header and the first run into
+    ``path``; each later run is written by a forked child into
+    ``{path}.part{i}``, appended in order once the child exits, then
+    removed.  The bytes do not depend on the number of runs.  With no
+    ``os.fork``, or with another thread running, there is one run.
     """
     echo = csv.writer(_Echo())
     labels = [echo.writerow((unit, None))[: -len(",\r\n")] for unit in units]
-    with open(path, "w", newline="") as handle:
-        handle.write(echo.writerow(("unit", "gap", "start_period", "weight")))
-        for k, block in report.gap_blocks():
-            starts = [f",{k},{p}," for p in report.periods[: block.shape[1]]]
-            step = max(1, WEIGHT_ROWS_PER_WRITE // len(starts))
-            for lo in range(0, len(labels), step):
-                prefixes = [
-                    label + start
-                    for label in labels[lo : lo + step]
-                    for start in starts
-                ]
-                weights = map(repr, block[lo : lo + step].ravel().tolist())
-                handle.write("\r\n".join(map(add, prefixes, weights)))
-                handle.write("\r\n")
+    chunks = _weight_chunks(report)
+    count = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        count = min(_usable_cpus(), len(chunks))
+    first, *rest = _split_runs(chunks, count)
+    children = []  # (pid, part file) of each later run, in file order
+    running = set()
+    try:
+        for i, run in enumerate(rest, 1):
+            part = f"{path}.part{i}"
+            with warnings.catch_warnings():
+                # Python 3.12+ warns whenever a native thread exists, such as
+                # an idle BLAS pool; the child only formats and writes.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # never return into the caller
+                status = 1
+                try:
+                    with open(part, "w", newline="") as handle:
+                        _write_weight_rows(handle, labels, run)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, part))
+            running.add(pid)
+        with open(path, "w", newline="") as handle:
+            handle.write(echo.writerow(("unit", "gap", "start_period", "weight")))
+            _write_weight_rows(handle, labels, first)
+        with open(path, "ab") as out:
+            for pid, part in children:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                running.discard(pid)
+                if status != 0:
+                    raise OSError(
+                        f"{path}: the process writing its rows to {part} "
+                        f"exited with status {status}"
+                    )
+                with open(part, "rb") as source:
+                    shutil.copyfileobj(source, out)
+    finally:
+        for pid in running:
+            os.waitpid(pid, 0)
+        for _, part in children:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
 
 
 def _write_summary_table(outdir: str, name: str, decomposition) -> None:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -707,6 +708,27 @@ kind = pairwise_decomposition
         assert (outdir / "bypair_summary_table.csv").exists()
         assert not (outdir / "plain_summary_table.csv").exists()
 
+    def test_default_key_reaches_run(self, tmp_path):
+        outdir = tmp_path / "out"
+        body = f"""
+[DEFAULT]
+seed = 5
+replications = 2
+
+[run]
+output_dir = {outdir}
+formats = json
+
+[analysis:mc]
+kind = simulation
+scenario = parallel_trends
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 0
+        with open(outdir / "mc_audit.json") as fh:
+            params = json.load(fh)["parameters"]
+        assert (params["seed"], params["replications"]) == (5, 2)
+
 
 class TestWriters:
     def test_numpy_scalars_and_none(self, tmp_path):
@@ -732,11 +754,79 @@ class TestWriters:
             series={"y": rng.normal(size=(10, 7)), "x": rng.normal(size=(10, 7))},
         )
         report = causal_weights(panel, "y", "x")
-        _write_weights(tmp_path / "got.csv", panel.units, report)
+        oracles.write_weights_csv(tmp_path / "want.csv", panel.units, report)
+        want = (tmp_path / "want.csv").read_bytes()
+        assert want.count(b"\r\n") == 1 + 10 * 7 * 6 // 2
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        # one writer, two, three, and more CPUs than there are chunks
+        for cpus in (1, 2, 3, 64):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            _write_weights(tmp_path / "got.csv", panel.units, report)
+            assert (tmp_path / "got.csv").read_bytes() == want, cpus
+            assert bool(forks) == (cpus > 1)
+            assert not list(tmp_path.glob("*.part*"))
+
+    def test_weights_csv_with_a_live_thread_forks_nothing(
+        self, tmp_path, rng, monkeypatch
+    ):
+        def fork():
+            raise AssertionError("os.fork called with a live thread")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        panel = random_panel(rng, 12, 6)
+        report = causal_weights(panel, "y", "x")
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        helper.start()
+        try:
+            _write_weights(tmp_path / "got.csv", panel.units, report)
+        finally:
+            release.set()
+            helper.join(timeout=10)
+        assert not helper.is_alive()
         oracles.write_weights_csv(tmp_path / "want.csv", panel.units, report)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
-        assert got.count(b"\r\n") == 1 + 10 * 7 * 6 // 2
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_weights_writer_leaves_no_part_or_process(
+        self, tmp_path, panel_csv, monkeypatch, capsys, failing
+    ):
+        parent = os.getpid()
+        write_rows = cli._write_weight_rows
+
+        def flaky(handle, labels, chunks):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise OSError("no space left on device")
+            write_rows(handle, labels, chunks)
+
+        monkeypatch.setattr(cli, "_write_weight_rows", flaky)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        outdir = tmp_path / "out"
+        body = BASE.format(input=panel_csv, outdir=outdir) + """
+[analysis:mass]
+kind = causal_weights
+y = y
+x = x
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if failing == "child":
+            assert str(outdir / "mass_weights.csv") in err
+        assert not list(outdir.glob("*.part*"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestRunErrors:
@@ -951,6 +1041,35 @@ time = year
 [analysis:mc]
 kind = simulation
 scenario = parallel_trends
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "default, message",
+        [
+            ("sed = 5", "[DEFAULT]: unknown option 'sed'"),
+            # read by other kinds and by a section the config lacks
+            ("y = y", "[DEFAULT]: unknown option 'y'"),
+            ("unit = state", "[DEFAULT]: unknown option 'unit'"),
+        ],
+    )
+    def test_unread_default_key_precedes_any_work(
+        self, tmp_path, capsys, default, message
+    ):
+        body = f"""
+[DEFAULT]
+{default}
+
+[run]
+output_dir = {tmp_path / "o"}
+
+[analysis:mc]
+kind = simulation
+scenario = parallel_trends
+replications = 2
 """
         cfg = write_config(tmp_path, body)
         assert main(["run", "--config", str(cfg)]) == 1
