@@ -41,8 +41,10 @@ All floating-point output uses shortest round-trip decimals, and nothing
 time- or host-dependent is ever written, so reruns with the same config and
 input are byte-identical.  The one large artifact, ``{name}_weights.csv``, is
 written by one process per usable CPU (see :func:`_write_weights`), and its
-bytes do not depend on how many; a run that is killed may leave
-``{name}_weights.csv.partN`` files beside it.
+bytes do not depend on how many.  It is assembled under
+``{name}_weights.csv.part0`` and renamed once whole, so a failed write never
+leaves a truncated ``{name}_weights.csv``; a run that is killed may leave
+``{name}_weights.csv.partN`` files.
 """
 
 from __future__ import annotations
@@ -444,10 +446,13 @@ def _write_weights(path: str, units, report) -> None:
 
     Formatting is the cost, so the rows are cut into one contiguous run per
     usable CPU.  This process writes the header and the first run into
-    ``path``; each later run is written by a forked child into
+    ``{path}.part0``; each later run is written by a forked child into
     ``{path}.part{i}``, appended in order once the child exits, then
-    removed.  The bytes do not depend on the number of runs.  With no
-    ``os.fork``, or with another thread running, there is one run.
+    removed.  ``{path}.part0`` is renamed to ``path`` only once every run is
+    in it, and removed if any write fails, so ``path`` is never partial (a
+    file of that name from an earlier run is then left as it was).
+    The bytes do not depend on the number of runs.  With no ``os.fork``, or
+    with another thread running, there is one run.
     """
     echo = csv.writer(_Echo())
     labels = [echo.writerow((unit, None))[: -len(",\r\n")] for unit in units]
@@ -456,6 +461,7 @@ def _write_weights(path: str, units, report) -> None:
     if hasattr(os, "fork") and threading.active_count() == 1:
         count = min(_usable_cpus(), len(chunks))
     first, *rest = _split_runs(chunks, count)
+    whole = f"{path}.part0"
     children = []  # (pid, part file) of each later run, in file order
     running = set()
     try:
@@ -476,10 +482,10 @@ def _write_weights(path: str, units, report) -> None:
                     os._exit(status)
             children.append((pid, part))
             running.add(pid)
-        with open(path, "w", newline="") as handle:
+        with open(whole, "w", newline="") as handle:
             handle.write(echo.writerow(("unit", "gap", "start_period", "weight")))
             _write_weight_rows(handle, labels, first)
-        with open(path, "ab") as out:
+        with open(whole, "ab") as out:
             for pid, part in children:
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 running.discard(pid)
@@ -490,10 +496,11 @@ def _write_weights(path: str, units, report) -> None:
                     )
                 with open(part, "rb") as source:
                     shutil.copyfileobj(source, out)
+        os.replace(whole, path)
     finally:
         for pid in running:
             os.waitpid(pid, 0)
-        for _, part in children:
+        for part in [whole] + [part for _, part in children]:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(part)
 

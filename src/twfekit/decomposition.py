@@ -219,9 +219,10 @@ def _read_out(beta, basis) -> dict:
                 total_denominator=total)
 
 
-def _by_gap(moments) -> FdDecomposition:
-    """The by-gap decomposition read off a full ``pair_moments`` sweep."""
-    _, (xy, xx) = moments
+def _by_gap(by_unit) -> FdDecomposition:
+    """The by-gap decomposition read off the by-unit sums of a full
+    ``pair_moments`` sweep."""
+    xy, xx = by_unit
     dens = xx.sum(axis=0)
     n, gaps = xx.shape
     gap = np.arange(1, gaps + 1)
@@ -244,10 +245,11 @@ def _pair_decomposition(panel, first, second, beta, basis, **columns):
     )
 
 
-def _by_pair(moments, panel: BalancedPanel) -> PairwiseDecomposition:
-    """The by-pair decomposition read off a full ``pair_moments`` sweep."""
+def _by_pair(by_pair, panel: BalancedPanel) -> PairwiseDecomposition:
+    """The by-pair decomposition read off the by-pair sums of a full
+    ``pair_moments`` sweep."""
     first, second = np.triu_indices(panel.n_periods, k=1)
-    xy, dens = moments[0][:, first, second]
+    xy, dens = by_pair[:, first, second]
     beta = _slopes(xy, dens)
     return _pair_decomposition(panel, first, second, beta, dens)
 
@@ -255,7 +257,8 @@ def _by_pair(moments, panel: BalancedPanel) -> PairwiseDecomposition:
 def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
     """Split the two-way estimate into pooled difference estimators by gap."""
     rx, ry, _, _ = _twfe_fit(panel, y, x)
-    return _by_gap(pair_moments(rx, ry))
+    _, by_unit = pair_moments(rx, ry, sums=("unit",))
+    return _by_gap(by_unit)
 
 
 def pairwise_decomposition(
@@ -266,7 +269,8 @@ def pairwise_decomposition(
     Pairs are ordered lexicographically by (first, second) period label.
     """
     rx, ry, _, _ = _twfe_fit(panel, y, x)
-    return _by_pair(pair_moments(rx, ry), panel)
+    by_pair, _ = pair_moments(rx, ry, sums=("pair",))
+    return _by_pair(by_pair, panel)
 
 
 def count_pairs(n_periods: int, k_min: int = 1, k_max: int | None = None) -> int:
@@ -337,9 +341,9 @@ def verify_equivalence(panel: BalancedPanel, y: str, x: str) -> EquivalenceRepor
     estimate itself is near zero.
     """
     rx, ry, _, beta = _twfe_fit(panel, y, x)
-    moments = pair_moments(rx, ry)
-    by_gap = _by_gap(moments)
-    by_pair = _by_pair(moments, panel)
+    pair_sums, unit_sums = pair_moments(rx, ry)
+    by_gap = _by_gap(unit_sums)
+    by_pair = _by_pair(pair_sums, panel)
     scales = [abs(beta)]
     for decomp in (by_gap, by_pair):
         live = ~np.isnan(decomp.beta)

@@ -193,27 +193,31 @@ def simulate(config: DgpConfig) -> SimulatedPanel:
 
     eps = np.cumsum(eps_draw, axis=1) if config.noise_walk else eps_draw
 
-    x = np.empty((n, t))
-    base = np.empty((n, t))
-    y = np.empty((n, t))
-    for j in range(t):
-        if j == 0 or config.feedback == 0.0:
-            x[:, j] = a + g[j] + nu[:, j]
-            if config.uses_covariate:
-                x[:, j] += c[j] * w[:, j]
-        else:
-            # Treatment growth responds (negatively) to the most recent
-            # realized outcome change; no response exists yet at j == 1.
+    # whole-array terms, each element formed by the same operations in the
+    # same order as a period-by-period build
+    x = a[:, None] + g + nu
+    base = alpha[:, None] + gamma + eps
+    if config.uses_covariate:
+        x += c * w
+        base += lam * w
+    if config.feedback == 0.0:
+        if config.effect_lag != 0.0:
+            base[:, 1:] += config.effect_lag * x[:, :-1]
+        y = base + slope * x
+    else:
+        # Treatment growth responds (negatively) to the most recent realized
+        # outcome change, so periods after the first are built in order; no
+        # response exists yet at j == 1.
+        y = np.empty((n, t))
+        y[:, 0] = base[:, 0] + slope[:, 0] * x[:, 0]
+        for j in range(1, t):
             adjust = (
                 config.feedback * (y[:, j - 1] - y[:, j - 2]) if j >= 2 else 0.0
             )
             x[:, j] = x[:, j - 1] + nu[:, j] - adjust
-        base[:, j] = alpha + gamma[j] + eps[:, j]
-        if config.uses_covariate:
-            base[:, j] += lam[j] * w[:, j]
-        if config.effect_lag != 0.0 and j > 0:
-            base[:, j] += config.effect_lag * x[:, j - 1]
-        y[:, j] = base[:, j] + slope[:, j] * x[:, j]
+            if config.effect_lag != 0.0:
+                base[:, j] += config.effect_lag * x[:, j - 1]
+            y[:, j] = base[:, j] + slope[:, j] * x[:, j]
 
     width = len(str(n - 1))
     units = tuple(f"u{i:0{width}d}" for i in range(n))
@@ -328,6 +332,41 @@ def causal_weights(
     )
 
 
+#: Most values per array in one projection of ``theorem2_audit``'s bias
+#: split: the cells of consecutive gaps are projected together up to this
+#: many (cells times units), and a gap with more cells alone.  At most twice
+#: numpy's 8192-value iterator buffer, so grouped cells have at most 8192
+#: units each, where their residuals match a call of their own to the bit;
+#: at 200 units x 29 periods, 16384 was slower than 8192.
+AUDIT_PROJECTION_VALUES = 8192
+
+
+def _projected_drifts(cells: np.ndarray, k: int):
+    """Yield, gap by gap, the ``(T - g, N)`` residuals of each gap-``g``
+    cell's treatment change on its covariate changes, for gaps ``g = k,
+    k + 1, ...`` as long as their cells fit :data:`AUDIT_PROJECTION_VALUES`
+    together, all from one ``project_cells`` call on the period-major
+    ``cells`` (x first)."""
+    n_periods, n = cells.shape[1:]
+    stop, width = k + 1, n_periods - k
+    while stop < n_periods and (
+        (width + n_periods - stop) * n <= AUDIT_PROJECTION_VALUES
+    ):
+        width += n_periods - stop
+        stop += 1
+    changes = np.empty((len(cells), width, n))
+    lo = 0
+    for g in range(k, stop):
+        hi = lo + n_periods - g
+        np.subtract(cells[:, g:], cells[:, :-g], out=changes[:, lo:hi])
+        lo = hi
+    (drift,), _ = project_cells(changes[1:], changes[:1])
+    lo = 0
+    for g in range(k, stop):
+        yield drift[lo : lo + n_periods - g]
+        lo += n_periods - g
+
+
 @dataclass
 class Theorem2Audit:
     """Exact accounting of a fitted estimate against simulated ground truth.
@@ -356,11 +395,17 @@ def theorem2_audit(
     Needs simulated data: the decomposition evaluates potential outcomes,
     which real panels do not carry.
 
-    One loop over gaps accumulates every term.  With covariates, each gap
-    projects the treatment change of all its (gap, start) cells onto their
-    covariate changes in one :func:`~twfekit.numerics.project_cells` sweep,
-    which drops a covariate collinear with earlier ones in a cell, so extra
-    memory stays O(N·T·m) for ``m`` covariates.
+    One loop over gaps accumulates every term.  With covariates, the
+    treatment change of every (gap, start) cell is projected onto its
+    covariate changes by :func:`~twfekit.numerics.project_cells`, which
+    drops a covariate collinear with earlier ones in a cell.  The cells of
+    consecutive gaps share one call, formed in the loop when its first gap
+    is reached, up to :data:`AUDIT_PROJECTION_VALUES` values per array; a
+    gap with more cells than that has a call of its own.  So extra memory
+    stays O(N·T·m) for ``m`` covariates, and a group's cells have at most
+    half that many units, below the 8192-value buffer of numpy's iterator,
+    where each cell's residuals are the same to the bit as from a call of
+    its own.
     """
     if not isinstance(sim, SimulatedPanel):
         raise TypeError(
@@ -388,6 +433,7 @@ def theorem2_audit(
     tau_sum = 0.0
     trend_sum = 0.0
     bias_sum = 0.0
+    drifts = iter(())
     for k in range(1, t):
         dr = r[:, k:] - r[:, :-k]
         # one gap-sized buffer, which keeps the peak memory down, holds dx,
@@ -408,8 +454,10 @@ def theorem2_audit(
             # treatment-on-covariate projection is compared with the pooled
             # (two-way) projection; cells whose projection drifts from the
             # pooled one load the untreated trend onto the estimate.
-            changes = cells[:, k:] - cells[:, :-k]
-            (drift,), _ = project_cells(changes[1:], changes[:1])
+            drift = next(drifts, None)
+            if drift is None:  # k is the first gap of the next group
+                drifts = _projected_drifts(cells, k)
+                drift = next(drifts)
             # projected minus pooled change: (change - drift) - (change - dr),
             # since the pooled projection of x is x less its residual r, up
             # to unit means, which cancel in period differences

@@ -192,7 +192,7 @@ def _pooled_gaps(panel, y, x, gaps, se, where, periods_used):
     """The pooled slope over the gaps ``gaps``, read off one sweep of the
     gap differences of the two-way residuals of ``x`` and ``y``; ``where``
     ends the no-variation message."""
-    _, by_unit = pair_moments(*_residuals(panel, [x, y]), gaps)
+    _, by_unit = pair_moments(*_residuals(panel, [x, y]), gaps, sums=("unit",))
     cross, sq = by_unit.sum(axis=2)
     den = float(sq.sum())
     _require_variation(den, panel, x, where)

@@ -113,7 +113,9 @@ def _sweep(design: np.ndarray, tol: np.ndarray) -> list:
     return groups
 
 
-def pair_moments(x: np.ndarray, y: np.ndarray, gaps=None):
+def pair_moments(
+    x: np.ndarray, y: np.ndarray, gaps=None, sums=("pair", "unit")
+):
     """Sums of period-pair difference products of two units x periods arrays.
 
     For every pair of periods ``t < s`` whose gap ``k = s - t`` is in
@@ -121,6 +123,8 @@ def pair_moments(x: np.ndarray, y: np.ndarray, gaps=None):
     changes ``dx = x[i, s] - x[i, t]`` and ``dy = y[i, s] - y[i, t]`` are
     formed once, one gap at a time, so unit offsets cancel before any
     product is taken and no units x pairs array is built.  Returns
+    ``(by_pair, by_unit)``, each formed only if ``sums`` names it (``"pair"``
+    or ``"unit"``) and ``None`` otherwise:
 
     ``by_pair``
         ``(2, T, T)`` array; ``by_pair[:, t, s]`` holds ``dx * dy`` and
@@ -131,12 +135,18 @@ def pair_moments(x: np.ndarray, y: np.ndarray, gaps=None):
         ``dx * dy`` and ``dx * dx`` summed over the start periods of
         ``gaps[j]``.
 
-    Every estimator in the package is a ratio of sums of these moments.
+    Every estimator in the package is a ratio of sums of these moments: the
+    by-gap and pooled-gap estimates read ``by_unit``, the by-pair
+    decomposition ``by_pair``, and the equivalence check both, from one
+    sweep.  A sum is the same to the bit whichever others are formed.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    names = set(sums)
+    if not names or not names <= {"pair", "unit"}:
+        raise ValueError(f"sums must name 'pair' and/or 'unit', got {sums!r}")
     # period-major copies keep each gap's slices contiguous
     xt = np.ascontiguousarray(x.T)
     yt = np.ascontiguousarray(y.T)
@@ -144,14 +154,16 @@ def pair_moments(x: np.ndarray, y: np.ndarray, gaps=None):
     gaps = range(1, t) if gaps is None else list(gaps)
     if not all(1 <= k <= t - 1 for k in gaps):
         raise ValueError(f"gaps must lie in 1..{t - 1}, got {list(gaps)}")
-    by_pair = np.zeros((2, t, t))
-    by_unit = np.empty((2, n, len(gaps)))
+    by_pair = np.zeros((2, t, t)) if "pair" in names else None
+    by_unit = np.empty((2, n, len(gaps))) if "unit" in names else None
     for j, k in enumerate(gaps):
         dx = xt[k:] - xt[:-k]
         starts = np.arange(t - k)
         for m, prod in enumerate(((yt[k:] - yt[:-k]) * dx, dx * dx)):
-            by_pair[m, starts, starts + k] = prod.sum(axis=1)
-            by_unit[m, :, j] = prod.sum(axis=0)
+            if by_pair is not None:
+                by_pair[m, starts, starts + k] = prod.sum(axis=1)
+            if by_unit is not None:
+                by_unit[m, :, j] = prod.sum(axis=0)
     return by_pair, by_unit
 
 

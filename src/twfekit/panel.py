@@ -419,18 +419,24 @@ def load_panel(
     labels = [units[code] for code in order]
     first, last = int(period.min()), int(period.max())
     span = last - first + 1
-    # one (unit, cluster) key per unit, in unit order, when labels agree
-    unit_cluster = np.unique(unit * len(clusters) + cluster) if clusters else None
+    # each unit's cluster code, in unit order; its rows must all agree
+    unit_cluster = np.empty(len(labels), dtype=np.int64)
+    if clusters:
+        unit_cluster[unit] = cluster
     if (
         not all(np.isfinite(v).all() for v in values)
         or _has_duplicates(unit, period, len(labels), first, span)
-        or (unit_cluster is not None and unit_cluster.size != len(labels))
+        or (clusters and (unit_cluster[unit] != cluster).any())
     ):
         _raise_row_error(path, delimiter, layout)
 
-    observed = np.unique(period)
-    if observed.size != span:
-        missing = observed[np.flatnonzero(np.diff(observed) > 1)[0]] + 1
+    # the time labels in order: as many distinct ones as the span, or the
+    # first step above one skips a period (read unsigned, a step between
+    # sorted 64-bit labels is exact even where the signed one wraps)
+    observed = np.sort(period)
+    steps = np.diff(observed).view(np.uint64)
+    if np.count_nonzero(steps) + 1 != span:
+        missing = observed[np.flatnonzero(steps > 1)[0]] + 1
         raise PanelError(
             f"time labels must be consecutive integers; no observations "
             f"in period {missing}"
@@ -467,7 +473,7 @@ def load_panel(
     kept_units = np.flatnonzero(complete).tolist()
     cluster_id = ()
     if clusters:
-        code = (unit_cluster % len(clusters)).tolist()
+        code = unit_cluster.tolist()
         cluster_id = tuple(clusters[code[i]] for i in kept_units)
     return BalancedPanel(
         units=tuple(labels[i] for i in kept_units),

@@ -6,9 +6,10 @@ and solved with numpy's lstsq, so agreement with the library's demeaned-sum
 formulas is a genuine two-route check, not a tautology.  The exceptions
 are ``audit_loop`` and ``generalized_loop``, which keep the library's former
 per-cell and per-pair ``ols`` loops as the references for the batched
-audit and the batched covariate-adjusted estimator, and
+audit and the batched covariate-adjusted estimator,
 ``causal_weights_loop``, which keeps the library's former index-array build
-of the causal weights.  ``ols``, ``fwl_residualize`` and
+of the causal weights, and ``simulate_loop``, which keeps the former
+period-by-period build of a simulated panel.  ``ols``, ``fwl_residualize`` and
 ``independent_columns`` are the library's former dense least-squares path, a
 standalone Gram-Schmidt sweep plus lstsq, kept as the reference for
 ``numerics.project_cells``.  ``load_panel_loop`` and ``write_weights_csv``
@@ -36,6 +37,7 @@ from twfekit import (
     twfe,
     twfe_multivariate,
 )
+from twfekit.diagnostics import SimulatedPanel
 from twfekit.estimators import DEGENERACY_TOL, two_way_residual
 from twfekit.generalized import _time_invariant_column
 from twfekit.numerics import RANK_TOL, pair_moments
@@ -505,6 +507,77 @@ def causal_weights_loop(panel, x, covariates=None):
         "total_mass": float(weight.sum()),
         "negative_mass": float(weight[weight < 0.0].sum()),
     }
+
+
+# ---------------------------------------------------------------------------
+# simulation reference: the panel built one period at a time
+
+
+def simulate_loop(config):
+    """``simulate(config)`` built one period at a time, the library's
+    former loop, from the same draws in the same order."""
+    rng = np.random.default_rng(config.seed)
+    n, t = config.n_units, config.n_periods
+
+    alpha = rng.normal(0.0, 1.0, n)
+    gamma = rng.normal(0.0, 1.0, t)
+    tau_dev = rng.normal(0.0, config.tau_unit_sd, n)
+    a = rng.normal(0.0, 1.0, n)
+    g = rng.normal(0.0, 1.0, t)
+    w_start = rng.normal(0.0, 1.0, n)
+    w_steps = rng.normal(0.0, 1.0, (n, t - 1))
+    eps_draw = rng.normal(0.0, config.noise_sd, (n, t))
+    nu = rng.normal(0.0, config.treatment_noise_sd, (n, t))
+
+    slope = np.repeat((config.tau + tau_dev)[:, None], t, axis=1)
+
+    if config.covariate_mode == "factor":
+        # Unit loading times a rising deterministic profile: the covariate's
+        # cross-sectional variation is one-dimensional, so each (gap, start)
+        # cell's treatment-on-covariate slope is sharply defined.
+        w = np.outer(w_start, np.linspace(1.0, 2.0, t))
+    else:
+        w = np.cumsum(np.column_stack([w_start, w_steps]), axis=1)
+    c = np.linspace(config.delta_start, config.delta_end, t)
+    lam = config.covariate_loading + config.loading_drift * np.linspace(
+        0.0, 1.0, t
+    )
+
+    eps = np.cumsum(eps_draw, axis=1) if config.noise_walk else eps_draw
+
+    x = np.empty((n, t))
+    base = np.empty((n, t))
+    y = np.empty((n, t))
+    for j in range(t):
+        if j == 0 or config.feedback == 0.0:
+            x[:, j] = a + g[j] + nu[:, j]
+            if config.uses_covariate:
+                x[:, j] += c[j] * w[:, j]
+        else:
+            # Treatment growth responds (negatively) to the most recent
+            # realized outcome change; no response exists yet at j == 1.
+            adjust = (
+                config.feedback * (y[:, j - 1] - y[:, j - 2]) if j >= 2 else 0.0
+            )
+            x[:, j] = x[:, j - 1] + nu[:, j] - adjust
+        base[:, j] = alpha + gamma[j] + eps[:, j]
+        if config.uses_covariate:
+            base[:, j] += lam[j] * w[:, j]
+        if config.effect_lag != 0.0 and j > 0:
+            base[:, j] += config.effect_lag * x[:, j - 1]
+        y[:, j] = base[:, j] + slope[:, j] * x[:, j]
+
+    width = len(str(n - 1))
+    units = tuple(f"u{i:0{width}d}" for i in range(n))
+    series = {"y": y, "x": x}
+    if config.uses_covariate:
+        series["w"] = w
+    panel = BalancedPanel(
+        units=units, periods=tuple(range(1, t + 1)), series=series
+    )
+    return SimulatedPanel(
+        panel=panel, config=config, baseline=base, effect_slope=slope
+    )
 
 
 # ---------------------------------------------------------------------------

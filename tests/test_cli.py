@@ -824,6 +824,8 @@ x = x
         assert err.startswith("error: ")
         if failing == "child":
             assert str(outdir / "mass_weights.csv") in err
+        # the file is whole or absent: no truncated weights CSV
+        assert not (outdir / "mass_weights.csv").exists()
         assert not list(outdir.glob("*.part*"))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

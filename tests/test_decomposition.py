@@ -255,8 +255,9 @@ class TestVerifyEquivalence:
         by_pair = pairwise_decomposition(panel, "y", "x")
         calls = _count_sweeps(monkeypatch)
         report = verify_equivalence(panel, "y", "x")
-        # one sweep of the residuals (x·y and x·x) feeds both decompositions
-        assert calls == [None]
+        # one sweep of the residuals (x·y and x·x) forms the by-unit and
+        # the by-pair sums, which feed both decompositions
+        assert calls == [(None, ["pair", "unit"])]
         assert report.fd_aggregate == by_gap.aggregate
         assert report.pairwise_aggregate == by_pair.aggregate
         beta = twfe(panel, "y", "x").beta
@@ -271,12 +272,13 @@ class TestVerifyEquivalence:
 
 def _count_sweeps(monkeypatch) -> list:
     """Patch every ``pair_moments`` binding to record the ``gaps`` of each
-    call (``None`` for a full sweep); returns the record."""
+    call (``None`` for a full sweep) and the sums it forms; returns the
+    record."""
     calls = []
 
-    def counted(x, y, gaps=None):
-        calls.append(None if gaps is None else list(gaps))
-        return pair_moments(x, y, gaps)
+    def counted(x, y, gaps=None, sums=("pair", "unit")):
+        calls.append((None if gaps is None else list(gaps), sorted(sums)))
+        return pair_moments(x, y, gaps, sums)
 
     for module in (estimators, decomposition):
         monkeypatch.setattr(module, "pair_moments", counted)
@@ -285,21 +287,24 @@ def _count_sweeps(monkeypatch) -> list:
 
 def test_pair_moment_sweeps_per_estimator(rng, monkeypatch):
     # the full-range lemma leaves twfe and generalized_twfe no pair sweep;
-    # every other estimate makes one, over only the gaps it reads
+    # every other estimate makes one, over only the gaps it reads, forming
+    # only the sums it reads: by unit for pooled gaps and the by-gap
+    # decomposition, by pair for the by-pair decomposition
     panel = random_panel(rng, 30, 9, dist="heavy")
     calls = _count_sweeps(monkeypatch)
     assert not hasattr(generalized, "pair_moments")
     for call, sweeps in (
         (lambda: twfe(panel, "y", "x", se=True), []),
         (lambda: generalized_twfe(panel, "y", "x", se=True), []),
-        (lambda: fd(panel, "y", "x", 2, se=True), [[2]]),
-        (lambda: fd(panel, "y", "x", 8), [[8]]),
+        (lambda: fd(panel, "y", "x", 2, se=True), [([2], ["unit"])]),
+        (lambda: fd(panel, "y", "x", 8), [([8], ["unit"])]),
         (lambda: gap_restricted(panel, "y", "x", GapRange(1, 3), se=True),
-         [[1, 2, 3]]),
+         [([1, 2, 3], ["unit"])]),
         (lambda: gap_restricted(panel, "y", "x", GapRange(4, 8)),
-         [[4, 5, 6, 7, 8]]),
-        (lambda: fd_decomposition(panel, "y", "x"), [None]),
-        (lambda: pairwise_decomposition(panel, "y", "x"), [None]),
+         [([4, 5, 6, 7, 8], ["unit"])]),
+        (lambda: fd_decomposition(panel, "y", "x"), [(None, ["unit"])]),
+        (lambda: pairwise_decomposition(panel, "y", "x"),
+         [(None, ["pair"])]),
     ):
         calls.clear()
         call()

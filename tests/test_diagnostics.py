@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from twfekit import (
+    BalancedPanel,
     DgpConfig,
     GapRange,
     NoIdentifyingVariation,
@@ -208,31 +211,68 @@ class TestTheorem2Audit:
         )
 
     def test_rank_sweeps_do_not_grow_with_periods(self, monkeypatch):
-        # the covariate split projects each gap's cells in one kernel call,
-        # not one fit per (gap, start) cell; the two-way residuals of x and
-        # y add a fixed number of calls outside the gap loop
+        # the covariate split projects the cells of consecutive gaps
+        # together, up to AUDIT_PROJECTION_VALUES values per array, never
+        # one fit per (gap, start) cell; the two-way residuals of x and y
+        # add a fixed number of calls outside the gap loop
         kernel = numerics.project_cells
-        widths = []
+        calls = []
 
-        def counted(varying, targets, shared=None):
-            widths[-1].append(np.shape(varying)[1])
-            return kernel(varying, targets, shared)
+        def counted_in(module):
+            def counted(varying, targets, shared=None):
+                calls.append((module, np.shape(varying)[1]))
+                return kernel(varying, targets, shared)
+            return counted
 
         for module in (diagnostics, estimators):
-            monkeypatch.setattr(module, "project_cells", counted)
+            monkeypatch.setattr(module, "project_cells", counted_in(module))
+        budget = diagnostics.AUDIT_PROJECTION_VALUES
+        n = 50
         other_calls = []
         for t in (4, 12, 29):
-            cfg = scenario_preset("time_varying_delta", n_units=50,
+            cfg = scenario_preset("time_varying_delta", n_units=n,
                                   n_periods=t)
             sim = simulate(cfg)
-            widths.append([])
+            calls.clear()
             theorem2_audit(sim, covariates=["w"])
-            # the gap loop's calls come last, one per gap, t - k cells wide
-            calls = widths[-1]
-            assert calls[-(t - 1):] == [t - k for k in range(1, t)]
-            other_calls.append(len(calls) - (t - 1))
+            widths = [w for module, w in calls if module is diagnostics]
+            other_calls.append(len(calls) - len(widths))
+            # every cell once, in calls of whole consecutive gaps (gap k has
+            # T - k cells), each within the budget unless a gap alone is not
+            assert sum(widths) == t * (t - 1) // 2
+            gaps = iter(range(1, t))
+            groups = []
+            for width in widths:
+                group = [t - next(gaps)]
+                while sum(group) < width:
+                    group.append(t - next(gaps))
+                assert sum(group) == width
+                assert width * n <= budget or len(group) == 1
+                groups.append(group)
+            # a group ends only where the next gap would pass the budget
+            for group, after in zip(groups, groups[1:]):
+                assert (sum(group) + after[0]) * n > budget
+            assert len(widths) < t - 1
         assert other_calls[0] > 0
         assert other_calls == [other_calls[0]] * 3
+
+    @pytest.mark.parametrize("n, t", [(50, 29), (3, 40), (4096, 3), (9000, 3)])
+    def test_grouping_keeps_every_bit(self, monkeypatch, n, t):
+        # each cell's projection is the same to the bit however the gaps
+        # are grouped: one call per gap, the default budget, or as many
+        # gaps as fit a large one
+        cfg = scenario_preset("time_varying_delta", n_units=n, n_periods=t,
+                              seed=5)
+        sim = simulate(cfg)
+        panel = sim.panel
+        series = dict(panel.series, v=panel.series["w"] ** 2 + sim.baseline)
+        sim = replace(sim, panel=BalancedPanel(
+            units=panel.units, periods=panel.periods, series=series))
+        audits = []
+        for budget in (0, diagnostics.AUDIT_PROJECTION_VALUES, 8192 * 2):
+            monkeypatch.setattr(diagnostics, "AUDIT_PROJECTION_VALUES", budget)
+            audits.append(theorem2_audit(sim, covariates=["w", "v"]))
+        assert audits[0] == audits[1] == audits[2]
 
     def test_constant_tau_sum_is_exact(self):
         # with a constant effect slope, the weighted tau sum collapses to

@@ -310,6 +310,24 @@ class TestPairMoments:
             by_unit.sum(axis=1), 5 * np.sum(ac * bc, axis=1), rtol=1e-12
         )
 
+    def test_one_sum_is_the_same_bits(self, rng):
+        # a sweep that forms one of the sums forms it exactly as a sweep
+        # that forms both, and returns None for the other
+        for n, t in ((2, 2), (9, 7), (40, 29)):
+            a = rng.standard_t(2, size=(n, t))
+            b = rng.standard_t(2, size=(n, t)) + 1e4 * rng.normal(size=(n, 1))
+            for gaps in (None, [t - 1, 1]):
+                both = pair_moments(a, b, gaps)
+                by_pair, none = pair_moments(a, b, gaps, sums=("pair",))
+                assert none is None and np.array_equal(by_pair, both[0])
+                none, by_unit = pair_moments(a, b, gaps, sums=["unit"])
+                assert none is None and np.array_equal(by_unit, both[1])
+
+    def test_unknown_sums(self):
+        for sums in ((), ("pairs",), ("unit", "gap")):
+            with pytest.raises(ValueError, match="sums must name"):
+                pair_moments(np.zeros((3, 4)), np.zeros((3, 4)), sums=sums)
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError, match="shape mismatch"):
             pair_moments(np.zeros((3, 4)), np.zeros((3, 5)))

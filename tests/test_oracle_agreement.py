@@ -17,6 +17,7 @@ from twfekit import (
     NoIdentifyingVariation,
     PairComponent,
     PretrendConfig,
+    SCENARIOS,
     SimulatedPanel,
     causal_weights,
     fd,
@@ -366,6 +367,39 @@ def test_causal_weights_match_index_build(kind, covariates):
         assert getattr(report, name) is got, name
     assert report.total_mass == want["total_mass"]
     assert report.negative_mass == want["negative_mass"]
+
+
+_SIMULATE_OVERRIDES = {
+    "as is": {},
+    "feedback": {"feedback": 0.4},
+    "effect_lag": {"effect_lag": 0.7},
+    "feedback, lag, covariate": {
+        "feedback": -0.25, "effect_lag": 0.5, "covariate_loading": 0.3,
+    },
+    "walk covariate": {
+        "covariate_mode": "walk", "covariate_loading": 1.0, "delta_end": 1.5,
+    },
+    "T=2": {"n_periods": 2},
+    "N=2": {"n_units": 2},
+}
+
+
+@pytest.mark.parametrize("overrides", _SIMULATE_OVERRIDES.values(),
+                         ids=_SIMULATE_OVERRIDES)
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_simulate_matches_period_loop(scenario, overrides):
+    # the whole-array build forms every element as the loop does
+    for seed in (0, 1, 7, (3, 2)):
+        config = scenario_preset(scenario, seed=seed, **overrides)
+        got, want = simulate(config), oracles.simulate_loop(config)
+        assert got.panel.units == want.panel.units
+        assert got.panel.periods == want.panel.periods
+        assert list(got.panel.series) == list(want.panel.series)
+        for name in want.panel.series:
+            assert np.array_equal(got.panel.values(name),
+                                  want.panel.values(name)), name
+        assert np.array_equal(got.baseline, want.baseline)
+        assert np.array_equal(got.effect_slope, want.effect_slope)
 
 
 @pytest.mark.parametrize("grouped", (False, True), ids=("unit", "grouped"))

@@ -510,6 +510,14 @@ class TestLoadPanelErrorsMatchLoop:
         with pytest.raises(PanelError, match="64-bit"):
             load_panel(path, SCHEMA)
 
+    def test_time_labels_span_the_64_bit_range(self, tmp_path):
+        # the step between the extreme labels wraps as a signed difference
+        path = tmp_path / "p.csv"
+        low, high = -(2**63), 2**63 - 1
+        path.write_text(f"unit,year,y\na,{low},1\na,{high},2\n")
+        with pytest.raises(PanelError, match=f"no observations in period {low + 1}"):
+            load_panel(path, SCHEMA)
+
 
 # the integer arguments of the API, under the rule of the CSV loader's time
 # labels: integral floats and numpy integers are accepted, any other value
