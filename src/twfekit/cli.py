@@ -58,6 +58,7 @@ import sys
 import threading
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from operator import add
 
 import csv
@@ -141,6 +142,12 @@ class RunConfig:
     delimiter: str
     balance: str
     analyses: list[AnalysisConfig]
+
+    def read_panel(self, path: str) -> BalancedPanel:
+        """The panel in ``path``, read with this run's schema and options."""
+        return load_panel(
+            path, self.schema, delimiter=self.delimiter, balance=self.balance
+        )
 
 
 def _split(text: str) -> list[str]:
@@ -518,14 +525,6 @@ def _write_summary_table(outdir: str, name: str, decomposition) -> None:
 # analysis runners
 
 
-def _gap_range(options, required: bool) -> GapRange | None:
-    if "k_min" not in options and "k_max" not in options:
-        if required:
-            raise ValueError("missing required options 'k_min' and 'k_max'")
-        return None
-    return GapRange(_require(options, "k_min"), _require(options, "k_max"))
-
-
 def _run_analysis(
     analysis: AnalysisConfig,
     panel: BalancedPanel | None,
@@ -551,7 +550,7 @@ def _run_analysis(
         params["gap"] = opts.get("gap", 1)
         fields = asdict(fd(panel, y, x, params["gap"], se=se))
     elif kind == "gap_restricted":
-        rng = _gap_range(opts, required=True)
+        rng = GapRange(_require(opts, "k_min"), _require(opts, "k_max"))
         fields = asdict(gap_restricted(panel, y, x, rng, se=se))
         params.update(k_min=rng.k_min, k_max=rng.k_max)
     elif kind == "generalized":
@@ -562,12 +561,11 @@ def _run_analysis(
         )
         presample = None
         if opts.get("presample"):
-            presample = load_panel(
-                opts["presample"], config.schema,
-                delimiter=config.delimiter, balance=config.balance,
-            )
+            presample = config.read_panel(opts["presample"])
         scheme = opts.get("weight_scheme", "ssr")
-        gap_range = _gap_range(opts, required=False)
+        gap_range = None
+        if "k_min" in opts or "k_max" in opts:
+            gap_range = GapRange(_require(opts, "k_min"), _require(opts, "k_max"))
         result = generalized_twfe(
             panel, y, x, spec=spec, gap_range=gap_range, weight_scheme=scheme,
             presample=presample, se=se,
@@ -681,12 +679,7 @@ def run(config: RunConfig) -> int:
     checked it; returns a process exit code."""
     panel = None
     if config.input_path is not None:
-        panel = load_panel(
-            config.input_path,
-            config.schema,
-            delimiter=config.delimiter,
-            balance=config.balance,
-        )
+        panel = config.read_panel(config.input_path)
     os.makedirs(config.output_dir, exist_ok=True)
     for analysis in config.analyses:
         _run_analysis(analysis, panel, config)
@@ -706,16 +699,10 @@ def selfcheck(
     for i in range(panels):
         n = int(rng.integers(2, 31))
         t = int(rng.integers(2, 13))
-        flavor = i % 3
-        if flavor == 0:
-            y = rng.normal(size=(n, t))
-            x = rng.normal(size=(n, t))
-        elif flavor == 1:
-            y = rng.uniform(-1.0, 1.0, size=(n, t))
-            x = rng.uniform(-1.0, 1.0, size=(n, t))
-        else:
-            y = rng.standard_t(2, size=(n, t))
-            x = rng.standard_t(2, size=(n, t))
+        draw = (rng.normal, partial(rng.uniform, -1.0, 1.0),
+                partial(rng.standard_t, 2))[i % 3]
+        y = draw(size=(n, t))
+        x = draw(size=(n, t))
         width = len(str(n - 1))
         panel = BalancedPanel(
             units=tuple(f"u{j:0{width}d}" for j in range(n)),

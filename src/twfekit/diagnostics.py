@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -341,30 +342,34 @@ def causal_weights(
 AUDIT_PROJECTION_VALUES = 8192
 
 
-def _projected_drifts(cells: np.ndarray, k: int):
-    """Yield, gap by gap, the ``(T - g, N)`` residuals of each gap-``g``
-    cell's treatment change on its covariate changes, for gaps ``g = k,
-    k + 1, ...`` as long as their cells fit :data:`AUDIT_PROJECTION_VALUES`
-    together, all from one ``project_cells`` call on the period-major
-    ``cells`` (x first)."""
+def _projected_drifts(cells: np.ndarray):
+    """Yield, for gaps ``k = 1, ..., T - 1`` in turn, the ``(T - k, N)``
+    residuals of each gap-``k`` cell's treatment change on its covariate
+    changes, from the period-major ``cells`` (x first).  It decides the
+    groups: consecutive gaps share one ``project_cells`` call, made when
+    the first is reached, as long as their cells fit
+    :data:`AUDIT_PROJECTION_VALUES` together; a gap with more has its own."""
     n_periods, n = cells.shape[1:]
-    stop, width = k + 1, n_periods - k
-    while stop < n_periods and (
-        (width + n_periods - stop) * n <= AUDIT_PROJECTION_VALUES
-    ):
-        width += n_periods - stop
-        stop += 1
-    changes = np.empty((len(cells), width, n))
-    lo = 0
-    for g in range(k, stop):
-        hi = lo + n_periods - g
-        np.subtract(cells[:, g:], cells[:, :-g], out=changes[:, lo:hi])
-        lo = hi
-    (drift,), _ = project_cells(changes[1:], changes[:1])
-    lo = 0
-    for g in range(k, stop):
-        yield drift[lo : lo + n_periods - g]
-        lo += n_periods - g
+    k = 1
+    while k < n_periods:
+        stop, width = k + 1, n_periods - k
+        while stop < n_periods and (
+            (width + n_periods - stop) * n <= AUDIT_PROJECTION_VALUES
+        ):
+            width += n_periods - stop
+            stop += 1
+        changes = np.empty((len(cells), width, n))
+        lo = 0
+        for g in range(k, stop):
+            hi = lo + n_periods - g
+            np.subtract(cells[:, g:], cells[:, :-g], out=changes[:, lo:hi])
+            lo = hi
+        (drift,), _ = project_cells(changes[1:], changes[:1])
+        lo = 0
+        for g in range(k, stop):
+            yield drift[lo : lo + n_periods - g]
+            lo += n_periods - g
+        k = stop
 
 
 @dataclass
@@ -398,14 +403,15 @@ def theorem2_audit(
     One loop over gaps accumulates every term.  With covariates, the
     treatment change of every (gap, start) cell is projected onto its
     covariate changes by :func:`~twfekit.numerics.project_cells`, which
-    drops a covariate collinear with earlier ones in a cell.  The cells of
-    consecutive gaps share one call, formed in the loop when its first gap
-    is reached, up to :data:`AUDIT_PROJECTION_VALUES` values per array; a
-    gap with more cells than that has a call of its own.  So extra memory
-    stays O(N·T·m) for ``m`` covariates, and a group's cells have at most
-    half that many units, below the 8192-value buffer of numpy's iterator,
-    where each cell's residuals are the same to the bit as from a call of
-    its own.
+    drops a covariate collinear with earlier ones in a cell.  The loop reads
+    each gap's residuals from :func:`_projected_drifts`, which decides the
+    groups: the cells of consecutive gaps share one call, made when the
+    group's first gap is reached, up to :data:`AUDIT_PROJECTION_VALUES`
+    values per array; a gap with more cells than that has a call of its
+    own.  So extra memory stays O(N·T·m) for ``m`` covariates, and a
+    group's cells have at most half that many units, below the 8192-value
+    buffer of numpy's iterator, where each cell's residuals are the same to
+    the bit as from a call of their own.
     """
     if not isinstance(sim, SimulatedPanel):
         raise TypeError(
@@ -413,28 +419,28 @@ def theorem2_audit(
             "got a bare panel"
         )
     panel = sim.panel
-    cov_list = list(covariates) if covariates else []
     # twfe(panel, "y", "x", covariates), whose x residual the accounting uses
-    r, _, _, estimate = _twfe_fit(panel, "y", "x", cov_list or None)
+    r, _, _, estimate = _twfe_fit(panel, "y", "x", covariates)
     xv = panel.values("x")
     slope = sim.effect_slope
     base = sim.baseline
     t = panel.n_periods
 
-    if cov_list:
+    drifts = repeat(None)
+    if covariates:
         # period-major two-way residuals of x and the covariates: each
         # gap's cells are contiguous (S, n) blocks for project_cells, and
         # their changes are the period-demeaned changes, unit means cancelling
         cells = np.ascontiguousarray(
-            _residuals(panel, ["x"] + cov_list).transpose(0, 2, 1)
+            _residuals(panel, ["x", *covariates]).transpose(0, 2, 1)
         )
+        drifts = _projected_drifts(cells)
 
     den = 0.0
     tau_sum = 0.0
     trend_sum = 0.0
     bias_sum = 0.0
-    drifts = iter(())
-    for k in range(1, t):
+    for k, drift in zip(range(1, t), drifts):
         dr = r[:, k:] - r[:, :-k]
         # one gap-sized buffer, which keeps the peak memory down, holds dx,
         # then slope * dx * dr, then the trend
@@ -449,15 +455,11 @@ def theorem2_audit(
         trend *= xv[:, :-k]
         trend += base[:, k:] - base[:, :-k]
         trend_sum += float(np.sum(trend * dr))
-        if cov_list:
+        if drift is not None:
             # Split the trend term: every (gap, start) cell's
             # treatment-on-covariate projection is compared with the pooled
             # (two-way) projection; cells whose projection drifts from the
             # pooled one load the untreated trend onto the estimate.
-            drift = next(drifts, None)
-            if drift is None:  # k is the first gap of the next group
-                drifts = _projected_drifts(cells, k)
-                drift = next(drifts)
             # projected minus pooled change: (change - drift) - (change - dr),
             # since the pooled projection of x is x less its residual r, up
             # to unit means, which cancel in period differences

@@ -72,8 +72,11 @@ class PretrendConfig:
     For a pair whose earlier period is ``t``, each unit contributes the OLS
     slope of ``variable`` on the calendar period over the window
     ``[t + window_start_offset, t + window_end_offset]`` (both offsets
-    negative, so the window lies strictly before ``t``).  Window periods may
-    come from the panel itself or from an earlier ``presample`` panel.
+    negative, so the window lies strictly before ``t``).  The first pair
+    starts in the panel's first period, so its window lies wholly before
+    the panel: ``variable`` must be in a ``presample`` panel that holds at
+    least ``min_points`` of that window's periods.  The panel itself can
+    supply the windows of later pairs only.
 
     ``min_points``: how many window periods must be available (panels are
     balanced, so the count is the same for every unit); ``None`` requires
@@ -314,6 +317,11 @@ def generalized_twfe(
     it dropped as collinear (``"intercept"``, a series name, or
     ``"variable:start:end"`` for a pre-trend control).  Extra memory is
     O(N·T) per gap, never per pair.
+
+    Each pre-trend variable in ``spec.pre_period`` must be in ``presample``,
+    which must hold at least ``min_points`` (default: all) of the periods of
+    the first pair's window, before the panel's first period; the panel can
+    supply the windows of later pairs only.
     """
     if weight_scheme not in WEIGHT_SCHEMES:
         raise ValueError(

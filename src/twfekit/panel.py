@@ -172,10 +172,6 @@ class _Layout(NamedTuple):
     columns: list[int]
 
 
-class _IrregularRows(Exception):
-    """A chunk holds a row that only the row-by-row re-scan can name."""
-
-
 def _read_layout(reader, schema: PanelSchema, path) -> _Layout:
     try:
         header = next(reader)
@@ -279,7 +275,7 @@ def _chunk_columns(rows, layout: _Layout):
             [row for row in rows if not _is_blank(row)], layout
         )
         if columns is None:
-            raise _IrregularRows
+            raise ValueError("irregular rows")
     return columns
 
 
@@ -303,8 +299,8 @@ def _read_columns(reader, layout: _Layout):
     Returns the unit labels in code order, the cluster labels in code order,
     and the per-row unit codes, periods, cluster codes (empty without a
     cluster column) and one ``float64`` array per series.  Raises
-    ``ValueError``, ``OverflowError`` or :class:`_IrregularRows` on a row
-    that :func:`_raise_row_error` must name.
+    ``ValueError`` or ``OverflowError`` on a row that
+    :func:`_raise_row_error` must name.
     """
     units: dict[str, int] = {}
     clusters: dict[str, int] = {}
@@ -328,6 +324,8 @@ def _raise_row_error(path, delimiter: str, layout: _Layout) -> NoReturn:
     seen: set[tuple[str, int]] = set()
     cluster_of: dict[str, str] = {}
     with open(path, newline="") as handle:
+        if handle.read(1) != "\ufeff":  # a byte-order mark is no header text
+            handle.seek(0)
         reader = csv.reader(handle, delimiter=delimiter)
         next(reader)
         for row in reader:
@@ -364,15 +362,6 @@ def _raise_row_error(path, delimiter: str, layout: _Layout) -> NoReturn:
     raise PanelError(f"{path}: time labels must fit in a 64-bit integer")
 
 
-def _has_duplicates(unit, period, n_units: int, first: int, span: int) -> bool:
-    """Whether a (unit, period) cell occurs twice."""
-    cells = n_units * span
-    if cells <= 4 * unit.size + 65536:
-        return np.bincount(unit * span + (period - first), minlength=cells).max() > 1
-    # a sparse file: sort the keys rather than count over a mostly empty grid
-    return np.unique(np.column_stack([unit, period]), axis=0).shape[0] < unit.size
-
-
 def load_panel(
     path,
     schema: PanelSchema,
@@ -400,13 +389,15 @@ def load_panel(
             f"balance must be 'error' or 'drop-units', got '{balance}'"
         )
     with open(path, newline="") as handle:
+        if handle.read(1) != "\ufeff":  # a byte-order mark is no header text
+            handle.seek(0)
         reader = csv.reader(handle, delimiter=delimiter)
         layout = _read_layout(reader, schema, path)
         try:
             units, clusters, unit, period, cluster, *values = _read_columns(
                 reader, layout
             )
-        except (ValueError, OverflowError, _IrregularRows):
+        except (ValueError, OverflowError):
             _raise_row_error(path, delimiter, layout)
     if not unit.size:
         raise PanelError(f"{path}: no data rows")
@@ -417,7 +408,12 @@ def load_panel(
     position[order] = np.arange(len(units))
     unit = position[unit]
     labels = [units[code] for code in order]
-    first, last = int(period.min()), int(period.max())
+    # cells by period, then unit: a repeated cell is a zero step in both;
+    # a period step read unsigned is exact even where the signed one wraps
+    by_cell = np.lexsort((unit, period))
+    observed = period[by_cell]
+    steps = np.diff(observed).view(np.uint64)
+    first, last = int(observed[0]), int(observed[-1])
     span = last - first + 1
     # each unit's cluster code, in unit order; its rows must all agree
     unit_cluster = np.empty(len(labels), dtype=np.int64)
@@ -425,16 +421,12 @@ def load_panel(
         unit_cluster[unit] = cluster
     if (
         not all(np.isfinite(v).all() for v in values)
-        or _has_duplicates(unit, period, len(labels), first, span)
+        or ((steps == 0) & (np.diff(unit[by_cell]) == 0)).any()
         or (clusters and (unit_cluster[unit] != cluster).any())
     ):
         _raise_row_error(path, delimiter, layout)
 
-    # the time labels in order: as many distinct ones as the span, or the
-    # first step above one skips a period (read unsigned, a step between
-    # sorted 64-bit labels is exact even where the signed one wraps)
-    observed = np.sort(period)
-    steps = np.diff(observed).view(np.uint64)
+    # as many distinct periods as the span, or a step above one skips one
     if np.count_nonzero(steps) + 1 != span:
         missing = observed[np.flatnonzero(steps > 1)[0]] + 1
         raise PanelError(

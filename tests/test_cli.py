@@ -708,6 +708,22 @@ kind = pairwise_decomposition
         assert (outdir / "bypair_summary_table.csv").exists()
         assert not (outdir / "plain_summary_table.csv").exists()
 
+    @pytest.mark.parametrize("spelling", ["no", "false", "off", "0", " OFF "])
+    def test_false_boolean_spellings(self, tmp_path, panel_csv, spelling):
+        outdir = tmp_path / "out"
+        body = BASE.format(input=panel_csv, outdir=outdir) + f"""
+[analysis:plain]
+kind = twfe
+y = y
+x = x
+se = {spelling}
+"""
+        cfg = write_config(tmp_path, body)
+        assert load_run_config(str(cfg)).analyses[0].options["se"] is False
+        assert main(["run", "--config", str(cfg)]) == 0
+        with open(outdir / "plain_estimate.json") as fh:
+            assert json.load(fh)["se"] is None
+
     def test_default_key_reaches_run(self, tmp_path):
         outdir = tmp_path / "out"
         body = f"""
@@ -737,6 +753,10 @@ class TestWriters:
         with open(path, newline="") as fh:
             assert list(csv.reader(fh)) == [["a", "b", "c"], ["1.5", "", "3"]]
 
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._usable_cpus() == (os.cpu_count() or 1)
 
     # one write per gap, per few units with a remainder, and per unit
     @pytest.mark.parametrize("rows_per_write", [8192, 13, 1])
@@ -986,6 +1006,11 @@ x = x
                 "[analysis mc2]\nkind = simulation",
                 "unknown section [analysis mc2]",
             ),
+            (
+                "kind = simulation\nscenario = parallel_trends\n\n"
+                "[analysis:]\nkind = simulation",
+                "analysis section needs a name: [analysis:NAME]",
+            ),
         ],
     )
     def test_config_errors_precede_any_work(
@@ -1082,6 +1107,10 @@ replications = 2
         "analysis, message",
         [
             ("kind = twfe\nx = x", "missing required option 'y'"),
+            (
+                "kind = gap_restricted\ny = y\nx = x",
+                "missing required option 'k_min'",
+            ),
             (
                 "kind = generalized\ny = y\nx = x\npretrend = w:-6",
                 "pretrend spec 'w:-6' must look like "

@@ -158,6 +158,30 @@ class TestLoadPanel:
         with pytest.raises(PanelError, match="line 3.*duplicate.*'a'.*period 1"):
             load_panel(path, SCHEMA)
 
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    @pytest.mark.parametrize("first", ["unit", '"unit"'])
+    def test_byte_order_mark_is_not_header_text(self, tmp_path, first):
+        text = f"{first},year,y\nb,1,1.5\na,2,2.5\na,1,3.5\nb,2,4.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        want, got = load_panel(plain, SCHEMA), load_panel(marked, SCHEMA)
+        assert got.units == want.units and got.periods == want.periods
+        assert got.values("y").tobytes() == want.values("y").tobytes()
+
+    # a quoted header cell may span lines, which only a skipped mark keeps
+    @pytest.mark.parametrize("first, line", [("unit", 3), ('"unit\n"', 4)])
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path, first, line):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            f"\ufeff{first},year,y\na,1,1.0\na,1,2.0\nb,1,3.0\nb,2,4.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            PanelError, match=f"line {line}: duplicate.*'a'.*period 1"
+        ):
+            load_panel(path, SCHEMA)
+
     def test_missing_cell_names_unit_and_period(self, tmp_path):
         path = tmp_path / "hole.csv"
         path.write_text(
