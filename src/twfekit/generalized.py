@@ -25,9 +25,11 @@ controls absorb that variation (see :mod:`twfekit.estimators`).
 A pair's controls come in the order intercept, time-invariant, differenced,
 pre-trend, so the rank rule of ``numerics`` drops the later member of a
 collinear group; each component names the controls its pair dropped.  The
-pairs of one gap are residualized together by one
-``numerics.project_cells`` call, which sweeps the intercept and the
-time-invariant columns, the same in every pair, only once.
+intercept and the time-invariant columns, the same in every pair, are swept
+once per call and, projection being linear, taken out of the period levels
+rather than out of every pair's changes.  The pairs of one gap are then
+residualized on their other controls together, by one
+``numerics.project_cells`` call.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .estimators import (
     Estimate, _live, _pooled_gaps, _require_variation, _residuals,
 )
 from .inference import cluster_robust_se
-from .numerics import project_cells
+from .numerics import RANK_TOL, _sweep, project_cells
 from .panel import BalancedPanel, _integer
 
 WEIGHT_SCHEMES = ("ssr", "raw")
@@ -216,10 +218,14 @@ def _pretrend_slopes(
     """``(len(configs), len(anchors), N)`` pre-trend slopes before each anchor.
 
     The presample is validated once, and each variable's values are gathered
-    once from the sources that hold it (the presample's, then the panel's),
-    so each window is one mask over the calendar.
+    once from the sources that hold it (the presample's, then the panel's)
+    and unit-demeaned, so that unit offsets cancel first.  Every anchor's
+    slopes then come from one product with a calendar x anchors matrix of
+    the window periods, centred and scaled per anchor, zero outside the
+    window.
     """
     rows = None
+    anchors = np.asarray(anchors)
     slopes = np.empty((len(configs), len(anchors), panel.n_units))
     for c, config in enumerate(configs):
         name = config.variable
@@ -241,24 +247,25 @@ def _pretrend_slopes(
         if name in panel.series:
             blocks.append(panel.values(name))
             calendar.extend(panel.periods)
-        periods, values = np.array(calendar), np.hstack(blocks)
+        periods, values = np.array(calendar)[:, None], np.hstack(blocks)
         needed = config.min_points or config.window_length
-        for a, t in enumerate(anchors):
-            cols = (periods >= t + config.window_start_offset) & (
-                periods <= t + config.window_end_offset
+        window = (periods >= anchors + config.window_start_offset) & (
+            periods <= anchors + config.window_end_offset
+        )
+        counts = window.sum(axis=0)
+        short = np.flatnonzero(counts < needed)
+        if short.size:
+            a = short[0]
+            raise PanelError(
+                f"pre-trend window before period {anchors[a]}: only "
+                f"{counts[a]} of {needed} required periods available"
             )
-            if cols.sum() < needed:
-                raise PanelError(
-                    f"pre-trend window before period {t}: only {cols.sum()} "
-                    f"of {needed} required periods available"
-                )
-            window = values[:, cols]
-            pc = periods[cols].astype(float)
-            pc -= pc.mean()
-            slopes[c, a] = (
-                (window - window.mean(axis=1, keepdims=True)) @ pc
-                / float(pc @ pc)
-            )
+        mean = (window * periods).sum(axis=0) / counts
+        pc = np.where(window, periods - mean, 0.0)
+        slopes[c] = (
+            (values - values.mean(axis=1, keepdims=True))
+            @ (pc / np.einsum("ca,ca->a", pc, pc))
+        ).T
     return slopes
 
 
@@ -295,6 +302,13 @@ def _time_invariant_column(panel: BalancedPanel, name: str) -> np.ndarray:
     return values[:, 0].copy()
 
 
+def _per_cell(blocks: list, cell: np.ndarray) -> np.ndarray:
+    """Cell ``s`` of ``blocks[cell[s]]``, for ``(m, S, n)`` blocks."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.stack(blocks)[cell, :, np.arange(cell.size)].transpose(1, 0, 2)
+
+
 def generalized_twfe(
     panel: BalancedPanel,
     y: str,
@@ -315,8 +329,11 @@ def generalized_twfe(
     reproduces the plain two-way estimate.  The decomposition's
     ``dropped_controls`` column holds, per pair, the names of the controls
     it dropped as collinear (``"intercept"``, a series name, or
-    ``"variable:start:end"`` for a pre-trend control).  Extra memory is
-    O(N·T) per gap, never per pair.
+    ``"variable:start:end"`` for a pre-trend control).  The intercept and
+    time-invariant columns are taken out of the period levels once, and each
+    gap differences the projected levels.  Extra memory is O(N·T) per gap
+    and per set of shared columns that pairs keep (usually one), never per
+    pair.
 
     Each pre-trend variable in ``spec.pre_period`` must be in ``presample``,
     which must hold at least ``min_points`` (default: all) of the periods of
@@ -342,20 +359,52 @@ def generalized_twfe(
         _time_invariant_column(panel, name) for name in spec.time_invariant
     ])
     # period-major two-way residuals of x and y, as every estimator reads
-    # them, then the raw differenced controls: a gap's changes are
-    # contiguous (start, unit) blocks
-    series = np.stack(
-        [r.T for r in _residuals(panel, [x, y])]
-        + [panel.values(name).T for name in spec.differenced]
-    )
+    # them, and the differenced controls: a gap's changes are contiguous
+    # (start, unit) blocks
+    resid = [r.T for r in _residuals(panel, [x, y])]
+    controls = [panel.values(name) for name in spec.differenced]
+    raw = np.stack(resid[:1] + [v.T for v in controls])
     # the x residual's squared changes summed over all pairs (full-range
     # lemma): the two-way variation of which each pair's is a share
-    total = t_count * float(np.sum(series[0] * series[0]))
+    total = t_count * float(np.sum(raw[0] * raw[0]))
     where = f"for any pair with gaps {rng.k_min}-{rng.k_max}"
     _require_variation(total, panel, x, where)
     # the anchors with a pair in range
     anchors = panel.periods[: t_count - rng.k_min]
     pretrend = _pretrend_slopes(panel, spec.pre_period, anchors, presample)
+
+    # per gap, from the raw changes: each pair's drop tolerance, relative to
+    # its largest control column, and the plain pairwise decomposition's
+    # basis, the pair's squared changes of the x residual
+    gaps = range(rng.k_min, rng.k_max + 1)
+    shared_max = float(np.sqrt(np.einsum("ij,ij->j", shared, shared)).max())
+    pretrend_norms = np.sqrt(np.einsum("pan,pan->ap", pretrend, pretrend))
+    tols, raw_dens = [], []
+    for k in gaps:
+        changes = raw[:, k:] - raw[:, :-k]
+        norms = np.sqrt(np.einsum("msn,msn->sm", changes[1:], changes[1:]))
+        norms = np.hstack([norms, pretrend_norms[: t_count - k]])
+        tols.append(RANK_TOL * norms.max(axis=1, initial=shared_max))
+        raw_dens.append(np.einsum("sn,sn->s", changes[0], changes[0]))
+    # the shared columns, swept once for every pair; pairs that disagree on
+    # one, by their tolerances, get one basis per kept set (usually one).
+    # Projection is linear, so each basis is taken out of the period levels
+    # rather than out of each pair's changes: once for the x and y
+    # residuals, twice for the control columns, as in the sweep.  A
+    # control's levels are first centred on the unit's median value, so
+    # that unit offsets cancel and one outlying period does not leave its
+    # scale in every level
+    groups = _sweep(shared, np.concatenate(tols))
+    group = np.empty(sum(map(len, tols)), dtype=np.intp)
+    centred = [(v - np.median(v, axis=1, keepdims=True)).T for v in controls]
+    levels = []
+    for g, (cells, q, _) in enumerate(groups):
+        group[cells] = g
+        block, pre = np.stack(resid + centred), pretrend.copy()
+        for part, passes in ((block[:2], 1), (block[2:], 2), (pre, 2)):
+            for _ in range(passes):
+                part -= (part @ q) @ q.T
+        levels.append((block, pre))
 
     # per-unit sums of v*u and v^2 over the live pairs, for the SE
     unit_cross = np.zeros(n)
@@ -363,20 +412,21 @@ def generalized_twfe(
     # per gap: start and end period indices, beta (NaN where degenerate)
     # and weight basis
     columns: list[tuple] = []
-    dropped: list[tuple[str, ...]] = []
-    for k in range(rng.k_min, rng.k_max + 1):
-        # the pairs of gap k, one per start period, form one stack of cells
-        changes = series[:, k:] - series[:, :-k]
+    retained = []
+    offset = 0
+    for k, tol, raw_den in zip(gaps, tols, raw_dens):
+        # the pairs of gap k, one per start period, form one stack of cells,
+        # each differencing the levels projected on its kept shared columns
         starts = t_count - k
-        (rx, ry), retained = project_cells(
-            np.concatenate([changes[2:], pretrend[:, :starts]]),
-            changes[:2],
-            shared,
+        cell = group[offset: offset + starts]
+        offset += starts
+        changes = _per_cell([b[:, k:] - b[:, :-k] for b, _ in levels], cell)
+        pre = _per_cell([p[:, :starts] for _, p in levels], cell)
+        (rx, ry), kept = project_cells(
+            np.concatenate([changes[2:], pre]), changes[:2], tol
         )
+        retained.append(kept)
         ssr = np.einsum("sn,sn->s", rx, rx)
-        # the plain pairwise decomposition's basis: the pair's changes of
-        # the x residual
-        raw_den = np.einsum("sn,sn->s", changes[0], changes[0])
         live = _live(raw_den, total) & _live(ssr, raw_den)
         # the raw scheme rescales a pair's residuals by sqrt(raw_den / ssr),
         # so its products scale by the square
@@ -391,17 +441,27 @@ def generalized_twfe(
         )
         basis = ssr if weight_scheme == "ssr" else raw_den
         columns.append((np.arange(starts), np.arange(k, t_count), beta, basis))
-        dropped += [tuple(compress(names, ~kept)) for kept in retained]
     first, second, beta, basis = map(np.concatenate, zip(*columns))
     order = np.lexsort((second, first))  # anchor-major, as pairwise
     beta = beta[order]
     n_degenerate = int(np.isnan(beta).sum())
     if n_degenerate == beta.size:
         raise NoIdentifyingVariation(f"no identifying variation in '{x}' {where}")
+    # one names tuple per distinct retained pattern, each row read as one
+    # opaque value
+    retained = np.hstack([
+        np.array([kept for _, _, kept in groups])[group],
+        np.concatenate(retained),
+    ])
+    _, rows, which = np.unique(
+        retained.view(np.dtype((np.void, retained.shape[1]))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    dropped = [tuple(compress(names, ~retained[i])) for i in rows]
     decomposition = _pair_decomposition(
         panel, first[order], second[order], beta, basis[order],
         n_controls=np.full(beta.size, spec.n_controls),
-        dropped_controls=[dropped[i] for i in order.tolist()],
+        dropped_controls=[dropped[i] for i in which[order].tolist()],
     )
     estimate = Estimate(
         beta=decomposition.aggregate,

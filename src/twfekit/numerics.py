@@ -14,11 +14,13 @@ declared dependent and dropped.  Because the sweep runs left to right, the
 keeps drop decisions deterministic and lets callers order columns by
 priority.
 
-Designs with common leading columns share one sweep of that block, which is
-then taken out of the rest by one product (Frisch-Waugh-Lovell); only the
-other columns are swept per design, vectorized across designs.  Designs
-that disagree on a common column, since each takes ``RANK_TOL`` relative to
-its own largest column norm, are grouped by the ones they keep.
+``project_cells`` sweeps every column per design, vectorized across
+designs.  Columns common to many designs are swept once by ``_sweep``; the
+caller takes the resulting basis out of its data by one product
+(Frisch-Waugh-Lovell) and hands ``project_cells`` only the other columns,
+with each design's tolerance.  Designs that disagree on a common column,
+since each takes ``RANK_TOL`` relative to its own largest column norm, get
+one basis per set of common columns they keep.
 """
 
 from __future__ import annotations
@@ -32,48 +34,35 @@ RANK_TOL = 1e-10
 def project_cells(
     varying: np.ndarray,
     targets: np.ndarray,
-    shared: np.ndarray | None = None,
+    tol: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of each cell's targets on that cell's retained columns.
 
-    Cell ``s`` of ``S`` has the design ``[shared, *varying[:, s]]``: the
-    ``(n, p0)`` block ``shared`` (or none) is common to every cell, and
-    ``varying`` is ``(m, S, n)``, column-major.  ``targets`` is ``(r, S, n)``.
-    Returns the ``(r, S, n)`` residuals (the targets themselves in an
-    all-zero cell) and the ``(S, p0 + m)`` mask of the design columns each
-    cell retains by the drop rule of the module docstring.
+    Cell ``s`` of ``S`` has the design ``varying[:, s]``, with ``varying``
+    ``(m, S, n)``, column-major; ``targets`` is ``(r, S, n)``.  A column is
+    dropped when its residual norm is at most ``tol[s]``, by default
+    ``RANK_TOL`` times the cell's largest column norm (the rule of the
+    module docstring).  Returns the ``(r, S, n)`` residuals (the targets
+    themselves in an all-zero cell) and the ``(S, m)`` mask of the columns
+    each cell retains.
     """
     v, y = np.asarray(varying, dtype=float), np.asarray(targets, dtype=float)
-    c = np.empty((v.shape[-1], 0)) if shared is None else np.asarray(shared, float)
     if v.ndim != 3 or y.ndim != 3 or y.shape[1:] != v.shape[1:] or (
-        c.ndim != 2 or c.shape[:1] != v.shape[2:]
+        tol is not None and np.shape(tol) != v.shape[1:2]
     ):
         raise ValueError(
-            f"need varying (m, S, n), targets (r, S, n) and shared (n, p0), "
-            f"got shapes {v.shape}, {y.shape} and {c.shape}"
+            f"need varying (m, S, n), targets (r, S, n) and tol (S,), got "
+            f"shapes {v.shape}, {y.shape} and {np.shape(tol)}"
         )
-    (m, s_count, _), p0 = v.shape, c.shape[1]
-    # each cell's largest column norm, the shared ones included
-    shared_max = float(np.sqrt(np.einsum("ij,ij->j", c, c)).max()) if p0 else 0.0
-    norms = np.sqrt(np.einsum("msn,msn->sm", v, v))
-    tol = RANK_TOL * norms.max(axis=1, initial=shared_max)
+    m, s_count, _ = v.shape
+    if tol is None:
+        norms = np.sqrt(np.einsum("msn,msn->sm", v, v))
+        tol = RANK_TOL * norms.max(axis=1, initial=0.0)
     basis = v.copy()
     residuals = y.copy()
-    retained = np.zeros((s_count, p0 + m), dtype=bool)
-    for cells, q, kept in _sweep(c, tol) if p0 else ():
-        retained[cells, :p0] = kept
-        outside = np.ones(s_count, dtype=bool)
-        outside[cells] = False
-        # Frisch-Waugh-Lovell: one product takes the shared basis out of
-        # the group's cells, twice for the columns as in the sweep; zeroed
-        # coefficients leave the other cells as they are, without copies
-        for block, passes in ((basis, 2), (residuals, 1)):
-            for _ in range(passes):
-                coef = block @ q
-                coef[:, outside] = 0.0
-                block -= coef @ q.T
-    # the varying columns, swept per cell and vectorized across cells; each
-    # column becomes its cell's next basis vector (zero when dropped)
+    retained = np.zeros((s_count, m), dtype=bool)
+    # swept per cell and vectorized across cells; each column becomes its
+    # cell's next basis vector (zero when dropped)
     for j in range(m):
         col, earlier = basis[j], basis[:j]
         for _ in range(2 if j else 0):
@@ -81,7 +70,7 @@ def project_cells(
                 "ls,lsn->sn", np.einsum("lsn,sn->ls", earlier, col), earlier
             )
         norm = np.sqrt(np.einsum("sn,sn->s", col, col))
-        retained[:, p0 + j] = keep = norm > tol
+        retained[:, j] = keep = norm > tol
         col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=keep)[:, None]
         residuals -= np.einsum("rsn,sn->rs", residuals, col)[:, :, None] * col
     return residuals, retained

@@ -9,7 +9,11 @@ per-cell and per-pair ``ols`` loops as the references for the batched
 audit and the batched covariate-adjusted estimator,
 ``causal_weights_loop``, which keeps the library's former index-array build
 of the causal weights, and ``simulate_loop``, which keeps the former
-period-by-period build of a simulated panel.  ``ols``, ``fwl_residualize`` and
+period-by-period build of a simulated panel.  ``project_cells_shared`` and
+``generalized_gap_loop`` keep the former shared-block kernel and the per-gap
+loop over it as the references for ``generalized_twfe``, which takes the
+shared columns out of period levels, and ``pretrend_slopes_loop`` the former
+per-window pre-trend slopes.  ``ols``, ``fwl_residualize`` and
 ``independent_columns`` are the library's former dense least-squares path, a
 standalone Gram-Schmidt sweep plus lstsq, kept as the reference for
 ``numerics.project_cells``.  ``load_panel_loop`` and ``write_weights_csv``
@@ -40,7 +44,7 @@ from twfekit import (
 from twfekit.diagnostics import SimulatedPanel
 from twfekit.estimators import DEGENERACY_TOL, two_way_residual
 from twfekit.generalized import _time_invariant_column
-from twfekit.numerics import RANK_TOL, pair_moments
+from twfekit.numerics import RANK_TOL, _sweep, pair_moments
 from twfekit.panel import PanelSchema, demean
 
 
@@ -732,6 +736,143 @@ def generalized_loop(panel, y, x, spec, k_min, k_max, scheme, presample=None):
     se = cluster_robust_se(unit_cross, unit_sq, panel.cluster_id)
     n_degenerate = sum(c[2] is None for c in components)
     return components, estimate, se, n_degenerate
+
+
+def project_cells_shared(varying, targets, shared=None):
+    """The library's former ``numerics.project_cells``, whose cells share the
+    leading design block ``shared``.
+
+    Cell ``s`` of ``S`` has the design ``[shared, *varying[:, s]]``: the
+    ``(n, p0)`` block ``shared`` (or none) is common to every cell, and
+    ``varying`` is ``(m, S, n)``, column-major.  ``targets`` is ``(r, S, n)``.
+    Returns the ``(r, S, n)`` residuals (the targets themselves in an
+    all-zero cell) and the ``(S, p0 + m)`` mask of the design columns each
+    cell retains.  The shared block is swept once and taken out of each
+    group of cells that keeps the same shared columns by one product; the
+    reference for ``generalized_twfe``, which takes it out of period levels.
+    """
+    v, y = np.asarray(varying, dtype=float), np.asarray(targets, dtype=float)
+    c = np.empty((v.shape[-1], 0)) if shared is None else np.asarray(shared, float)
+    if v.ndim != 3 or y.ndim != 3 or y.shape[1:] != v.shape[1:] or (
+        c.ndim != 2 or c.shape[:1] != v.shape[2:]
+    ):
+        raise ValueError(
+            f"need varying (m, S, n), targets (r, S, n) and shared (n, p0), "
+            f"got shapes {v.shape}, {y.shape} and {c.shape}"
+        )
+    (m, s_count, _), p0 = v.shape, c.shape[1]
+    # each cell's largest column norm, the shared ones included
+    shared_max = float(np.sqrt(np.einsum("ij,ij->j", c, c)).max()) if p0 else 0.0
+    norms = np.sqrt(np.einsum("msn,msn->sm", v, v))
+    tol = RANK_TOL * norms.max(axis=1, initial=shared_max)
+    basis = v.copy()
+    residuals = y.copy()
+    retained = np.zeros((s_count, p0 + m), dtype=bool)
+    for cells, q, kept in _sweep(c, tol) if p0 else ():
+        retained[cells, :p0] = kept
+        outside = np.ones(s_count, dtype=bool)
+        outside[cells] = False
+        # Frisch-Waugh-Lovell: one product takes the shared basis out of
+        # the group's cells, twice for the columns as in the sweep; zeroed
+        # coefficients leave the other cells as they are, without copies
+        for block, passes in ((basis, 2), (residuals, 1)):
+            for _ in range(passes):
+                coef = block @ q
+                coef[:, outside] = 0.0
+                block -= coef @ q.T
+    # the varying columns, swept per cell and vectorized across cells; each
+    # column becomes its cell's next basis vector (zero when dropped)
+    for j in range(m):
+        col, earlier = basis[j], basis[:j]
+        for _ in range(2 if j else 0):
+            col -= np.einsum(
+                "ls,lsn->sn", np.einsum("lsn,sn->ls", earlier, col), earlier
+            )
+        norm = np.sqrt(np.einsum("sn,sn->s", col, col))
+        retained[:, p0 + j] = keep = norm > tol
+        col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=keep)[:, None]
+        residuals -= np.einsum("rsn,sn->rs", residuals, col)[:, :, None] * col
+    return residuals, retained
+
+
+def pretrend_slopes_loop(panel, configs, anchors, presample):
+    """The library's former ``generalized._pretrend_slopes``: each anchor's
+    window masked out of the calendar and row-centred on its own, then one
+    product per anchor.  The reference for the one-product slopes."""
+    rows = None
+    slopes = np.empty((len(configs), len(anchors), panel.n_units))
+    for c, config in enumerate(configs):
+        name = config.variable
+        calendar, blocks = [], []
+        if presample is not None and name in presample.series:
+            if rows is None:
+                rows = [presample.units.index(u) for u in panel.units]
+            blocks.append(presample.values(name)[rows])
+            calendar.extend(presample.periods)
+        if name in panel.series:
+            blocks.append(panel.values(name))
+            calendar.extend(panel.periods)
+        periods, values = np.array(calendar), np.hstack(blocks)
+        for a, t in enumerate(anchors):
+            cols = (periods >= t + config.window_start_offset) & (
+                periods <= t + config.window_end_offset
+            )
+            window = values[:, cols]
+            pc = periods[cols].astype(float)
+            pc -= pc.mean()
+            slopes[c, a] = (
+                (window - window.mean(axis=1, keepdims=True)) @ pc
+                / float(pc @ pc)
+            )
+    return slopes
+
+
+def generalized_gap_loop(panel, y, x, spec, k_min, k_max, presample=None):
+    """``generalized_twfe``'s pair slopes and drops by its former gap loop.
+
+    Each gap's changes of the two-way residuals and of the raw differenced
+    controls, with the ``pretrend_slopes_loop`` slopes, go to
+    ``project_cells_shared`` with the intercept and time-invariant columns
+    as the shared block.  Returns ``{(first, second): (beta,
+    dropped_controls)}`` by period labels, ``beta`` NaN where the library
+    calls the pair degenerate.
+    """
+    t_count, labels, n = panel.n_periods, panel.periods, panel.n_units
+    names = ("intercept",) + spec.time_invariant + spec.differenced + tuple(
+        f"{c.variable}:{c.window_start_offset}:{c.window_end_offset}"
+        for c in spec.pre_period
+    )
+    shared = np.column_stack([np.ones(n)] + [
+        _time_invariant_column(panel, name) for name in spec.time_invariant
+    ])
+    series = np.stack(
+        [two_way_residual(panel, x).T, two_way_residual(panel, y).T]
+        + [panel.values(name).T for name in spec.differenced]
+    )
+    total = t_count * float(np.sum(series[0] * series[0]))
+    pretrend = pretrend_slopes_loop(
+        panel, spec.pre_period, labels[: t_count - k_min], presample
+    )
+    pairs = {}
+    for k in range(k_min, k_max + 1):
+        changes = series[:, k:] - series[:, :-k]
+        starts = t_count - k
+        (rx, ry), retained = project_cells_shared(
+            np.concatenate([changes[2:], pretrend[:, :starts]]),
+            changes[:2],
+            shared,
+        )
+        for s in range(starts):
+            ssr, raw_den = rx[s] @ rx[s], changes[0, s] @ changes[0, s]
+            live = raw_den > DEGENERACY_TOL * total and (
+                ssr > DEGENERACY_TOL * raw_den
+            )
+            pairs[labels[s], labels[s + k]] = (
+                rx[s] @ ry[s] / ssr if live else np.nan,
+                tuple(name for name, kept in zip(names, retained[s])
+                      if not kept),
+            )
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -367,24 +367,33 @@ class TestGeneralizedTwfe:
             pre_period=(PretrendConfig("v", -6, -2),),
         )
         original = twfekit.generalized.project_cells
+        sweep = twfekit.generalized._sweep
         stacks = []
+        sweeps = []
 
-        def counting_kernel(varying, targets, shared=None):
-            stacks.append((varying.shape, targets.shape, np.shape(shared)))
-            return original(varying, targets, shared)
+        def counting_kernel(varying, targets, tol=None):
+            stacks.append((varying.shape, targets.shape, np.shape(tol)))
+            return original(varying, targets, tol)
+
+        def counting_sweep(design, tol):
+            sweeps.append((design.shape, tol.shape))
+            return sweep(design, tol)
 
         monkeypatch.setattr(twfekit.generalized, "project_cells",
                             counting_kernel)
+        monkeypatch.setattr(twfekit.generalized, "_sweep", counting_sweep)
         result = generalized_twfe(
             panel, "y", "x", spec=spec, gap_range=GapRange(2, 4),
             presample=presample,
         )
         assert len(result.decomposition.components) == 9
         # one stack per gap: all its start periods, the differenced and
-        # pre-trend columns varying, intercept and w shared
+        # pre-trend columns varying, one tolerance per pair, no shared block
         assert stacks == [
-            ((2, t - k, n), (2, t - k, n), (n, 2)) for k in (2, 3, 4)
+            ((2, t - k, n), (2, t - k, n), (t - k,)) for k in (2, 3, 4)
         ]
+        # the intercept and w, swept once for all nine pairs
+        assert sweeps == [((n, 2), (9,))]
 
     def test_collinear_control_reported_per_pair(self, rng):
         n, t = 20, 5

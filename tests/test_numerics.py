@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import twfekit
 from oracles import fwl_residualize, independent_columns, ols
 from twfekit import NoIdentifyingVariation, pairwise_cross_moment
-from twfekit.numerics import pair_moments, project_cells
+from twfekit.numerics import RANK_TOL, pair_moments, project_cells
 
 def test_public_names():
     for name in twfekit.__all__:
@@ -207,13 +207,23 @@ class TestProjectCells:
         return varying, rng.normal(size=(2, len(cells), n))
 
     def _check(self, varying, targets, shared=None):
-        residuals, retained = project_cells(varying, targets, shared)
+        tol = None
+        if shared is not None:
+            # the shared columns lead every cell's design, and each cell's
+            # tolerance is relative to its own largest column
+            varying = np.concatenate([
+                np.broadcast_to(shared.T[:, None], (shared.shape[1],)
+                                + varying.shape[1:]),
+                varying,
+            ])
+            tol = RANK_TOL * np.sqrt(
+                np.einsum("msn,msn->sm", varying, varying)
+            ).max(axis=1)
+        residuals, retained = project_cells(varying, targets, tol)
         assert residuals.shape == targets.shape
-        assert retained.shape[0] == varying.shape[1]
+        assert retained.shape == varying.shape[:2][::-1]
         for s in range(varying.shape[1]):
             design = varying[:, s].T
-            if shared is not None:
-                design = np.column_stack([shared, design])
             try:
                 fit = ols(design, targets[:, s].T)
             except NoIdentifyingVariation:
@@ -258,6 +268,19 @@ class TestProjectCells:
         assert retained[:, 0].all() and not retained[:, 2].any()
         assert retained[:, 1].tolist() == [True] * 5 + [False]
 
+    def test_tolerance_per_cell(self, rng):
+        # one column in two cells, kept only where the tolerance is below
+        # its norm
+        col = rng.normal(size=10)
+        targets = rng.normal(size=(1, 2, 10))
+        residuals, retained = project_cells(
+            np.broadcast_to(col, (1, 2, 10)), targets,
+            np.array([0.5, 2.0]) * np.linalg.norm(col),
+        )
+        assert retained.tolist() == [[True], [False]]
+        assert np.array_equal(residuals[:, 1], targets[:, 1])
+        assert abs(residuals[0, 0] @ col) < 1e-12 * np.linalg.norm(col)
+
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="need varying"):
             project_cells(np.zeros((4, 3)), np.zeros((1, 4, 3)))
@@ -265,7 +288,7 @@ class TestProjectCells:
             project_cells(np.zeros((2, 4, 3)), np.zeros((4, 3)))
         with pytest.raises(ValueError, match="need varying"):
             project_cells(np.zeros((2, 4, 3)), np.zeros((1, 4, 3)),
-                          np.zeros((4, 1)))
+                          np.zeros(3))
 
 
 class TestPairMoments:

@@ -32,6 +32,7 @@ from twfekit import (
     twfe_multivariate,
     two_way_residual,
 )
+from twfekit.generalized import _pretrend_slopes
 
 
 def _close(got, want):
@@ -156,21 +157,29 @@ def _covariate_panel(kind):
     return make_panel(series), presample
 
 
-@pytest.mark.parametrize("scheme", ("ssr", "raw"))
-@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
-def test_generalized_matches_pair_loop(kind, scheme):
-    panel, presample = _covariate_panel(kind)
-    t = panel.n_periods
+def _covariate_spec(panel):
+    """Every kind of control of ``_covariate_panel``, or none when the panel
+    has too few units to leave treatment variation behind them."""
     spec = CovariateSpec(
         time_invariant=("g",),
         differenced=("w", "w2", "w3", "w4"),
         pre_period=(PretrendConfig("w", -3, -1, min_points=2),),
     )
-    if panel.n_units <= spec.n_controls + 2:
-        # too few units to leave treatment variation behind the controls
-        spec = CovariateSpec()
+    return spec if panel.n_units > spec.n_controls + 2 else CovariateSpec()
+
+
+def _gap_ranges(t):
+    """The full gap range and a short one."""
     short = min(2, t - 1)
-    for k_min, k_max in {(1, t - 1), (short, max(short, t // 2))}:
+    return {(1, t - 1), (short, max(short, t // 2))}
+
+
+@pytest.mark.parametrize("scheme", ("ssr", "raw"))
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
+def test_generalized_matches_pair_loop(kind, scheme):
+    panel, presample = _covariate_panel(kind)
+    spec = _covariate_spec(panel)
+    for k_min, k_max in _gap_ranges(panel.n_periods):
         _check_generalized(panel, spec, scheme, k_min, k_max, presample)
 
 
@@ -227,11 +236,13 @@ def test_multivariate_dependent_names_match_sweep(kind, covariates):
         twfe_multivariate(panel, "y", names)
 
 
-@pytest.mark.parametrize("scheme", ("ssr", "raw"))
-def test_generalized_cells_disagree_on_shared_block(scheme):
-    # g's residual norm, about 1e-6 sqrt(n), clears the tolerance of pairs
-    # whose largest column is of order sqrt(n), but not that of pairs
-    # touching the last period, where the differenced v is 1e6 larger
+def _shared_block_disagreement():
+    """A panel and spec whose pairs disagree on a time-invariant control.
+
+    g's residual norm, about 1e-6 sqrt(n), clears the tolerance of pairs
+    whose largest column is of order sqrt(n), but not that of pairs
+    touching the last period, where the differenced v is 1e6 larger.
+    """
     rng = np.random.default_rng(17)
     n, t = 30, 6
     v = rng.normal(size=(n, t))
@@ -242,10 +253,58 @@ def test_generalized_cells_disagree_on_shared_block(scheme):
         "v": v,
         "g": np.repeat(1e-6 * rng.normal(size=(n, 1)), t, axis=1),
     })
-    spec = CovariateSpec(time_invariant=("g",), differenced=("v",))
+    return panel, CovariateSpec(time_invariant=("g",), differenced=("v",))
+
+
+@pytest.mark.parametrize("scheme", ("ssr", "raw"))
+def test_generalized_cells_disagree_on_shared_block(scheme):
+    panel, spec = _shared_block_disagreement()
+    t = panel.n_periods
     got = _check_generalized(panel, spec, scheme, 1, t - 1)
     for c in got:
         assert c.dropped_controls == (("g",) if c.second == t else ())
+
+
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
+def test_pretrend_slopes_match_window_loop(kind):
+    # windows that lie in the presample, straddle it and the panel (whose
+    # unit offsets the presample lacks), and lie in the panel
+    panel, presample = _covariate_panel(kind)
+    configs = (PretrendConfig("w", -3, -1, min_points=2),)
+    got = _pretrend_slopes(panel, configs, panel.periods, presample)
+    want = oracles.pretrend_slopes_loop(panel, configs, panel.periods, presample)
+    assert got.shape == want.shape == (1, panel.n_periods, panel.n_units)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS + ("shared disagreement",))
+def test_generalized_matches_gap_loop(kind):
+    # the shared columns taken out of period levels, against the former
+    # per-gap projection of pair changes
+    if kind == "shared disagreement":
+        (panel, spec), presample = _shared_block_disagreement(), None
+    else:
+        panel, presample = _covariate_panel(kind)
+        spec = _covariate_spec(panel)
+    for k_min, k_max in _gap_ranges(panel.n_periods):
+        got = generalized_twfe(
+            panel, "y", "x", spec, GapRange(k_min, k_max), presample=presample,
+        ).decomposition
+        want = oracles.generalized_gap_loop(
+            panel, "y", "x", spec, k_min, k_max, presample
+        )
+        assert len(want) == got.beta.size
+        for first, second, beta, dropped in zip(
+            got.first.tolist(), got.second.tolist(), got.beta,
+            got.dropped_controls,
+        ):
+            want_beta, want_dropped = want[first, second]
+            assert dropped == want_dropped
+            assert np.isnan(beta) == np.isnan(want_beta)
+            # on the scale of _close: a pair slope near zero moves by up to
+            # 1e-12 of itself when its inputs move by 1e-16
+            if not np.isnan(beta):
+                assert abs(beta - want_beta) <= 1e-12 * max(1.0, abs(want_beta))
 
 
 @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
