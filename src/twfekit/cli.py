@@ -67,8 +67,6 @@ import json
 import numpy as np
 
 from .decomposition import (
-    FdDecomposition,
-    _values,
     fd_decomposition,
     pairwise_decomposition,
     verify_equivalence,
@@ -241,7 +239,10 @@ def load_run_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"), interpolation=None
     )
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:  # a repeated section or key, say
+        raise ValueError(f"{path}: malformed config: {exc}") from None
     if "run" not in parser:
         raise ValueError(f"{path}: missing [run] section")
     for section in parser.sections():
@@ -290,12 +291,19 @@ def load_run_config(path: str) -> RunConfig:
         raise ValueError(f"option 'seed' must be non-negative, got {seed}")
     input_path = run.get("input", "").strip() or None
     analyses = []
+    sections = {}  # the section of each analysis name, which names its files
     for section in parser.sections():
         if not section.startswith(ANALYSIS_PREFIX):
             continue
         name = section[len(ANALYSIS_PREFIX):].strip()
         if not name:
             raise ValueError("analysis section needs a name: [analysis:NAME]")
+        if name in sections:
+            raise ValueError(
+                f"analysis name '{name}' is repeated: [{sections[name]}] "
+                f"and [{section}]"
+            )
+        sections[name] = section
         options = dict(parser[section])
         kind = options.pop("kind", "").strip()
         if not kind:
@@ -369,22 +377,12 @@ def _write_report(outdir, name, suffix, payload, formats) -> None:
         _write_csv(base + ".csv", ("field", "value"), rows)
 
 
-def _write_columns(path: str, decomposition, header) -> None:
-    """A decomposition's ``header`` columns, one row per component; a
-    degenerate (NaN) beta is an empty cell."""
-    columns = (_values(getattr(decomposition, field)) for field in header)
-    _write_csv(path, header, zip(*columns))
-
-
-def _write_components(outdir: str, name: str, decomposition) -> None:
-    if isinstance(decomposition, FdDecomposition):
-        header = ("gap", "beta", "weight", "n_obs")
-    else:
-        header = ("first", "second", "beta", "weight", "n_obs")
-        if decomposition.n_controls is not None:
-            header += ("n_controls",)
-    _write_columns(
-        os.path.join(outdir, f"{name}_components.csv"), decomposition, header
+def _write_columns(outdir, name, suffix, decomposition, header=None) -> None:
+    """A decomposition's ``header`` columns (by default its components
+    table), one row per component; a degenerate beta is an empty cell."""
+    _write_csv(
+        os.path.join(outdir, f"{name}_{suffix}.csv"),
+        *decomposition._table(header),
     )
 
 
@@ -542,6 +540,10 @@ def _run_analysis(
     if kind != "simulation":
         y, x = _require(opts, "y"), _require(opts, "x")
         params: dict = {"y": y, "x": x}
+    # required by gap_restricted, optional for generalized
+    gap_range = None
+    if kind == "gap_restricted" or "k_min" in opts or "k_max" in opts:
+        gap_range = GapRange(_require(opts, "k_min"), _require(opts, "k_max"))
 
     if kind == "twfe":
         params["covariates"] = opts.get("covariates", [])
@@ -550,9 +552,8 @@ def _run_analysis(
         params["gap"] = opts.get("gap", 1)
         fields = asdict(fd(panel, y, x, params["gap"], se=se))
     elif kind == "gap_restricted":
-        rng = GapRange(_require(opts, "k_min"), _require(opts, "k_max"))
-        fields = asdict(gap_restricted(panel, y, x, rng, se=se))
-        params.update(k_min=rng.k_min, k_max=rng.k_max)
+        fields = asdict(gap_restricted(panel, y, x, gap_range, se=se))
+        params.update(k_min=gap_range.k_min, k_max=gap_range.k_max)
     elif kind == "generalized":
         spec = CovariateSpec(
             time_invariant=opts.get("time_invariant", ()),
@@ -563,9 +564,6 @@ def _run_analysis(
         if opts.get("presample"):
             presample = config.read_panel(opts["presample"])
         scheme = opts.get("weight_scheme", "ssr")
-        gap_range = None
-        if "k_min" in opts or "k_max" in opts:
-            gap_range = GapRange(_require(opts, "k_min"), _require(opts, "k_max"))
         result = generalized_twfe(
             panel, y, x, spec=spec, gap_range=gap_range, weight_scheme=scheme,
             presample=presample, se=se,
@@ -574,8 +572,7 @@ def _run_analysis(
             time_invariant=list(spec.time_invariant),
             differenced=list(spec.differenced),
             pre_period=[
-                f"{c.variable}:{c.window_start_offset}:{c.window_end_offset}"
-                + (f":{c.min_points}" if c.min_points is not None else "")
+                c.label if c.min_points is None else f"{c.label}:{c.min_points}"
                 for c in spec.pre_period
             ],
             weight_scheme=scheme,
@@ -663,12 +660,10 @@ def _run_analysis(
         config.formats,
     )
     if decomp is not None:
-        _write_components(outdir, name, decomp)
+        _write_columns(outdir, name, "components", decomp)
         if kind == "fd_decomposition" and opts.get("figure", False):
             _write_columns(
-                os.path.join(outdir, f"{name}_figure.csv"),
-                decomp,
-                ("gap", "beta", "weight"),
+                outdir, name, "figure", decomp, ("gap", "beta", "weight")
             )
         if opts.get("summary", False):
             _write_summary_table(outdir, name, decomp)

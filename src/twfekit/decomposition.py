@@ -23,13 +23,14 @@ estimate is undefined.  The total denominator, the weights and the
 aggregate are all taken over the live components, by the one read-out that
 the covariate-adjusted estimator of ``generalized`` shares.
 
-Both results hold their components as column arrays, one entry per gap or
-pair; the per-component objects of ``.components`` are built only when read.
+Both results are one table, a column per field of their component type
+and an entry per gap or pair: the objects of ``.components``, built when
+first read, and the rows of the CLI's components CSV read the same columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
 
@@ -79,16 +80,56 @@ def _values(column) -> list:
     return [None if v != v else v for v in column.tolist()]
 
 
-@dataclass(eq=False)
-class FdDecomposition:
-    """The by-gap decomposition, held as columns with one entry per gap.
+class _Columns:
+    """Columns named by the fields of the class's ``_component`` type, one
+    entry per component, which a subclass declares as its own fields.
 
-    ``beta`` is NaN and ``weight`` 0.0 for a degenerate gap; ``n_obs`` is
-    the gap's count of differenced observations.  ``components``, one
-    :class:`FdComponent` per gap (``beta=None`` where degenerate), is derived
-    from the columns on first access.
+    On construction each set column but ``dropped_controls`` (a list of
+    name tuples) becomes an array, ``beta`` and ``weight`` float ones.
+    ``components``, one ``_component`` per entry with ``None`` for NaN, is
+    built on first access; a column left ``None`` gives each component the
+    field's default.
     """
 
+    def __post_init__(self):
+        for name in self._set_arrays():
+            dtype = float if name in ("beta", "weight") else None
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    def _set_arrays(self) -> tuple[str, ...]:
+        return tuple(
+            f.name for f in fields(self._component)
+            if f.name != "dropped_controls" and getattr(self, f.name) is not None
+        )
+
+    @cached_property
+    def components(self) -> list:
+        columns = []
+        for f in fields(self._component):
+            column = getattr(self, f.name)
+            if column is None:
+                column = repeat(f.default, self.beta.size)
+            elif f.name != "dropped_controls":
+                column = _values(column)
+            columns.append(column)
+        return list(map(self._component, *columns))
+
+    def _table(self, header=None) -> tuple:
+        """``header`` and its rows, ``None`` (an empty CSV cell) for NaN; by
+        default every set array column, the components table."""
+        header = header or self._set_arrays()
+        return header, zip(*(_values(getattr(self, name)) for name in header))
+
+
+@dataclass(eq=False)
+class FdDecomposition(_Columns):
+    """The by-gap decomposition, one :class:`FdComponent` entry per gap.
+
+    ``beta`` is NaN and ``weight`` 0.0 for a degenerate gap; ``n_obs`` is
+    the gap's count of differenced observations.
+    """
+
+    _component = FdComponent
     gap: np.ndarray
     beta: np.ndarray
     weight: np.ndarray
@@ -96,39 +137,20 @@ class FdDecomposition:
     aggregate: float
     total_denominator: float
 
-    def __post_init__(self):
-        self.gap = np.asarray(self.gap)
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.weight = np.asarray(self.weight, dtype=float)
-        self.n_obs = np.asarray(self.n_obs)
-
-    @cached_property
-    def components(self) -> list[FdComponent]:
-        return list(
-            map(
-                FdComponent,
-                self.gap.tolist(),
-                _values(self.beta),
-                self.weight.tolist(),
-                self.n_obs.tolist(),
-            )
-        )
-
 
 @dataclass(eq=False)
-class PairwiseDecomposition:
-    """The by-pair decomposition, held as columns with one entry per pair.
+class PairwiseDecomposition(_Columns):
+    """The by-pair decomposition, one :class:`PairComponent` entry per pair.
 
     ``first`` and ``second`` are the pair's period labels; ``beta``,
     ``weight`` and ``n_obs`` are as in :class:`FdDecomposition`.  Only the
     covariate-adjusted estimator fills ``n_controls`` (an integer column:
     its specification's control count, the same in every pair, dropped
     controls included) and ``dropped_controls`` (one tuple of names per
-    pair); elsewhere they are ``None``.  ``components``, one
-    :class:`PairComponent` per pair, is derived from the columns on first
-    access.
+    pair); elsewhere they are ``None``.
     """
 
+    _component = PairComponent
     first: np.ndarray
     second: np.ndarray
     beta: np.ndarray
@@ -138,36 +160,6 @@ class PairwiseDecomposition:
     total_denominator: float
     n_controls: np.ndarray | None = None
     dropped_controls: list[tuple[str, ...]] | None = None
-
-    def __post_init__(self):
-        self.first = np.asarray(self.first)
-        self.second = np.asarray(self.second)
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.weight = np.asarray(self.weight, dtype=float)
-        self.n_obs = np.asarray(self.n_obs)
-        if self.n_controls is not None:
-            self.n_controls = np.asarray(self.n_controls)
-
-    @cached_property
-    def components(self) -> list[PairComponent]:
-        count = self.beta.size
-        n_controls = (
-            repeat(None, count)
-            if self.n_controls is None
-            else self.n_controls.tolist()
-        )
-        return list(
-            map(
-                PairComponent,
-                self.first.tolist(),
-                self.second.tolist(),
-                _values(self.beta),
-                self.weight.tolist(),
-                self.n_obs.tolist(),
-                n_controls,
-                self.dropped_controls or repeat((), count),
-            )
-        )
 
 
 @dataclass

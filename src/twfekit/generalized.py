@@ -114,6 +114,15 @@ class PretrendConfig:
                 )
 
     @property
+    def label(self) -> str:
+        """``variable:start:end``: the control's name in ``dropped_controls``
+        and, with ``min_points``, in a CLI report's parameters."""
+        return (
+            f"{self.variable}:{self.window_start_offset}:"
+            f"{self.window_end_offset}"
+        )
+
+    @property
     def window_length(self) -> int:
         return self.window_end_offset - self.window_start_offset + 1
 
@@ -352,8 +361,7 @@ def generalized_twfe(
     n = panel.n_units
     # the intercept and time-invariant columns are the same in every pair
     names = ("intercept",) + spec.time_invariant + spec.differenced + tuple(
-        f"{c.variable}:{c.window_start_offset}:{c.window_end_offset}"
-        for c in spec.pre_period
+        c.label for c in spec.pre_period
     )
     shared = np.column_stack([np.ones(n)] + [
         _time_invariant_column(panel, name) for name in spec.time_invariant

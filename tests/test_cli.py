@@ -363,6 +363,14 @@ x = x
         cfg = write_config(tmp_path, body)
         assert main(["run", "--config", str(cfg)]) == 0
 
+        headers = {
+            "bygap_components": "gap,beta,weight,n_obs",
+            "bygap_figure": "gap,beta,weight",
+            "bypair_components": "first,second,beta,weight,n_obs",
+        }
+        for stem, header in headers.items():
+            with open(outdir / f"{stem}.csv") as fh:
+                assert fh.readline() == header + "\n"
         dec = fd_decomposition(panel, "y", "x")
         with open(outdir / "bygap_components.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -371,9 +379,7 @@ x = x
             assert int(row["gap"]) == comp.gap
             assert float(row["beta"]) == comp.beta
             assert float(row["weight"]) == comp.weight
-        assert (outdir / "bygap_figure.csv").exists()
         assert (outdir / "bygap_summary_table.csv").exists()
-        assert (outdir / "bypair_components.csv").exists()
 
         with open(outdir / "check_report.json") as fh:
             report = json.load(fh)
@@ -428,6 +434,8 @@ summary = yes
             "presample": str(pre_csv),
         }
         with open(outdir / "trendadj_components.csv") as fh:
+            assert fh.readline() == "first,second,beta,weight,n_obs,n_controls\n"
+            fh.seek(0)
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["n_controls"] == "1"
         assert (outdir / "trendadj_summary_table.csv").exists()
@@ -1011,6 +1019,15 @@ x = x
                 "[analysis:]\nkind = simulation",
                 "analysis section needs a name: [analysis:NAME]",
             ),
+            # two analyses whose names strip to one would write one set of
+            # artifacts
+            (
+                "kind = simulation\nscenario = parallel_trends\n\n"
+                "[analysis: mc]\nkind = simulation\n"
+                "scenario = parallel_trends\ntau = 5",
+                "analysis name 'mc' is repeated: [analysis:mc] and "
+                "[analysis: mc]",
+            ),
         ],
     )
     def test_config_errors_precede_any_work(
@@ -1040,6 +1057,25 @@ replications = 2
         cfg = write_config(tmp_path, body)
         assert main(["run", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[run]\noutput_dir = {out}\n\n[analysis:mc]\nkind = simulation\n"
+            "scenario = parallel_trends\n\n[analysis:mc]\nkind = simulation\n",
+            "[run]\noutput_dir = {out}\noutput_dir = {out}\n\n"
+            "[analysis:mc]\nkind = simulation\nscenario = parallel_trends\n",
+            "output_dir = {out}\n\n[run]\n\n[analysis:mc]\n"
+            "kind = simulation\nscenario = parallel_trends\n",
+        ],
+        ids=["repeated-section", "repeated-key", "no-section-header"],
+    )
+    def test_malformed_ini_is_a_config_error(self, tmp_path, capsys, body):
+        cfg = write_config(tmp_path, body.format(out=tmp_path / "o"))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: malformed config: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

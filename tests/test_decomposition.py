@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
 from helpers import make_panel, random_panel
 from twfekit import (
+    CovariateSpec,
+    FdDecomposition,
     GapRange,
+    PairwiseDecomposition,
     count_pairs,
     decomposition,
     estimators,
@@ -230,6 +235,93 @@ class TestWeightedSummary:
         )
         with pytest.raises(ValueError, match="no components"):
             weighted_summary(dec)
+
+
+# what a component reads where its column is left unset
+UNSET = {"n_controls": None, "dropped_controls": ()}
+
+
+def assert_components_read_columns(dec):
+    """Each component's fields are its entries of the same-named columns,
+    as Python scalars with ``None`` for NaN; an unset column reads as
+    ``UNSET`` says."""
+    comps = dec.components
+    assert len(comps) == dec.beta.size
+    for f in dataclasses.fields(type(comps[0])):
+        column = getattr(dec, f.name)
+        got = [getattr(c, f.name) for c in comps]
+        if column is None:
+            assert got == [UNSET[f.name]] * len(comps), f.name
+            continue
+        if isinstance(column, np.ndarray):
+            column = column.tolist()
+        want = [None if v != v else v for v in column]
+        assert got == want, f.name
+        assert [type(v) for v in got] == [type(v) for v in want], f.name
+
+
+class TestComponentsReadColumns:
+    @pytest.fixture
+    def panel(self, rng):
+        # periods 1 and 3 differ by a shift, so gap 2 and the pair (1, 3)
+        # are degenerate; urban = 1 - rural is dropped in every pair
+        n, t = 9, 3
+        x = rng.normal(size=(n, t))
+        x[:, 2] = x[:, 0] + 1.5
+        rural = np.repeat((np.arange(n) % 3 == 0)[:, None], t, axis=1)
+        return make_panel({
+            "y": rng.normal(size=(n, t)), "x": x,
+            "w": rng.normal(size=(n, t)),
+            "rural": rural, "urban": 1.0 - rural,
+        })
+
+    def test_fd_decomposition(self, panel):
+        dec = fd_decomposition(panel, "y", "x")
+        assert [c.beta is None for c in dec.components] == [False, True]
+        assert_components_read_columns(dec)
+
+    def test_pairwise_decomposition(self, panel):
+        dec = pairwise_decomposition(panel, "y", "x")
+        assert dec.n_controls is None and dec.dropped_controls is None
+        assert [c.beta is None for c in dec.components] == [
+            False, True, False
+        ]
+        assert_components_read_columns(dec)
+
+    def test_generalized_twfe(self, panel):
+        spec = CovariateSpec(
+            time_invariant=("rural", "urban"), differenced=("w",)
+        )
+        dec = generalized_twfe(panel, "y", "x", spec=spec).decomposition
+        assert [c.beta is None for c in dec.components] == [
+            False, True, False
+        ]
+        assert all(c.n_controls == 3 for c in dec.components)
+        assert all(c.dropped_controls == ("urban",) for c in dec.components)
+        assert_components_read_columns(dec)
+
+    def test_built_from_lists(self):
+        by_gap = FdDecomposition(
+            gap=[1, 2], beta=[np.nan, 2.0], weight=[0.0, 1.0],
+            n_obs=[6, 3], aggregate=2.0, total_denominator=1.0,
+        )
+        assert by_gap.beta.dtype == by_gap.weight.dtype == float
+        assert by_gap.components == [
+            decomposition.FdComponent(1, None, 0.0, 6),
+            decomposition.FdComponent(2, 2.0, 1.0, 3),
+        ]
+        assert_components_read_columns(by_gap)
+        by_pair = PairwiseDecomposition(
+            first=[1, 1], second=[2, 3], beta=[1, np.nan], weight=[1, 0],
+            n_obs=[4, 4], aggregate=1.0, total_denominator=2.0,
+            n_controls=[1, 1], dropped_controls=[(), ("g",)],
+        )
+        assert by_pair.beta.dtype == by_pair.weight.dtype == float
+        assert by_pair.components == [
+            decomposition.PairComponent(1, 2, 1.0, 1.0, 4, 1, ()),
+            decomposition.PairComponent(1, 3, None, 0.0, 4, 1, ("g",)),
+        ]
+        assert_components_read_columns(by_pair)
 
 
 class TestVerifyEquivalence:
