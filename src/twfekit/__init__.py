@@ -47,7 +47,7 @@ from .generalized import (
 )
 from .inference import cluster_robust_se
 from .numerics import pairwise_cross_moment
-from .panel import BalancedPanel, PanelSchema, demean, load_panel
+from .panel import BalancedPanel, PanelSchema, load_panel
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "causal_weights",
     "cluster_robust_se",
     "count_pairs",
-    "demean",
     "fd",
     "fd_decomposition",
     "gap_restricted",

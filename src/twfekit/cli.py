@@ -40,26 +40,21 @@ Config layout::
 All floating-point output uses shortest round-trip decimals, and nothing
 time- or host-dependent is ever written, so reruns with the same config and
 input are byte-identical.  The one large artifact, ``{name}_weights.csv``, is
-written by one process per usable CPU (see :func:`_write_weights`), and its
-bytes do not depend on how many.  It is assembled under
-``{name}_weights.csv.part0`` and renamed once whole, so a failed write never
+written by one process, which forms the text of each block of rows as a
+numpy byte matrix (see :func:`_write_weights`).  It is written under
+``{name}_weights.csv.tmp`` and renamed once whole, so a failed write never
 leaves a truncated ``{name}_weights.csv``; a run that is killed may leave
-``{name}_weights.csv.partN`` files.
+the ``.tmp`` file.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import os
-import shutil
 import sys
-import threading
-import warnings
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from operator import add
 
 import csv
 import json
@@ -114,7 +109,7 @@ KINDS = {
     },
 }
 # rows of the weights CSV formatted per write; bounds the writer's transient
-# strings whatever the panel's size
+# arrays whatever the panel's size
 WEIGHT_ROWS_PER_WRITE = 8192
 # per-replication columns of a simulation, after the replication number
 AUDIT_FIELDS = (
@@ -241,6 +236,12 @@ def load_run_config(path: str) -> RunConfig:
     )
     try:
         parser.read(path)
+    except configparser.MissingSectionHeaderError as exc:
+        # configparser's own text spans three lines
+        raise ValueError(
+            f"{path}: malformed config: no section header before line "
+            f"{exc.lineno}"
+        ) from None
     except configparser.Error as exc:  # a repeated section or key, say
         raise ValueError(f"{path}: malformed config: {exc}") from None
     if "run" not in parser:
@@ -394,120 +395,105 @@ class _Echo:
         return text
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _padded(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """``texts`` as the left-aligned rows of a ``uint8`` matrix as wide as
+    the longest, and the mask of each row's own bytes."""
+    lengths = np.array([len(text) for text in texts], np.int64)
+    keep = np.arange(lengths.max(initial=0), dtype=np.int64) < lengths[:, None]
+    matrix = np.zeros(keep.shape, np.uint8)
+    matrix[keep] = np.frombuffer(b"".join(texts), np.uint8)
+    return matrix, keep
 
 
-def _weight_chunks(report) -> list:
-    """The weights CSV's rows as ``(lo, starts, rows)`` chunks of about
-    :data:`WEIGHT_ROWS_PER_WRITE` rows, in file order: ``rows`` holds one
-    gap's weights for the units from ``lo`` on, one column per entry of the
-    ``starts`` prefixes."""
-    chunks = []
-    for k, block in report.gap_blocks():
-        starts = [f",{k},{p}," for p in report.periods[: block.shape[1]]]
-        step = max(1, WEIGHT_ROWS_PER_WRITE // len(starts))
-        chunks.extend(
-            (lo, starts, block[lo : lo + step])
-            for lo in range(0, block.shape[0], step)
-        )
-    return chunks
-
-
-def _write_weight_rows(handle, labels: list[str], chunks) -> None:
-    for lo, starts, rows in chunks:
-        prefixes = [
-            label + start
-            for label in labels[lo : lo + len(rows)]
-            for start in starts
-        ]
-        weights = map(repr, rows.ravel().tolist())
-        handle.write("\r\n".join(map(add, prefixes, weights)))
-        handle.write("\r\n")
-
-
-def _split_runs(chunks: list, count: int) -> list[list]:
-    """``chunks`` cut into at most ``count`` contiguous, non-empty runs of
-    about equal row count."""
-    runs = [[] for _ in range(count)]
-    total = sum(rows.size for _, _, rows in chunks)
-    done = 0
-    for chunk in chunks:
-        runs[done * count // total].append(chunk)
-        done += chunk[2].size
-    return [run for run in runs if run]
+def _weight_tiles(report):
+    """The weights as ``(block, units, starts)`` tiles in file order, each
+    of at most :data:`WEIGHT_ROWS_PER_WRITE` weights: ``block`` is a view
+    of one gap's weights for the ``units`` slice of units (rows) and the
+    ``starts`` slice of the report's (gap, start period) pairs, gap by gap
+    (columns)."""
+    first = 0  # the pair of each gap's first start period
+    for _, block in report.gap_blocks():
+        n, t = block.shape
+        step = max(1, WEIGHT_ROWS_PER_WRITE // t)  # units
+        width = min(t, WEIGHT_ROWS_PER_WRITE)  # start periods
+        for lo in range(0, n, step):
+            for s0 in range(0, t, width):
+                tile = block[lo : lo + step, s0 : s0 + width]
+                yield (
+                    tile,
+                    slice(lo, lo + tile.shape[0]),
+                    slice(first + s0, first + s0 + tile.shape[1]),
+                )
+        first += t
 
 
 def _write_weights(path: str, units, report) -> None:
     """The weights CSV, ordered by gap, then unit, then start period.
 
-    Each unit label is quoted once by ``csv`` itself (as the first of two
-    fields, so an empty label stays empty), and rows are joined from
-    ``label,gap,start,`` prefixes and the weights' ``repr``: the bytes
-    ``csv.writer`` would write for the same rows.
+    Its bytes are those ``csv.writer`` writes in text mode for the rows
+    (unit, gap, start period, weight): each unit label is quoted once by
+    ``csv`` itself (as the first of two fields, so an empty label stays
+    empty) and encoded as text mode encodes it, and each weight is its
+    ``repr``.
 
-    Formatting is the cost, so the rows are cut into one contiguous run per
-    usable CPU.  This process writes the header and the first run into
-    ``{path}.part0``; each later run is written by a forked child into
-    ``{path}.part{i}``, appended in order once the child exits, then
-    removed.  ``{path}.part0`` is renamed to ``path`` only once every run is
-    in it, and removed if any write fails, so ``path`` is never partial (a
-    file of that name from an earlier run is then left as it was).
-    The bytes do not depend on the number of runs.  With no ``os.fork``, or
-    with another thread running, there is one run.
+    One process forms the rows, at most :data:`WEIGHT_ROWS_PER_WRITE` per
+    write, as the rows of a ``uint8`` matrix with fixed columns: the label,
+    ``,gap,start,``, the weight's text from :func:`_floattext.layout` and
+    ``\r\n``.  A mask marks the bytes in use, and the masked bytes, in
+    order, are the rows' text.
+
+    The file is written under ``{path}.tmp``, which is renamed to ``path``
+    only once every row is in it and removed if any write fails, so
+    ``path`` is never partial (a file of that name from an earlier run is
+    then left as it was).
     """
+    # imported on first use: compiling it would slow every start that
+    # caches no bytecode, and most runs write no weights
+    from . import _floattext
+
     echo = csv.writer(_Echo())
-    labels = [echo.writerow((unit, None))[: -len(",\r\n")] for unit in units]
-    chunks = _weight_chunks(report)
-    count = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        count = min(_usable_cpus(), len(chunks))
-    first, *rest = _split_runs(chunks, count)
-    whole = f"{path}.part0"
-    children = []  # (pid, part file) of each later run, in file order
-    running = set()
+    temp = f"{path}.tmp"
     try:
-        for i, run in enumerate(rest, 1):
-            part = f"{path}.part{i}"
-            with warnings.catch_warnings():
-                # Python 3.12+ warns whenever a native thread exists, such as
-                # an idle BLAS pool; the child only formats and writes.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:  # never return into the caller
-                status = 1
-                try:
-                    with open(part, "w", newline="") as handle:
-                        _write_weight_rows(handle, labels, run)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append((pid, part))
-            running.add(pid)
-        with open(whole, "w", newline="") as handle:
-            handle.write(echo.writerow(("unit", "gap", "start_period", "weight")))
-            _write_weight_rows(handle, labels, first)
-        with open(whole, "ab") as out:
-            for pid, part in children:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                running.discard(pid)
-                if status != 0:
-                    raise OSError(
-                        f"{path}: the process writing its rows to {part} "
-                        f"exited with status {status}"
-                    )
-                with open(part, "rb") as source:
-                    shutil.copyfileobj(source, out)
-        os.replace(whole, path)
+        with open(temp, "w", newline="") as handle:
+            encoding = handle.encoding  # the one text mode writes
+            labels, label_keep = _padded([
+                echo.writerow((unit, None))[: -len(",\r\n")].encode(encoding)
+                for unit in units
+            ])
+            prefixes, prefix_keep = _padded([
+                f",{k},{p},".encode(encoding)
+                for k, block in report.gap_blocks()
+                for p in report.periods[: block.shape[1]]
+            ])
+            # the columns of the label, the prefix and the weight, which
+            # starts at a multiple of eight, since it is written in
+            # eight-byte words; \r\n follows the last slot its text uses
+            lw, pw = labels.shape[1], prefixes.shape[1]
+            at = -(-(lw + pw) // 8) * 8
+            end = at + _floattext.TEXT_WIDTH
+            crlf = at + _floattext.TEXT_END
+            rows = np.empty((WEIGHT_ROWS_PER_WRITE, end), np.uint8)
+            keep = np.zeros(rows.shape, bool)
+            out = handle.buffer
+            header = echo.writerow(("unit", "gap", "start_period", "weight"))
+            out.write(header.encode(encoding))
+            for tile, unit, start in _weight_tiles(report):
+                size = tile.size
+                grid = rows[:size].reshape(tile.shape + (-1,))
+                mask = keep[:size].reshape(grid.shape)
+                grid[:, :, :lw] = labels[unit, None]
+                mask[:, :, :lw] = label_keep[unit, None]
+                grid[:, :, lw : lw + pw] = prefixes[start]
+                mask[:, :, lw : lw + pw] = prefix_keep[start]
+                text = rows[:size, at:end]
+                _floattext.layout(tile.ravel(), text)
+                rows[:size, crlf : crlf + 2] = np.frombuffer(b"\r\n", np.uint8)
+                np.not_equal(text, 0, out=keep[:size, at:end])
+                out.write(rows[:size][keep[:size]])
+        os.replace(temp, path)
     finally:
-        for pid in running:
-            os.waitpid(pid, 0)
-        for part in [whole] + [part for _, part in children]:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(part)
+        if os.path.exists(temp):
+            os.remove(temp)
 
 
 def _write_summary_table(outdir: str, name: str, decomposition) -> None:

@@ -1,17 +1,10 @@
-"""Balanced-panel container, CSV ingestion, and a cross-sectional transform.
+"""Balanced-panel container and CSV ingestion.
 
 A :class:`BalancedPanel` is rectangular by construction: every unit is observed
 in every period, periods are consecutive integers, and every stored series is a
 finite ``float64`` array of shape ``(n_units, n_periods)``.  Estimation code in
 the rest of the package relies on those guarantees and never re-checks them, so
 all validation lives here.
-
-``demean``
-    removes the cross-sectional (per-period) mean from a series, i.e. maps
-    ``v_it`` to ``v_it - mean_j(v_jt)``: a public convenience for inspecting
-    a series.  No estimator calls it; they all read
-    :func:`~twfekit.estimators.two_way_residual`, whose period differences
-    equal this series' differences.
 """
 
 from __future__ import annotations
@@ -139,21 +132,6 @@ class BalancedPanel:
                 f"{first}..{self.periods[-1]}"
             )
         return idx
-
-
-def demean(panel: BalancedPanel, var: str) -> np.ndarray:
-    """Cross-sectionally demean ``var``: subtract each period's mean over units.
-
-    Returns a (n_units, n_periods) array whose columns sum to zero.  Two
-    passes of mean removal are used so column sums are zero to roundoff even
-    for badly centred data.  Unit offsets stay in the result; the
-    estimators centre through :func:`~twfekit.estimators.two_way_residual`,
-    which removes them first.
-    """
-    v = panel.values(var)
-    centered = v - v.mean(axis=0)
-    centered -= centered.mean(axis=0)
-    return centered
 
 
 #: Data rows read and converted at a time.  Bounds the transient row strings

@@ -18,7 +18,8 @@ per-window pre-trend slopes.  ``ols``, ``fwl_residualize`` and
 standalone Gram-Schmidt sweep plus lstsq, kept as the reference for
 ``numerics.project_cells``.  ``load_panel_loop`` and ``write_weights_csv``
 keep the former row-by-row CSV loader and ``csv.writer`` weights rows as the
-references for the chunked loader and the prefix-joined weights writer.
+references for the chunked loader and the weights writer.
+``demean`` is the package's former public cross-sectional transform.
 ``exact_two_way`` and ``exact_pair_sums`` are the two-way residual and its
 pair-difference sums in exact rational arithmetic (``fractions``), the
 references against which the library's floating-point sums are judged.
@@ -45,7 +46,7 @@ from twfekit.diagnostics import SimulatedPanel
 from twfekit.estimators import DEGENERACY_TOL, two_way_residual
 from twfekit.generalized import _time_invariant_column
 from twfekit.numerics import RANK_TOL, _sweep, pair_moments
-from twfekit.panel import PanelSchema, demean
+from twfekit.panel import PanelSchema
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,16 @@ def _response(values):
     if y.ndim not in (1, 2):
         raise ValueError(f"response must be (n,) or (n, m), got shape {y.shape}")
     return y
+
+
+def demean(panel, var):
+    """Cross-sectionally demean ``var``: subtract each period's mean over
+    units, twice, so that column sums are zero to roundoff even for badly
+    centred data.  Unit offsets stay in the result."""
+    v = panel.values(var)
+    centered = v - v.mean(axis=0)
+    centered -= centered.mean(axis=0)
+    return centered
 
 
 def _two_way_dummies(n, t):

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from twfekit import (
     load_panel,
     twfe,
 )
-from twfekit import cli
+from twfekit import _floattext, cli
 from twfekit.cli import (
     _write_csv,
     _write_weights,
@@ -762,83 +761,89 @@ class TestWriters:
             assert list(csv.reader(fh)) == [["a", "b", "c"], ["1.5", "", "3"]]
 
 
-    def test_usable_cpus_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert cli._usable_cpus() == (os.cpu_count() or 1)
-
-    # one write per gap, per few units with a remainder, and per unit
-    @pytest.mark.parametrize("rows_per_write", [8192, 13, 1])
+    # one write per gap, per few units with a remainder, per part of one
+    # unit's start periods, and per weight
+    @pytest.mark.parametrize("rows_per_write", [8192, 13, 4, 1])
     def test_weights_csv_matches_csv_writer(
         self, tmp_path, rng, monkeypatch, rows_per_write
     ):
         monkeypatch.setattr(cli, "WEIGHT_ROWS_PER_WRITE", rows_per_write)
         units = (
             "plain", "with,comma", 'with "quote"', "two\nlines", "cr\rlf",
-            " padded ", "", "semi;colon", "tab\tbed", "'single'",
+            " padded ", "", "semi;colon", "tab\tbed", "'single'", "Zürich",
+            "東京",
         )
         panel = BalancedPanel(
             units=units,
             periods=tuple(range(1990, 1997)),
-            series={"y": rng.normal(size=(10, 7)), "x": rng.normal(size=(10, 7))},
+            series={"y": rng.normal(size=(12, 7)), "x": rng.normal(size=(12, 7))},
         )
         report = causal_weights(panel, "y", "x")
         oracles.write_weights_csv(tmp_path / "want.csv", panel.units, report)
         want = (tmp_path / "want.csv").read_bytes()
-        assert want.count(b"\r\n") == 1 + 10 * 7 * 6 // 2
-        forks = []
-        real_fork = os.fork
+        assert want.count(b"\r\n") == 1 + 12 * 7 * 6 // 2
+        layout, sizes = _floattext.layout, []
 
-        def fork():
-            forks.append(None)
-            return real_fork()
+        def counted(values, text):
+            sizes.append(len(values))
+            layout(values, text)
 
-        monkeypatch.setattr(os, "fork", fork)
-        # one writer, two, three, and more CPUs than there are chunks
-        for cpus in (1, 2, 3, 64):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-            forks.clear()
-            _write_weights(tmp_path / "got.csv", panel.units, report)
-            assert (tmp_path / "got.csv").read_bytes() == want, cpus
-            assert bool(forks) == (cpus > 1)
-            assert not list(tmp_path.glob("*.part*"))
-
-    def test_weights_csv_with_a_live_thread_forks_nothing(
-        self, tmp_path, rng, monkeypatch
-    ):
-        def fork():
-            raise AssertionError("os.fork called with a live thread")
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-        panel = random_panel(rng, 12, 6)
-        report = causal_weights(panel, "y", "x")
-        release = threading.Event()
-        helper = threading.Thread(target=release.wait)
-        helper.start()
-        try:
-            _write_weights(tmp_path / "got.csv", panel.units, report)
-        finally:
-            release.set()
-            helper.join(timeout=10)
-        assert not helper.is_alive()
-        oracles.write_weights_csv(tmp_path / "want.csv", panel.units, report)
-        got = (tmp_path / "got.csv").read_bytes()
-        assert got == (tmp_path / "want.csv").read_bytes()
+        monkeypatch.setattr(_floattext, "layout", counted)
+        _write_weights(tmp_path / "got.csv", panel.units, report)
+        assert (tmp_path / "got.csv").read_bytes() == want
+        assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
+        assert sum(sizes) == 12 * 7 * 6 // 2
+        assert max(sizes) <= rows_per_write
 
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_failed_weights_writer_leaves_no_part_or_process(
         self, tmp_path, panel_csv, monkeypatch, capsys, failing
     ):
-        parent = os.getpid()
-        write_rows = cli._write_weight_rows
+        # "child": the helper that forms the weights' text fails on the
+        # second write; "parent": the writer's own second write to the
+        # file fails, after the header is in it
+        layout = _floattext.layout
+        real_open = open
+        calls = []
 
-        def flaky(handle, labels, chunks):
-            if (os.getpid() == parent) == (failing == "parent"):
+        def flaky(values, text):
+            calls.append(None)
+            if len(calls) == 2:
                 raise OSError("no space left on device")
-            write_rows(handle, labels, chunks)
+            layout(values, text)
 
-        monkeypatch.setattr(cli, "_write_weight_rows", flaky)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        class FlakyBuffer:
+            def __init__(self, buffer):
+                self.buffer = buffer
+
+            def write(self, data):
+                calls.append(None)
+                if len(calls) == 2:
+                    raise OSError("no space left on device")
+                return self.buffer.write(data)
+
+        class FlakyHandle:
+            def __init__(self, handle):
+                self.handle = handle
+                self.encoding = handle.encoding
+                self.buffer = FlakyBuffer(handle.buffer)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+        def flaky_open(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+            if str(path).endswith("_weights.csv.tmp"):
+                return FlakyHandle(handle)
+            return handle
+
+        if failing == "child":
+            monkeypatch.setattr(_floattext, "layout", flaky)
+        else:
+            monkeypatch.setattr(cli, "open", flaky_open, raising=False)
         outdir = tmp_path / "out"
         body = BASE.format(input=panel_csv, outdir=outdir) + """
 [analysis:mass]
@@ -848,13 +853,12 @@ x = x
 """
         cfg = write_config(tmp_path, body)
         assert main(["run", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        if failing == "child":
-            assert str(outdir / "mass_weights.csv") in err
-        # the file is whole or absent: no truncated weights CSV
+        assert len(calls) == 2
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        # the file is whole or absent: no truncated weights CSV, no
+        # temporary file, and no process left behind
         assert not (outdir / "mass_weights.csv").exists()
-        assert not list(outdir.glob("*.part*"))
+        assert not [p for p in os.listdir(outdir) if "weights" in p]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1076,7 +1080,15 @@ replications = 2
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: malformed config: ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    def test_no_section_header_is_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "output_dir = o\n[run]\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: malformed config: no section header before line 1\n"
+        )
 
     @pytest.mark.parametrize(
         "run, schema, message",
