@@ -5,12 +5,18 @@ double (the closest such one when several are that short), laid out
 positionally or in scientific notation.  Formatting a Python float costs a
 call per value; this module forms the same bytes for a whole array at once.
 
-:func:`shortest` finds the digits with Ryu (Ulf Adams, "Ryu: fast
-float-to-string conversion", PLDI 2018), following its reference ``d2s.c``
-step for step, with both of its branches on whole arrays: the common one,
-and the one that tracks trailing zeros to break exact ties to even.  Ryu's
-125-bit powers of five are held as four 32-bit limbs in ``uint64``, so that
-every product is formed limb by limb without overflow.  Every integer array
+:func:`shortest` finds the digits with Schubfach (Raffaello Giulietti, "The
+Schubfach way to render doubles", 2020), as Java's ``DoubleToDecimal``
+does, on whole arrays: three round-to-odd products scale the value and
+the ends of its rounding interval by a power of ten, one choice between
+candidates picks the digits, and their trailing zeros are stripped.  Every
+finite value takes that one path.  ``repr`` differs from Java's
+``Double.toString`` in two places, so neither Java rule is kept: the
+shorter candidate is tried from two digits on (Java: from three), and the
+two smallest subnormals are not scaled by ten first (Java prints
+``4.9E-324`` for ``5e-324`` and ``7.9E-323`` for ``8e-323``).  The 126-bit
+powers of ten are held as two 63-bit halves in ``uint64``, and every
+product is formed from 32-bit limbs without overflow.  Every integer array
 is ``uint64`` or ``int64``, and no operation mixes the two, since numpy
 promotes that mix to float64.
 
@@ -28,14 +34,14 @@ import numpy as np
 
 _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
+_LOW63 = _U64((1 << 63) - 1)
 _TEN = _U64(10)
 # the byte order of the eight ASCII digits in :func:`_eight_digits`' words
 _WORD = np.dtype("<u8")
 
-# Ryu's bound on the bits of its powers of five and of their inverses
-_POW5_BITS = 125
-# the trailing-zero test each binary exponent takes in Ryu
-_NO_TEST, _POW5_TEST, _NEAR_TEST, _POW2_TEST = range(4)
+# the decimal exponents k of Schubfach's powers 10**-k: those of 5e-324
+# and of the largest double
+_K_MIN, _K_MAX = -324, 292
 
 # decimal point positions of finite doubles: 5e-324 has -323, the largest
 # double 309; ``repr`` is positional when -4 < decpt <= 16
@@ -58,62 +64,35 @@ TEXT_END = 54  # the slots from here on are zero
 TEXT_WIDTH = 56
 
 
-def _pow5bits(e: int) -> int:
-    return ((e * 1217359) >> 19) + 1
+def _flog10pow2(e, three_quarters):
+    """``floor(log10(2**e))``, or ``floor(log10(0.75 * 2**e))`` where
+    ``three_quarters``, for the binary exponents of doubles."""
+    return (e * 661971961083 - three_quarters * 274743187321) >> 41
 
 
-def _log10pow2(e: int) -> int:
-    return (e * 78913) >> 18
-
-
-def _log10pow5(e: int) -> int:
-    return (e * 732923) >> 20
+def _flog2pow10(e):
+    """``floor(log2(10**e))``, for the decimal exponents of doubles."""
+    return (e * 913124641741) >> 38
 
 
 class _Tables:
-    """Ryu's constants per biased binary exponent, and the text tables.
+    """Schubfach's powers of ten, and the text tables.
 
-    ``mul`` holds the 32-bit limbs (least significant first) of the power
-    of five (or its inverse) that scales a mantissa with that exponent,
-    ``shift`` its right shift less 96, ``e10`` the decimal exponent of the
-    scaled result, ``test`` and ``modulus`` Ryu's trailing-zero test (a
-    power of five to divide, or a mask of low bits).
+    ``g1`` and ``g0`` hold the high and the low 63 bits of ``g = floor(10**-k
+    / 2**r) + 1``, ``r = flog2pow10(-k) - 125``, for each ``k`` from
+    ``_K_MIN`` to ``_K_MAX``: ``10**-k`` scaled into ``[2**125, 2**126)``
+    and rounded up.
     """
 
     def __init__(self) -> None:
-        rows = []
-        for biased in range(2047):
-            e2 = max(biased, 1) - 1023 - 52 - 2
-            test, modulus = _NO_TEST, 1
-            if e2 >= 0:
-                q = _log10pow2(e2) - (e2 > 3)
-                bits = _pow5bits(q) - 1 + _POW5_BITS
-                mul = (1 << bits) // 5**q + 1
-                shift, e10 = -e2 + q + bits, q
-                if q <= 21:
-                    test, modulus = _POW5_TEST, 5**q
-            else:
-                q = _log10pow5(-e2) - (-e2 > 1)
-                i = -e2 - q
-                # the top 125 bits of 5**i
-                length = _pow5bits(i)
-                mul = (5**i << _POW5_BITS) >> length
-                shift, e10 = q - (length - _POW5_BITS), q + e2
-                if q <= 1:
-                    test = _NEAR_TEST
-                elif q < 63:
-                    test, modulus = _POW2_TEST, (1 << q) - 1
-            limbs = [(mul >> (32 * k)) & 0xFFFFFFFF for k in range(4)]
-            rows.append((*limbs, shift - 96, e10, test, modulus))
-        columns = list(zip(*rows))
-        self.mul = [np.array(limb, _U64) for limb in columns[:4]]
-        self.shift = np.array(columns[4], _U64)
-        self.e10 = np.array(columns[5], np.int64)
-        self.test = np.array(columns[6], np.int64)
-        self.modulus = np.array(columns[7], _U64)
+        g = []
+        for k in range(_K_MIN, _K_MAX + 1):
+            r = _flog2pow10(-k) - 125
+            num = 10 ** max(-k, 0) << max(-r, 0)
+            g.append(num // (10 ** max(k, 0) << max(r, 0)) + 1)
+        self.g1 = np.array([v >> 63 for v in g], _U64)
+        self.g0 = np.array([v & ((1 << 63) - 1) for v in g], _U64)
         self.pow10 = np.array([10**k for k in range(20)], _U64)
-        # half of the last digit dropped: a remainder this large rounds up
-        self.half = np.array([1] + [5 * 10**k for k in range(19)], _U64)
         self._text_tables()
 
     def _text_tables(self) -> None:
@@ -175,69 +154,25 @@ def _tables() -> _Tables:
     return _Tables()
 
 
-def _mul_shift(m, limbs, shift):
-    """``floor(m * mul / 2**(96 + shift))`` of each ``m < 2**55``, where
-    ``mul`` has the four 32-bit ``limbs`` and ``0 < shift < 64``."""
+def _mul_high(a, b):
+    """The high 64 bits of each product ``a * b``, from 32-bit limbs."""
     h = _U64(32)
-    a0, a1 = m & _LOW32, m >> h
-    b0, b1, b2, b3 = limbs
-    # column sums of 32-bit partial products, each carried into the next
-    t00, t01, t02, t03 = a0 * b0, a0 * b1, a0 * b2, a0 * b3
-    t10, t11, t12, t13 = a1 * b0, a1 * b1, a1 * b2, a1 * b3
-    col = (t00 >> h) + (t01 & _LOW32) + (t10 & _LOW32)
-    col = (col >> h) + (t01 >> h) + (t10 >> h)
-    col += (t02 & _LOW32) + (t11 & _LOW32)
-    col = (col >> h) + (t02 >> h) + (t11 >> h)
-    col += (t03 & _LOW32) + (t12 & _LOW32)
-    low = col & _LOW32
-    col = (col >> h) + (t03 >> h) + (t12 >> h) + (t13 & _LOW32)
-    low |= (col & _LOW32) << h
-    high = (col >> h) + (t13 >> h)
-    # bits 96 and up of the product, shifted; the result fits in 64 bits
-    return (low >> shift) | (high << (_U64(64) - shift))
+    a0, a1, b0, b1 = a & _LOW32, a >> h, b & _LOW32, b >> h
+    middle = a1 * b0 + ((a0 * b0) >> h)
+    other = a0 * b1 + (middle & _LOW32)
+    return a1 * b1 + (middle >> h) + (other >> h)
 
 
-def _drop_common(vr, vp, vm, t):
-    """Ryu's common branch: drop the last digits of ``vr`` while ``vp`` and
-    ``vm`` still differ above them; round up if the last digit dropped is
-    5 or more, or if ``vr`` reached ``vm``.  The digits and the count
-    dropped."""
-    dropped = np.zeros(vr.shape, np.int64)
-    for scale in t.pow10[1:]:  # a pass per digit, on every value
-        live = vp // scale > vm // scale
-        if not live.any():
-            break
-        dropped += live
-    scale = t.pow10[dropped]
-    digits = vr // scale
-    up = (digits == vm // scale) | (vr - digits * scale >= t.half[dropped])
-    return digits + up.astype(_U64), dropped
-
-
-def _drop_exact(vr, vp, vm, vr_zeros, vm_zeros, even):
-    """Ryu's general branch, for values whose ``vr`` or ``vm`` may be exact
-    with trailing zeros: drop digits as :func:`_drop_common` does, then
-    the trailing zeros of an exact ``vm``; break an exact tie to even, and
-    keep an exact ``vm`` when the bounds are inclusive (``even``)."""
-    dropped = np.zeros(vr.shape, np.int64)
-    last = np.zeros(vr.shape, _U64)  # the last digit dropped from vr
-    for phase in ("interval", "zeros of vm"):
-        while True:
-            r, p, m = vr // _TEN, vp // _TEN, vm // _TEN
-            m_zero = vm == m * _TEN
-            live = p > m if phase == "interval" else vm_zeros & m_zero
-            if not live.any():
-                break
-            vm_zeros &= ~live | m_zero
-            vr_zeros &= ~live | (last == 0)
-            last = np.where(live, vr - r * _TEN, last)
-            vr, vp, vm = (
-                np.where(live, *pair) for pair in ((r, vr), (p, vp), (m, vm))
-            )
-            dropped += live
-    tie = vr_zeros & (last == _U64(5)) & ((vr & _U64(1)) == 0)
-    up = ((vr == vm) & ~(even & vm_zeros)) | ((last >= _U64(5)) & ~tie)
-    return vr + up.astype(_U64), dropped
+def _rop(g1, g0, cp):
+    """``g * cp / 2**127`` rounded to odd, ``g = g1 * 2**63 + g0``, from
+    the product's bits worth ``2**-63`` or more: the round to odd of
+    ``(floor(g1 * cp / 2) + floor(g0 * cp / 2**64)) / 2**63``.  The bits
+    dropped hold no more than ``g``'s rounding error, so that an exact
+    decimal stays exact."""
+    y1, y0 = _mul_high(g1, cp), g1 * cp
+    z = (y0 >> _U64(1)) + _mul_high(g0, cp)
+    inexact = (z & _LOW63) != 0
+    return (y1 + (z >> _U64(63))) | inexact.astype(_U64)
 
 
 def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,47 +183,49 @@ def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = np.ascontiguousarray(values, np.float64).view(_U64).ravel()
     mantissa = bits & _U64((1 << 52) - 1)
     biased = (bits >> _U64(52)) & _U64(0x7FF)
-    row = biased.astype(np.int64)
-    m2 = np.where(biased == 0, mantissa, mantissa | _U64(1 << 52))
-    even = (m2 & _U64(1)) == 0
-    mv = m2 << _U64(2)
-    mm_shift = ((mantissa != 0) | (biased <= 1)).astype(_U64)
-    # Step 3 of Ryu: the scaled value and bounds
-    limbs = [table[row] for table in t.mul]
-    shift = t.shift[row]
-    vr = _mul_shift(mv, limbs, shift)
-    vp = _mul_shift(mv + _U64(2), limbs, shift)
-    vm = _mul_shift(mv - _U64(1) - mm_shift, limbs, shift)
-    # and whether they are exact, with trailing zeros
-    test = t.test[row]
-    modulus = t.modulus[row]
-    vr_zeros = (test == _NEAR_TEST) | (
-        (test == _POW2_TEST) & ((mv & modulus) == 0)
-    )
-    vm_zeros = (test == _NEAR_TEST) & even & (mm_shift == 1)
-    vp -= ((test == _NEAR_TEST) & ~even).astype(_U64)
-    pow5 = np.flatnonzero(test == _POW5_TEST)
-    if pow5.size:
-        mv5, p5, even5 = mv[pow5], modulus[pow5], even[pow5]
-        by5 = mv5 % _U64(5) == 0
-        vr_zeros[pow5] = by5 & (mv5 % p5 == 0)
-        vm_zeros[pow5] = (
-            ~by5 & even5 & ((mv5 - _U64(1) - mm_shift[pow5]) % p5 == 0)
-        )
-        vp[pow5] -= (~by5 & ~even5 & ((mv5 + _U64(2)) % p5 == 0)).astype(_U64)
-    # Step 4: the shortest digits in the interval, by Ryu's two branches
-    digits, dropped = _drop_common(vr, vp, vm, t)
-    exact = np.flatnonzero(vr_zeros | vm_zeros)
-    if exact.size:
-        digits[exact], dropped[exact] = _drop_exact(
-            vr[exact], vp[exact], vm[exact], vr_zeros[exact], vm_zeros[exact],
-            even[exact],
-        )
-    exponent = t.e10[row] + dropped
+    # abs(value) = c * 2**q
+    q = np.maximum(biased.astype(np.int64), 1) - 1075
+    c = np.where(biased == 0, mantissa, mantissa | _U64(1 << 52))
+    # a power of two above the subnormals: the gap to the double below is
+    # half the gap above
+    uneven = (mantissa == 0) & (biased > 1)
+    k = _flog10pow2(q, uneven)
+    h = (q + _flog2pow10(-k) + 2).astype(_U64)
+    g1, g0 = t.g1[k - _K_MIN], t.g0[k - _K_MIN]
+    # four times the value and the ends of its rounding interval, over
+    # 10**k, each rounded to odd
+    cb = c << _U64(2)
+    vb = _rop(g1, g0, cb << h)
+    vbl = _rop(g1, g0, (cb - _U64(2) + uneven.astype(_U64)) << h)
+    vbr = _rop(g1, g0, (cb + _U64(2)) << h)
+    # a tie between doubles reads as the even one: the ends of the
+    # interval round back to the value only when c is even
+    out = c & _U64(1)
+    vbl += out
+    vbr -= out
+    # of s and s + 1, the one alone in the interval, else the closer, the
+    # even one on a tie; but of the multiples of ten just below and above a
+    # two-digit or longer s, the one alone in the interval, if one is
+    s = vb >> _U64(2)
+    s_in = vbl <= s << _U64(2)
+    t_in = (s + _U64(1)) << _U64(2) <= vbr
+    lower = vb + (s & _U64(1)) <= (s << _U64(2)) + _U64(2)
+    digits = np.where(np.where(s_in != t_in, s_in, lower), s, s + _U64(1))
+    sp10 = s // _TEN * _TEN
+    sp10_in = vbl <= sp10 << _U64(2)
+    tp10_in = (sp10 + _TEN) << _U64(2) <= vbr
+    shorter = (s >= _TEN) & (sp10_in != tp10_in)
+    digits = np.where(shorter, np.where(sp10_in, sp10, sp10 + _TEN), digits)
+    # strip the trailing zeros, at most 16 of them
+    for n in (16, 8, 4, 2, 1):
+        cut = digits // t.pow10[n]
+        whole = cut * t.pow10[n] == digits
+        digits = np.where(whole, cut, digits)
+        k += n * whole
     zero = (bits << _U64(1)) == 0
     digits[zero] = 0
-    exponent[zero] = 0
-    return digits, exponent
+    k[zero] = 0
+    return digits, k
 
 
 def _eight_digits(x):

@@ -235,7 +235,9 @@ def load_run_config(path: str) -> RunConfig:
         inline_comment_prefixes=(";", "#"), interpolation=None
     )
     try:
-        parser.read(path)
+        # ``read`` would skip a path it cannot open without a word
+        with open(path) as handle:
+            parser.read_file(handle)
     except configparser.MissingSectionHeaderError as exc:
         # configparser's own text spans three lines
         raise ValueError(

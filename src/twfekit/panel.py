@@ -155,6 +155,8 @@ def _read_layout(reader, schema: PanelSchema, path) -> _Layout:
         header = next(reader)
     except StopIteration:
         raise PanelError(f"{path}: file is empty") from None
+    except csv.Error as exc:
+        raise _csv_error(reader, exc) from None
     header = [h.strip() for h in header]
     positions: dict[str, int] = {}
     for idx, name in enumerate(header):
@@ -277,7 +279,7 @@ def _read_columns(reader, layout: _Layout):
     Returns the unit labels in code order, the cluster labels in code order,
     and the per-row unit codes, periods, cluster codes (empty without a
     cluster column) and one ``float64`` array per series.  Raises
-    ``ValueError`` or ``OverflowError`` on a row that
+    ``ValueError``, ``OverflowError`` or ``csv.Error`` on a row that
     :func:`_raise_row_error` must name.
     """
     units: dict[str, int] = {}
@@ -297,6 +299,22 @@ def _read_columns(reader, layout: _Layout):
     return list(units), list(clusters), *arrays
 
 
+def _csv_error(reader, exc: csv.Error) -> PanelError:
+    """A row ``csv`` cannot read (a field over its size limit, say), named
+    by its line."""
+    return PanelError(f"line {reader.line_num}: {exc}")
+
+
+def _numbered_rows(reader):
+    """Each data row of ``reader`` with its last line's number."""
+    try:
+        next(reader)
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise _csv_error(reader, exc) from None
+
+
 def _raise_row_error(path, delimiter: str, layout: _Layout) -> NoReturn:
     """Re-read ``path`` row by row and raise the error of its first bad row."""
     seen: set[tuple[str, int]] = set()
@@ -305,9 +323,7 @@ def _raise_row_error(path, delimiter: str, layout: _Layout) -> NoReturn:
         if handle.read(1) != "\ufeff":  # a byte-order mark is no header text
             handle.seek(0)
         reader = csv.reader(handle, delimiter=delimiter)
-        next(reader)
-        for row in reader:
-            line_num = reader.line_num
+        for line_num, row in _numbered_rows(reader):
             if _is_blank(row):
                 continue
             if len(row) != layout.width:
@@ -375,7 +391,7 @@ def load_panel(
             units, clusters, unit, period, cluster, *values = _read_columns(
                 reader, layout
             )
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError, csv.Error):
             _raise_row_error(path, delimiter, layout)
     if not unit.size:
         raise PanelError(f"{path}: no data rows")

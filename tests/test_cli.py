@@ -942,6 +942,13 @@ pretrend = w:-6:x
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_config_that_cannot_be_read(self, tmp_path, capsys):
+        # a directory exists but cannot be opened as a file
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err and "[run]" not in err
+
     def test_unknown_kind(self, tmp_path, panel_csv, capsys):
         body = BASE.format(input=panel_csv, outdir=tmp_path / "o") + """
 [analysis:bad]

@@ -58,7 +58,8 @@ def test_matches_repr_on_powers_of_two_and_neighbours():
 
 
 @pytest.mark.parametrize(
-    "value", [0.0, -0.0, 5e-324, -5e-324, LARGEST, -LARGEST, 1.0, -1.0]
+    "value",
+    [0.0, -0.0, 5e-324, -5e-324, 8e-323, -8e-323, LARGEST, -LARGEST, 1.0, -1.0],
 )
 def test_matches_repr_on_extremes(value):
     assert reprs([value]) == [repr(value)]
@@ -124,21 +125,29 @@ def test_matches_repr_on_short_decimals():
     assert_repr(digits * scales)
 
 
-def test_scaled_products_are_exact():
+def test_powers_of_ten_fill_126_bits():
     t = _floattext._tables()
-    assert 0 < t.shift.min() and t.shift.max() < 64
-    muls = [
-        sum(int(limb[row]) << (32 * k) for k, limb in enumerate(t.mul))
-        for row in range(t.shift.size)
-    ]
+    assert t.g1.max() < 2**63 and t.g0.max() < 2**63
+    g = [(g1 << 63) | g0 for g1, g0 in zip(t.g1.tolist(), t.g0.tolist())]
+    assert all(2**125 <= gk < 2**126 for gk in g)
+
+
+def test_rounded_products_are_exact():
+    t = _floattext._tables()
     rng = np.random.default_rng(23)
-    for top in (2**55, 2**20):
-        m = rng.integers(0, top, t.shift.size, dtype=np.uint64)
-        got = _floattext._mul_shift(m, t.mul, t.shift)
-        want = [
-            mi * mul >> (96 + shift)
-            for mi, mul, shift in zip(m.tolist(), muls, t.shift.tolist())
+    extremes = [0, 1, 2**59 - 1, 2**63 - 1, 2**63, 2**64 - 1]
+    n = t.g1.size
+    cps = [np.full(n, cp, np.uint64) for cp in extremes]
+    cps += [rng.integers(0, 2**59, n, np.uint64) for _ in range(8)]
+    cps += [rng.integers(0, 2**64, n, np.uint64) for _ in range(8)]
+    for cp in cps:
+        got = _floattext._rop(t.g1, t.g0, cp)
+        # (floor(g1 * cp / 2) + floor(g0 * cp / 2**64)) / 2**63, to odd
+        high = [
+            (g1 * c >> 1) + (g0 * c >> 64)
+            for g1, g0, c in zip(t.g1.tolist(), t.g0.tolist(), cp.tolist())
         ]
+        want = [(h >> 63) | (h % 2**63 != 0) for h in high]
         assert got.tolist() == want
 
 

@@ -288,6 +288,26 @@ class TestLoadPanel:
         with pytest.raises(PanelError, match="line 3: expected 3 fields"):
             load_panel(path, SCHEMA)
 
+    # csv's field size limit is 131072 characters
+    @pytest.mark.parametrize(
+        "long, oops, text",
+        [
+            (1, 0, "line 1: field larger than field limit"),
+            (4, 0, "line 4: field larger than field limit"),
+            # an earlier bad row is named first
+            (4, 2, "line 2: non-numeric value 'oops'"),
+        ],
+    )
+    def test_overlong_field_names_its_line(self, tmp_path, long, oops, text):
+        lines = ["unit,year,y", "a,1,1.0", "a,2,2.0", "b,1,3.0", "b,2,4.0"]
+        if oops:
+            lines[oops - 1] = "a,1,oops"
+        lines[long - 1] = "x" * 200_000 + lines[long - 1]
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PanelError, match=f"^{text}"):
+            load_panel(path, SCHEMA)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
