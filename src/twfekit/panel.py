@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import os
 import warnings
-from array import array
 from dataclasses import dataclass, field
-from itertools import count, islice
-from typing import NamedTuple, NoReturn
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,11 +134,6 @@ class BalancedPanel:
         return idx
 
 
-#: Data rows read and converted at a time.  Bounds the transient row strings
-#: of a load: holding every row at once would double its peak memory.
-_CHUNK_ROWS = 8192
-
-
 class _Layout(NamedTuple):
     """Where a file's fields live: the header width and column positions."""
 
@@ -155,8 +150,8 @@ def _read_layout(reader, schema: PanelSchema, path) -> _Layout:
         header = next(reader)
     except StopIteration:
         raise PanelError(f"{path}: file is empty") from None
-    except csv.Error as exc:
-        raise _csv_error(reader, exc) from None
+    except csv.Error as exc:  # a field over csv's size limit, say
+        raise PanelError(f"line {reader.line_num}: {exc}") from None
     header = [h.strip() for h in header]
     positions: dict[str, int] = {}
     for idx, name in enumerate(header):
@@ -233,103 +228,98 @@ def _parse_value(cell: str, column: str, line_num: int) -> float:
     return value
 
 
-def _is_blank(row: list[str]) -> bool:
-    return not any(map(str.strip, row))
+def _codes(labels: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct stripped ``labels`` and each label's index among them."""
+    labels = [label.strip() for label in labels]
+    # copies, so that the names do not pin the heap of the cells they came from
+    names = sorted(label.encode().decode() for label in set(labels))
+    code = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
 
 
-def _regular_columns(rows, layout: _Layout):
-    """The columns of ``rows`` with the unit column stripped, or ``None``
-    when a row has the wrong width or no unit label."""
-    if not set(map(len, rows)) <= {layout.width}:
+def _line_lengths(handle, path) -> np.ndarray:
+    """The length in bytes of each line of text file ``handle``, which its
+    encoding must decode; lines end where csv ends them."""
+    data = handle.buffer.read()
+    try:
+        data.decode(handle.encoding)
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise PanelError(
+            f"{path}: line {line}: not valid {handle.encoding} text "
+            f"(byte 0x{data[exc.start]:02x})"
+        ) from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
+    return np.diff(ends, prepend=-1, append=len(data)) - 1
+
+
+def _reader(handle, delimiter: str):
+    """A csv reader of ``handle`` from its start."""
+    handle.seek(0)
+    if handle.read(1) != "\ufeff":  # a byte-order mark is no header text
+        handle.seek(0)
+    return csv.reader(handle, delimiter=delimiter)
+
+
+def _read_columns(handle, lines: np.ndarray, header_lines: int, delimiter: str, layout):
+    """The columns of :func:`_read_rows` as numpy's C reader reads them, or
+    ``None`` where they could differ: numpy raises or warns, a row spans
+    lines (numpy reads a quoted ``\\r`` as ``\\n``), a line is longer in
+    bytes (``lines``) than csv's field size limit (numpy has none), a unit
+    label is empty, or the time column is also a series."""
+    if layout.time in layout.columns:
         return None
-    columns = list(zip(*rows)) or [()] * layout.width
-    columns[layout.unit] = list(map(str.strip, columns[layout.unit]))
-    return None if "" in columns[layout.unit] else columns
-
-
-def _chunk_columns(rows, layout: _Layout):
-    """:func:`_regular_columns` of ``rows`` with blank rows skipped."""
-    columns = _regular_columns(rows, layout)
-    if columns is None:
-        columns = _regular_columns(
-            [row for row in rows if not _is_blank(row)], layout
+    kinds = {**dict.fromkeys(layout.columns, np.float64), layout.time: np.int64}
+    # every column, so that numpy checks each row's width
+    numbers = [(f"f{col}", kinds.get(col, "U1")) for col in range(layout.width)]
+    labels = [col for col in (layout.unit, layout.cluster) if col is not None]
+    try:
+        read = partial(  # an absolute path, which numpy never takes for a URL
+            np.loadtxt, os.path.abspath(handle.name), delimiter=delimiter,
+            comments=None, quotechar='"', skiprows=header_lines,
+            encoding=handle.encoding,
         )
-        if columns is None:
-            raise ValueError("irregular rows")
-    return columns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = read(dtype=numbers, ndmin=1)
+            # Python strings, which keep trailing NULs
+            names = read(dtype=object, usecols=labels, ndmin=2).T.tolist()
+    except (ValueError, TypeError, OverflowError, Warning):
+        return None
+    units, unit = _codes(names[0])
+    clusters, cluster = _codes(names[1]) if len(names) > 1 else (units, unit)
+    lines = lines[header_lines:]
+    if (
+        units[0] == ""
+        or np.count_nonzero(lines) != len(cells)
+        or lines.max() > csv.field_size_limit()
+    ):
+        return None
+    values = [cells[f"f{col}"] for col in layout.columns]
+    return units, clusters, unit, cells[f"f{layout.time}"], cluster, values
 
 
-def _encode(codes: dict[str, int], labels) -> map:
-    """Integer codes of ``labels``, adding unseen labels to ``codes``."""
-    labels = list(labels)
-    codes.update(zip(set(labels).difference(codes), count(len(codes))))
-    return map(codes.__getitem__, labels)
-
-
-def _time_labels(cells) -> list[int]:
-    try:
-        return list(map(int, cells))
-    except ValueError:
-        return list(map(_time_label, cells))
-
-
-def _read_columns(reader, layout: _Layout):
-    """Every data row, read and converted :data:`_CHUNK_ROWS` rows at a time.
-
-    Returns the unit labels in code order, the cluster labels in code order,
-    and the per-row unit codes, periods, cluster codes (empty without a
-    cluster column) and one ``float64`` array per series.  Raises
-    ``ValueError``, ``OverflowError`` or ``csv.Error`` on a row that
-    :func:`_raise_row_error` must name.
-    """
-    units: dict[str, int] = {}
-    clusters: dict[str, int] = {}
-    unit, period, cluster = array("q"), array("q"), array("q")
-    values = [array("d") for _ in layout.columns]
-    while rows := list(islice(reader, _CHUNK_ROWS)):
-        columns = _chunk_columns(rows, layout)
-        unit.extend(_encode(units, columns[layout.unit]))
-        period.extend(_time_labels(columns[layout.time]))
-        for out, col in zip(values, layout.columns):
-            out.extend(map(float, columns[col]))
-        if layout.cluster is not None:
-            labels = map(str.strip, columns[layout.cluster])
-            cluster.extend(_encode(clusters, labels))
-    arrays = [np.asarray(a) for a in (unit, period, cluster, *values)]
-    return list(units), list(clusters), *arrays
-
-
-def _csv_error(reader, exc: csv.Error) -> PanelError:
-    """A row ``csv`` cannot read (a field over its size limit, say), named
-    by its line."""
-    return PanelError(f"line {reader.line_num}: {exc}")
-
-
-def _numbered_rows(reader):
-    """Each data row of ``reader`` with its last line's number."""
-    try:
-        next(reader)
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
-        raise _csv_error(reader, exc) from None
-
-
-def _raise_row_error(path, delimiter: str, layout: _Layout) -> NoReturn:
-    """Re-read ``path`` row by row and raise the error of its first bad row."""
+def _read_rows(handle, delimiter: str, layout: _Layout, path):
+    """The data rows as csv reads them, one at a time: the exact reader.
+    Returns the sorted unit and cluster labels (the units without a cluster
+    column), each row's codes into them and period, and one ``float64``
+    array per series; raises the error of the first bad row."""
     seen: set[tuple[str, int]] = set()
     cluster_of: dict[str, str] = {}
-    with open(path, newline="") as handle:
-        if handle.read(1) != "\ufeff":  # a byte-order mark is no header text
-            handle.seek(0)
-        reader = csv.reader(handle, delimiter=delimiter)
-        for line_num, row in _numbered_rows(reader):
-            if _is_blank(row):
+    units, periods, clusters, values = [], [], [], []
+    reader = _reader(handle, delimiter)
+    next(reader)
+    try:
+        for row in reader:
+            line_num = reader.line_num
+            if not any(map(str.strip, row)):
                 continue
             if len(row) != layout.width:
                 raise PanelError(
-                    f"line {line_num}: expected {layout.width} fields, "
-                    f"got {len(row)}"
+                    f"line {line_num}: expected {layout.width} fields, got {len(row)}"
                 )
             unit = row[layout.unit].strip()
             if not unit:
@@ -341,8 +331,10 @@ def _raise_row_error(path, delimiter: str, layout: _Layout) -> NoReturn:
                     f"'{unit}' in period {period}"
                 )
             seen.add((unit, period))
-            for name, col in zip(layout.names, layout.columns):
+            values.append([
                 _parse_value(row[col], name, line_num)
+                for name, col in zip(layout.names, layout.columns)
+            ])
             if layout.cluster is not None:
                 label = row[layout.cluster].strip()
                 first = cluster_of.setdefault(unit, label)
@@ -351,9 +343,38 @@ def _raise_row_error(path, delimiter: str, layout: _Layout) -> NoReturn:
                         f"line {line_num}: cluster label for unit '{unit}' "
                         f"changed from '{first}' to '{label}'"
                     )
-    # every row is valid, so the fast read failed on a time label that does
-    # not fit in 64 bits
-    raise PanelError(f"{path}: time labels must fit in a 64-bit integer")
+                clusters.append(label)
+            units.append(unit)
+            periods.append(period)
+    except csv.Error as exc:
+        raise PanelError(f"line {reader.line_num}: {exc}") from None
+    if not units:
+        raise PanelError(f"{path}: no data rows")
+    try:
+        period = np.array(periods, dtype=np.int64)
+    except OverflowError:
+        raise PanelError(f"{path}: time labels must fit in a 64-bit integer") from None
+    units, unit = _codes(units)
+    clusters, cluster = _codes(clusters) if clusters else (units, unit)
+    return units, clusters, unit, period, cluster, list(np.array(values).T)
+
+
+def _by_cell(units, clusters, unit, period, cluster, values):
+    """The rows in period-then-unit order, or ``None`` where a value is not
+    finite, a cell repeats or a unit's cluster label changes: errors that
+    only :func:`_read_rows` names."""
+    by_cell = np.lexsort((unit, period))
+    # a repeated cell is a zero step in both
+    repeats = (np.diff(period[by_cell]) == 0) & (np.diff(unit[by_cell]) == 0)
+    unit_cluster = np.empty(len(units), dtype=np.int64)
+    unit_cluster[unit] = cluster
+    if (
+        repeats.any()
+        or not all(np.isfinite(v).all() for v in values)
+        or (unit_cluster[unit] != cluster).any()
+    ):
+        return None
+    return by_cell
 
 
 def load_panel(
@@ -375,50 +396,31 @@ def load_panel(
 
     The result is invariant to the physical row order of the file: units and
     periods are sorted, so shuffled copies of a file load identically.
-    Values parse with Python ``float()``; a bad row is reported with its line
-    number.
+    Fields split as Python's ``csv`` splits them and values parse with Python
+    ``float()``; a bad row, or a byte the encoding cannot decode, is reported
+    with its line number.  numpy's C reader takes most files and a row-by-row
+    reader the rest; the result does not depend on which reader took a file.
     """
     if balance not in ("error", "drop-units"):
         raise ValueError(
             f"balance must be 'error' or 'drop-units', got '{balance}'"
         )
     with open(path, newline="") as handle:
-        if handle.read(1) != "\ufeff":  # a byte-order mark is no header text
-            handle.seek(0)
-        reader = csv.reader(handle, delimiter=delimiter)
+        lines = _line_lengths(handle, path)
+        reader = _reader(handle, delimiter)
         layout = _read_layout(reader, schema, path)
-        try:
-            units, clusters, unit, period, cluster, *values = _read_columns(
-                reader, layout
-            )
-        except (ValueError, OverflowError, csv.Error):
-            _raise_row_error(path, delimiter, layout)
-    if not unit.size:
-        raise PanelError(f"{path}: no data rows")
-
-    # units in label order: ``unit`` becomes each row's sorted position
-    order = sorted(range(len(units)), key=units.__getitem__)
-    position = np.empty(len(units), dtype=np.int64)
-    position[order] = np.arange(len(units))
-    unit = position[unit]
-    labels = [units[code] for code in order]
-    # cells by period, then unit: a repeated cell is a zero step in both;
+        rows = _read_columns(handle, lines, reader.line_num, delimiter, layout)
+        by_cell = None if rows is None else _by_cell(*rows)
+        if by_cell is None:
+            # raises the first bad row's error, so its rows pass every check
+            rows = _read_rows(handle, delimiter, layout, path)
+            by_cell = _by_cell(*rows)
+    labels, clusters, unit, period, cluster, values = rows
     # a period step read unsigned is exact even where the signed one wraps
-    by_cell = np.lexsort((unit, period))
     observed = period[by_cell]
     steps = np.diff(observed).view(np.uint64)
     first, last = int(observed[0]), int(observed[-1])
     span = last - first + 1
-    # each unit's cluster code, in unit order; its rows must all agree
-    unit_cluster = np.empty(len(labels), dtype=np.int64)
-    if clusters:
-        unit_cluster[unit] = cluster
-    if (
-        not all(np.isfinite(v).all() for v in values)
-        or ((steps == 0) & (np.diff(unit[by_cell]) == 0)).any()
-        or (clusters and (unit_cluster[unit] != cluster).any())
-    ):
-        _raise_row_error(path, delimiter, layout)
 
     # as many distinct periods as the span, or a step above one skips one
     if np.count_nonzero(steps) + 1 != span:
@@ -456,14 +458,11 @@ def load_panel(
     for name, column in zip(layout.names, values):
         data[name] = np.empty(kept * span)
         data[name][cell] = column[keep]
-    kept_units = np.flatnonzero(complete).tolist()
-    cluster_id = ()
-    if clusters:
-        code = unit_cluster.tolist()
-        cluster_id = tuple(clusters[code[i]] for i in kept_units)
+    unit_cluster = np.empty(len(labels), dtype=np.int64)
+    unit_cluster[unit] = cluster
     return BalancedPanel(
-        units=tuple(labels[i] for i in kept_units),
+        units=tuple(labels[i] for i in np.flatnonzero(complete).tolist()),
         periods=tuple(range(first, last + 1)),
         series={name: v.reshape(kept, span) for name, v in data.items()},
-        cluster_id=cluster_id,
+        cluster_id=tuple(clusters[c] for c in unit_cluster[complete].tolist()),
     )

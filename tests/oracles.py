@@ -18,7 +18,7 @@ per-window pre-trend slopes.  ``ols``, ``fwl_residualize`` and
 standalone Gram-Schmidt sweep plus lstsq, kept as the reference for
 ``numerics.project_cells``.  ``load_panel_loop`` and ``write_weights_csv``
 keep the former row-by-row CSV loader and ``csv.writer`` weights rows as the
-references for the chunked loader and the weights writer.
+references for the CSV loader and the weights writer.
 ``demean`` is the package's former public cross-sectional transform.
 ``exact_two_way`` and ``exact_pair_sums`` are the two-way residual and its
 pair-difference sums in exact rational arithmetic (``fractions``), the
@@ -931,7 +931,7 @@ def load_panel_loop(
 ) -> BalancedPanel:
     """The library's former ``load_panel``: every row parsed on its own into
     a dict of cells, then an ``n_units * n_periods`` fill loop.  Kept as the
-    reference for the chunked column loader; same errors, same warning."""
+    reference for the CSV loader; same errors, same warning."""
     if balance not in ("error", "drop-units"):
         raise ValueError(
             f"balance must be 'error' or 'drop-units', got '{balance}'"

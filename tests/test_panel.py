@@ -1,7 +1,10 @@
+import csv
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from helpers import make_panel, random_panel, write_panel_csv
@@ -20,7 +23,6 @@ from twfekit import (
     simulate,
     simulate_replication,
 )
-from twfekit.panel import _CHUNK_ROWS
 
 SCHEMA = PanelSchema(unit="unit", time="year")
 
@@ -308,6 +310,26 @@ class TestLoadPanel:
         with pytest.raises(PanelError, match=f"^{text}"):
             load_panel(path, SCHEMA)
 
+    # Latin-1 bytes in a file read as UTF-8: 0xfc is the "\u00fc" of Zurich
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("unit,year,y\r\na,1,1\r\nZ\u00fcrich,1,2\r\n", 3),
+            ("unit,year,y\ra,1,1\rb,1,2\r\"Z\u00fc\nrich\",1,2\n", 4),
+            ("Z\u00fcrich,year,y\na,1,1\n", 1),
+        ],
+        ids=["crlf", "cr", "header"],
+    )
+    def test_undecodable_byte_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(
+            PanelError,
+            match=rf"^{re.escape(str(path))}: line {line}: not valid \S+ text "
+            rf"\(byte 0xfc\)$",
+        ):
+            load_panel(path, SCHEMA)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -364,12 +386,13 @@ def _long_rows(n_units, n_periods, rng):
     ]
 
 
-# more rows than one chunk of the loader
-LONG = (_CHUNK_ROWS // 20 + 7, 20)
+# a long file, for rows far from its start
+ROWS = 8192
+LONG = (ROWS // 20 + 7, 20)
 
 
 class TestLoadPanelMatchesLoop:
-    """The chunked loader against the former row-by-row loader."""
+    """The loader against the former row-by-row loader."""
 
     def test_shuffled_rows(self, rng, tmp_path):
         panel = random_panel(rng, 7, 5, extra_series=("w",))
@@ -453,8 +476,8 @@ class TestLoadPanelMatchesLoop:
     def test_longer_than_one_chunk(self, rng, tmp_path):
         rows = _long_rows(*LONG, rng)
         rows = [rows[k] for k in rng.permutation(len(rows))]
-        rows.insert(_CHUNK_ROWS - 1, "")
-        rows.insert(_CHUNK_ROWS + 5, ",,,")
+        rows.insert(ROWS - 1, "")
+        rows.insert(ROWS + 5, ",,,")
         path = tmp_path / "long.csv"
         path.write_text("\n".join(["unit,year,y,x"] + rows) + "\n")
         got, _ = _assert_same_load(path)
@@ -490,11 +513,11 @@ class TestLoadPanelErrorsMatchLoop:
     )
     def test_bad_row_past_first_chunk(self, rng, tmp_path, bad):
         rows = _long_rows(*LONG, rng)
-        rows.insert(_CHUNK_ROWS + 100, bad)
+        rows.insert(ROWS + 100, bad)
         path = tmp_path / "long.csv"
         path.write_text("\n".join(["unit,year,y,x"] + rows) + "\n")
         message = _assert_same_error(path)
-        assert message.startswith(f"line {_CHUNK_ROWS + 102}:")
+        assert message.startswith(f"line {ROWS + 102}:")
 
     def test_non_integer_time_label_mid_file(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -560,6 +583,150 @@ class TestLoadPanelErrorsMatchLoop:
         path.write_text(f"unit,year,y\na,{low},1\na,{high},2\n")
         with pytest.raises(PanelError, match=f"no observations in period {low + 1}"):
             load_panel(path, SCHEMA)
+
+
+# field text for the differential test: quotes, NULs, byte-order marks,
+# comment signs, non-ASCII letters, delimiters and line ends
+FRAGMENTS = [
+    "a", "b", " ", "\u00e9", "#", "\x00", "\ufeff", '"', '""', '"a"x',
+    ' "a"', "\r", "\r\n", "\n", ";", ",", "\t",
+]
+# labels that are one field each, however odd
+LABELS = [
+    "a", "b", " c", "\u00e9", "a\x00", "\x00b", "\ufeffc", "#d", '"e""f"',
+    '"g"x', ' "h"', '"i\r\nj"', '"k\rl"', '"m\nn"', '"o,p"', '"q;r"',
+    '"s\tt"',
+]
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# each a function of a year's plain spelling; all but the last are read as
+# the year, some only by Python
+YEARS = [
+    lambda y: f"+{y}",
+    lambda y: f" {y} ",
+    lambda y: f'"{y}"',
+    lambda y: f"{y}.0",
+    lambda y: f"{y[:-3]}_{y[-3:]}",
+    lambda y: f"{y}e0",
+    lambda y: y.translate(ARABIC_INDIC),
+    lambda y: f"{y}.5",
+]
+# values that numpy and float() read alike, then values that only float()
+# reads, then values that float() refuses or that are not finite
+VALUES = ["1.5", "-0.25", "7", "-0", "1e3", "+1", " 2 ", '"4"']
+ODD_VALUES = ["1_000", "\u0663", "nan", "inf", "", "x", "1e400", "3\x00"]
+
+
+@st.composite
+def hostile_files(draw):
+    """A delimited file's text, whether a byte-order mark starts it, its
+    delimiter, schema and balance rule.  Each kind of odd text is in a file
+    or not, in one row or a few."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    clustered = draw(st.booleans())
+    columns = ["unit", "year", "y", "x", "note"] + ["region"] * clustered
+    columns = draw(st.permutations(columns))
+    fragments = st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=3)
+    label = st.sampled_from(LABELS) | fragments.map("".join)
+    sometimes = st.sampled_from([False] * 4 + [True])
+    units = draw(st.lists(label, min_size=2, max_size=3, unique_by=str.strip))
+    if draw(sometimes):  # a trailing NUL, which numpy's fixed-width strings drop
+        units[-1] += "\x00"
+    regions = st.sampled_from(["n", " n", "s", ""])
+    years = [str(2000 + t) for t in range(draw(st.integers(2, 3)))]
+    rows = [
+        {"unit": unit, "year": year, "region": region, "note": "",
+         "y": draw(st.sampled_from(VALUES)), "x": draw(st.sampled_from(VALUES))}
+        for unit, region in zip(units, draw(st.lists(
+            regions, min_size=len(units), max_size=len(units)
+        )))
+        for year in years
+    ]
+
+    def some_rows(count=st.integers(1, 2)):
+        return [draw(st.sampled_from(rows)) for _ in range(draw(count))]
+
+    if draw(sometimes):
+        for row in some_rows():
+            row["year"] = draw(st.sampled_from(YEARS))(row["year"])
+    if draw(sometimes):
+        for row in some_rows():
+            row["y"] = draw(st.sampled_from(ODD_VALUES))
+    if draw(sometimes):
+        for row in some_rows():
+            row["region"] = draw(regions)
+    if draw(sometimes):
+        for row in some_rows():
+            row["note"] = draw(fragments.map("".join))
+    if draw(sometimes):  # a field over csv's size limit
+        some_rows(st.just(1))[0]["note"] = "n" * (csv.field_size_limit() + 1)
+    if draw(sometimes):  # a missing cell
+        rows.remove(some_rows(st.just(1))[0])
+    if draw(sometimes):  # a repeated cell
+        rows += [dict(row) for row in some_rows(st.just(1))]
+    lines = draw(st.permutations(
+        [delimiter.join(row[c] for c in columns) for row in rows]
+    ))
+    if draw(sometimes):
+        blanks = ["", "  ", delimiter * (len(columns) - 1), f" {delimiter} "]
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(blanks)))
+    # a quoted header cell may span lines, which moves where the data begins
+    note = st.sampled_from(["note", '"note"', '"no\nte"', '"no\r\nte"', '"no\rte"'])
+    header = [draw(note) if c == "note" else c for c in columns]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join([delimiter.join(header)] + lines) + draw(
+        st.sampled_from(["", end])
+    )
+    schema = PanelSchema(
+        unit="unit", time="year", series=("y", "x"),
+        cluster="region" if clustered else None,
+    )
+    balance = draw(st.sampled_from(["error", "drop-units"]))
+    return text, draw(st.booleans()), delimiter, schema, balance
+
+
+def _outcome(load, path, schema, delimiter, balance):
+    """What ``load`` makes of the file: the panel's labels, series bytes and
+    warnings, or its error's text.  A row that csv cannot read is named by
+    its line, as ``load_panel`` names it."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            panel = load(path, schema, delimiter=delimiter, balance=balance)
+    except PanelError as exc:
+        return str(exc)
+    except csv.Error as exc:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle, delimiter=delimiter)
+            with pytest.raises(csv.Error):
+                for _ in reader:
+                    pass
+        return f"line {reader.line_num}: {exc}"
+    series = {name: panel.values(name).tobytes() for name in panel.series}
+    messages = [str(w.message) for w in caught]
+    return panel.units, panel.periods, panel.cluster_id, series, messages
+
+
+class TestLoadPanelDifferential:
+    """Generated files that numpy's reader may refuse or read otherwise
+    than csv: ``load_panel`` must load each exactly as the former row-by-row
+    loader does, or raise its error."""
+
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=hostile_files())
+    def test_matches_the_row_by_row_loader(self, tmp_path, case):
+        text, bom, delimiter, schema, balance = case
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        args = path, schema, delimiter, balance
+        want = _outcome(oracles.load_panel_loop, *args)
+        # the former loader took a byte-order mark for header text
+        path.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
+        assert _outcome(load_panel, *args) == want
 
 
 # the integer arguments of the API, under the rule of the CSV loader's time
