@@ -90,6 +90,8 @@ SECTION_KEYS = {
     "run": {"input", "output_dir", "formats", "seed"},
     "schema": {"unit", "time", "series", "cluster", "delimiter", "balance"},
 }
+# the section whose keys reach every section that reads them
+DEFAULT = "DEFAULT"
 # each analysis kind and the options its branch reads, besides ``kind``
 KINDS = {
     "twfe": {"y", "x", "covariates", "se"},
@@ -223,6 +225,15 @@ def _require(options: dict, key: str):
     return options[key]
 
 
+def _section(own, defaults, keys) -> dict:
+    """A section's options: its ``own``, then those of ``keys`` that only
+    ``defaults``, the [DEFAULT] section, sets."""
+    return {**own, **{
+        key: value for key, value in defaults.items()
+        if key in keys and key not in own
+    }}
+
+
 def load_run_config(path: str) -> RunConfig:
     """Parse an INI config file into a :class:`RunConfig`.
 
@@ -231,8 +242,11 @@ def load_run_config(path: str) -> RunConfig:
     """
     if not os.path.exists(path):
         raise ValueError(f"config file not found: {path}")
+    # [DEFAULT] is read as an ordinary section, so that a key another
+    # section sets itself is checked there; no header can hold a line end
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=(";", "#"), interpolation=None
+        inline_comment_prefixes=(";", "#"), interpolation=None,
+        default_section="\n",
     )
     try:
         # ``read`` would skip a path it cannot open without a word
@@ -249,15 +263,17 @@ def load_run_config(path: str) -> RunConfig:
     if "run" not in parser:
         raise ValueError(f"{path}: missing [run] section")
     for section in parser.sections():
-        if section not in SECTION_KEYS and not section.startswith(ANALYSIS_PREFIX):
+        if (
+            section not in SECTION_KEYS and section != DEFAULT
+            and not section.startswith(ANALYSIS_PREFIX)
+        ):
             raise ValueError(f"{path}: unknown section [{section}]")
-    # a [DEFAULT] key reaches [run] and [schema] too, and is no error there
-    inherited = set(parser.defaults())
+    defaults = parser[DEFAULT] if DEFAULT in parser else {}
     for section, keys in SECTION_KEYS.items():
         for key in parser[section] if section in parser else ():
-            if key not in keys and key not in inherited:
+            if key not in keys:
                 raise ValueError(f"[{section}]: unknown option '{key}'")
-    run = parser["run"]
+    run = _section(parser["run"], defaults, SECTION_KEYS["run"])
     formats = tuple(_split(run.get("formats", "csv json")))
     if not formats:
         raise ValueError(
@@ -272,7 +288,7 @@ def load_run_config(path: str) -> RunConfig:
     delimiter = ","
     balance = "error"
     if "schema" in parser:
-        sec = parser["schema"]
+        sec = _section(parser["schema"], defaults, SECTION_KEYS["schema"])
         if "unit" not in sec or "time" not in sec:
             raise ValueError("[schema] section needs 'unit' and 'time' keys")
         series = tuple(_split(sec["series"])) if "series" in sec else None
@@ -307,15 +323,14 @@ def load_run_config(path: str) -> RunConfig:
                 f"and [{section}]"
             )
         sections[name] = section
-        options = dict(parser[section])
-        kind = options.pop("kind", "").strip()
+        kind = parser[section].get("kind", defaults.get("kind", "")).strip()
         if not kind:
             raise ValueError(f"analysis '{name}': missing 'kind' option")
         if kind not in KINDS:
             raise ValueError(f"analysis '{name}': unknown kind '{kind}'")
         # a [DEFAULT] key reaches only the kinds that read it
-        inherited = set(parser.defaults()) - KINDS[kind]
-        options = {k: v for k, v in options.items() if k not in inherited}
+        options = _section(parser[section], defaults, KINDS[kind])
+        options.pop("kind", None)
         for key in options:
             if key not in KINDS[kind]:
                 raise ValueError(f"analysis '{name}': unknown option '{key}'")
@@ -332,7 +347,7 @@ def load_run_config(path: str) -> RunConfig:
         *(keys for section, keys in SECTION_KEYS.items() if section in parser),
         *(KINDS[analysis.kind] for analysis in analyses),
     )
-    for key in parser.defaults():
+    for key in defaults:
         if key not in read:
             raise ValueError(f"[DEFAULT]: unknown option '{key}'")
     if input_path is not None and schema is None:

@@ -366,9 +366,10 @@ def generalized_twfe(
     shared = np.column_stack([np.ones(n)] + [
         _time_invariant_column(panel, name) for name in spec.time_invariant
     ])
-    # period-major two-way residuals of x and y, as every estimator reads
-    # them, and the differenced controls: a gap's changes are contiguous
-    # (start, unit) blocks
+    # the two-way residuals of x and y, as every estimator reads them, and
+    # the differenced controls, indexed [series, period, unit]; np.stack of
+    # the transposed views keeps each unit's periods adjacent in memory, so
+    # a gap's changes are strided (start, unit) blocks, not contiguous ones
     resid = [r.T for r in _residuals(panel, [x, y])]
     controls = [panel.values(name) for name in spec.differenced]
     raw = np.stack(resid[:1] + [v.T for v in controls])

@@ -15,7 +15,6 @@ import operator
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -269,28 +268,30 @@ def _read_columns(handle, lines: np.ndarray, header_lines: int, delimiter: str, 
     ``None`` where they could differ: numpy raises or warns, a row spans
     lines (numpy reads a quoted ``\\r`` as ``\\n``), a line is longer in
     bytes (``lines``) than csv's field size limit (numpy has none), a unit
-    label is empty, or the time column is also a series."""
-    if layout.time in layout.columns:
-        return None
-    kinds = {**dict.fromkeys(layout.columns, np.float64), layout.time: np.int64}
-    # every column, so that numpy checks each row's width
-    numbers = [(f"f{col}", kinds.get(col, "U1")) for col in range(layout.width)]
+    label is empty, or a column has two roles that need different types."""
     labels = [col for col in (layout.unit, layout.cluster) if col is not None]
+    roles = [(col, np.float64) for col in layout.columns] + [(layout.time, np.int64)]
+    roles += [(col, object) for col in labels]  # a Python str keeps trailing NULs
+    kinds = dict(roles)
+    if any(kinds[col] is not kind for col, kind in roles):
+        return None
     try:
-        read = partial(  # an absolute path, which numpy never takes for a URL
-            np.loadtxt, os.path.abspath(handle.name), delimiter=delimiter,
-            comments=None, quotechar='"', skiprows=header_lines,
-            encoding=handle.encoding,
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells = read(dtype=numbers, ndmin=1)
-            # Python strings, which keep trailing NULs
-            names = read(dtype=object, usecols=labels, ndmin=2).T.tolist()
+            cells = np.loadtxt(  # an absolute path, which numpy never takes for a URL
+                os.path.abspath(handle.name), delimiter=delimiter,
+                comments=None, quotechar='"', skiprows=header_lines,
+                encoding=handle.encoding, ndmin=1,
+                # every column, so that numpy checks each row's width
+                dtype=[(f"f{c}", kinds.get(c, "U1")) for c in range(layout.width)],
+            )
     except (ValueError, TypeError, OverflowError, Warning):
         return None
-    units, unit = _codes(names[0])
-    clusters, cluster = _codes(names[1]) if len(names) > 1 else (units, unit)
+    codes = [_codes(cells[f"f{col}"].tolist()) for col in labels]
+    for col in labels:  # frees the strings, which the views of cells would keep
+        cells[f"f{col}"] = None
+    # the clusters are the units where there is no cluster column
+    (units, unit), (clusters, cluster) = codes[0], codes[-1]
     lines = lines[header_lines:]
     if (
         units[0] == ""
@@ -360,9 +361,9 @@ def _read_rows(handle, delimiter: str, layout: _Layout, path):
 
 
 def _by_cell(units, clusters, unit, period, cluster, values):
-    """The rows in period-then-unit order, or ``None`` where a value is not
-    finite, a cell repeats or a unit's cluster label changes: errors that
-    only :func:`_read_rows` names."""
+    """The rows' periods in period-then-unit order and each unit's cluster
+    code, or ``None`` where a value is not finite, a cell repeats or a unit's
+    cluster label changes: errors that only :func:`_read_rows` names."""
     by_cell = np.lexsort((unit, period))
     # a repeated cell is a zero step in both
     repeats = (np.diff(period[by_cell]) == 0) & (np.diff(unit[by_cell]) == 0)
@@ -374,7 +375,7 @@ def _by_cell(units, clusters, unit, period, cluster, values):
         or (unit_cluster[unit] != cluster).any()
     ):
         return None
-    return by_cell
+    return period[by_cell], unit_cluster
 
 
 def load_panel(
@@ -410,14 +411,14 @@ def load_panel(
         reader = _reader(handle, delimiter)
         layout = _read_layout(reader, schema, path)
         rows = _read_columns(handle, lines, reader.line_num, delimiter, layout)
-        by_cell = None if rows is None else _by_cell(*rows)
-        if by_cell is None:
+        order = None if rows is None else _by_cell(*rows)
+        if order is None:
             # raises the first bad row's error, so its rows pass every check
             rows = _read_rows(handle, delimiter, layout, path)
-            by_cell = _by_cell(*rows)
+            order = _by_cell(*rows)
     labels, clusters, unit, period, cluster, values = rows
+    observed, unit_cluster = order
     # a period step read unsigned is exact even where the signed one wraps
-    observed = period[by_cell]
     steps = np.diff(observed).view(np.uint64)
     first, last = int(observed[0]), int(observed[-1])
     span = last - first + 1
@@ -458,8 +459,6 @@ def load_panel(
     for name, column in zip(layout.names, values):
         data[name] = np.empty(kept * span)
         data[name][cell] = column[keep]
-    unit_cluster = np.empty(len(labels), dtype=np.int64)
-    unit_cluster[unit] = cluster
     return BalancedPanel(
         units=tuple(labels[i] for i in np.flatnonzero(complete).tolist()),
         periods=tuple(range(first, last + 1)),

@@ -1039,6 +1039,13 @@ x = x
                 "analysis name 'mc' is repeated: [analysis:mc] and "
                 "[analysis: mc]",
             ),
+            # a key that the kind does not read, though [DEFAULT] sets it
+            # for another kind that does
+            (
+                "kind = fd\ny = y\nx = x\ncovariates = zz\n\n"
+                "[DEFAULT]\ncovariates = w",
+                "analysis 'typo': unknown option 'covariates'",
+            ),
         ],
     )
     def test_config_errors_precede_any_work(
@@ -1104,6 +1111,13 @@ replications = 2
             ("sed = 5", "", "[run]: unknown option 'sed'"),
             ("", "clusters = region", "[schema]: unknown option 'clusters'"),
             ("seed = -1", "", "option 'seed' must be non-negative, got -1"),
+            # a key that [run] does not read, though [DEFAULT] sets it for
+            # an analysis that does
+            (
+                "covariates = zz\n\n[DEFAULT]\ncovariates = w",
+                "",
+                "[run]: unknown option 'covariates'",
+            ),
         ],
     )
     def test_run_and_schema_errors_precede_any_work(

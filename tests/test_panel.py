@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
+import twfekit.panel
 from helpers import make_panel, random_panel, write_panel_csv
 from twfekit import (
     BalancedPanel,
@@ -465,6 +466,39 @@ class TestLoadPanelMatchesLoop:
         schema = PanelSchema(unit="unit", time="year", cluster="region")
         got, _ = _assert_same_load(path, schema)
         assert got.cluster_id == ("south", "north", "east")
+
+    def test_one_numpy_read(self, rng, monkeypatch, tmp_path):
+        path = write_panel_csv(tmp_path / "p.csv", random_panel(rng, 6, 4))
+        loadtxt, calls = np.loadtxt, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        monkeypatch.setattr(twfekit.panel, "_read_rows", None)  # not called
+        load_panel(path, SCHEMA)
+        assert len(calls) == 1
+
+    def test_numeric_cluster_that_is_a_series(self, monkeypatch, tmp_path):
+        # a column read both as labels and as numbers goes row by row
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "unit,year,y,c\n"
+            "a,1,1.5,7\na,2,2.5,7\nb,1,3.5,8\nb,2,4.5,8\nc,1,5.5,7\nc,2,6.5,7\n"
+        )
+        read_rows, calls = twfekit.panel._read_rows, []
+
+        def counted(*args):
+            calls.append(args)
+            return read_rows(*args)
+
+        monkeypatch.setattr(twfekit.panel, "_read_rows", counted)
+        schema = PanelSchema(unit="unit", time="year", series=("y", "c"), cluster="c")
+        got, _ = _assert_same_load(path, schema)
+        assert len(calls) == 1
+        assert got.cluster_id == ("7", "8", "7")
+        assert got.values("c").tolist() == [[7, 7], [8, 8], [7, 7]]
 
     def test_blank_rows(self, tmp_path):
         path = tmp_path / "p.csv"
