@@ -22,13 +22,12 @@ promotes that mix to float64.
 
 :func:`layout` writes each value's text into a row of :data:`TEXT_WIDTH`
 fixed slots of a ``uint8`` matrix, the slots it leaves unused zero, eight
-digits at a time.  The tables both read are built on first use, not at
-import.
+digits at a time.  The tables both read are module constants, built at
+import; :mod:`twfekit.cli` imports this module when it writes its first
+weights CSV, so a run that writes none never builds them.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -75,83 +74,76 @@ def _flog2pow10(e):
     return (e * 913124641741) >> 38
 
 
-class _Tables:
-    """Schubfach's powers of ten, and the text tables.
-
-    ``g1`` and ``g0`` hold the high and the low 63 bits of ``g = floor(10**-k
-    / 2**r) + 1``, ``r = flog2pow10(-k) - 125``, for each ``k`` from
-    ``_K_MIN`` to ``_K_MAX``: ``10**-k`` scaled into ``[2**125, 2**126)``
-    and rounded up.
-    """
-
-    def __init__(self) -> None:
-        g = []
-        for k in range(_K_MIN, _K_MAX + 1):
-            r = _flog2pow10(-k) - 125
-            num = 10 ** max(-k, 0) << max(-r, 0)
-            g.append(num // (10 ** max(k, 0) << max(r, 0)) + 1)
-        self.g1 = np.array([v >> 63 for v in g], _U64)
-        self.g0 = np.array([v & ((1 << 63) - 1) for v in g], _U64)
-        self.pow10 = np.array([10**k for k in range(20)], _U64)
-        self._text_tables()
-
-    def _text_tables(self) -> None:
-        # ``text[(decpt - _DECPT_MIN) * 17 + count - 1]``: the slots of a
-        # negative value with that decimal point position and digit count;
-        # a slot it leaves unused is 0, a digit it uses 0xFF.
-        # ``point[decpt - _DECPT_MIN]``: the digits before the point.
-        decpt = np.arange(_DECPT_MIN, _DECPT_MAX + 1, dtype=np.int64)[:, None]
-        count = np.arange(1, _MAX_DIGITS + 1, dtype=np.int64)[None, :]
-        science = (decpt <= -4) | (decpt > 16)
-        below_one = ~science & (decpt <= 0)
-        above_one = ~science & (decpt >= 1)
-        point = np.where(above_one, decpt, science.astype(np.int64))
-        after = count - point
-        after = np.where(above_one, np.maximum(after, 1), after)
-        place = np.arange(_MAX_DIGITS, dtype=np.int64)
-        keep = np.zeros((decpt.size, _MAX_DIGITS, TEXT_WIDTH), bool)
-        keep[..., _LEAD_SIGN] = below_one
-        keep[..., _LEAD : _LEAD + 2] = below_one[..., None]
-        keep[..., _LEAD + 2 : _LEAD + 5] = below_one[..., None] & (
-            place[:3] < -decpt[..., None]
-        )
-        keep[..., _SIGN] = above_one
-        keep[..., _INT : _INT + _MAX_DIGITS] = above_one[..., None] & (
-            place < point[..., None]
-        )
-        keep[..., [_SCI_SIGN, _SCI_DIGIT]] = science[..., None]
-        keep[..., _POINT] = above_one | (science & (count > 1))
-        keep[..., _FRAC : _FRAC + _MAX_DIGITS] = place < after[..., None]
-        chars = np.zeros((decpt.size, 1, TEXT_WIDTH), np.uint8)
-        chars[..., [_LEAD_SIGN, _SIGN, _SCI_SIGN]] = ord("-")
-        chars[..., _LEAD : _LEAD + 5] = np.frombuffer(b"0.000", np.uint8)
-        chars[..., _INT : _INT + _MAX_DIGITS] = 0xFF
-        chars[..., _SCI_DIGIT] = 0xFF
-        chars[..., _POINT] = ord(".")
-        chars[..., _FRAC : _FRAC + _MAX_DIGITS] = 0xFF
-        chars[:, 0, _TAIL:TEXT_END] = [
-            list(f"e{d - 1:+03d}".rjust(TEXT_END - _TAIL, "\0").encode())
-            for d in decpt[:, 0].tolist()
-        ]
-        keep[..., _TAIL:TEXT_END] = science[..., None] & (
-            chars[..., _TAIL:TEXT_END] != 0
-        )
-        text = np.where(keep, chars, np.uint8(0)).reshape(-1, TEXT_WIDTH)
-        self.text = np.ascontiguousarray(text.view(_WORD).T)  # word by word
-        self.point = point[:, 0]
-        # every word without its sign slots
-        signs = np.zeros(TEXT_WIDTH, np.uint8)
-        signs[[_LEAD_SIGN, _SIGN, _SCI_SIGN]] = 0xFF
-        self.signless = ~signs.view(_WORD)[:, None]
-        # the text of nan, inf and -inf
-        self.words = np.zeros((3, TEXT_WIDTH), np.uint8)
-        for k, word in enumerate((b"nan", b"inf", b"-inf")):
-            self.words[k, : len(word)] = np.frombuffer(word, np.uint8)
+def _powers_of_ten():
+    """Schubfach's powers of ten: the high and the low 63 bits of ``g =
+    floor(10**-k / 2**r) + 1``, ``r = flog2pow10(-k) - 125``, for each ``k``
+    from ``_K_MIN`` to ``_K_MAX``: ``10**-k`` scaled into ``[2**125,
+    2**126)`` and rounded up."""
+    halves = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = _flog2pow10(-k) - 125
+        num = 10 ** max(-k, 0) << max(-r, 0)
+        g = num // (10 ** max(k, 0) << max(r, 0)) + 1
+        halves.append(divmod(g, 1 << 63))
+    return np.array(halves, _U64).T.copy()
 
 
-@functools.cache
-def _tables() -> _Tables:
-    return _Tables()
+def _text_tables():
+    """The text tables, in order: word by word, the slots of a negative
+    value with decimal point position ``decpt`` and ``count`` digits in
+    column ``(decpt - _DECPT_MIN) * 17 + count - 1``, a slot it leaves
+    unused 0 and a digit it uses 0xFF; the digits before the point of each
+    ``decpt``; every word without its sign slots; the text of nan, inf and
+    -inf."""
+    decpt = np.arange(_DECPT_MIN, _DECPT_MAX + 1, dtype=np.int64)[:, None]
+    count = np.arange(1, _MAX_DIGITS + 1, dtype=np.int64)[None, :]
+    science = (decpt <= -4) | (decpt > 16)
+    below_one = ~science & (decpt <= 0)
+    above_one = ~science & (decpt >= 1)
+    point = np.where(above_one, decpt, science.astype(np.int64))
+    after = count - point
+    after = np.where(above_one, np.maximum(after, 1), after)
+    place = np.arange(_MAX_DIGITS, dtype=np.int64)
+    keep = np.zeros((decpt.size, _MAX_DIGITS, TEXT_WIDTH), bool)
+    keep[..., _LEAD_SIGN] = below_one
+    keep[..., _LEAD : _LEAD + 2] = below_one[..., None]
+    keep[..., _LEAD + 2 : _LEAD + 5] = below_one[..., None] & (
+        place[:3] < -decpt[..., None]
+    )
+    keep[..., _SIGN] = above_one
+    keep[..., _INT : _INT + _MAX_DIGITS] = above_one[..., None] & (
+        place < point[..., None]
+    )
+    keep[..., [_SCI_SIGN, _SCI_DIGIT]] = science[..., None]
+    keep[..., _POINT] = above_one | (science & (count > 1))
+    keep[..., _FRAC : _FRAC + _MAX_DIGITS] = place < after[..., None]
+    chars = np.zeros((decpt.size, 1, TEXT_WIDTH), np.uint8)
+    chars[..., [_LEAD_SIGN, _SIGN, _SCI_SIGN]] = ord("-")
+    chars[..., _LEAD : _LEAD + 5] = np.frombuffer(b"0.000", np.uint8)
+    chars[..., _INT : _INT + _MAX_DIGITS] = 0xFF
+    chars[..., _SCI_DIGIT] = 0xFF
+    chars[..., _POINT] = ord(".")
+    chars[..., _FRAC : _FRAC + _MAX_DIGITS] = 0xFF
+    chars[:, 0, _TAIL:TEXT_END] = [
+        list(f"e{d - 1:+03d}".rjust(TEXT_END - _TAIL, "\0").encode())
+        for d in decpt[:, 0].tolist()
+    ]
+    keep[..., _TAIL:TEXT_END] = science[..., None] & (
+        chars[..., _TAIL:TEXT_END] != 0
+    )
+    text = np.where(keep, chars, np.uint8(0)).reshape(-1, TEXT_WIDTH)
+    signs = np.zeros(TEXT_WIDTH, np.uint8)
+    signs[[_LEAD_SIGN, _SIGN, _SCI_SIGN]] = 0xFF
+    words = np.zeros((3, TEXT_WIDTH), np.uint8)
+    for k, word in enumerate((b"nan", b"inf", b"-inf")):
+        words[k, : len(word)] = np.frombuffer(word, np.uint8)
+    text = np.ascontiguousarray(text.view(_WORD).T)  # word by word
+    return text, point[:, 0], ~signs.view(_WORD)[:, None], words
+
+
+_G1, _G0 = _powers_of_ten()
+_POW10 = np.array([10**k for k in range(20)], _U64)
+_TEXT, _BEFORE_POINT, _SIGNLESS, _SPECIAL = _text_tables()
 
 
 def _mul_high(a, b):
@@ -179,7 +171,6 @@ def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The shortest round-trip decimal of each finite value, as ``(digits,
     exponent)`` arrays (``uint64``, ``int64``): ``abs(value)`` reads back
     from ``digits * 10**exponent``, and zero gives ``(0, 0)``."""
-    t = _tables()
     bits = np.ascontiguousarray(values, np.float64).view(_U64).ravel()
     mantissa = bits & _U64((1 << 52) - 1)
     biased = (bits >> _U64(52)) & _U64(0x7FF)
@@ -191,7 +182,7 @@ def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uneven = (mantissa == 0) & (biased > 1)
     k = _flog10pow2(q, uneven)
     h = (q + _flog2pow10(-k) + 2).astype(_U64)
-    g1, g0 = t.g1[k - _K_MIN], t.g0[k - _K_MIN]
+    g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
     # four times the value and the ends of its rounding interval, over
     # 10**k, each rounded to odd
     cb = c << _U64(2)
@@ -218,8 +209,8 @@ def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits = np.where(shorter, np.where(sp10_in, sp10, sp10 + _TEN), digits)
     # strip the trailing zeros, at most 16 of them
     for n in (16, 8, 4, 2, 1):
-        cut = digits // t.pow10[n]
-        whole = cut * t.pow10[n] == digits
+        cut = digits // _POW10[n]
+        whole = cut * _POW10[n] == digits
         digits = np.where(whole, cut, digits)
         k += n * whole
     zero = (bits << _U64(1)) == 0
@@ -244,21 +235,20 @@ def layout(values: np.ndarray, text: np.ndarray) -> None:
     of the ``uint8`` matrix ``text``, ``(len(values), TEXT_WIDTH)``, padded
     with zero bytes: each row's nonzero bytes, in order, are the value's
     ``repr``, all before slot :data:`TEXT_END`."""
-    t = _tables()
     values = np.asarray(values, np.float64)
     finite = np.isfinite(values)
     digits, exponent = shortest(np.where(finite, values, 0.0))
-    count = np.searchsorted(t.pow10[1 : _MAX_DIGITS + 1], digits, "right")
+    count = np.searchsorted(_POW10[1 : _MAX_DIGITS + 1], digits, "right")
     count = count.astype(np.int64) + 1
     row = exponent + count - _DECPT_MIN
     # the text word by word, each word a row
-    words = t.text.take(row * _MAX_DIGITS + count - 1, axis=1)
+    words = _TEXT.take(row * _MAX_DIGITS + count - 1, axis=1)
     # the 17 digits left-aligned, so that the places past the last digit
     # are zeros (which an integral positional value shows up to its
     # point), and those after the point left-aligned too
-    digits *= t.pow10[_MAX_DIGITS - count]
-    point = t.point[row]
-    after = digits % t.pow10[_MAX_DIGITS - point] * t.pow10[point]
+    digits *= _POW10[_MAX_DIGITS - count]
+    point = _BEFORE_POINT[row]
+    after = digits % _POW10[_MAX_DIGITS - point] * _POW10[point]
     both = np.stack([digits, after])
     high = both // _U64(10**9)
     low = both - high * _U64(10**9)
@@ -276,10 +266,10 @@ def layout(values: np.ndarray, text: np.ndarray) -> None:
     digit = eights[0, 0] & _U64(0xFF)
     words[_SCI_DIGIT // 8] &= (digit << byte) | ~(_U64(0xFF) << byte)
     # the sign slots hold "-"; a value that is not negative drops them
-    words &= np.where(np.signbit(values), ~_U64(0), t.signless)
+    words &= np.where(np.signbit(values), ~_U64(0), _SIGNLESS)
     text.view(_WORD)[:] = words.T
     special = np.flatnonzero(~finite)
     if special.size:
         odd = values[special]
         word = np.isinf(odd).astype(np.int64) * (1 + np.signbit(odd))
-        text[special] = t.words[word]  # nan, inf or -inf
+        text[special] = _SPECIAL[word]  # nan, inf or -inf

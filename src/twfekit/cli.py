@@ -24,7 +24,7 @@ Config layout::
     time = year
     series = emp minwage     ; optional, default: all non-key columns
     cluster = region         ; optional
-    delimiter = ,            ; optional, one character
+    delimiter = ,            ; optional, one character, or \\t for a tab
     balance = error          ; or drop-units
 
     [analysis:NAME]
@@ -225,9 +225,13 @@ def _require(options: dict, key: str):
     return options[key]
 
 
-def _section(own, defaults, keys) -> dict:
-    """A section's options: its ``own``, then those of ``keys`` that only
-    ``defaults``, the [DEFAULT] section, sets."""
+def _read(label, own, defaults, keys) -> dict:
+    """The options of the section ``label`` names: its ``own``, each one of
+    ``keys``, then those of ``keys`` that only ``defaults``, the [DEFAULT]
+    section, sets."""
+    for key in own:
+        if key not in keys:
+            raise ValueError(f"{label}: unknown option '{key}'")
     return {**own, **{
         key: value for key, value in defaults.items()
         if key in keys and key not in own
@@ -269,11 +273,12 @@ def load_run_config(path: str) -> RunConfig:
         ):
             raise ValueError(f"{path}: unknown section [{section}]")
     defaults = parser[DEFAULT] if DEFAULT in parser else {}
-    for section, keys in SECTION_KEYS.items():
-        for key in parser[section] if section in parser else ():
-            if key not in keys:
-                raise ValueError(f"[{section}]: unknown option '{key}'")
-    run = _section(parser["run"], defaults, SECTION_KEYS["run"])
+    # every unknown key of [run] and [schema] precedes any value's error
+    run, sec = (
+        _read(f"[{section}]", parser[section], defaults, keys)
+        if section in parser else None
+        for section, keys in SECTION_KEYS.items()
+    )
     formats = tuple(_split(run.get("formats", "csv json")))
     if not formats:
         raise ValueError(
@@ -287,8 +292,7 @@ def load_run_config(path: str) -> RunConfig:
     schema = None
     delimiter = ","
     balance = "error"
-    if "schema" in parser:
-        sec = _section(parser["schema"], defaults, SECTION_KEYS["schema"])
+    if sec is not None:
         if "unit" not in sec or "time" not in sec:
             raise ValueError("[schema] section needs 'unit' and 'time' keys")
         series = tuple(_split(sec["series"])) if "series" in sec else None
@@ -299,6 +303,8 @@ def load_run_config(path: str) -> RunConfig:
             cluster=sec.get("cluster", "").strip() or None,
         )
         delimiter = sec.get("delimiter", ",")
+        if delimiter == r"\t":  # configparser strips a literal tab
+            delimiter = "\t"
         if len(delimiter) != 1:
             raise ValueError(
                 f"option 'delimiter' must be exactly one character, got "
@@ -329,11 +335,9 @@ def load_run_config(path: str) -> RunConfig:
         if kind not in KINDS:
             raise ValueError(f"analysis '{name}': unknown kind '{kind}'")
         # a [DEFAULT] key reaches only the kinds that read it
-        options = _section(parser[section], defaults, KINDS[kind])
-        options.pop("kind", None)
-        for key in options:
-            if key not in KINDS[kind]:
-                raise ValueError(f"analysis '{name}': unknown option '{key}'")
+        keys = KINDS[kind] | {"kind"}
+        options = _read(f"analysis '{name}'", parser[section], defaults, keys)
+        options.pop("kind")
         if kind != "simulation" and input_path is None:
             raise ValueError(
                 f"analysis '{name}' needs an input panel; set 'input' in [run]"
@@ -456,8 +460,8 @@ def _write_weights(path: str, units, report) -> None:
     One process forms the rows, at most :data:`WEIGHT_ROWS_PER_WRITE` per
     write, as the rows of a ``uint8`` matrix with fixed columns: the label,
     ``,gap,start,``, the weight's text from :func:`_floattext.layout` and
-    ``\r\n``.  A mask marks the bytes in use, and the masked bytes, in
-    order, are the rows' text.
+    ``\r\n``.  The bytes of a row's text are those a mask marks in its
+    label, which may hold a NUL, then every nonzero byte after the label.
 
     The file is written under ``{path}.tmp``, which is renamed to ``path``
     only once every row is in it and removed if any write fails, so
@@ -477,19 +481,19 @@ def _write_weights(path: str, units, report) -> None:
                 echo.writerow((unit, None))[: -len(",\r\n")].encode(encoding)
                 for unit in units
             ])
-            prefixes, prefix_keep = _padded([
+            prefixes, _ = _padded([
                 f",{k},{p},".encode(encoding)
                 for k, block in report.gap_blocks()
                 for p in report.periods[: block.shape[1]]
             ])
             # the columns of the label, the prefix and the weight, which
-            # starts at a multiple of eight, since it is written in
-            # eight-byte words; \r\n follows the last slot its text uses
+            # starts at a multiple of eight after a gap of zeros, since it is
+            # written in eight-byte words; \r\n follows its text's last slot
             lw, pw = labels.shape[1], prefixes.shape[1]
             at = -(-(lw + pw) // 8) * 8
             end = at + _floattext.TEXT_WIDTH
             crlf = at + _floattext.TEXT_END
-            rows = np.empty((WEIGHT_ROWS_PER_WRITE, end), np.uint8)
+            rows = np.zeros((WEIGHT_ROWS_PER_WRITE, end), np.uint8)
             keep = np.zeros(rows.shape, bool)
             out = handle.buffer
             header = echo.writerow(("unit", "gap", "start_period", "weight"))
@@ -501,11 +505,10 @@ def _write_weights(path: str, units, report) -> None:
                 grid[:, :, :lw] = labels[unit, None]
                 mask[:, :, :lw] = label_keep[unit, None]
                 grid[:, :, lw : lw + pw] = prefixes[start]
-                mask[:, :, lw : lw + pw] = prefix_keep[start]
                 text = rows[:size, at:end]
                 _floattext.layout(tile.ravel(), text)
                 rows[:size, crlf : crlf + 2] = np.frombuffer(b"\r\n", np.uint8)
-                np.not_equal(text, 0, out=keep[:size, at:end])
+                np.not_equal(rows[:size, lw:], 0, out=keep[:size, lw:])
                 out.write(rows[:size][keep[:size]])
         os.replace(temp, path)
     finally:

@@ -437,18 +437,16 @@ def generalized_twfe(
         retained.append(kept)
         ssr = np.einsum("sn,sn->s", rx, rx)
         live = _live(raw_den, total) & _live(ssr, raw_den)
-        # the raw scheme rescales a pair's residuals by sqrt(raw_den / ssr),
-        # so its products scale by the square
-        f2 = live.astype(float)
-        if weight_scheme == "raw":
-            f2 = np.divide(raw_den, ssr, out=np.zeros(starts), where=live)
+        basis = ssr if weight_scheme == "ssr" else raw_den
+        # a live pair's residuals are rescaled by sqrt(basis / ssr), exactly
+        # 1 under ssr, so its products scale by the square
+        f2 = np.divide(basis, ssr, out=np.zeros(starts), where=live)
         unit_cross += f2 @ (rx * ry)
         unit_sq += f2 @ (rx * rx)
         beta = np.divide(
             np.einsum("sn,sn->s", rx, ry), ssr,
             out=np.full(starts, np.nan), where=live,
         )
-        basis = ssr if weight_scheme == "ssr" else raw_den
         columns.append((np.arange(starts), np.arange(k, t_count), beta, basis))
     first, second, beta, basis = map(np.concatenate, zip(*columns))
     order = np.lexsort((second, first))  # anchor-major, as pairwise

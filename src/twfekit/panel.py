@@ -44,7 +44,8 @@ class BalancedPanel:
     Attributes
     ----------
     units : tuple of str
-        Unit labels, sorted; row ``i`` of every series belongs to ``units[i]``.
+        Unit labels, in the order given (:func:`load_panel` sorts them, the
+        constructor does not); row ``i`` of every series is ``units[i]``'s.
     periods : tuple of int
         Consecutive integer time labels; column ``t`` of every series belongs
         to ``periods[t]``.

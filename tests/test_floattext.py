@@ -126,26 +126,26 @@ def test_matches_repr_on_short_decimals():
 
 
 def test_powers_of_ten_fill_126_bits():
-    t = _floattext._tables()
-    assert t.g1.max() < 2**63 and t.g0.max() < 2**63
-    g = [(g1 << 63) | g0 for g1, g0 in zip(t.g1.tolist(), t.g0.tolist())]
+    g1s, g0s = _floattext._G1, _floattext._G0
+    assert g1s.max() < 2**63 and g0s.max() < 2**63
+    g = [(g1 << 63) | g0 for g1, g0 in zip(g1s.tolist(), g0s.tolist())]
     assert all(2**125 <= gk < 2**126 for gk in g)
 
 
 def test_rounded_products_are_exact():
-    t = _floattext._tables()
+    g1s, g0s = _floattext._G1, _floattext._G0
     rng = np.random.default_rng(23)
     extremes = [0, 1, 2**59 - 1, 2**63 - 1, 2**63, 2**64 - 1]
-    n = t.g1.size
+    n = g1s.size
     cps = [np.full(n, cp, np.uint64) for cp in extremes]
     cps += [rng.integers(0, 2**59, n, np.uint64) for _ in range(8)]
     cps += [rng.integers(0, 2**64, n, np.uint64) for _ in range(8)]
     for cp in cps:
-        got = _floattext._rop(t.g1, t.g0, cp)
+        got = _floattext._rop(g1s, g0s, cp)
         # (floor(g1 * cp / 2) + floor(g0 * cp / 2**64)) / 2**63, to odd
         high = [
             (g1 * c >> 1) + (g0 * c >> 64)
-            for g1, g0, c in zip(t.g1.tolist(), t.g0.tolist(), cp.tolist())
+            for g1, g0, c in zip(g1s.tolist(), g0s.tolist(), cp.tolist())
         ]
         want = [(h >> 63) | (h % 2**63 != 0) for h in high]
         assert got.tolist() == want
