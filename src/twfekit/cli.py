@@ -483,8 +483,8 @@ def _write_weights(path: str, units, report) -> None:
             ])
             prefixes, _ = _padded([
                 f",{k},{p},".encode(encoding)
-                for k, block in report.gap_blocks()
-                for p in report.periods[: block.shape[1]]
+                for k in range(1, len(report.periods))
+                for p in report.periods[:-k]
             ])
             # the columns of the label, the prefix and the weight, which
             # starts at a multiple of eight after a gap of zeros, since it is
@@ -610,11 +610,12 @@ def _run_analysis(
         _write_weights(
             os.path.join(outdir, f"{name}_weights.csv"), panel.units, report
         )
+        t = panel.n_periods
         fields = {
             "total_mass": report.total_mass,
             "negative_mass": report.negative_mass,
             "denominator": report.denominator,
-            "n_weights": int(report.weight.shape[0]),
+            "n_weights": panel.n_units * t * (t - 1) // 2,
         }
     else:  # simulation
         suffix = "audit"

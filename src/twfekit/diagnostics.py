@@ -5,8 +5,9 @@ changes it averages, and with what sample weights.  This module provides:
 
 ``causal_weights``
     the observation-level weights ``w_ikt`` attached to each realized
-    gap-``k`` treatment change, computed from the residualized treatment;
-    they sum to one by construction but need not be nonnegative.
+    gap-``k`` treatment change; the report stores the treatment and its
+    two-way residual, and forms the weights gap by gap when they are read.
+    They sum to one by construction but need not be nonnegative.
 ``simulate`` / ``scenario_preset``
     a configurable data-generating process with per-observation effect
     slopes, so every simulated panel knows its own potential outcomes.
@@ -243,59 +244,66 @@ def simulate_replication(config: DgpConfig, index: int) -> SimulatedPanel:
     return simulate(replace(config, seed=base_seed + (index,)))
 
 
-def _gap_blocks(flat: np.ndarray, n: int, t: int):
-    """``(k, block)`` per gap ``k``: the ``(n, T - k)`` views of ``flat``
-    when it holds its entries gap by gap, then unit by unit, then start by
-    start."""
-    offset = 0
-    for k in range(1, t):
-        size = n * (t - k)
-        yield k, flat[offset : offset + size].reshape(n, t - k)
-        offset += size
-
-
 @dataclass(eq=False)
 class CausalWeightReport:
     """Observation-level weights on realized treatment changes.
 
-    Entry ``j`` says: the gap-``gap[j]`` treatment change of unit
-    ``unit_index[j]`` starting in period ``start_period[j]`` receives weight
-    ``weight[j]`` in the estimate's causal accounting.  Entries run gap by
-    gap, then unit by unit, then start by start.  ``total_mass`` is their
-    sum (one up to roundoff); ``negative_mass`` is the summed weight below
-    zero, reported as-is — a large magnitude warns that the estimate places
-    substantial negative weight on some realized changes.
-
-    Only ``weight`` is stored: ``unit_index``, ``gap`` and ``start_period``
-    are read off the layout of :meth:`gap_blocks` on first access.
+    Only the treatment ``x``, its two-way residual ``r`` (both
+    ``(n_units, T)``) and the ``denominator`` are stored; :meth:`gap_blocks`
+    forms each gap's weights when it reaches that gap.  Read as flat arrays,
+    entry ``j`` says: the gap-``gap[j]`` change of unit ``unit_index[j]``
+    starting in period ``start_period[j]`` receives weight ``weight[j]``,
+    entries running gap by gap, then unit by unit, then start by start; the
+    four are built on first read and then kept.  ``total_mass`` is the
+    weights' sum (one up to roundoff); ``negative_mass`` is the summed weight
+    below zero, reported as-is — a large magnitude warns that the estimate
+    places substantial negative weight on some realized changes.  Both come
+    from one pass over the blocks.
     """
 
-    weight: np.ndarray
-    total_mass: float
-    negative_mass: float
+    x: np.ndarray
+    r: np.ndarray
     denominator: float
-    n_units: int
     periods: tuple[int, ...]
 
+    n_units = property(lambda self: self.x.shape[0])
+
     def gap_blocks(self):
-        """``(k, block)`` per gap, where ``block`` is the ``(n_units, T - k)``
-        view of ``weight`` with ``block[i, j]`` the weight of unit ``i``'s
-        gap-``k`` change starting in ``periods[j]``."""
-        return _gap_blocks(self.weight, self.n_units, len(self.periods))
+        """``(k, block)`` per gap: ``block[i, j]``, of ``(n_units, T - k)``,
+        is ``(x[i, j + k] - x[i, j]) * (r[i, j + k] - r[i, j]) / denominator``,
+        the weight of unit ``i``'s gap-``k`` change starting in
+        ``periods[j]``; each call forms the blocks anew."""
+        x, r, den = self.x, self.r, self.denominator
+        for k in range(1, len(self.periods)):
+            yield k, (x[:, k:] - x[:, :-k]) * (r[:, k:] - r[:, :-k]) / den
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        return np.concatenate([block.ravel() for _, block in self.gap_blocks()])
 
     @cached_property
     def _layout(self) -> list[np.ndarray]:
-        # the (gap, unit row, start period) of each entry, block by block
-        periods = np.asarray(self.periods)
-        blocks = []
-        for k, block in self.gap_blocks():
-            units = np.arange(block.shape[0])[:, None]
-            blocks.append(np.broadcast_arrays(k, units, periods[: block.shape[1]]))
+        # the (gap, unit row, start period) of each entry, gap by gap
+        periods, units = np.asarray(self.periods), np.arange(self.n_units)[:, None]
+        blocks = [
+            np.broadcast_arrays(k, units, periods[:-k]) for k in range(1, len(periods))
+        ]
         return [np.concatenate([a.ravel() for a in col]) for col in zip(*blocks)]
 
     gap = property(lambda self: self._layout[0])
     unit_index = property(lambda self: self._layout[1])
     start_period = property(lambda self: self._layout[2])
+
+    @cached_property
+    def _masses(self) -> tuple[float, float]:
+        total = negative = 0.0
+        for _, block in self.gap_blocks():
+            total += float(block.sum())
+            negative += float(block[block < 0.0].sum())
+        return total, negative
+
+    total_mass = property(lambda self: self._masses[0])
+    negative_mass = property(lambda self: self._masses[1])
 
 
 def causal_weights(
@@ -308,28 +316,19 @@ def causal_weights(
 
     The weight of observation ``(i, k, t)`` is the product of the raw
     gap-``k`` treatment change and the same change of the *residualized*
-    treatment, normalized by the total over all observations.  ``y`` is
-    accepted for interface symmetry but does not enter the weights.
+    treatment ``r``, normalized by the total over all observations, which is
+    ``T * sum(r**2)``: each unit's residuals sum to zero over its periods, so
+    its changes give ``T`` times its ``sum(x * r)``, and ``x - r`` is
+    orthogonal to ``r``.  The report keeps ``x`` and ``r`` and forms the
+    weights when they are read.  ``y`` is accepted for interface symmetry
+    but does not enter the weights.
     """
     del y  # weights depend only on the treatment design
     r = two_way_residual(panel, x, covariates)
-    xv = panel.values(x)
-    n, t = xv.shape
-    # each gap's dx * dr, written in place into its block of the flat array
-    flat = np.empty(n * t * (t - 1) // 2)
-    for k, block in _gap_blocks(flat, n, t):
-        np.subtract(xv[:, k:], xv[:, :-k], out=block)
-        block *= r[:, k:] - r[:, :-k]
-    den = float(flat.sum())
+    den = panel.n_periods * float(np.sum(r * r))
     _require_variation(den, panel, x)
-    flat /= den
     return CausalWeightReport(
-        weight=flat,
-        total_mass=float(flat.sum()),
-        negative_mass=float(flat[flat < 0.0].sum()),
-        denominator=den,
-        n_units=n,
-        periods=panel.periods,
+        x=panel.values(x), r=r, denominator=den, periods=panel.periods
     )
 
 

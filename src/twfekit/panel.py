@@ -50,7 +50,7 @@ class BalancedPanel:
         Consecutive integer time labels; column ``t`` of every series belongs
         to ``periods[t]``.
     series : dict mapping name -> ndarray of shape (n_units, n_periods)
-        Finite float64 arrays, stored read-only.
+        Finite float64 arrays, stored as read-only copies of those given.
     cluster_id : tuple of str
         One cluster label per unit, used by cluster-robust inference.
         Defaults to the unit labels themselves.
@@ -83,7 +83,7 @@ class BalancedPanel:
                 )
         clean: dict[str, np.ndarray] = {}
         for name, values in self.series.items():
-            arr = np.ascontiguousarray(values, dtype=float)
+            arr = np.array(values, dtype=float, order="C")
             if arr.shape != (n, t):
                 raise PanelError(
                     f"series '{name}' has shape {arr.shape}, expected ({n}, {t})"

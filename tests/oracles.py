@@ -499,28 +499,31 @@ def causal_weights_loop(panel, x, covariates=None):
 
     The library's former build: per gap, the unit, gap and start period of
     each entry by ``repeat``, ``full`` and ``tile``, joined with the
-    products by ``concatenate``.  The products and their sum are formed as
-    the library forms them, so every field is expected to match bit for bit.
+    weights by ``concatenate``.  The denominator ``T * sum(r**2)``, the
+    weights and their masses, summed gap by gap, are formed as the library
+    forms them, so every field is expected to match bit for bit.
     """
     r = two_way_residual(panel, x, covariates)
     xv = panel.values(x)
-    units, gaps, starts, products = [], [], [], []
+    den = panel.n_periods * float(np.sum(r * r))
+    units, gaps, starts, weights = [], [], [], []
+    total = negative = 0.0
     for k in range(1, panel.n_periods):
-        prod = (xv[:, k:] - xv[:, :-k]) * (r[:, k:] - r[:, :-k])
-        n, m = prod.shape
+        w = (xv[:, k:] - xv[:, :-k]) * (r[:, k:] - r[:, :-k]) / den
+        n, m = w.shape
         units.append(np.repeat(np.arange(n), m))
         gaps.append(np.full(n * m, k))
         starts.append(np.tile(np.array(panel.periods[:m]), n))
-        products.append(prod.ravel())
-    flat = np.concatenate(products)
-    weight = flat / float(flat.sum())
+        weights.append(w.ravel())
+        total += float(w.sum())
+        negative += float(w[w < 0.0].sum())
     return {
         "unit_index": np.concatenate(units),
         "gap": np.concatenate(gaps),
         "start_period": np.concatenate(starts),
-        "weight": weight,
-        "total_mass": float(weight.sum()),
-        "negative_mass": float(weight[weight < 0.0].sum()),
+        "weight": np.concatenate(weights),
+        "total_mass": total,
+        "negative_mass": negative,
     }
 
 

@@ -428,6 +428,21 @@ def test_causal_weights_match_index_build(kind, covariates):
     assert report.negative_mass == want["negative_mass"]
 
 
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
+def test_causal_weight_mass_by_gap(kind, seed):
+    # without covariates each gap's causal-weight mass is its fd weight,
+    # and with them the gap masses still add up to the total mass
+    panel = adversarial_panel(kind, seed)
+    report = causal_weights(panel, "y", "x")
+    masses = [float(block.sum()) for _, block in report.gap_blocks()]
+    fd_weights = fd_decomposition(panel, "y", "x").weight
+    assert np.abs(np.array(masses) - fd_weights).max() <= 1e-12
+    report = causal_weights(panel, "y", "x", ["w"])
+    masses = [float(block.sum()) for _, block in report.gap_blocks()]
+    assert abs(sum(masses) - report.total_mass) <= 1e-12
+
+
 _SIMULATE_OVERRIDES = {
     "as is": {},
     "feedback": {"feedback": 0.4},
@@ -527,9 +542,14 @@ def test_standard_errors_match_stacked_rows(kind, grouped):
         )
 
 
+def _masses(report):
+    return report.total_mass, report.negative_mass
+
+
 def test_no_units_by_pairs_allocation():
-    # Neither the kernel, the SE path nor the audit may build an array
-    # with one entry per unit and period pair (or per stacked row).
+    # Neither the kernel, the SE path, the audit nor the causal weights'
+    # masses may build an array with one entry per unit and period pair
+    # (or per stacked row).
     rng = np.random.default_rng(3)
     n, t = 500, 60
     panel = make_panel(
@@ -547,6 +567,8 @@ def test_no_units_by_pairs_allocation():
         lambda: gap_restricted(panel, "y", "x", GapRange(1, t - 1), se=True),
         lambda: fd_decomposition(panel, "y", "x"),
         lambda: pairwise_decomposition(panel, "y", "x"),
+        lambda: _masses(causal_weights(panel, "y", "x")),
+        lambda: _masses(causal_weights(sim.panel, "y", "x", ["w"])),
     )
     for call in calls:
         tracemalloc.start()

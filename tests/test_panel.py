@@ -60,6 +60,15 @@ class TestBalancedPanel:
                 series={"y": np.zeros((2, 2))},
             )
 
+    def test_series_are_copies(self):
+        y = np.zeros((3, 2))
+        view = y[:]
+        panel = make_panel({"y": y})
+        view += 1.0  # a view of the caller's array misses the checked values
+        np.testing.assert_array_equal(panel.values("y"), np.zeros((3, 2)))
+        y += 1.0  # and the caller's array stays writable
+        assert not panel.values("y").flags.writeable
+
     def test_shape_mismatch(self):
         with pytest.raises(PanelError, match="shape"):
             BalancedPanel(
