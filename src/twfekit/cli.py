@@ -343,6 +343,9 @@ def load_run_config(path: str) -> RunConfig:
                 f"analysis '{name}' needs an input panel; set 'input' in [run]"
             )
         values = {k: OPTIONS[k](k, v) for k, v in options.items()}
+        if values.get("presample") and not values.get("pretrend"):
+            raise ValueError(f"analysis '{name}': 'presample' is set but "
+                             "no 'pretrend' reads it")
         analyses.append(AnalysisConfig(name=name, kind=kind, options=values))
     if not analyses:
         raise ValueError(f"{path}: no [analysis:NAME] sections")

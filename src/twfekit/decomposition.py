@@ -16,7 +16,7 @@ slope itself is a ratio of sums over; unit means cancel in the differences,
 so these are the differences of the period-demeaned series.
 
 Weights are nonnegative by construction and sum to one.  A component whose
-share of the two-way treatment variation is numerically zero (the rule of
+share of the two-way treatment variation is numerically zero (rule 2 of
 :mod:`twfekit.estimators`) gets weight ``0.0`` and a NaN ``beta`` (``None``
 in its component object): it cannot move the aggregate, and its own
 estimate is undefined.  The total denominator, the weights and the
@@ -190,10 +190,11 @@ class EquivalenceReport:
     max_rel_gap: float
 
 
-def _slopes(nums, dens) -> np.ndarray:
+def _slopes(nums, dens, total) -> np.ndarray:
     """Component estimates ``nums / dens``, NaN where a component's ``dens``
-    is not a live share of their sum, the two-way variation."""
-    live = _live(dens, dens.sum())
+    is not a live share of ``total``, the fit's two-way variation
+    ``T * sum(rx**2)`` (rule 2)."""
+    live = _live(dens, total)
     return np.divide(nums, dens, out=np.full(dens.shape, np.nan), where=live)
 
 
@@ -211,9 +212,9 @@ def _read_out(beta, basis) -> dict:
                 total_denominator=total)
 
 
-def _by_gap(by_unit) -> FdDecomposition:
+def _by_gap(by_unit, total) -> FdDecomposition:
     """The by-gap decomposition read off the by-unit sums of a full
-    ``pair_moments`` sweep."""
+    ``pair_moments`` sweep; ``total`` as in :func:`_slopes`."""
     xy, xx = by_unit
     dens = xx.sum(axis=0)
     n, gaps = xx.shape
@@ -221,7 +222,7 @@ def _by_gap(by_unit) -> FdDecomposition:
     return FdDecomposition(
         gap=gap,
         n_obs=n * (gaps + 1 - gap),
-        **_read_out(_slopes(xy.sum(axis=0), dens), dens),
+        **_read_out(_slopes(xy.sum(axis=0), dens, total), dens),
     )
 
 
@@ -237,20 +238,20 @@ def _pair_decomposition(panel, first, second, beta, basis, **columns):
     )
 
 
-def _by_pair(by_pair, panel: BalancedPanel) -> PairwiseDecomposition:
+def _by_pair(by_pair, panel: BalancedPanel, total) -> PairwiseDecomposition:
     """The by-pair decomposition read off the by-pair sums of a full
-    ``pair_moments`` sweep."""
+    ``pair_moments`` sweep; ``total`` as in :func:`_slopes`."""
     first, second = np.triu_indices(panel.n_periods, k=1)
     xy, dens = by_pair[:, first, second]
-    beta = _slopes(xy, dens)
+    beta = _slopes(xy, dens, total)
     return _pair_decomposition(panel, first, second, beta, dens)
 
 
 def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
     """Split the two-way estimate into pooled difference estimators by gap."""
-    rx, ry, _, _ = _twfe_fit(panel, y, x)
+    rx, ry, den, _ = _twfe_fit(panel, y, x)
     _, by_unit = pair_moments(rx, ry, sums=("unit",))
-    return _by_gap(by_unit)
+    return _by_gap(by_unit, panel.n_periods * den)
 
 
 def pairwise_decomposition(
@@ -260,9 +261,9 @@ def pairwise_decomposition(
 
     Pairs are ordered lexicographically by (first, second) period label.
     """
-    rx, ry, _, _ = _twfe_fit(panel, y, x)
+    rx, ry, den, _ = _twfe_fit(panel, y, x)
     by_pair, _ = pair_moments(rx, ry, sums=("pair",))
-    return _by_pair(by_pair, panel)
+    return _by_pair(by_pair, panel, panel.n_periods * den)
 
 
 def count_pairs(n_periods: int, k_min: int = 1, k_max: int | None = None) -> int:
@@ -332,10 +333,10 @@ def verify_equivalence(panel: BalancedPanel, y: str, x: str) -> EquivalenceRepor
     of absolute component estimates — so it stays meaningful when the
     estimate itself is near zero.
     """
-    rx, ry, _, beta = _twfe_fit(panel, y, x)
+    rx, ry, den, beta = _twfe_fit(panel, y, x)
     pair_sums, unit_sums = pair_moments(rx, ry)
-    by_gap = _by_gap(unit_sums)
-    by_pair = _by_pair(pair_sums, panel)
+    by_gap = _by_gap(unit_sums, panel.n_periods * den)
+    by_pair = _by_pair(pair_sums, panel, panel.n_periods * den)
     scales = [abs(beta)]
     for decomp in (by_gap, by_pair):
         live = ~np.isnan(decomp.beta)

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import _require_variation, _residuals, _twfe_fit, two_way_residual
+from .estimators import _residuals, _twfe_fit
 from .numerics import project_cells
 from .panel import BalancedPanel, _integer
 
@@ -320,15 +320,13 @@ def causal_weights(
     ``T * sum(r**2)``: each unit's residuals sum to zero over its periods, so
     its changes give ``T`` times its ``sum(x * r)``, and ``x - r`` is
     orthogonal to ``r``.  The report keeps ``x`` and ``r`` and forms the
-    weights when they are read.  ``y`` is accepted for interface symmetry
-    but does not enter the weights.
+    weights when they are read.  ``y`` is read and checked, as by every
+    estimate; it does not enter the weights.
     """
-    del y  # weights depend only on the treatment design
-    r = two_way_residual(panel, x, covariates)
-    den = panel.n_periods * float(np.sum(r * r))
-    _require_variation(den, panel, x)
+    r, _, den, _ = _twfe_fit(panel, y, x, covariates)
     return CausalWeightReport(
-        x=panel.values(x), r=r, denominator=den, periods=panel.periods
+        x=panel.values(x), r=r, denominator=panel.n_periods * den,
+        periods=panel.periods,
     )
 
 
@@ -420,9 +418,7 @@ def theorem2_audit(
     panel = sim.panel
     # twfe(panel, "y", "x", covariates), whose x residual the accounting uses
     r, _, _, estimate = _twfe_fit(panel, "y", "x", covariates)
-    xv = panel.values("x")
-    slope = sim.effect_slope
-    base = sim.baseline
+    xv, slope, base = panel.values("x"), sim.effect_slope, sim.baseline
     t = panel.n_periods
 
     drifts = repeat(None)
@@ -435,23 +431,15 @@ def theorem2_audit(
         )
         drifts = _projected_drifts(cells)
 
-    den = 0.0
-    tau_sum = 0.0
-    trend_sum = 0.0
-    bias_sum = 0.0
+    den = tau_sum = trend_sum = bias_sum = 0.0
     for k, drift in zip(range(1, t), drifts):
         dr = r[:, k:] - r[:, :-k]
-        # one gap-sized buffer, which keeps the peak memory down, holds dx,
-        # then slope * dx * dr, then the trend
-        gap = xv[:, k:] - xv[:, :-k]
-        den += float(np.sum(gap * dr))
-        gap *= slope[:, k:]
-        gap *= dr
-        tau_sum += float(gap.sum())
+        dx = xv[:, k:] - xv[:, :-k]
+        den += float(np.sum(dx * dr))
+        tau_sum += float(np.sum(slope[:, k:] * dx * dr))
         # Untreated drift of the observation pair: how the potential outcome
         # at the start-period treatment level moves from t to t+k.
-        trend = np.subtract(slope[:, k:], slope[:, :-k], out=gap)
-        trend *= xv[:, :-k]
+        trend = (slope[:, k:] - slope[:, :-k]) * xv[:, :-k]
         trend += base[:, k:] - base[:, :-k]
         trend_sum += float(np.sum(trend * dr))
         if drift is not None:
@@ -464,7 +452,6 @@ def theorem2_audit(
             # to unit means, which cancel in period differences
             np.subtract(dr.T, drift, out=drift)
             bias_sum += float(np.einsum("is,si->", trend, drift))
-    _require_variation(den, panel, "x")
 
     tau_weighted_sum = tau_sum / den
     trend_term = trend_sum / den

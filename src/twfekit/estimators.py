@@ -25,14 +25,17 @@ A single period pair's slope is a column of
 :func:`~twfekit.decomposition.pairwise_decomposition`.
 
 One degeneracy rule, with tolerance ``DEGENERACY_TOL``, serves the package.
-An estimate raises :class:`NoIdentifyingVariation` unless the treatment's
-two-way variation exceeds the tolerance times its variation about the grand
-mean, the raw scale that exposes a purely additive series
-(:func:`_require_variation`).  A gap or period pair is live when its sum of
-squared residual changes exceeds the tolerance times that sum over all
-pairs, ``T * sum(rx**2)``: a share with no unit offsets in it (:func:`_live`).
-A covariate-adjusted pair is also dead when its controls leave at most the
-tolerance times its treatment variation.
+Rule 1, applied once per estimate by :func:`_twfe_fit`: the treatment's
+two-way variation ``sum(rx**2)`` must exceed the tolerance times its
+variation about the grand mean, the raw scale that exposes a purely
+additive series, or :class:`NoIdentifyingVariation` is raised
+(:func:`_require_variation`).  Rule 2: a gap (of ``fd`` or a
+decomposition), gap range (of ``gap_restricted``) or pair is live when its
+sum of squared residual changes exceeds the tolerance times that sum over
+all pairs, ``T * sum(rx**2)`` from the same fit: a share with no unit
+offsets in it (:func:`_live`).  Rule 3: a covariate-adjusted pair is also
+dead when its controls leave at most the tolerance times its treatment
+variation.
 """
 
 from __future__ import annotations
@@ -149,12 +152,16 @@ def _require_variation(
         raise NoIdentifyingVariation(f"no identifying variation in '{x}' {where}")
 
 
-def _twfe_fit(panel: BalancedPanel, y: str, x: str, covariates=None):
+def _twfe_fit(
+    panel: BalancedPanel, y: str, x: str, covariates=None,
+    where: str = "after the two-way transformation",
+):
     """``(rx, ry, den, beta)``: the two-way residuals of ``x`` and ``y``, the
-    slope's denominator (checked against degeneracy) and the slope."""
+    slope's denominator ``sum(rx**2)`` and the slope.  The one rule-1 check
+    (see the module docstring) is made here; ``where`` ends its message."""
     rx, ry = _residuals(panel, [x, y], covariates)
     den = float(np.sum(rx * rx))
-    _require_variation(den, panel, x)
+    _require_variation(den, panel, x, where)
     return rx, ry, den, float(np.sum(rx * ry)) / den
 
 
@@ -190,12 +197,15 @@ def twfe(
 
 def _pooled_gaps(panel, y, x, gaps, se, where, periods_used):
     """The pooled slope over the gaps ``gaps``, read off one sweep of the
-    gap differences of the two-way residuals of ``x`` and ``y``; ``where``
+    gap differences of the two-way residuals of ``x`` and ``y``, whose
+    share of the fit's ``T * sum(rx**2)`` must be live (rule 2); ``where``
     ends the no-variation message."""
-    _, by_unit = pair_moments(*_residuals(panel, [x, y]), gaps, sums=("unit",))
+    rx, ry, fit_den, _ = _twfe_fit(panel, y, x, where=where)
+    _, by_unit = pair_moments(rx, ry, gaps, sums=("unit",))
     cross, sq = by_unit.sum(axis=2)
     den = float(sq.sum())
-    _require_variation(den, panel, x, where)
+    if not _live(den, panel.n_periods * fit_den):
+        raise NoIdentifyingVariation(f"no identifying variation in '{x}' {where}")
     return Estimate(
         beta=float(cross.sum()) / den,
         se=cluster_robust_se(cross, sq, panel.cluster_id) if se else None,

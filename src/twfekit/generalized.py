@@ -41,9 +41,7 @@ import numpy as np
 
 from .decomposition import PairwiseDecomposition, _pair_decomposition
 from .errors import NoIdentifyingVariation, PanelError
-from .estimators import (
-    Estimate, _live, _pooled_gaps, _require_variation, _residuals,
-)
+from .estimators import Estimate, _live, _pooled_gaps, _twfe_fit
 from .inference import cluster_robust_se
 from .numerics import RANK_TOL, _sweep, project_cells
 from .panel import BalancedPanel, _integer
@@ -366,18 +364,18 @@ def generalized_twfe(
     shared = np.column_stack([np.ones(n)] + [
         _time_invariant_column(panel, name) for name in spec.time_invariant
     ])
-    # the two-way residuals of x and y, as every estimator reads them, and
-    # the differenced controls, indexed [series, period, unit]; np.stack of
-    # the transposed views keeps each unit's periods adjacent in memory, so
-    # a gap's changes are strided (start, unit) blocks, not contiguous ones
-    resid = [r.T for r in _residuals(panel, [x, y])]
+    # the two-way fit's residuals of x and y and the differenced controls,
+    # indexed [series, period, unit]; np.stack of the transposed views keeps
+    # each unit's periods adjacent in memory, so a gap's changes are
+    # strided (start, unit) blocks, not contiguous ones
+    where = f"for any pair with gaps {rng.k_min}-{rng.k_max}"
+    rx, ry, den, _ = _twfe_fit(panel, y, x, where=where)
+    resid = [rx.T, ry.T]
     controls = [panel.values(name) for name in spec.differenced]
     raw = np.stack(resid[:1] + [v.T for v in controls])
     # the x residual's squared changes summed over all pairs (full-range
     # lemma): the two-way variation of which each pair's is a share
-    total = t_count * float(np.sum(raw[0] * raw[0]))
-    where = f"for any pair with gaps {rng.k_min}-{rng.k_max}"
-    _require_variation(total, panel, x, where)
+    total = t_count * den
     # the anchors with a pair in range
     anchors = panel.periods[: t_count - rng.k_min]
     pretrend = _pretrend_slopes(panel, spec.pre_period, anchors, presample)

@@ -925,6 +925,27 @@ scenario = parallel_trends
             capsys.readouterr().err
         )
 
+    def test_presample_without_pretrend_precedes_any_work(
+        self, tmp_path, capsys
+    ):
+        # neither file exists: the check precedes reading either
+        body = BASE.format(
+            input=tmp_path / "missing.csv", outdir=tmp_path / "o"
+        ) + f"""
+[analysis:adj]
+kind = generalized
+y = y
+x = x
+presample = {tmp_path / "pre.csv"}
+"""
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: analysis 'adj': 'presample' is set but no 'pretrend' "
+            "reads it\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "key, value, kind",
         [

@@ -8,6 +8,7 @@ from twfekit import (
     DgpConfig,
     GapRange,
     NoIdentifyingVariation,
+    PanelError,
     SCENARIOS,
     causal_weights,
     fd_decomposition,
@@ -183,6 +184,13 @@ class TestCausalWeights:
         panel = make_panel({"y": rng.normal(size=(n, t)), "x": additive})
         with pytest.raises(NoIdentifyingVariation):
             causal_weights(panel, "y", "x")
+
+    def test_unknown_outcome_raises(self, rng):
+        # y does not enter the weights, but is read as by every estimate
+        panel = make_panel({"y": rng.normal(size=(6, 3)),
+                            "x": rng.normal(size=(6, 3))})
+        with pytest.raises(PanelError, match="unknown series 'z'"):
+            causal_weights(panel, "z", "x")
 
 
 class TestTheorem2Audit:

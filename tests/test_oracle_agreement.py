@@ -31,6 +31,7 @@ from twfekit import (
     twfe,
     twfe_multivariate,
     two_way_residual,
+    verify_equivalence,
 )
 from twfekit.generalized import _pretrend_slopes
 
@@ -578,3 +579,89 @@ def test_no_units_by_pairs_allocation():
         finally:
             tracemalloc.stop()
         assert peak < units_by_pairs / 2
+
+
+def _near_additive(scale):
+    """50 x 10 panel whose x is additive in unit and period effects up to a
+    ``scale`` multiple of noise: rule 1 flips near ``scale`` 1.5e-6."""
+    rng = np.random.default_rng(11)
+    n, t = 50, 10
+    x = rng.normal(size=(n, 1)) + rng.normal(size=(1, t))
+    x = x + scale * rng.normal(size=(n, t))
+    return make_panel({"y": rng.normal(size=(n, t)), "x": x})
+
+
+def _thin_gap():
+    """40 x 6 panel with unit offsets 1e4 times the within variation, whose
+    x repeats every three periods up to 1e-3 noise: gap 3 holds a share of
+    about 1e-7 of the two-way variation, live under rule 2, far below
+    rule 1's raw scale."""
+    rng = np.random.default_rng(12)
+    n, t = 40, 6
+    x = 1e4 * rng.normal(size=(n, 1)) + np.tile(rng.normal(size=(n, 3)), 2)
+    x = x + 1e-3 * rng.normal(size=(n, t))
+    return make_panel({"y": x + rng.normal(size=(n, t)), "x": x})
+
+
+# every estimate of the full two-way variation, which rule 1 alone judges
+_FULL_RANGE = {
+    "twfe": lambda p: twfe(p, "y", "x"),
+    "gap_restricted": lambda p: gap_restricted(
+        p, "y", "x", GapRange(1, p.n_periods - 1)
+    ),
+    "generalized_twfe": lambda p: generalized_twfe(p, "y", "x"),
+    "causal_weights": lambda p: causal_weights(p, "y", "x"),
+    "fd_decomposition": lambda p: fd_decomposition(p, "y", "x"),
+    "verify_equivalence": lambda p: verify_equivalence(p, "y", "x"),
+}
+
+
+def _identified(call) -> bool:
+    try:
+        call()
+    except NoIdentifyingVariation:
+        return False
+    return True
+
+
+def _check_one_rule(panel) -> bool:
+    """Every full-range estimate raises or every one returns, and each
+    ``fd(k)`` raises exactly when ``fd_decomposition`` gives gap ``k`` a
+    NaN beta, matching its beta otherwise; returns whether they return."""
+    identified = {
+        name: _identified(lambda: call(panel))
+        for name, call in _FULL_RANGE.items()
+    }
+    assert len(set(identified.values())) == 1, identified
+    if not identified["twfe"]:
+        for k in range(1, panel.n_periods):
+            with pytest.raises(NoIdentifyingVariation, match=f"at gap {k}$"):
+                fd(panel, "y", "x", k)
+        return False
+    by_gap = fd_decomposition(panel, "y", "x")
+    for k, want in zip(by_gap.gap.tolist(), by_gap.beta.tolist()):
+        if np.isnan(want):
+            with pytest.raises(NoIdentifyingVariation, match=f"at gap {k}$"):
+                fd(panel, "y", "x", k)
+        else:
+            got = fd(panel, "y", "x", k).beta
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), k
+    return True
+
+
+def test_one_identification_rule_across_the_band():
+    # the sweep crosses rule 1's tolerance, where a full-range sum of pair
+    # changes (T times the two-way variation) held to rule 1 would pass
+    # while twfe's own variation fails
+    scales = np.logspace(-8, -4, 33)
+    identified = [_check_one_rule(_near_additive(s)) for s in scales]
+    assert identified[0] is False and identified[-1] is True
+
+
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS + ("thin gap",))
+def test_one_identification_rule(kind):
+    panel = _thin_gap() if kind == "thin gap" else adversarial_panel(kind)
+    assert _check_one_rule(panel)
+    if kind == "thin gap":
+        by_gap = fd_decomposition(panel, "y", "x")
+        assert 0.0 < by_gap.weight[2] < 1e-6
