@@ -215,14 +215,15 @@ def _read_out(beta, basis) -> dict:
 def _by_gap(by_unit, total) -> FdDecomposition:
     """The by-gap decomposition read off the by-unit sums of a full
     ``pair_moments`` sweep; ``total`` as in :func:`_slopes`."""
-    xy, xx = by_unit
-    dens = xx.sum(axis=0)
-    n, gaps = xx.shape
+    # each gap's per-unit sums added along one contiguous row, as fd(k)
+    # adds them, so that gap k here and fd(k) are the same bits
+    xy, dens = np.ascontiguousarray(by_unit.transpose(0, 2, 1)).sum(axis=2)
+    _, n, gaps = by_unit.shape
     gap = np.arange(1, gaps + 1)
     return FdDecomposition(
         gap=gap,
         n_obs=n * (gaps + 1 - gap),
-        **_read_out(_slopes(xy.sum(axis=0), dens, total), dens),
+        **_read_out(_slopes(xy, dens, total), dens),
     )
 
 

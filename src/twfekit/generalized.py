@@ -310,10 +310,12 @@ def _time_invariant_column(panel: BalancedPanel, name: str) -> np.ndarray:
 
 
 def _per_cell(blocks: list, cell: np.ndarray) -> np.ndarray:
-    """Cell ``s`` of ``blocks[cell[s]]``, for ``(m, S, n)`` blocks."""
+    """Cell ``s`` of ``blocks[cell[s]]``, for ``(m, S, n)`` blocks; cells of
+    several blocks are gathered into one C-contiguous stack."""
     if len(blocks) == 1:
         return blocks[0]
-    return np.stack(blocks)[cell, :, np.arange(cell.size)].transpose(1, 0, 2)
+    gathered = np.stack(blocks, axis=1)[:, cell, np.arange(cell.size)]
+    return np.ascontiguousarray(gathered)
 
 
 def generalized_twfe(
@@ -338,9 +340,10 @@ def generalized_twfe(
     it dropped as collinear (``"intercept"``, a series name, or
     ``"variable:start:end"`` for a pre-trend control).  The intercept and
     time-invariant columns are taken out of the period levels once, and each
-    gap differences the projected levels.  Extra memory is O(N·T) per gap
-    and per set of shared columns that pairs keep (usually one), never per
-    pair.
+    gap differences the projected levels, held period-major so that a gap's
+    changes are C-contiguous (start, unit) blocks.  Extra memory is O(N·T)
+    per gap and per set of shared columns that pairs keep (usually one),
+    never per pair.
 
     Each pre-trend variable in ``spec.pre_period`` must be in ``presample``,
     which must hold at least ``min_points`` (default: all) of the periods of
@@ -365,14 +368,13 @@ def generalized_twfe(
         _time_invariant_column(panel, name) for name in spec.time_invariant
     ])
     # the two-way fit's residuals of x and y and the differenced controls,
-    # indexed [series, period, unit]; np.stack of the transposed views keeps
-    # each unit's periods adjacent in memory, so a gap's changes are
-    # strided (start, unit) blocks, not contiguous ones
+    # indexed [series, period, unit] and period-major in memory, so that a
+    # gap's changes of a series are one contiguous (start, unit) block
     where = f"for any pair with gaps {rng.k_min}-{rng.k_max}"
     rx, ry, den, _ = _twfe_fit(panel, y, x, where=where)
     resid = [rx.T, ry.T]
     controls = [panel.values(name) for name in spec.differenced]
-    raw = np.stack(resid[:1] + [v.T for v in controls])
+    raw = np.array(resid[:1] + [v.T for v in controls], order="C")
     # the x residual's squared changes summed over all pairs (full-range
     # lemma): the two-way variation of which each pair's is a share
     total = t_count * den
@@ -407,7 +409,7 @@ def generalized_twfe(
     levels = []
     for g, (cells, q, _) in enumerate(groups):
         group[cells] = g
-        block, pre = np.stack(resid + centred), pretrend.copy()
+        block, pre = np.array(resid + centred, order="C"), pretrend.copy()
         for part, passes in ((block[:2], 1), (block[2:], 2), (pre, 2)):
             for _ in range(passes):
                 part -= (part @ q) @ q.T

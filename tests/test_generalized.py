@@ -370,9 +370,13 @@ class TestGeneralizedTwfe:
         sweep = twfekit.generalized._sweep
         stacks = []
         sweeps = []
+        layouts = []
 
         def counting_kernel(varying, targets, tol=None):
             stacks.append((varying.shape, targets.shape, np.shape(tol)))
+            layouts.append(
+                (varying.flags.c_contiguous, targets.flags.c_contiguous)
+            )
             return original(varying, targets, tol)
 
         def counting_sweep(design, tol):
@@ -394,6 +398,8 @@ class TestGeneralizedTwfe:
         ]
         # the intercept and w, swept once for all nine pairs
         assert sweeps == [((n, 2), (9,))]
+        # each gap's stacks are period-major: contiguous (start, unit) blocks
+        assert layouts == [(True, True)] * 3
 
     def test_collinear_control_reported_per_pair(self, rng):
         n, t = 20, 5

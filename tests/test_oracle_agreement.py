@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+import twfekit.generalized
 from helpers import ADVERSARIAL_KINDS, adversarial_panel, make_panel
 from twfekit import (
     CovariateSpec,
@@ -264,6 +265,26 @@ def test_generalized_cells_disagree_on_shared_block(scheme):
     got = _check_generalized(panel, spec, scheme, 1, t - 1)
     for c in got:
         assert c.dropped_controls == (("g",) if c.second == t else ())
+
+
+def test_generalized_split_cells_are_contiguous(monkeypatch):
+    # pairs that keep different shared columns read their changes through
+    # the per-cell gather, which hands the kernel contiguous stacks too
+    panel, spec = _shared_block_disagreement()
+    original = twfekit.generalized.project_cells
+    layouts = []
+
+    def recording_kernel(varying, targets, tol=None):
+        layouts.append(
+            (varying.flags.c_contiguous, targets.flags.c_contiguous)
+        )
+        return original(varying, targets, tol)
+
+    monkeypatch.setattr(twfekit.generalized, "project_cells",
+                        recording_kernel)
+    got = generalized_twfe(panel, "y", "x", spec).decomposition
+    assert {c.dropped_controls for c in got.components} == {(), ("g",)}
+    assert layouts == [(True, True)] * (panel.n_periods - 1)
 
 
 @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
@@ -656,6 +677,35 @@ def test_one_identification_rule_across_the_band():
     scales = np.logspace(-8, -4, 33)
     identified = [_check_one_rule(_near_additive(s)) for s in scales]
     assert identified[0] is False and identified[-1] is True
+
+
+def _offset_panel(seed):
+    """Random panel of 2-299 units and 3-20 periods, whose x has unit
+    offsets 1e4 times its within variation."""
+    rng = np.random.default_rng([13, seed])
+    n, t = int(rng.integers(2, 300)), int(rng.integers(3, 21))
+    x = rng.normal(size=(n, t)) + 1e4 * rng.normal(size=(n, 1))
+    return make_panel({"y": x + rng.normal(size=(n, t)), "x": x})
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ADVERSARIAL_KINDS + ("thin gap",) + tuple(f"offsets {s}" for s in range(20)),
+)
+def test_fd_is_its_gap_of_the_decomposition(kind):
+    # fd(k) and fd_decomposition's gap k add the same per-unit sums in the
+    # same order: one verdict and the same bits
+    if kind.startswith("offsets"):
+        panel = _offset_panel(int(kind.split()[1]))
+    else:
+        panel = _thin_gap() if kind == "thin gap" else adversarial_panel(kind)
+    by_gap = fd_decomposition(panel, "y", "x")
+    for k, want in zip(by_gap.gap.tolist(), by_gap.beta.tolist()):
+        try:
+            got = fd(panel, "y", "x", k).beta
+        except NoIdentifyingVariation:
+            got = float("nan")
+        assert got == want or np.isnan(got) and np.isnan(want), (k, got, want)
 
 
 @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS + ("thin gap",))
