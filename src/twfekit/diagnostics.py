@@ -323,7 +323,7 @@ def causal_weights(
     weights when they are read.  ``y`` is read and checked, as by every
     estimate; it does not enter the weights.
     """
-    r, _, den, _ = _twfe_fit(panel, y, x, covariates)
+    r, _, den, _ = _twfe_fit(panel, y, x, covariates, slope=False)
     return CausalWeightReport(
         x=panel.values(x), r=r, denominator=panel.n_periods * den,
         periods=panel.periods,

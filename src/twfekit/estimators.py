@@ -154,15 +154,22 @@ def _require_variation(
 
 def _twfe_fit(
     panel: BalancedPanel, y: str, x: str, covariates=None,
-    where: str = "after the two-way transformation",
+    where: str = "after the two-way transformation", slope: bool = True,
 ):
     """``(rx, ry, den, beta)``: the two-way residuals of ``x`` and ``y``, the
     slope's denominator ``sum(rx**2)`` and the slope.  The one rule-1 check
-    (see the module docstring) is made here; ``where`` ends its message."""
-    rx, ry = _residuals(panel, [x, y], covariates)
+    (see the module docstring) is made here; ``where`` ends its message.
+    With ``slope=False`` only ``x`` is fitted and ``ry`` and ``beta`` are
+    ``None``; ``y`` is still read, so an unknown name raises as before."""
+    if slope:
+        rx, ry = _residuals(panel, [x, y], covariates)
+    else:
+        for name in (x, y):
+            panel.values(name)
+        (rx,), ry = _residuals(panel, [x], covariates), None
     den = float(np.sum(rx * rx))
     _require_variation(den, panel, x, where)
-    return rx, ry, den, float(np.sum(rx * ry)) / den
+    return rx, ry, den, float(np.sum(rx * ry)) / den if slope else None
 
 
 def twfe(

@@ -28,14 +28,15 @@ collinear group; each component names the controls its pair dropped.  The
 intercept and the time-invariant columns, the same in every pair, are swept
 once per call and, projection being linear, taken out of the period levels
 rather than out of every pair's changes.  The pairs of one gap are then
-residualized on their other controls together, by one
-``numerics.project_cells`` call.
+residualized on their other controls together, by one call of the in-place
+core of ``numerics.project_cells``, on a stack in the call's one workspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import prod
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .decomposition import PairwiseDecomposition, _pair_decomposition
 from .errors import NoIdentifyingVariation, PanelError
 from .estimators import Estimate, _live, _pooled_gaps, _twfe_fit
 from .inference import cluster_robust_se
-from .numerics import RANK_TOL, _sweep, project_cells
+from .numerics import RANK_TOL, _project_in_place, _sweep
 from .panel import BalancedPanel, _integer
 
 WEIGHT_SCHEMES = ("ssr", "raw")
@@ -309,13 +310,145 @@ def _time_invariant_column(panel: BalancedPanel, name: str) -> np.ndarray:
     return values[:, 0].copy()
 
 
-def _per_cell(blocks: list, cell: np.ndarray) -> np.ndarray:
-    """Cell ``s`` of ``blocks[cell[s]]``, for ``(m, S, n)`` blocks; cells of
-    several blocks are gathered into one C-contiguous stack."""
-    if len(blocks) == 1:
-        return blocks[0]
-    gathered = np.stack(blocks, axis=1)[:, cell, np.arange(cell.size)]
-    return np.ascontiguousarray(gathered)
+def _raw_tolerances(workspace, rx, controls, pretrend, shared_max, gaps):
+    """Per gap of ``gaps``, from the raw changes, formed in ``workspace``:
+    each pair's drop tolerance, relative to its largest control column, and
+    the plain pairwise decomposition's basis, the pair's squared changes of
+    the (period, unit) x residual ``rx``."""
+    raw = np.array([rx] + [v.T for v in controls], order="C")
+    t_count, n = rx.shape
+    pretrend_norms = np.sqrt(np.einsum("pan,pan->ap", pretrend, pretrend))
+    tols, raw_dens = [], []
+    for k in gaps:
+        changes = np.subtract(
+            raw[:, k:], raw[:, :-k],
+            out=_leading(workspace, (len(raw), t_count - k, n)),
+        )
+        norms = np.sqrt(np.einsum("msn,msn->sm", changes[1:], changes[1:]))
+        norms = np.hstack([norms, pretrend_norms[: t_count - k]])
+        tols.append(RANK_TOL * norms.max(axis=1, initial=shared_max))
+        raw_dens.append(np.einsum("sn,sn->s", changes[0], changes[0]))
+    return tols, raw_dens
+
+
+def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first values of the flat ``buffer``, as a C-contiguous ``shape``
+    array."""
+    return buffer[: prod(shape)].reshape(shape)
+
+
+def _per_cell(stack: np.ndarray, levels: list, cell: np.ndarray, k: int) -> None:
+    """Write the pairs of gap ``k`` into ``stack``, ``(r + p, S, N)``.
+
+    ``levels`` holds, per set of kept shared columns, the projected
+    ``(r, T, N)`` period levels to difference and the ``(p, A, N)``
+    pre-trend columns; cell ``s`` reads those of ``levels[cell[s]]``.
+    """
+    starts = stack.shape[1]
+    block, pre = levels[0]
+    r = len(block)
+    np.subtract(block[:, k:], block[:, :starts], out=stack[:r])
+    stack[r:] = pre[:, :starts]
+    # pairs that disagree on a shared column read their own group's levels
+    for g, (block, pre) in enumerate(levels[1:], 1):
+        s = np.flatnonzero(cell == g)
+        stack[:r, s] = block[:, s + k] - block[:, s]
+        stack[r:, s] = pre[:, s]
+
+
+def _pair_fits(resid, controls, pretrend, shared, gaps, weight_scheme, total):
+    """Each pair's covariate-adjusted fit, gap by gap, in one workspace.
+
+    ``resid`` holds the (period, unit) two-way residuals of x and y,
+    ``controls`` the (unit, period) values of the differenced controls,
+    ``pretrend`` the ``(p, A, N)`` pre-trend slopes at the ``A`` anchors,
+    ``shared`` the ``(N, c)`` columns of every pair and ``total`` the two-way
+    variation that a pair's is a share of.  Returns, over the pairs of
+    ``gaps`` in gap order, their start and end period indices, beta (NaN
+    where degenerate) and weight basis; the mask of the controls each
+    retains; and the per-unit sums of v*u and v^2 over the live pairs, for
+    the SE.
+    """
+    t_count, n = resid[0].shape
+    # the series that pairs difference are held [series, period, unit], so
+    # that a gap's changes of a series are one contiguous (start, unit)
+    # block.  One workspace serves every gap: room for the stack of the
+    # widest gap, whose changes of the x and y residuals and of the
+    # differenced controls are followed by its pre-trend columns, and a
+    # (period, unit) scratch
+    rows = 2 + len(controls) + len(pretrend)
+    workspace = np.empty(rows * pretrend.shape[1] * n)
+    scratch = np.empty(t_count * n)
+    tols, raw_dens = _raw_tolerances(
+        workspace, resid[0], controls, pretrend,
+        float(np.sqrt(np.einsum("ij,ij->j", shared, shared)).max()), gaps,
+    )
+    # the shared columns, swept once for every pair; pairs that disagree on
+    # one, by their tolerances, get one basis per kept set (usually one).
+    # Projection is linear, so each basis is taken out of the period levels
+    # rather than out of each pair's changes: once for the x and y
+    # residuals, twice for the control columns, as in the sweep.  A
+    # control's levels are first centred on the unit's median value, so
+    # that unit offsets cancel and one outlying period does not leave its
+    # scale in every level.  Rows are projected one at a time through the
+    # scratch, so that no level-sized temporary is allocated
+    groups = _sweep(shared, np.concatenate(tols))
+    group = np.empty(sum(map(len, tols)), dtype=np.intp)
+    medians = [np.median(v, axis=1, keepdims=True) for v in controls]
+    levels = []
+    for g, (cells, q, _) in enumerate(groups):
+        group[cells] = g
+        block = np.array(
+            resid + [(v - m).T for v, m in zip(controls, medians)], order="C"
+        )
+        pre = pretrend.copy()
+        for part, passes in ((block[:2], 1), (block[2:], 2), (pre, 2)):
+            for row in part:
+                for _ in range(passes):
+                    row -= np.matmul(
+                        row @ q, q.T, out=_leading(scratch, row.shape)
+                    )
+        levels.append((block, pre))
+
+    unit_cross = np.zeros(n)
+    unit_sq = np.zeros(n)
+    # per gap: start and end period indices, beta and weight basis
+    columns = []
+    retained = []
+    offset = 0
+    for k, tol, raw_den in zip(gaps, tols, raw_dens):
+        # the pairs of gap k, one per start period, form one stack of cells,
+        # each differencing the levels projected on its kept shared columns;
+        # the x and y residuals' changes lead, then the controls
+        starts = t_count - k
+        cell = group[offset: offset + starts]
+        offset += starts
+        stack = _leading(workspace, (rows, starts, n))
+        _per_cell(stack, levels, cell, k)
+        products = _leading(scratch, (starts, n))
+        retained.append(
+            _project_in_place(stack[2:], stack[:2], tol, products)
+        )
+        rx, ry = stack[:2]
+        ssr = np.einsum("sn,sn->s", rx, rx)
+        live = _live(raw_den, total) & _live(ssr, raw_den)
+        basis = ssr if weight_scheme == "ssr" else raw_den
+        # a live pair's residuals are rescaled by sqrt(basis / ssr), exactly
+        # 1 under ssr, so its products scale by the square
+        f2 = np.divide(basis, ssr, out=np.zeros(starts), where=live)
+        unit_cross += f2 @ np.multiply(rx, ry, out=products)
+        unit_sq += f2 @ np.multiply(rx, rx, out=products)
+        beta = np.divide(
+            np.einsum("sn,sn->s", rx, ry), ssr,
+            out=np.full(starts, np.nan), where=live,
+        )
+        columns.append((np.arange(starts), np.arange(k, t_count), beta, basis))
+    retained = np.hstack([
+        np.array([kept for _, _, kept in groups])[group],
+        np.concatenate(retained),
+    ])
+    pairs = [np.concatenate(column) for column in zip(*columns)]
+    return pairs, retained, (unit_cross, unit_sq)
 
 
 def generalized_twfe(
@@ -341,9 +474,15 @@ def generalized_twfe(
     ``"variable:start:end"`` for a pre-trend control).  The intercept and
     time-invariant columns are taken out of the period levels once, and each
     gap differences the projected levels, held period-major so that a gap's
-    changes are C-contiguous (start, unit) blocks.  Extra memory is O(N·T)
-    per gap and per set of shared columns that pairs keep (usually one),
-    never per pair.
+    changes are C-contiguous (start, unit) blocks.
+
+    Memory: with ``m`` differenced and pre-trend controls and ``A = T -
+    k_min`` start periods of the shortest gap, every gap works in one
+    workspace of ``(m + 2)·A·N`` floats, allocated once per call, and one
+    ``T·N`` scratch; besides them the call holds the two-way residuals, the
+    pre-trend slopes and, per set of shared columns that pairs keep
+    (usually one), the projected levels: O((m + 2)·N·T) in all, never
+    anything per pair.
 
     Each pre-trend variable in ``spec.pre_period`` must be in ``presample``,
     which must hold at least ``min_points`` (default: all) of the periods of
@@ -367,14 +506,9 @@ def generalized_twfe(
     shared = np.column_stack([np.ones(n)] + [
         _time_invariant_column(panel, name) for name in spec.time_invariant
     ])
-    # the two-way fit's residuals of x and y and the differenced controls,
-    # indexed [series, period, unit] and period-major in memory, so that a
-    # gap's changes of a series are one contiguous (start, unit) block
     where = f"for any pair with gaps {rng.k_min}-{rng.k_max}"
     rx, ry, den, _ = _twfe_fit(panel, y, x, where=where)
-    resid = [rx.T, ry.T]
     controls = [panel.values(name) for name in spec.differenced]
-    raw = np.array(resid[:1] + [v.T for v in controls], order="C")
     # the x residual's squared changes summed over all pairs (full-range
     # lemma): the two-way variation of which each pair's is a share
     total = t_count * den
@@ -382,73 +516,11 @@ def generalized_twfe(
     anchors = panel.periods[: t_count - rng.k_min]
     pretrend = _pretrend_slopes(panel, spec.pre_period, anchors, presample)
 
-    # per gap, from the raw changes: each pair's drop tolerance, relative to
-    # its largest control column, and the plain pairwise decomposition's
-    # basis, the pair's squared changes of the x residual
-    gaps = range(rng.k_min, rng.k_max + 1)
-    shared_max = float(np.sqrt(np.einsum("ij,ij->j", shared, shared)).max())
-    pretrend_norms = np.sqrt(np.einsum("pan,pan->ap", pretrend, pretrend))
-    tols, raw_dens = [], []
-    for k in gaps:
-        changes = raw[:, k:] - raw[:, :-k]
-        norms = np.sqrt(np.einsum("msn,msn->sm", changes[1:], changes[1:]))
-        norms = np.hstack([norms, pretrend_norms[: t_count - k]])
-        tols.append(RANK_TOL * norms.max(axis=1, initial=shared_max))
-        raw_dens.append(np.einsum("sn,sn->s", changes[0], changes[0]))
-    # the shared columns, swept once for every pair; pairs that disagree on
-    # one, by their tolerances, get one basis per kept set (usually one).
-    # Projection is linear, so each basis is taken out of the period levels
-    # rather than out of each pair's changes: once for the x and y
-    # residuals, twice for the control columns, as in the sweep.  A
-    # control's levels are first centred on the unit's median value, so
-    # that unit offsets cancel and one outlying period does not leave its
-    # scale in every level
-    groups = _sweep(shared, np.concatenate(tols))
-    group = np.empty(sum(map(len, tols)), dtype=np.intp)
-    centred = [(v - np.median(v, axis=1, keepdims=True)).T for v in controls]
-    levels = []
-    for g, (cells, q, _) in enumerate(groups):
-        group[cells] = g
-        block, pre = np.array(resid + centred, order="C"), pretrend.copy()
-        for part, passes in ((block[:2], 1), (block[2:], 2), (pre, 2)):
-            for _ in range(passes):
-                part -= (part @ q) @ q.T
-        levels.append((block, pre))
-
-    # per-unit sums of v*u and v^2 over the live pairs, for the SE
-    unit_cross = np.zeros(n)
-    unit_sq = np.zeros(n)
-    # per gap: start and end period indices, beta (NaN where degenerate)
-    # and weight basis
-    columns: list[tuple] = []
-    retained = []
-    offset = 0
-    for k, tol, raw_den in zip(gaps, tols, raw_dens):
-        # the pairs of gap k, one per start period, form one stack of cells,
-        # each differencing the levels projected on its kept shared columns
-        starts = t_count - k
-        cell = group[offset: offset + starts]
-        offset += starts
-        changes = _per_cell([b[:, k:] - b[:, :-k] for b, _ in levels], cell)
-        pre = _per_cell([p[:, :starts] for _, p in levels], cell)
-        (rx, ry), kept = project_cells(
-            np.concatenate([changes[2:], pre]), changes[:2], tol
-        )
-        retained.append(kept)
-        ssr = np.einsum("sn,sn->s", rx, rx)
-        live = _live(raw_den, total) & _live(ssr, raw_den)
-        basis = ssr if weight_scheme == "ssr" else raw_den
-        # a live pair's residuals are rescaled by sqrt(basis / ssr), exactly
-        # 1 under ssr, so its products scale by the square
-        f2 = np.divide(basis, ssr, out=np.zeros(starts), where=live)
-        unit_cross += f2 @ (rx * ry)
-        unit_sq += f2 @ (rx * rx)
-        beta = np.divide(
-            np.einsum("sn,sn->s", rx, ry), ssr,
-            out=np.full(starts, np.nan), where=live,
-        )
-        columns.append((np.arange(starts), np.arange(k, t_count), beta, basis))
-    first, second, beta, basis = map(np.concatenate, zip(*columns))
+    pairs, retained, unit_sums = _pair_fits(
+        [rx.T, ry.T], controls, pretrend, shared,
+        range(rng.k_min, rng.k_max + 1), weight_scheme, total,
+    )
+    first, second, beta, basis = pairs
     order = np.lexsort((second, first))  # anchor-major, as pairwise
     beta = beta[order]
     n_degenerate = int(np.isnan(beta).sum())
@@ -456,10 +528,6 @@ def generalized_twfe(
         raise NoIdentifyingVariation(f"no identifying variation in '{x}' {where}")
     # one names tuple per distinct retained pattern, each row read as one
     # opaque value
-    retained = np.hstack([
-        np.array([kept for _, _, kept in groups])[group],
-        np.concatenate(retained),
-    ])
     _, rows, which = np.unique(
         retained.view(np.dtype((np.void, retained.shape[1]))).ravel(),
         return_index=True, return_inverse=True,
@@ -472,7 +540,7 @@ def generalized_twfe(
     )
     estimate = Estimate(
         beta=decomposition.aggregate,
-        se=cluster_robust_se(unit_cross, unit_sq, panel.cluster_id)
+        se=cluster_robust_se(*unit_sums, panel.cluster_id)
         if se else None,
         n_units=n,
         periods_used=(

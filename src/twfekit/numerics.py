@@ -21,6 +21,12 @@ caller takes the resulting basis out of its data by one product
 with each design's tolerance.  Designs that disagree on a common column,
 since each takes ``RANK_TOL`` relative to its own largest column norm, get
 one basis per set of common columns they keep.
+
+``project_cells`` copies its inputs and leaves the caller's arrays as they
+were.  Its core, ``_project_in_place``, overwrites the two stacks it is
+handed and takes every product through one caller-supplied scratch; only a
+caller that owns its stacks, built for the call and read by nothing else
+until the sweep returns, may use it (``generalized_twfe``'s gap loop does).
 """
 
 from __future__ import annotations
@@ -44,7 +50,9 @@ def project_cells(
     ``RANK_TOL`` times the cell's largest column norm (the rule of the
     module docstring).  Returns the ``(r, S, n)`` residuals (the targets
     themselves in an all-zero cell) and the ``(S, m)`` mask of the columns
-    each cell retains.
+    each cell retains.  The sweep runs on C-contiguous copies, so the
+    inputs, read-only or not, are left unchanged; a caller that owns its
+    stacks may call the in-place core ``_project_in_place`` instead.
     """
     v, y = np.asarray(varying, dtype=float), np.asarray(targets, dtype=float)
     if v.ndim != 3 or y.ndim != 3 or y.shape[1:] != v.shape[1:] or (
@@ -54,26 +62,50 @@ def project_cells(
             f"need varying (m, S, n), targets (r, S, n) and tol (S,), got "
             f"shapes {v.shape}, {y.shape} and {np.shape(tol)}"
         )
-    m, s_count, _ = v.shape
     if tol is None:
         norms = np.sqrt(np.einsum("msn,msn->sm", v, v))
         tol = RANK_TOL * norms.max(axis=1, initial=0.0)
-    basis = v.copy()
     residuals = y.copy()
+    retained = _project_in_place(
+        v.copy(), residuals, tol, np.empty(v.shape[1:])
+    )
+    return residuals, retained
+
+
+def _project_in_place(
+    basis: np.ndarray,
+    residuals: np.ndarray,
+    tol: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """``project_cells`` on stacks its caller owns, overwritten in place.
+
+    ``basis`` ``(m, S, n)`` is the cells' design on entry and their
+    orthonormalized columns (zero where dropped) on return; ``residuals``
+    ``(r, S, n)`` holds the targets on entry and their residuals on return;
+    both are C-contiguous.  ``tol`` is as ``project_cells``' (required), and
+    the ``(S, n)`` ``scratch`` takes every product, so the sweep allocates
+    nothing of that size.  Returns the ``(S, m)`` retained mask; the bits
+    are those of ``project_cells``.
+    """
+    m, s_count, _ = basis.shape
     retained = np.zeros((s_count, m), dtype=bool)
     # swept per cell and vectorized across cells; each column becomes its
     # cell's next basis vector (zero when dropped)
     for j in range(m):
         col, earlier = basis[j], basis[:j]
         for _ in range(2 if j else 0):
-            col -= np.einsum(
-                "ls,lsn->sn", np.einsum("lsn,sn->ls", earlier, col), earlier
+            np.einsum(
+                "ls,lsn->sn", np.einsum("lsn,sn->ls", earlier, col), earlier,
+                out=scratch,
             )
+            col -= scratch
         norm = np.sqrt(np.einsum("sn,sn->s", col, col))
         retained[:, j] = keep = norm > tol
         col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=keep)[:, None]
-        residuals -= np.einsum("rsn,sn->rs", residuals, col)[:, :, None] * col
-    return residuals, retained
+        for target, d in zip(residuals, np.einsum("rsn,sn->rs", residuals, col)):
+            target -= np.multiply(d[:, None], col, out=scratch)
+    return retained
 
 
 def _sweep(design: np.ndarray, tol: np.ndarray) -> list:

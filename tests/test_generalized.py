@@ -366,24 +366,26 @@ class TestGeneralizedTwfe:
             differenced=("v",),
             pre_period=(PretrendConfig("v", -6, -2),),
         )
-        original = twfekit.generalized.project_cells
+        original = twfekit.generalized._project_in_place
         sweep = twfekit.generalized._sweep
         stacks = []
         sweeps = []
         layouts = []
+        arrays = []
 
-        def counting_kernel(varying, targets, tol=None):
+        def counting_kernel(varying, targets, tol, scratch):
             stacks.append((varying.shape, targets.shape, np.shape(tol)))
             layouts.append(
                 (varying.flags.c_contiguous, targets.flags.c_contiguous)
             )
-            return original(varying, targets, tol)
+            arrays.extend((varying, targets))
+            return original(varying, targets, tol, scratch)
 
         def counting_sweep(design, tol):
             sweeps.append((design.shape, tol.shape))
             return sweep(design, tol)
 
-        monkeypatch.setattr(twfekit.generalized, "project_cells",
+        monkeypatch.setattr(twfekit.generalized, "_project_in_place",
                             counting_kernel)
         monkeypatch.setattr(twfekit.generalized, "_sweep", counting_sweep)
         result = generalized_twfe(
@@ -400,6 +402,8 @@ class TestGeneralizedTwfe:
         assert sweeps == [((n, 2), (9,))]
         # each gap's stacks are period-major: contiguous (start, unit) blocks
         assert layouts == [(True, True)] * 3
+        # ... and views of one workspace, reused by every gap
+        assert all(np.shares_memory(a, arrays[0].base) for a in arrays)
 
     def test_collinear_control_reported_per_pair(self, rng):
         n, t = 20, 5

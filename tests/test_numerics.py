@@ -281,6 +281,17 @@ class TestProjectCells:
         assert np.array_equal(residuals[:, 1], targets[:, 1])
         assert abs(residuals[0, 0] @ col) < 1e-12 * np.linalg.norm(col)
 
+    def test_inputs_unchanged(self, rng):
+        # the sweep overwrites its own copies, never the caller's arrays
+        varying, targets = self._cells(rng)
+        tol = np.full(varying.shape[1], 1e-9)
+        for args in ((varying, targets), (np.ascontiguousarray(varying),
+                                          targets.copy(), tol)):
+            before = [a.tobytes() for a in args]
+            project_cells(*args)
+            assert all(a.flags.writeable for a in args)
+            assert [a.tobytes() for a in args] == before
+
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="need varying"):
             project_cells(np.zeros((4, 3)), np.zeros((1, 4, 3)))

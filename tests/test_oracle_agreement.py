@@ -271,20 +271,75 @@ def test_generalized_split_cells_are_contiguous(monkeypatch):
     # pairs that keep different shared columns read their changes through
     # the per-cell gather, which hands the kernel contiguous stacks too
     panel, spec = _shared_block_disagreement()
-    original = twfekit.generalized.project_cells
+    original = twfekit.generalized._project_in_place
     layouts = []
+    arrays = []
 
-    def recording_kernel(varying, targets, tol=None):
+    def recording_kernel(varying, targets, tol, scratch):
         layouts.append(
             (varying.flags.c_contiguous, targets.flags.c_contiguous)
         )
-        return original(varying, targets, tol)
+        arrays.extend((varying, targets))
+        return original(varying, targets, tol, scratch)
 
-    monkeypatch.setattr(twfekit.generalized, "project_cells",
+    monkeypatch.setattr(twfekit.generalized, "_project_in_place",
                         recording_kernel)
     got = generalized_twfe(panel, "y", "x", spec).decomposition
     assert {c.dropped_controls for c in got.components} == {(), ("g",)}
     assert layouts == [(True, True)] * (panel.n_periods - 1)
+    assert all(np.shares_memory(a, arrays[0].base) for a in arrays)
+
+
+def _bits(result):
+    d = result.decomposition
+    return (
+        d.beta.tobytes(), d.weight.tobytes(), d.dropped_controls,
+        repr((result.estimate.beta, result.estimate.se, result.n_degenerate)),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind", ADVERSARIAL_KINDS + ("shared disagreement", "two and two")
+)
+def test_generalized_in_place_matches_copies(kind, monkeypatch):
+    # the in-place core reads no array that it or another gap overwrites:
+    # a core that works on copies of its stacks gives the same bits
+    if kind == "shared disagreement":
+        (panel, spec), presample = _shared_block_disagreement(), None
+    elif kind == "two and two":
+        panel, presample = _covariate_panel("unit offsets")
+        spec = CovariateSpec(
+            differenced=("w", "w4"),
+            pre_period=(PretrendConfig("w", -3, -1, min_points=2),
+                        PretrendConfig("w", -2, -1)),
+        )
+    else:
+        panel, presample = _covariate_panel(kind)
+        spec = _covariate_spec(panel)
+    calls = [
+        (GapRange(k_min, k_max), scheme)
+        for k_min, k_max in _gap_ranges(panel.n_periods)
+        for scheme in ("ssr", "raw")
+    ]
+
+    def results():
+        return [
+            _bits(generalized_twfe(panel, "y", "x", spec, gap_range, scheme,
+                                   presample=presample, se=True))
+            for gap_range, scheme in calls
+        ]
+
+    in_place = results()
+    original = twfekit.generalized._project_in_place
+
+    def on_copies(varying, targets, tol, scratch):
+        basis, residuals = varying.copy(), targets.copy()
+        kept = original(basis, residuals, tol, np.empty_like(scratch))
+        varying[...], targets[...] = basis, residuals
+        return kept
+
+    monkeypatch.setattr(twfekit.generalized, "_project_in_place", on_copies)
+    assert results() == in_place
 
 
 @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
@@ -572,11 +627,27 @@ def test_no_units_by_pairs_allocation():
     # Neither the kernel, the SE path, the audit nor the causal weights'
     # masses may build an array with one entry per unit and period pair
     # (or per stacked row).
+    # numpy >= 2 imports numpy.ma on its first median (generalized_twfe's
+    # control centring): about 1 MB of module objects, once per process,
+    # not an array of any call
+    import numpy.ma  # noqa: F401
+
     rng = np.random.default_rng(3)
     n, t = 500, 60
     panel = make_panel(
-        {"y": rng.normal(size=(n, t)), "x": rng.normal(size=(n, t))},
+        {
+            "y": rng.normal(size=(n, t)),
+            "x": rng.normal(size=(n, t)),
+            "w": rng.normal(size=(n, t)),
+            "g": np.repeat(rng.normal(size=(n, 1)), t, axis=1),
+        },
         cluster=[f"state{i % 50}" for i in range(n)],
+    )
+    presample = make_panel({"w": rng.normal(size=(n, 12))}, first_period=-11)
+    spec = CovariateSpec(
+        time_invariant=("g",),
+        differenced=("w",),
+        pre_period=(PretrendConfig("w", -12, -3),),
     )
     sim = simulate(scenario_preset("time_varying_delta", n_units=n,
                                    n_periods=t))
@@ -584,6 +655,8 @@ def test_no_units_by_pairs_allocation():
     calls = (
         lambda: theorem2_audit(sim, ["w"]),
         lambda: generalized_twfe(panel, "y", "x", se=True),
+        lambda: generalized_twfe(panel, "y", "x", spec, presample=presample,
+                                 se=True),
         lambda: twfe(panel, "y", "x", se=True),
         lambda: fd(panel, "y", "x", 1, se=True),
         lambda: gap_restricted(panel, "y", "x", GapRange(1, t - 1), se=True),
