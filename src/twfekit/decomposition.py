@@ -13,7 +13,9 @@ both decompositions here reproduce it to floating-point accuracy:
 Both read the period differences of the two-way residuals of ``y`` and
 ``x`` (:func:`~twfekit.estimators.two_way_residual`), the arrays the two-way
 slope itself is a ratio of sums over; unit means cancel in the differences,
-so these are the differences of the period-demeaned series.
+so these are the differences of the period-demeaned series.  Their sums
+come from one full ``pair_moments`` sweep, which the panel keeps for both
+decompositions and :func:`verify_equivalence`.
 
 Weights are nonnegative by construction and sum to one.  A component whose
 share of the two-way treatment variation is numerically zero (rule 2 of
@@ -36,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .estimators import _live, _twfe_fit
+from .estimators import _kept, _live, _twfe_fit
 
 # bound here as well: bench/bench_checks.py checks that the benchmark's
 # tracer patches and restores ``decomposition.twfe``
@@ -248,11 +250,19 @@ def _by_pair(by_pair, panel: BalancedPanel, total) -> PairwiseDecomposition:
     return _pair_decomposition(panel, first, second, beta, dens)
 
 
+def _swept(panel: BalancedPanel, y: str, x: str):
+    """``((by_pair, by_unit), total, beta)``: the full ``pair_moments``
+    sweep of the covariate-free fit's residuals, kept on the panel under
+    ``(x, y)``, the fit's ``T * sum(rx**2)`` and its slope."""
+    rx, ry, den, beta = _twfe_fit(panel, y, x)
+    sums = _kept(panel, ("pairs", x, y), lambda: pair_moments(rx, ry))
+    return sums, panel.n_periods * den, beta
+
+
 def fd_decomposition(panel: BalancedPanel, y: str, x: str) -> FdDecomposition:
     """Split the two-way estimate into pooled difference estimators by gap."""
-    rx, ry, den, _ = _twfe_fit(panel, y, x)
-    _, by_unit = pair_moments(rx, ry, sums=("unit",))
-    return _by_gap(by_unit, panel.n_periods * den)
+    (_, by_unit), total, _ = _swept(panel, y, x)
+    return _by_gap(by_unit, total)
 
 
 def pairwise_decomposition(
@@ -262,9 +272,8 @@ def pairwise_decomposition(
 
     Pairs are ordered lexicographically by (first, second) period label.
     """
-    rx, ry, den, _ = _twfe_fit(panel, y, x)
-    by_pair, _ = pair_moments(rx, ry, sums=("pair",))
-    return _by_pair(by_pair, panel, panel.n_periods * den)
+    (by_pair, _), total, _ = _swept(panel, y, x)
+    return _by_pair(by_pair, panel, total)
 
 
 def count_pairs(n_periods: int, k_min: int = 1, k_max: int | None = None) -> int:
@@ -334,10 +343,9 @@ def verify_equivalence(panel: BalancedPanel, y: str, x: str) -> EquivalenceRepor
     of absolute component estimates — so it stays meaningful when the
     estimate itself is near zero.
     """
-    rx, ry, den, beta = _twfe_fit(panel, y, x)
-    pair_sums, unit_sums = pair_moments(rx, ry)
-    by_gap = _by_gap(unit_sums, panel.n_periods * den)
-    by_pair = _by_pair(pair_sums, panel, panel.n_periods * den)
+    (pair_sums, unit_sums), total, beta = _swept(panel, y, x)
+    by_gap = _by_gap(unit_sums, total)
+    by_pair = _by_pair(pair_sums, panel, total)
     scales = [abs(beta)]
     for decomp in (by_gap, by_pair):
         live = ~np.isnan(decomp.beta)

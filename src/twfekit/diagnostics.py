@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import _residuals, _twfe_fit
-from .numerics import project_cells
+from .numerics import _default_tol, _project_in_place
 from .panel import BalancedPanel, _integer
 
 
@@ -248,9 +248,10 @@ def simulate_replication(config: DgpConfig, index: int) -> SimulatedPanel:
 class CausalWeightReport:
     """Observation-level weights on realized treatment changes.
 
-    Only the treatment ``x``, its two-way residual ``r`` (both
-    ``(n_units, T)``) and the ``denominator`` are stored; :meth:`gap_blocks`
-    forms each gap's weights when it reaches that gap.  Read as flat arrays,
+    Only the treatment ``x``, its two-way residual ``r`` (both read-only
+    ``(n_units, T)`` arrays, the panel's own) and the ``denominator`` are
+    stored; :meth:`gap_blocks` forms each gap's weights when it reaches
+    that gap.  Read as flat arrays,
     entry ``j`` says: the gap-``gap[j]`` change of unit ``unit_index[j]``
     starting in period ``start_period[j]`` receives weight ``weight[j]``,
     entries running gap by gap, then unit by unit, then start by start; the
@@ -343,9 +344,11 @@ def _projected_drifts(cells: np.ndarray):
     """Yield, for gaps ``k = 1, ..., T - 1`` in turn, the ``(T - k, N)``
     residuals of each gap-``k`` cell's treatment change on its covariate
     changes, from the period-major ``cells`` (x first).  It decides the
-    groups: consecutive gaps share one ``project_cells`` call, made when
-    the first is reached, as long as their cells fit
-    :data:`AUDIT_PROJECTION_VALUES` together; a gap with more has its own."""
+    groups: consecutive gaps share one projection, made when the first is
+    reached, as long as their cells fit :data:`AUDIT_PROJECTION_VALUES`
+    together; a gap with more has its own.  Each group's stack of changes
+    is built for its projection alone, so ``numerics._project_in_place``
+    sweeps it in place, under ``project_cells``' default tolerances."""
     n_periods, n = cells.shape[1:]
     k = 1
     while k < n_periods:
@@ -361,7 +364,11 @@ def _projected_drifts(cells: np.ndarray):
             hi = lo + n_periods - g
             np.subtract(cells[:, g:], cells[:, :-g], out=changes[:, lo:hi])
             lo = hi
-        (drift,), _ = project_cells(changes[1:], changes[:1])
+        _project_in_place(
+            changes[1:], changes[:1], _default_tol(changes[1:]),
+            np.empty(changes.shape[1:]),
+        )
+        drift = changes[0]
         lo = 0
         for g in range(k, stop):
             yield drift[lo : lo + n_periods - g]
@@ -399,9 +406,10 @@ def theorem2_audit(
 
     One loop over gaps accumulates every term.  With covariates, the
     treatment change of every (gap, start) cell is projected onto its
-    covariate changes by :func:`~twfekit.numerics.project_cells`, which
-    drops a covariate collinear with earlier ones in a cell.  The loop reads
-    each gap's residuals from :func:`_projected_drifts`, which decides the
+    covariate changes by the sweep of
+    :func:`~twfekit.numerics.project_cells`, which drops a covariate
+    collinear with earlier ones in a cell.  The loop reads each gap's
+    residuals from :func:`_projected_drifts`, which decides the
     groups: the cells of consecutive gaps share one call, made when the
     group's first gap is reached, up to :data:`AUDIT_PROJECTION_VALUES`
     values per array; a gap with more cells than that has a call of its
@@ -416,7 +424,8 @@ def theorem2_audit(
             "got a bare panel"
         )
     panel = sim.panel
-    # twfe(panel, "y", "x", covariates), whose x residual the accounting uses
+    # twfe(panel, "y", "x", covariates)'s fit, whose x residual the
+    # accounting uses
     r, _, _, estimate = _twfe_fit(panel, "y", "x", covariates)
     xv, slope, base = panel.values("x"), sim.effect_slope, sim.baseline
     t = panel.n_periods
@@ -424,7 +433,7 @@ def theorem2_audit(
     drifts = repeat(None)
     if covariates:
         # period-major two-way residuals of x and the covariates: each
-        # gap's cells are contiguous (S, n) blocks for project_cells, and
+        # gap's cells are contiguous (S, n) blocks for the projection, and
         # their changes are the period-demeaned changes, unit means cancelling
         cells = np.ascontiguousarray(
             _residuals(panel, ["x", *covariates]).transpose(0, 2, 1)

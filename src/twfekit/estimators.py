@@ -36,6 +36,18 @@ all pairs, ``T * sum(rx**2)`` from the same fit: a share with no unit
 offsets in it (:func:`_live`).  Rule 3: a covariate-adjusted pair is also
 dead when its controls leave at most the tolerance times its treatment
 variation.
+
+The fit is made once per panel and key (:func:`_kept`): every estimate
+of ``y`` on ``x`` under the same covariates reads the same read-only
+residuals from the panel's memo, and the by-gap, by-pair and equivalence
+reads of a covariate-free fit share one full ``pair_moments`` sweep.  A
+panel keeps at most ``_KEPT`` entries, dropping the oldest first, and only
+arrays a call returns or keeps.  Each key is always computed by the same
+code, so a result never depends on which estimates ran before it.
+``causal_weights`` fits ``x`` alone, under its own key: with covariates,
+projecting ``y`` alongside moves the last bits of ``x``'s residual once the
+panel holds more than 8192 values (the projection's ``einsum`` sums that
+many in other bits for two targets than for one).
 """
 
 from __future__ import annotations
@@ -152,24 +164,51 @@ def _require_variation(
         raise NoIdentifyingVariation(f"no identifying variation in '{x}' {where}")
 
 
+#: Most entries a panel's memo keeps; see :func:`_kept`.
+_KEPT = 4
+
+
+def _kept(panel: BalancedPanel, key, compute):
+    """``compute()``, a tuple, kept on ``panel`` under ``key`` with its
+    arrays made read-only; a panel keeps at most ``_KEPT`` entries and
+    drops the oldest first."""
+    memo = panel._memo
+    if key not in memo:
+        value = compute()
+        for part in value:
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        if len(memo) >= _KEPT:
+            del memo[next(iter(memo))]
+        memo[key] = value
+    return memo[key]
+
+
 def _twfe_fit(
     panel: BalancedPanel, y: str, x: str, covariates=None,
     where: str = "after the two-way transformation", slope: bool = True,
 ):
     """``(rx, ry, den, beta)``: the two-way residuals of ``x`` and ``y``, the
-    slope's denominator ``sum(rx**2)`` and the slope.  The one rule-1 check
-    (see the module docstring) is made here; ``where`` ends its message.
-    With ``slope=False`` only ``x`` is fitted and ``ry`` and ``beta`` are
-    ``None``; ``y`` is still read, so an unknown name raises as before."""
-    if slope:
-        rx, ry = _residuals(panel, [x, y], covariates)
-    else:
-        for name in (x, y):
-            panel.values(name)
-        (rx,), ry = _residuals(panel, [x], covariates), None
-    den = float(np.sum(rx * rx))
+    slope's denominator ``sum(rx**2)`` and the slope, the residuals and
+    denominator kept on the panel under ``(x, y, covariates)``.  The one
+    rule-1 check (see the module docstring) is made here; ``where`` ends its
+    message.  With ``slope=False`` only ``x`` is fitted, under the key
+    ``(x, covariates)``, and ``ry`` and ``beta`` are ``None``; ``y`` is
+    still read, so an unknown name raises as before."""
+    names = (x, y) if slope else (x,)
+    covariates = tuple(covariates or ())
+
+    def fit():
+        stack = _residuals(panel, names, covariates)
+        return stack, float(np.sum(stack[0] * stack[0]))
+
+    panel.values(y)
+    stack, den = _kept(panel, ("fit", names, covariates), fit)
     _require_variation(den, panel, x, where)
-    return rx, ry, den, float(np.sum(rx * ry)) / den if slope else None
+    if not slope:
+        return stack[0], None, den, None
+    rx, ry = stack
+    return rx, ry, den, float(np.sum(rx * ry)) / den
 
 
 def twfe(

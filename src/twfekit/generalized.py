@@ -356,6 +356,17 @@ def _per_cell(stack: np.ndarray, levels: list, cell: np.ndarray, k: int) -> None
         stack[r:, s] = pre[:, s]
 
 
+def _row_medians(v: np.ndarray) -> np.ndarray:
+    """``np.median(v, axis=1, keepdims=True)`` by its own steps, the mean of
+    the one or two middle values, without its NaN check, which imports
+    ``numpy.ma`` on a process's first call: panel values are finite."""
+    t = v.shape[1]
+    half = t // 2
+    lo = half if t % 2 else half - 1
+    middle = np.partition(v, [half - 1, half], axis=1)[:, lo : half + 1]
+    return middle.mean(axis=1, keepdims=True)
+
+
 def _pair_fits(resid, controls, pretrend, shared, gaps, weight_scheme, total):
     """Each pair's covariate-adjusted fit, gap by gap, in one workspace.
 
@@ -394,7 +405,7 @@ def _pair_fits(resid, controls, pretrend, shared, gaps, weight_scheme, total):
     # scratch, so that no level-sized temporary is allocated
     groups = _sweep(shared, np.concatenate(tols))
     group = np.empty(sum(map(len, tols)), dtype=np.intp)
-    medians = [np.median(v, axis=1, keepdims=True) for v in controls]
+    medians = [_row_medians(v) for v in controls]
     levels = []
     for g, (cells, q, _) in enumerate(groups):
         group[cells] = g

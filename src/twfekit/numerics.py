@@ -26,7 +26,8 @@ one basis per set of common columns they keep.
 were.  Its core, ``_project_in_place``, overwrites the two stacks it is
 handed and takes every product through one caller-supplied scratch; only a
 caller that owns its stacks, built for the call and read by nothing else
-until the sweep returns, may use it (``generalized_twfe``'s gap loop does).
+until the sweep returns, may use it (``generalized_twfe``'s gap loop and
+``theorem2_audit``'s covariate split do).
 """
 
 from __future__ import annotations
@@ -63,13 +64,19 @@ def project_cells(
             f"shapes {v.shape}, {y.shape} and {np.shape(tol)}"
         )
     if tol is None:
-        norms = np.sqrt(np.einsum("msn,msn->sm", v, v))
-        tol = RANK_TOL * norms.max(axis=1, initial=0.0)
+        tol = _default_tol(v)
     residuals = y.copy()
     retained = _project_in_place(
         v.copy(), residuals, tol, np.empty(v.shape[1:])
     )
     return residuals, retained
+
+
+def _default_tol(varying: np.ndarray) -> np.ndarray:
+    """Each cell's default drop tolerance: ``RANK_TOL`` times the largest
+    norm of its columns in the ``(m, S, n)`` ``varying``."""
+    norms = np.sqrt(np.einsum("msn,msn->sm", varying, varying))
+    return RANK_TOL * norms.max(axis=1, initial=0.0)
 
 
 def _project_in_place(
@@ -83,7 +90,8 @@ def _project_in_place(
     ``basis`` ``(m, S, n)`` is the cells' design on entry and their
     orthonormalized columns (zero where dropped) on return; ``residuals``
     ``(r, S, n)`` holds the targets on entry and their residuals on return;
-    both are C-contiguous.  ``tol`` is as ``project_cells``' (required), and
+    both are C-contiguous.  ``tol`` is as ``project_cells``' (required;
+    ``_default_tol`` gives its default), and
     the ``(S, n)`` ``scratch`` takes every product, so the sweep allocates
     nothing of that size.  Returns the ``(S, m)`` retained mask; the bits
     are those of ``project_cells``.
@@ -175,17 +183,42 @@ def pair_moments(
     gaps = range(1, t) if gaps is None else list(gaps)
     if not all(1 <= k <= t - 1 for k in gaps):
         raise ValueError(f"gaps must lie in 1..{t - 1}, got {list(gaps)}")
-    by_pair = np.zeros((2, t, t)) if "pair" in names else None
+    # each gap's per-pair sums side by side, placed once the gap loop's
+    # buffers are freed, which bounds the peak
+    rows = np.empty((2, sum(t - k for k in gaps))) if "pair" in names else None
     by_unit = np.empty((2, n, len(gaps))) if "unit" in names else None
+    _gap_sums(xt, yt, gaps, rows, by_unit)
+    by_pair = None
+    if rows is not None:
+        by_pair = np.zeros((2, t, t))
+        end = 0
+        for k in gaps:
+            starts = np.arange(t - k)
+            by_pair[:, starts, starts + k] = rows[:, end : end + t - k]
+            end += t - k
+    return by_pair, by_unit
+
+
+def _gap_sums(xt, yt, gaps, rows, by_unit) -> None:
+    """``pair_moments``' gap loop over the period-major ``xt`` and ``yt``:
+    writes each gap's per-pair sums into the next ``T - k`` columns of
+    ``rows`` and its per-unit sums into column ``j`` of ``by_unit``, either
+    skipped when ``None``.  Every gap's changes, then their products, are
+    formed in two buffers sized for the shortest gap."""
+    t, n = xt.shape
+    buffers = np.empty((2, (t - min(gaps, default=t)) * n))
+    end = 0
     for j, k in enumerate(gaps):
-        dx = xt[k:] - xt[:-k]
-        starts = np.arange(t - k)
-        for m, prod in enumerate(((yt[k:] - yt[:-k]) * dx, dx * dx)):
-            if by_pair is not None:
-                by_pair[m, starts, starts + k] = prod.sum(axis=1)
+        dx, dy = (b[: (t - k) * n].reshape(t - k, n) for b in buffers)
+        np.subtract(xt[k:], xt[:-k], out=dx)
+        np.subtract(yt[k:], yt[:-k], out=dy)
+        products = np.multiply(dy, dx, out=dy), np.multiply(dx, dx, out=dx)
+        for m, prod in enumerate(products):
+            if rows is not None:
+                rows[m, end : end + t - k] = prod.sum(axis=1)
             if by_unit is not None:
                 by_unit[m, :, j] = prod.sum(axis=0)
-    return by_pair, by_unit
+        end += t - k
 
 
 def pairwise_cross_moment(x_seq, y_seq) -> tuple[float, float]:

@@ -54,6 +54,16 @@ class BalancedPanel:
     cluster_id : tuple of str
         One cluster label per unit, used by cluster-robust inference.
         Defaults to the unit labels themselves.
+
+    A panel is never changed after construction, so it keeps what its
+    estimates share in a private memo: the two-way fit of a treatment and
+    an outcome under a set of covariates (their two-way residuals and the
+    treatment's sum of squares), the fit of a treatment alone that
+    ``causal_weights`` reads, and the full period-pair sweep of a
+    covariate-free fit (see :mod:`twfekit.estimators`).  The kept arrays
+    are read-only, and at most four entries are kept, the oldest dropped
+    first.  Each entry is always computed the same way, so no result
+    depends on which estimates ran before.
     """
 
     units: tuple[str, ...]
@@ -104,6 +114,8 @@ class BalancedPanel:
                 f"cluster_id has {len(cluster)} entries for {n} units"
             )
         object.__setattr__(self, "cluster_id", cluster)
+        # the fits and sweeps the estimates share; see estimators._kept
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n_units(self) -> int:

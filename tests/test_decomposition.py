@@ -343,12 +343,13 @@ class TestVerifyEquivalence:
 
     def test_one_moment_sweep_same_numbers(self, rng, monkeypatch):
         panel = random_panel(rng, 30, 9, dist="heavy")
+        calls = _count_sweeps(monkeypatch)
         by_gap = fd_decomposition(panel, "y", "x")
         by_pair = pairwise_decomposition(panel, "y", "x")
-        calls = _count_sweeps(monkeypatch)
         report = verify_equivalence(panel, "y", "x")
-        # one sweep of the residuals (x·y and x·x) forms the by-unit and
-        # the by-pair sums, which feed both decompositions
+        # one sweep of the residuals (x·y and x·x), kept on the panel, forms
+        # the by-unit and the by-pair sums, which feed both decompositions
+        # and the check
         assert calls == [(None, ["pair", "unit"])]
         assert report.fd_aggregate == by_gap.aggregate
         assert report.pairwise_aggregate == by_pair.aggregate
@@ -379,25 +380,35 @@ def _count_sweeps(monkeypatch) -> list:
 
 def test_pair_moment_sweeps_per_estimator(rng, monkeypatch):
     # the full-range lemma leaves twfe and generalized_twfe no pair sweep;
-    # every other estimate makes one, over only the gaps it reads, forming
-    # only the sums it reads: by unit for pooled gaps and the by-gap
-    # decomposition, by pair for the by-pair decomposition
-    panel = random_panel(rng, 30, 9, dist="heavy")
+    # the two decompositions and the equivalence check share one full
+    # sweep, kept on the panel, whichever runs first; fd and gap_restricted
+    # sweep only the gaps they read, forming only the by-unit sums, on
+    # every call
     calls = _count_sweeps(monkeypatch)
     assert not hasattr(generalized, "pair_moments")
-    for call, sweeps in (
-        (lambda: twfe(panel, "y", "x", se=True), []),
-        (lambda: generalized_twfe(panel, "y", "x", se=True), []),
-        (lambda: fd(panel, "y", "x", 2, se=True), [([2], ["unit"])]),
-        (lambda: fd(panel, "y", "x", 8), [([8], ["unit"])]),
-        (lambda: gap_restricted(panel, "y", "x", GapRange(1, 3), se=True),
-         [([1, 2, 3], ["unit"])]),
-        (lambda: gap_restricted(panel, "y", "x", GapRange(4, 8)),
-         [([4, 5, 6, 7, 8], ["unit"])]),
-        (lambda: fd_decomposition(panel, "y", "x"), [(None, ["unit"])]),
-        (lambda: pairwise_decomposition(panel, "y", "x"),
-         [(None, ["pair"])]),
-    ):
-        calls.clear()
-        call()
-        assert calls == sweeps
+    full = [(None, ["pair", "unit"])]
+    decompositions = (
+        lambda panel: fd_decomposition(panel, "y", "x"),
+        lambda panel: pairwise_decomposition(panel, "y", "x"),
+        lambda panel: verify_equivalence(panel, "y", "x"),
+    )
+    for first in range(len(decompositions)):
+        panel = random_panel(rng, 30, 9, dist="heavy")
+        for decompose in decompositions[first:] + decompositions[:first]:
+            calls.clear()
+            decompose(panel)
+            assert calls == (full if decompose is decompositions[first] else [])
+        for call, sweeps in (
+            (lambda: twfe(panel, "y", "x", se=True), []),
+            (lambda: generalized_twfe(panel, "y", "x", se=True), []),
+            (lambda: fd(panel, "y", "x", 2, se=True), [([2], ["unit"])]),
+            (lambda: fd(panel, "y", "x", 2), [([2], ["unit"])]),
+            (lambda: fd(panel, "y", "x", 8), [([8], ["unit"])]),
+            (lambda: gap_restricted(panel, "y", "x", GapRange(1, 3), se=True),
+             [([1, 2, 3], ["unit"])]),
+            (lambda: gap_restricted(panel, "y", "x", GapRange(4, 8)),
+             [([4, 5, 6, 7, 8], ["unit"])]),
+        ):
+            calls.clear()
+            call()
+            assert calls == sweeps

@@ -223,17 +223,19 @@ class TestTheorem2Audit:
         # together, up to AUDIT_PROJECTION_VALUES values per array, never
         # one fit per (gap, start) cell; the two-way residuals of x and y
         # add a fixed number of calls outside the gap loop
-        kernel = numerics.project_cells
         calls = []
 
-        def counted_in(module):
-            def counted(varying, targets, shared=None):
+        def counted_in(module, name):
+            kernel = getattr(numerics, name)
+
+            def counted(varying, targets, *args):
                 calls.append((module, np.shape(varying)[1]))
-                return kernel(varying, targets, shared)
+                return kernel(varying, targets, *args)
             return counted
 
-        for module in (diagnostics, estimators):
-            monkeypatch.setattr(module, "project_cells", counted_in(module))
+        for module, name in ((diagnostics, "_project_in_place"),
+                             (estimators, "project_cells")):
+            monkeypatch.setattr(module, name, counted_in(module, name))
         budget = diagnostics.AUDIT_PROJECTION_VALUES
         n = 50
         other_calls = []

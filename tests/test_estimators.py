@@ -6,6 +6,7 @@ import twfekit.estimators
 from helpers import ADVERSARIAL_KINDS, adversarial_panel, make_panel, random_panel
 from twfekit import (
     NoIdentifyingVariation,
+    causal_weights,
     fd,
     pairwise_decomposition,
     twfe,
@@ -113,6 +114,46 @@ class TestTwfe:
         monkeypatch.setattr(twfekit.estimators, "project_cells", counted)
         twfe(panel, "y", "x", ["w"])
         assert targets == [(2, 1, 40)]
+
+
+class TestKeptFits:
+    def test_one_fit_per_key(self, rng, monkeypatch):
+        # every estimate of y on x under one covariate set reads one fit
+        # kept on the panel; causal_weights fits x alone, under its own key
+        panel = random_panel(rng, 8, 5, extra_series=("w",))
+        original = twfekit.estimators._residuals
+        fits = []
+
+        def counted(panel, names, covariates=None):
+            fits.append((tuple(names), tuple(covariates or ())))
+            return original(panel, names, covariates)
+
+        monkeypatch.setattr(twfekit.estimators, "_residuals", counted)
+        for _ in range(2):
+            twfe(panel, "y", "x", se=True)
+            twfe(panel, "y", "x", [])
+            fd(panel, "y", "x", 2)
+            pairwise_decomposition(panel, "y", "x")
+            twfe(panel, "y", "x", ["w"])
+            causal_weights(panel, "y", "x", ["w"])
+        assert fits == [(("x", "y"), ()), (("x", "y"), ("w",)), (("x",), ("w",))]
+
+    def test_at_most_four_kept_oldest_dropped_first(self, rng):
+        panel = random_panel(rng, 8, 5, extra_series=tuple("abcde"))
+        for name in "abcde":
+            twfe(panel, "y", "x", [name])
+        assert [key[-1] for key in panel._memo] == [("b",), ("c",), ("d",), ("e",)]
+
+    def test_kept_arrays_are_read_only(self, rng):
+        panel = random_panel(rng, 8, 5, extra_series=("w",))
+        pairwise_decomposition(panel, "y", "x")
+        report = causal_weights(panel, "y", "x", ["w"])
+        with pytest.raises(ValueError, match="read-only"):
+            report.r[0, 0] = 1.0
+        kept = [part for value in panel._memo.values() for part in value
+                if isinstance(part, np.ndarray)]
+        assert len(kept) == 4
+        assert not any(part.flags.writeable for part in kept)
 
 
 class TestFd:

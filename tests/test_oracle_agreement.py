@@ -3,7 +3,8 @@ references in ``oracles``, on panels chosen to stress the arithmetic."""
 
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -623,56 +624,143 @@ def _masses(report):
     return report.total_mass, report.negative_mass
 
 
+def _traced_peak(call, arg):
+    """The peak of ``call(arg)``'s traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        call(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_no_units_by_pairs_allocation():
     # Neither the kernel, the SE path, the audit nor the causal weights'
     # masses may build an array with one entry per unit and period pair
-    # (or per stacked row).
-    # numpy >= 2 imports numpy.ma on its first median (generalized_twfe's
-    # control centring): about 1 MB of module objects, once per process,
-    # not an array of any call
-    import numpy.ma  # noqa: F401
-
-    rng = np.random.default_rng(3)
+    # (or per stacked row).  Each call gets its own panel and simulation,
+    # so that none reads a fit or sweep an earlier call left on a panel.
     n, t = 500, 60
-    panel = make_panel(
-        {
-            "y": rng.normal(size=(n, t)),
-            "x": rng.normal(size=(n, t)),
-            "w": rng.normal(size=(n, t)),
-            "g": np.repeat(rng.normal(size=(n, 1)), t, axis=1),
-        },
-        cluster=[f"state{i % 50}" for i in range(n)],
-    )
-    presample = make_panel({"w": rng.normal(size=(n, 12))}, first_period=-11)
+
+    def inputs():
+        rng = np.random.default_rng(3)
+        panel = make_panel(
+            {
+                "y": rng.normal(size=(n, t)),
+                "x": rng.normal(size=(n, t)),
+                "w": rng.normal(size=(n, t)),
+                "g": np.repeat(rng.normal(size=(n, 1)), t, axis=1),
+            },
+            cluster=[f"state{i % 50}" for i in range(n)],
+        )
+        presample = make_panel({"w": rng.normal(size=(n, 12))},
+                               first_period=-11)
+        sim = simulate(scenario_preset("time_varying_delta", n_units=n,
+                                       n_periods=t))
+        return SimpleNamespace(panel=panel, presample=presample, sim=sim)
+
     spec = CovariateSpec(
         time_invariant=("g",),
         differenced=("w",),
         pre_period=(PretrendConfig("w", -12, -3),),
     )
-    sim = simulate(scenario_preset("time_varying_delta", n_units=n,
-                                   n_periods=t))
     units_by_pairs = n * t * (t - 1) // 2 * 8
+
+    def pairwise(a):
+        return pairwise_decomposition(a.sim.panel, "y", "x")
+
+    def weights(a):
+        return _masses(causal_weights(a.sim.panel, "y", "x", ["w"]))
+
     calls = (
-        lambda: theorem2_audit(sim, ["w"]),
-        lambda: generalized_twfe(panel, "y", "x", se=True),
-        lambda: generalized_twfe(panel, "y", "x", spec, presample=presample,
+        lambda a: theorem2_audit(a.sim, ["w"]),
+        lambda a: generalized_twfe(a.panel, "y", "x", se=True),
+        lambda a: generalized_twfe(a.panel, "y", "x", spec,
+                                   presample=a.presample, se=True),
+        lambda a: twfe(a.panel, "y", "x", se=True),
+        lambda a: fd(a.panel, "y", "x", 1, se=True),
+        lambda a: gap_restricted(a.panel, "y", "x", GapRange(1, t - 1),
                                  se=True),
-        lambda: twfe(panel, "y", "x", se=True),
-        lambda: fd(panel, "y", "x", 1, se=True),
-        lambda: gap_restricted(panel, "y", "x", GapRange(1, t - 1), se=True),
-        lambda: fd_decomposition(panel, "y", "x"),
-        lambda: pairwise_decomposition(panel, "y", "x"),
-        lambda: _masses(causal_weights(panel, "y", "x")),
-        lambda: _masses(causal_weights(sim.panel, "y", "x", ["w"])),
+        lambda a: fd_decomposition(a.panel, "y", "x"),
+        lambda a: pairwise_decomposition(a.panel, "y", "x"),
+        lambda a: _masses(causal_weights(a.panel, "y", "x")),
+        weights,
     )
     for call in calls:
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < units_by_pairs / 2
+        assert _traced_peak(call, inputs()) < units_by_pairs / 2
+    # after a cold by-gap decomposition and audit, the by-pair
+    # decomposition reads the fit and sweep the panel kept, and a repeated
+    # causal_weights its own fit: both peak below their cold calls
+    cold, warm = inputs(), inputs()
+    fd_decomposition(warm.sim.panel, "y", "x")
+    theorem2_audit(warm.sim, ["w"])
+    weights(warm)
+    for call in (pairwise, weights):
+        assert _traced_peak(call, warm) < _traced_peak(call, cold)
+
+
+def _bits(value):
+    """``value`` as a comparable tuple of exact bits, field by field."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    if is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in fields(value))
+    return repr(value)
+
+
+def _memo_reads(covariates):
+    """One call per estimate that reads a panel's kept fits and sweeps,
+    each taking a simulation and returning its result's bits (or its
+    error's text)."""
+    spec = CovariateSpec(differenced=tuple(covariates or ()))
+
+    def weights(panel):
+        report = causal_weights(panel, "y", "x", covariates)
+        return report.r, report.total_mass, report.negative_mass
+
+    reads = {
+        "twfe": lambda p: twfe(p, "y", "x", covariates, se=True),
+        "fd": lambda p: fd(p, "y", "x", 1, se=True),
+        "gap_restricted": lambda p: gap_restricted(
+            p, "y", "x", GapRange(1, p.n_periods - 1), se=True),
+        "fd_decomposition": lambda p: fd_decomposition(p, "y", "x"),
+        "pairwise_decomposition": lambda p: pairwise_decomposition(p, "y", "x"),
+        "verify_equivalence": lambda p: verify_equivalence(p, "y", "x"),
+        "generalized_twfe": lambda p: generalized_twfe(p, "y", "x", spec,
+                                                       se=True),
+        "causal_weights": weights,
+    }
+
+    def guarded(call):
+        def read(sim):
+            try:
+                return _bits(call(sim))
+            except NoIdentifyingVariation as exc:
+                return str(exc)
+        return read
+
+    calls = {name: guarded(lambda sim, call=call: call(sim.panel))
+             for name, call in reads.items()}
+    calls["theorem2_audit"] = guarded(
+        lambda sim: theorem2_audit(sim, covariates))
+    return calls
+
+
+@pytest.mark.parametrize("covariates", [None, ["w"]])
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
+def test_memo_leaves_no_trace_of_call_order(kind, covariates):
+    # every estimate on a panel that every other estimate has already read
+    # is, to the bit, the same estimate on a panel of its own, whichever
+    # order the others ran in
+    calls = _memo_reads(covariates)
+    fresh = {name: call(_adversarial_sim(kind)) for name, call in calls.items()}
+    for order in (list(calls), list(calls)[::-1]):
+        sim = _adversarial_sim(kind)
+        for name in order:
+            calls[name](sim)
+        for name in order:
+            assert calls[name](sim) == fresh[name], name
 
 
 def _near_additive(scale):
