@@ -321,10 +321,12 @@ def causal_weights(
     ``T * sum(r**2)``: each unit's residuals sum to zero over its periods, so
     its changes give ``T`` times its ``sum(x * r)``, and ``x - r`` is
     orthogonal to ``r``.  The report keeps ``x`` and ``r`` and forms the
-    weights when they are read.  ``y`` is read and checked, as by every
-    estimate; it does not enter the weights.
+    weights when they are read.  ``r`` is the ``x`` residual of the two-way
+    fit of ``y`` on ``x`` that :func:`~twfekit.estimators.twfe` reads, so
+    ``y`` is fitted with ``x`` and checked, as by every estimate, though it
+    does not enter the weights.
     """
-    r, _, den, _ = _twfe_fit(panel, y, x, covariates, slope=False)
+    r, _, den, _ = _twfe_fit(panel, y, x, covariates)
     return CausalWeightReport(
         x=panel.values(x), r=r, denominator=panel.n_periods * den,
         periods=panel.periods,
@@ -348,7 +350,7 @@ def _projected_drifts(cells: np.ndarray):
     reached, as long as their cells fit :data:`AUDIT_PROJECTION_VALUES`
     together; a gap with more has its own.  Each group's stack of changes
     is built for its projection alone, so ``numerics._project_in_place``
-    sweeps it in place, under ``project_cells``' default tolerances."""
+    sweeps it in place, under ``numerics._default_tol``'s tolerances."""
     n_periods, n = cells.shape[1:]
     k = 1
     while k < n_periods:
@@ -406,8 +408,8 @@ def theorem2_audit(
 
     One loop over gaps accumulates every term.  With covariates, the
     treatment change of every (gap, start) cell is projected onto its
-    covariate changes by the sweep of
-    :func:`~twfekit.numerics.project_cells`, which drops a covariate
+    covariate changes by the sweep of the package's one projection,
+    ``numerics._project_in_place``, which drops a covariate
     collinear with earlier ones in a cell.  The loop reads each gap's
     residuals from :func:`_projected_drifts`, which decides the
     groups: the cells of consecutive gaps share one call, made when the

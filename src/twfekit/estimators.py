@@ -44,10 +44,6 @@ reads of a covariate-free fit share one full ``pair_moments`` sweep.  A
 panel keeps at most ``_KEPT`` entries, dropping the oldest first, and only
 arrays a call returns or keeps.  Each key is always computed by the same
 code, so a result never depends on which estimates ran before it.
-``causal_weights`` fits ``x`` alone, under its own key: with covariates,
-projecting ``y`` alongside moves the last bits of ``x``'s residual once the
-panel holds more than 8192 values (the projection's ``einsum`` sums that
-many in other bits for two targets than for one).
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ import numpy as np
 
 from .errors import NoIdentifyingVariation
 from .inference import cluster_robust_se
-from .numerics import pair_moments, project_cells
+from .numerics import _default_tol, _project_in_place, pair_moments
 from .panel import BalancedPanel, _integer
 
 #: A variation at most this multiple of its reference (see above) is zero.
@@ -118,8 +114,12 @@ def _residuals(panel: BalancedPanel, names, covariates=None) -> np.ndarray:
     if not covariates:
         return stack
     controls = np.stack([_two_way(panel.values(c)).ravel() for c in covariates])
-    residuals, _ = project_cells(controls[:, None], stack.reshape(len(names), 1, -1))
-    return residuals.reshape(stack.shape)
+    controls = controls[:, None]
+    _project_in_place(
+        controls, stack.reshape(len(names), 1, -1), _default_tol(controls),
+        np.empty(controls.shape[1:]),
+    )
+    return stack
 
 
 def two_way_residual(
@@ -186,27 +186,21 @@ def _kept(panel: BalancedPanel, key, compute):
 
 def _twfe_fit(
     panel: BalancedPanel, y: str, x: str, covariates=None,
-    where: str = "after the two-way transformation", slope: bool = True,
+    where: str = "after the two-way transformation",
 ):
     """``(rx, ry, den, beta)``: the two-way residuals of ``x`` and ``y``, the
     slope's denominator ``sum(rx**2)`` and the slope, the residuals and
     denominator kept on the panel under ``(x, y, covariates)``.  The one
     rule-1 check (see the module docstring) is made here; ``where`` ends its
-    message.  With ``slope=False`` only ``x`` is fitted, under the key
-    ``(x, covariates)``, and ``ry`` and ``beta`` are ``None``; ``y`` is
-    still read, so an unknown name raises as before."""
-    names = (x, y) if slope else (x,)
+    message."""
     covariates = tuple(covariates or ())
 
     def fit():
-        stack = _residuals(panel, names, covariates)
+        stack = _residuals(panel, (x, y), covariates)
         return stack, float(np.sum(stack[0] * stack[0]))
 
-    panel.values(y)
-    stack, den = _kept(panel, ("fit", names, covariates), fit)
+    stack, den = _kept(panel, ("fit", (x, y), covariates), fit)
     _require_variation(den, panel, x, where)
-    if not slope:
-        return stack[0], None, den, None
     rx, ry = stack
     return rx, ry, den, float(np.sum(rx * ry)) / den
 
@@ -299,16 +293,21 @@ def twfe_multivariate(
         raise ValueError("need at least one regressor")
     n, t = panel.n_units, panel.n_periods
     rows = _residuals(panel, names + [y]).reshape(len(names) + 1, n * t)
-    # one C-contiguous column per regressor: the products' roundoff
-    # depends on the layout
-    design, target = np.ascontiguousarray(rows[:-1].T), rows[-1]
+    # one C-contiguous column per regressor, a copy: the products' roundoff
+    # depends on the layout, and the drop check below overwrites the rows
+    design, target = rows[:-1].T.copy(), rows[-1]
     # each regressor's own variation, judged as twfe judges it: the drop
     # rule below is relative to the largest column, so it keeps a lone
     # column of roundoff
     for name, column in zip(names, design.T):
         _require_variation(float(column @ column), panel, name)
-    # the drop rule alone, as one projection cell with no targets
-    _, (kept,) = project_cells(design.T[:, None], np.empty((0, 1, n * t)))
+    # the drop rule alone, as one projection cell with no targets, on the
+    # regressors' rows, which nothing reads again
+    columns = rows[:-1, None]
+    (kept,) = _project_in_place(
+        columns, np.empty((0, 1, n * t)), _default_tol(columns),
+        np.empty((1, n * t)),
+    )
     if not kept.all():
         bad = ", ".join(f"'{names[j]}'" for j in np.flatnonzero(~kept))
         raise NoIdentifyingVariation(

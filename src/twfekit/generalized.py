@@ -28,8 +28,8 @@ collinear group; each component names the controls its pair dropped.  The
 intercept and the time-invariant columns, the same in every pair, are swept
 once per call and, projection being linear, taken out of the period levels
 rather than out of every pair's changes.  The pairs of one gap are then
-residualized on their other controls together, by one call of the in-place
-core of ``numerics.project_cells``, on a stack in the call's one workspace.
+residualized on their other controls together, by one call of
+``numerics._project_in_place``, on a stack in the call's one workspace.
 """
 
 from __future__ import annotations

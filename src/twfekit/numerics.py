@@ -1,11 +1,11 @@
 """Dense least-squares primitives shared by the estimators.
 
-Every covariate fit in the package is a projection by ``project_cells``:
+Every covariate fit in the package is a projection by ``_project_in_place``:
 one call residualizes the targets of a stack of designs, such as the whole
 panel (one cell) or the period pairs of one gap (one cell per pair).
 
 Rank handling is the one delicate piece.  Pair-level regressions generate
-many small, often badly scaled designs, so ``project_cells`` never forms
+many small, often badly scaled designs, so the projection never forms
 normal equations.  Each design's columns are orthogonalized in index order
 (modified Gram-Schmidt, re-orthogonalized once); a column whose residual
 norm is at most ``RANK_TOL`` times the design's largest column norm is
@@ -14,20 +14,20 @@ declared dependent and dropped.  Because the sweep runs left to right, the
 keeps drop decisions deterministic and lets callers order columns by
 priority.
 
-``project_cells`` sweeps every column per design, vectorized across
+``_project_in_place`` sweeps every column per design, vectorized across
 designs.  Columns common to many designs are swept once by ``_sweep``; the
 caller takes the resulting basis out of its data by one product
-(Frisch-Waugh-Lovell) and hands ``project_cells`` only the other columns,
+(Frisch-Waugh-Lovell) and hands the projection only the other columns,
 with each design's tolerance.  Designs that disagree on a common column,
 since each takes ``RANK_TOL`` relative to its own largest column norm, get
 one basis per set of common columns they keep.
 
-``project_cells`` copies its inputs and leaves the caller's arrays as they
-were.  Its core, ``_project_in_place``, overwrites the two stacks it is
-handed and takes every product through one caller-supplied scratch; only a
-caller that owns its stacks, built for the call and read by nothing else
-until the sweep returns, may use it (``generalized_twfe``'s gap loop and
-``theorem2_audit``'s covariate split do).
+The projection overwrites the two stacks it is handed and takes every
+product through one caller-supplied scratch, so every caller owns its
+stacks: built for the call and read by nothing else until the sweep
+returns.  Each target's coefficients are its own product with the column,
+so a target's residual has the same bits whatever other targets share
+its call.
 """
 
 from __future__ import annotations
@@ -36,40 +36,6 @@ import numpy as np
 
 #: Relative tolerance for declaring a design column linearly dependent.
 RANK_TOL = 1e-10
-
-
-def project_cells(
-    varying: np.ndarray,
-    targets: np.ndarray,
-    tol: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of each cell's targets on that cell's retained columns.
-
-    Cell ``s`` of ``S`` has the design ``varying[:, s]``, with ``varying``
-    ``(m, S, n)``, column-major; ``targets`` is ``(r, S, n)``.  A column is
-    dropped when its residual norm is at most ``tol[s]``, by default
-    ``RANK_TOL`` times the cell's largest column norm (the rule of the
-    module docstring).  Returns the ``(r, S, n)`` residuals (the targets
-    themselves in an all-zero cell) and the ``(S, m)`` mask of the columns
-    each cell retains.  The sweep runs on C-contiguous copies, so the
-    inputs, read-only or not, are left unchanged; a caller that owns its
-    stacks may call the in-place core ``_project_in_place`` instead.
-    """
-    v, y = np.asarray(varying, dtype=float), np.asarray(targets, dtype=float)
-    if v.ndim != 3 or y.ndim != 3 or y.shape[1:] != v.shape[1:] or (
-        tol is not None and np.shape(tol) != v.shape[1:2]
-    ):
-        raise ValueError(
-            f"need varying (m, S, n), targets (r, S, n) and tol (S,), got "
-            f"shapes {v.shape}, {y.shape} and {np.shape(tol)}"
-        )
-    if tol is None:
-        tol = _default_tol(v)
-    residuals = y.copy()
-    retained = _project_in_place(
-        v.copy(), residuals, tol, np.empty(v.shape[1:])
-    )
-    return residuals, retained
 
 
 def _default_tol(varying: np.ndarray) -> np.ndarray:
@@ -85,16 +51,18 @@ def _project_in_place(
     tol: np.ndarray,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """``project_cells`` on stacks its caller owns, overwritten in place.
+    """Residuals of each cell's targets on that cell's retained columns,
+    formed in place on stacks the caller owns.
 
-    ``basis`` ``(m, S, n)`` is the cells' design on entry and their
-    orthonormalized columns (zero where dropped) on return; ``residuals``
-    ``(r, S, n)`` holds the targets on entry and their residuals on return;
-    both are C-contiguous.  ``tol`` is as ``project_cells``' (required;
-    ``_default_tol`` gives its default), and
-    the ``(S, n)`` ``scratch`` takes every product, so the sweep allocates
-    nothing of that size.  Returns the ``(S, m)`` retained mask; the bits
-    are those of ``project_cells``.
+    ``basis`` ``(m, S, n)`` is the cells' design on entry, column-major,
+    and their orthonormalized columns (zero where dropped) on return;
+    ``residuals`` ``(r, S, n)`` holds the targets on entry and their
+    residuals on return (the targets themselves in an all-zero cell); both
+    are C-contiguous.  Cell ``s`` drops a column whose residual norm is at
+    most ``tol[s]``; ``_default_tol`` gives the rule of the module
+    docstring.  The ``(S, n)`` ``scratch`` takes every product, so the
+    sweep allocates nothing of that size.  Returns the ``(S, m)`` mask of
+    the columns each cell retains.
     """
     m, s_count, _ = basis.shape
     retained = np.zeros((s_count, m), dtype=bool)
@@ -111,7 +79,8 @@ def _project_in_place(
         norm = np.sqrt(np.einsum("sn,sn->s", col, col))
         retained[:, j] = keep = norm > tol
         col *= np.divide(1.0, norm, out=np.zeros_like(norm), where=keep)[:, None]
-        for target, d in zip(residuals, np.einsum("rsn,sn->rs", residuals, col)):
+        for target in residuals:
+            d = np.einsum("sn,sn->s", target, col)
             target -= np.multiply(d[:, None], col, out=scratch)
     return retained
 

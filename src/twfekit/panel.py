@@ -15,7 +15,8 @@ import operator
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,26 +50,27 @@ class BalancedPanel:
     periods : tuple of int
         Consecutive integer time labels; column ``t`` of every series belongs
         to ``periods[t]``.
-    series : dict mapping name -> ndarray of shape (n_units, n_periods)
-        Finite float64 arrays, stored as read-only copies of those given.
+    series : read-only mapping name -> ndarray of shape (n_units, n_periods)
+        Finite float64 arrays, stored as read-only copies of those given;
+        assigning to it raises ``TypeError``.
     cluster_id : tuple of str
         One cluster label per unit, used by cluster-robust inference.
         Defaults to the unit labels themselves.
 
-    A panel is never changed after construction, so it keeps what its
+    A panel cannot be changed after construction, so it keeps what its
     estimates share in a private memo: the two-way fit of a treatment and
     an outcome under a set of covariates (their two-way residuals and the
-    treatment's sum of squares), the fit of a treatment alone that
-    ``causal_weights`` reads, and the full period-pair sweep of a
+    treatment's sum of squares) and the full period-pair sweep of a
     covariate-free fit (see :mod:`twfekit.estimators`).  The kept arrays
     are read-only, and at most four entries are kept, the oldest dropped
     first.  Each entry is always computed the same way, so no result
-    depends on which estimates ran before.
+    depends on which estimates ran before.  A pickled or copied panel is
+    built again through the constructor, with an empty memo.
     """
 
     units: tuple[str, ...]
     periods: tuple[int, ...]
-    series: dict[str, np.ndarray]
+    series: Mapping[str, np.ndarray]
     cluster_id: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
@@ -106,7 +108,7 @@ class BalancedPanel:
                 )
             arr.flags.writeable = False
             clean[name] = arr
-        object.__setattr__(self, "series", clean)
+        object.__setattr__(self, "series", MappingProxyType(clean))
         cluster = self.cluster_id if self.cluster_id else units
         cluster = tuple(str(c) for c in cluster)
         if len(cluster) != n:
@@ -116,6 +118,11 @@ class BalancedPanel:
         object.__setattr__(self, "cluster_id", cluster)
         # the fits and sweeps the estimates share; see estimators._kept
         object.__setattr__(self, "_memo", {})
+
+    def __reduce__(self):
+        return type(self), (
+            self.units, self.periods, dict(self.series), self.cluster_id
+        )
 
     @property
     def n_units(self) -> int:

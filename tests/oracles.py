@@ -15,10 +15,12 @@ loop over it as the references for ``generalized_twfe``, which takes the
 shared columns out of period levels, and ``pretrend_slopes_loop`` the former
 per-window pre-trend slopes.  ``ols``, ``fwl_residualize`` and
 ``independent_columns`` are the library's former dense least-squares path, a
-standalone Gram-Schmidt sweep plus lstsq, kept as the reference for
-``numerics.project_cells``.  ``load_panel_loop`` and ``write_weights_csv``
-keep the former row-by-row CSV loader and ``csv.writer`` weights rows as the
-references for the CSV loader and the weights writer.
+standalone Gram-Schmidt sweep plus lstsq, kept as the reference for the
+library's projection, which ``project_cells`` calls on copies of its inputs,
+as the library's former public wrapper did.  ``load_panel_loop`` and
+``write_weights_csv`` keep the former row-by-row CSV loader and
+``csv.writer`` weights rows as the references for the CSV loader and the
+weights writer.
 ``demean`` is the package's former public cross-sectional transform.
 ``exact_two_way`` and ``exact_pair_sums`` are the two-way residual and its
 pair-difference sums in exact rational arithmetic (``fractions``), the
@@ -45,7 +47,9 @@ from twfekit import (
 from twfekit.diagnostics import SimulatedPanel
 from twfekit.estimators import DEGENERACY_TOL, two_way_residual
 from twfekit.generalized import _time_invariant_column
-from twfekit.numerics import RANK_TOL, _sweep, pair_moments
+from twfekit.numerics import (
+    RANK_TOL, _default_tol, _project_in_place, _sweep, pair_moments,
+)
 from twfekit.panel import PanelSchema
 
 
@@ -750,6 +754,34 @@ def generalized_loop(panel, y, x, spec, k_min, k_max, scheme, presample=None):
     se = cluster_robust_se(unit_cross, unit_sq, panel.cluster_id)
     n_degenerate = sum(c[2] is None for c in components)
     return components, estimate, se, n_degenerate
+
+
+def project_cells(varying, targets, tol=None):
+    """The library's former ``numerics.project_cells``: its projection on
+    copies of the inputs, which it leaves unchanged.
+
+    Cell ``s`` of ``S`` has the design ``varying[:, s]``, with ``varying``
+    ``(m, S, n)``, column-major; ``targets`` is ``(r, S, n)``.  A column is
+    dropped when its residual norm is at most ``tol[s]``, by default
+    ``RANK_TOL`` times the cell's largest column norm.  Returns the
+    ``(r, S, n)`` residuals and the ``(S, m)`` mask of the columns each
+    cell retains.
+    """
+    v, y = np.asarray(varying, dtype=float), np.asarray(targets, dtype=float)
+    if v.ndim != 3 or y.ndim != 3 or y.shape[1:] != v.shape[1:] or (
+        tol is not None and np.shape(tol) != v.shape[1:2]
+    ):
+        raise ValueError(
+            f"need varying (m, S, n), targets (r, S, n) and tol (S,), got "
+            f"shapes {v.shape}, {y.shape} and {np.shape(tol)}"
+        )
+    if tol is None:
+        tol = _default_tol(v)
+    residuals = y.copy()
+    retained = _project_in_place(
+        v.copy(), residuals, tol, np.empty(v.shape[1:])
+    )
+    return residuals, retained
 
 
 def project_cells_shared(varying, targets, shared=None):

@@ -234,7 +234,7 @@ class TestTheorem2Audit:
             return counted
 
         for module, name in ((diagnostics, "_project_in_place"),
-                             (estimators, "project_cells")):
+                             (estimators, "_project_in_place")):
             monkeypatch.setattr(module, name, counted_in(module, name))
         budget = diagnostics.AUDIT_PROJECTION_VALUES
         n = 50

@@ -104,22 +104,22 @@ class TestTwfe:
         # x and y are partialled out of the covariates in one whole-panel
         # cell, so the covariates' drop decision is made once
         panel = random_panel(rng, 8, 5, extra_series=("w",))
-        original = twfekit.estimators.project_cells
+        original = twfekit.estimators._project_in_place
         targets = []
 
-        def counted(varying, target, shared=None):
-            targets.append(target.shape)
-            return original(varying, target, shared)
+        def counted(basis, residuals, *args):
+            targets.append(residuals.shape)
+            return original(basis, residuals, *args)
 
-        monkeypatch.setattr(twfekit.estimators, "project_cells", counted)
+        monkeypatch.setattr(twfekit.estimators, "_project_in_place", counted)
         twfe(panel, "y", "x", ["w"])
         assert targets == [(2, 1, 40)]
 
 
 class TestKeptFits:
     def test_one_fit_per_key(self, rng, monkeypatch):
-        # every estimate of y on x under one covariate set reads one fit
-        # kept on the panel; causal_weights fits x alone, under its own key
+        # every estimate of y on x under one covariate set, causal_weights
+        # included, reads one fit kept on the panel
         panel = random_panel(rng, 8, 5, extra_series=("w",))
         original = twfekit.estimators._residuals
         fits = []
@@ -136,7 +136,7 @@ class TestKeptFits:
             pairwise_decomposition(panel, "y", "x")
             twfe(panel, "y", "x", ["w"])
             causal_weights(panel, "y", "x", ["w"])
-        assert fits == [(("x", "y"), ()), (("x", "y"), ("w",)), (("x",), ("w",))]
+        assert fits == [(("x", "y"), ()), (("x", "y"), ("w",))]
 
     def test_at_most_four_kept_oldest_dropped_first(self, rng):
         panel = random_panel(rng, 8, 5, extra_series=tuple("abcde"))

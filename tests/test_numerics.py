@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twfekit
-from oracles import fwl_residualize, independent_columns, ols
+from oracles import fwl_residualize, independent_columns, ols, project_cells
 from twfekit import NoIdentifyingVariation, pairwise_cross_moment
-from twfekit.numerics import RANK_TOL, pair_moments, project_cells
+from twfekit.numerics import RANK_TOL, pair_moments
 
 def test_public_names():
     for name in twfekit.__all__:
@@ -291,6 +291,17 @@ class TestProjectCells:
             project_cells(*args)
             assert all(a.flags.writeable for a in args)
             assert [a.tobytes() for a in args] == before
+
+    def test_target_bits_do_not_depend_on_the_others(self, rng):
+        # each target's coefficients are its own product with the column,
+        # so a target's residual has the same bits alone as beside another,
+        # also past the 8192 values of numpy's iterator buffer
+        for n in (50, 30000):
+            varying = rng.normal(size=(2, 1, n))
+            targets = rng.normal(size=(2, 1, n))
+            alone, _ = project_cells(varying, targets[:1])
+            beside, _ = project_cells(varying, targets)
+            assert alone[0].tobytes() == beside[0].tobytes()
 
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="need varying"):

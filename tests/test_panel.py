@@ -1,4 +1,7 @@
+import copy
 import csv
+import dataclasses
+import pickle
 import re
 import warnings
 
@@ -23,6 +26,7 @@ from twfekit import (
     scenario_preset,
     simulate,
     simulate_replication,
+    twfe,
 )
 
 SCHEMA = PanelSchema(unit="unit", time="year")
@@ -89,6 +93,35 @@ class TestBalancedPanel:
         panel = random_panel(rng, 3, 3)
         with pytest.raises(ValueError):
             panel.values("y")[0, 0] = 1.0
+        # nor can a series be replaced under the fits the panel keeps
+        panel = random_panel(rng, 20, 5)
+        before = twfe(panel, "y", "x").beta
+        with pytest.raises(TypeError):
+            panel.series["x"] = panel.series["y"].copy()
+        with pytest.raises(TypeError):
+            del panel.series["x"]
+        assert twfe(panel, "y", "x").beta == before
+
+    def test_copies_are_rebuilt_with_an_empty_memo(self, rng):
+        panel = random_panel(rng, 20, 5, extra_series=("w",))
+        want = twfe(panel, "y", "x", ["w"], se=True)
+        assert panel._memo
+        for other in (pickle.loads(pickle.dumps(panel)), copy.deepcopy(panel)):
+            assert other._memo == {}
+            assert (other.units, other.periods, other.cluster_id) == (
+                panel.units, panel.periods, panel.cluster_id
+            )
+            assert list(other.series) == list(panel.series)
+            for name in panel.series:
+                assert not other.values(name).flags.writeable
+                assert other.values(name).tobytes() == panel.values(name).tobytes()
+            with pytest.raises(TypeError):
+                other.series["x"] = other.series["y"]
+            assert twfe(other, "y", "x", ["w"], se=True) == want
+        clusters = tuple(f"c{i % 4}" for i in range(20))
+        regrouped = dataclasses.replace(panel, cluster_id=clusters)
+        assert regrouped.cluster_id == clusters and regrouped._memo == {}
+        assert twfe(regrouped, "y", "x", ["w"]).beta == want.beta
 
     def test_unknown_series(self, rng):
         panel = random_panel(rng, 3, 3)
