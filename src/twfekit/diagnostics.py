@@ -15,6 +15,8 @@ changes it averages, and with what sample weights.  This module provides:
     an exact accounting that splits the fitted estimate into the
     causal-weighted sum of realized effects plus an untreated-trend term,
     and (with covariates) a further slope-heterogeneity bias component.
+    Its totals are read off per-unit running sums in O(N·T); only the
+    covariate bias split loops over gaps.
 
 Scenario presets
 ----------------
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -398,6 +399,51 @@ class Theorem2Audit:
     denominator: float
 
 
+def _before(values: np.ndarray) -> np.ndarray:
+    """Exclusive running sums down the periods of a period-major array:
+    row ``s`` is the sum of rows ``t < s``, and row 0 is zero."""
+    out = np.empty_like(values)
+    out[0] = 0.0
+    np.cumsum(values[:-1], axis=0, out=out[1:])
+    return out
+
+
+def _audit_totals(x, r, slope, base) -> tuple[float, float, float]:
+    """``(den, tau_sum, trend_sum)``: the audit's three sums over every
+    pair ``t < s`` of each unit, of ``dx·dr``, ``slope_s·dx·dr`` and
+    ``((slope_s − slope_t)·x_t + base_s − base_t)·dr``, ``d`` the change
+    from ``t`` to ``s``, from period-major ``(T, N)`` arrays in O(N·T).
+
+    With ``a`` the unit-demeaned ``x``, whose changes are those of ``x``,
+    and exclusive running sums ``A``, ``R`` and ``P`` of ``a``, ``r`` and
+    ``a·r``, a unit's pairs ending at ``s`` sum ``da·dr`` to
+    ``s·a_s·r_s − a_s·R_s − r_s·A_s + P_s``.  Over all of a unit's pairs,
+    ``Σ du·dr = T·Σ u·r − Σu·Σr``, and each unit's residuals sum to zero:
+    ``den`` and the baseline part of the trend are ``T·Σ ũ·r``, ``ũ`` the
+    unit-demeaned ``u``, which keeps unit offsets out of the products.  The
+    effect-drift part is that sum for ``u = c·x``, ``c`` the unit-demeaned
+    slope, less ``Σ c_s·da·dr``, since
+    ``(c_s − c_t)·x_t = c_s·x_s − c_t·x_t − c_s·(x_s − x_t)``.
+    """
+    t = len(x)
+    a = x - x.mean(axis=0)
+    ar = a * r
+    den = t * float(ar.sum())
+    # Σ_{t<s} da·dr, unit by unit, at each period s
+    pair = _before(ar)
+    pair -= a * _before(r)
+    pair -= r * _before(a)
+    ar *= np.arange(t, dtype=float)[:, None]
+    pair += ar
+    # products summed by np.sum, pairwise, not as a dot: the baseline part
+    # sums period effects against residuals that cancel across units
+    tau_sum = float((slope * pair).sum())
+    c = slope - slope.mean(axis=0)
+    drift = t * float((c * x * r).sum()) - float((c * pair).sum())
+    trend_sum = drift + t * float(((base - base.mean(axis=0)) * r).sum())
+    return den, tau_sum, trend_sum
+
+
 def theorem2_audit(
     sim: SimulatedPanel, covariates: Sequence[str] | None = None
 ) -> Theorem2Audit:
@@ -406,10 +452,12 @@ def theorem2_audit(
     Needs simulated data: the decomposition evaluates potential outcomes,
     which real panels do not carry.
 
-    One loop over gaps accumulates every term.  With covariates, the
-    treatment change of every (gap, start) cell is projected onto its
-    covariate changes by the sweep of the package's one projection,
-    ``numerics._project_in_place``, which drops a covariate
+    The denominator and the tau and trend sums, each over every unit's
+    period pairs, are read off per-unit running sums in O(N·T)
+    (:func:`_audit_totals`).  A loop over gaps serves only the bias split.
+    With covariates, the treatment change of every (gap, start) cell is
+    projected onto its covariate changes by the sweep of the package's one
+    projection, ``numerics._project_in_place``, which drops a covariate
     collinear with earlier ones in a cell.  The loop reads each gap's
     residuals from :func:`_projected_drifts`, which decides the
     groups: the cells of consecutive gaps share one call, made when the
@@ -429,10 +477,14 @@ def theorem2_audit(
     # twfe(panel, "y", "x", covariates)'s fit, whose x residual the
     # accounting uses
     r, _, _, estimate = _twfe_fit(panel, "y", "x", covariates)
-    xv, slope, base = panel.values("x"), sim.effect_slope, sim.baseline
-    t = panel.n_periods
+    # period-major copies: each gap's changes below are contiguous blocks
+    xT, rT, slopeT, baseT = (
+        np.ascontiguousarray(v.T)
+        for v in (panel.values("x"), r, sim.effect_slope, sim.baseline)
+    )
+    den, tau_sum, trend_sum = _audit_totals(xT, rT, slopeT, baseT)
 
-    drifts = repeat(None)
+    bias_sum = 0.0
     if covariates:
         # period-major two-way residuals of x and the covariates: each
         # gap's cells are contiguous (S, n) blocks for the projection, and
@@ -440,20 +492,7 @@ def theorem2_audit(
         cells = np.ascontiguousarray(
             _residuals(panel, ["x", *covariates]).transpose(0, 2, 1)
         )
-        drifts = _projected_drifts(cells)
-
-    den = tau_sum = trend_sum = bias_sum = 0.0
-    for k, drift in zip(range(1, t), drifts):
-        dr = r[:, k:] - r[:, :-k]
-        dx = xv[:, k:] - xv[:, :-k]
-        den += float(np.sum(dx * dr))
-        tau_sum += float(np.sum(slope[:, k:] * dx * dr))
-        # Untreated drift of the observation pair: how the potential outcome
-        # at the start-period treatment level moves from t to t+k.
-        trend = (slope[:, k:] - slope[:, :-k]) * xv[:, :-k]
-        trend += base[:, k:] - base[:, :-k]
-        trend_sum += float(np.sum(trend * dr))
-        if drift is not None:
+        for k, drift in zip(range(1, panel.n_periods), _projected_drifts(cells)):
             # Split the trend term: every (gap, start) cell's
             # treatment-on-covariate projection is compared with the pooled
             # (two-way) projection; cells whose projection drifts from the
@@ -461,8 +500,19 @@ def theorem2_audit(
             # projected minus pooled change: (change - drift) - (change - dr),
             # since the pooled projection of x is x less its residual r, up
             # to unit means, which cancel in period differences
-            np.subtract(dr.T, drift, out=drift)
-            bias_sum += float(np.einsum("is,si->", trend, drift))
+            dr = rT[k:] - rT[:-k]
+            np.subtract(dr, drift, out=drift)
+            # Untreated drift of the observation pair: how the potential
+            # outcome at the start-period treatment level moves from t to
+            # t+k.  Each change is formed before it is added, since the
+            # baseline may carry large unit offsets.
+            trend = slopeT[k:] - slopeT[:-k]
+            trend *= xT[:-k]
+            np.subtract(baseT[k:], baseT[:-k], out=dr)
+            trend += dr
+            bias_sum += float(np.vdot(trend, drift))
+            # freed before the next group's projection builds its stack
+            del dr, trend
 
     tau_weighted_sum = tau_sum / den
     trend_term = trend_sum / den

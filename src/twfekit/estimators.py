@@ -103,6 +103,18 @@ def _two_way(values: np.ndarray) -> np.ndarray:
     return w
 
 
+def _names(names, argument: str) -> tuple[str, ...]:
+    """``names``, a sequence of series names or ``None``, as a tuple; a
+    bare string, which would read as its characters, raises
+    :class:`TypeError` naming ``argument``."""
+    if isinstance(names, str):
+        raise TypeError(
+            f"{argument} must be a sequence of series names, not the string "
+            f"{names!r}; pass [{names!r}]"
+        )
+    return tuple(names or ())
+
+
 def _residuals(panel: BalancedPanel, names, covariates=None) -> np.ndarray:
     """Two-way residuals of the series ``names``, as one ``(m, N, T)`` stack.
 
@@ -110,6 +122,7 @@ def _residuals(panel: BalancedPanel, names, covariates=None) -> np.ndarray:
     partialled out of the covariates in one projection cell: the drop
     decision depends only on the covariates, so it is the same for all.
     """
+    covariates = _names(covariates, "covariates")
     stack = np.stack([_two_way(panel.values(name)) for name in names])
     if not covariates:
         return stack
@@ -193,7 +206,7 @@ def _twfe_fit(
     denominator kept on the panel under ``(x, y, covariates)``.  The one
     rule-1 check (see the module docstring) is made here; ``where`` ends its
     message."""
-    covariates = tuple(covariates or ())
+    covariates = _names(covariates, "covariates")
 
     def fit():
         stack = _residuals(panel, (x, y), covariates)
@@ -288,7 +301,7 @@ def twfe_multivariate(
     ``denominator`` reports the smallest eigenvalue of the normal-equation
     matrix.
     """
-    names = list(xs)
+    names = list(_names(xs, "xs"))
     if not names:
         raise ValueError("need at least one regressor")
     n, t = panel.n_units, panel.n_periods

@@ -42,7 +42,7 @@ import numpy as np
 
 from .decomposition import PairwiseDecomposition, _pair_decomposition
 from .errors import NoIdentifyingVariation, PanelError
-from .estimators import Estimate, _live, _pooled_gaps, _twfe_fit
+from .estimators import Estimate, _live, _names, _pooled_gaps, _twfe_fit
 from .inference import cluster_robust_se
 from .numerics import RANK_TOL, _project_in_place, _sweep
 from .panel import BalancedPanel, _integer
@@ -145,8 +145,8 @@ class CovariateSpec:
     pre_period: tuple[PretrendConfig, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "time_invariant", tuple(self.time_invariant))
-        object.__setattr__(self, "differenced", tuple(self.differenced))
+        for name in ("time_invariant", "differenced"):
+            object.__setattr__(self, name, _names(getattr(self, name), name))
         object.__setattr__(self, "pre_period", tuple(self.pre_period))
 
     @property

@@ -23,7 +23,8 @@ as the library's former public wrapper did.  ``load_panel_loop`` and
 weights writer.
 ``demean`` is the package's former public cross-sectional transform.
 ``exact_two_way`` and ``exact_pair_sums`` are the two-way residual and its
-pair-difference sums in exact rational arithmetic (``fractions``), the
+pair-difference sums in exact rational arithmetic (``fractions``), and
+``exact_audit_sums`` the audit's three totals as a rational pair loop: the
 references against which the library's floating-point sums are judged.
 """
 
@@ -362,6 +363,26 @@ def exact_pair_sums(a, b):
     }
 
 
+def exact_audit_sums(x, r, slope, base):
+    """``(den, tau_sum, trend_sum)`` of ``theorem2_audit``, exactly: over
+    every unit and period pair ``t < s``, the sums of ``dx·dr``,
+    ``slope_s·dx·dr`` and ``((slope_s − slope_t)·x_t + base_s − base_t)·dr``,
+    ``d`` the change from ``t`` to ``s``, with each float of the four
+    units x periods arrays read as the rational it is."""
+    den = tau_sum = trend_sum = Fraction(0)
+    rows = (np.asarray(v).tolist() for v in (x, r, slope, base))
+    for unit in zip(*rows):
+        xi, ri, ci, bi = ([Fraction(v) for v in row] for row in unit)
+        for s in range(len(xi)):
+            for t in range(s):
+                dr = ri[s] - ri[t]
+                dxdr = (xi[s] - xi[t]) * dr
+                den += dxdr
+                tau_sum += ci[s] * dxdr
+                trend_sum += ((ci[s] - ci[t]) * xi[t] + bi[s] - bi[t]) * dr
+    return den, tau_sum, trend_sum
+
+
 # ---------------------------------------------------------------------------
 # stacked-row inference reference: every differenced observation is one row
 
@@ -609,9 +630,10 @@ def simulate_loop(config):
 def audit_loop(sim, covariates=()):
     """``theorem2_audit`` fields computed with one ``ols`` call per cell.
 
-    The gap sums are formed exactly as the library forms them, so every
-    field but ``delta_bias_term`` (and ``residual_gap``, which depends on
-    it) is expected to match bit for bit.
+    The totals are gap-by-gap sums over every pair's changes, the library's
+    former loop; the library reads them off per-unit running sums, so they
+    agree to roundoff.  ``estimate`` is the same fit's and matches bit for
+    bit.
     """
     panel = sim.panel
     cov_list = list(covariates)

@@ -9,6 +9,9 @@ from twfekit import (
     causal_weights,
     fd,
     pairwise_decomposition,
+    scenario_preset,
+    simulate,
+    theorem2_audit,
     twfe,
     twfe_iv,
     twfe_multivariate,
@@ -154,6 +157,37 @@ class TestKeptFits:
                 if isinstance(part, np.ndarray)]
         assert len(kept) == 4
         assert not any(part.flags.writeable for part in kept)
+
+
+class TestSeriesNameLists:
+    # a bare string would be read as its characters, one series each
+    @pytest.mark.parametrize("call, argument", [
+        (lambda p: twfe(p, "y", "x", "emp"), "covariates"),
+        (lambda p: twfe(p, "y", "x", covariates="emp", se=True), "covariates"),
+        (lambda p: two_way_residual(p, "x", "emp"), "covariates"),
+        (lambda p: causal_weights(p, "y", "x", "emp"), "covariates"),
+        (lambda p: twfe_multivariate(p, "y", "emp"), "xs"),
+    ], ids=["twfe", "twfe-se", "two_way_residual", "causal_weights",
+            "twfe_multivariate"])
+    def test_bare_string_raises(self, rng, call, argument):
+        panel = random_panel(rng, 6, 4, extra_series=("emp", "e", "m", "p"))
+        with pytest.raises(TypeError, match=f"^{argument} .*'emp'"):
+            call(panel)
+        assert not panel._memo
+
+    def test_one_character_string_raises_in_the_audit(self):
+        sim = simulate(scenario_preset("time_varying_delta", n_units=10,
+                                       n_periods=4))
+        with pytest.raises(TypeError, match="^covariates .*'w'"):
+            theorem2_audit(sim, "w")
+        assert theorem2_audit(sim, ["w"]) == theorem2_audit(sim, ("w",))
+
+    def test_sequences_and_none_are_accepted(self, rng):
+        panel = random_panel(rng, 6, 4, extra_series=("w",))
+        assert twfe(panel, "y", "x", ("w",)) == twfe(panel, "y", "x", ["w"])
+        assert twfe(panel, "y", "x", None) == twfe(panel, "y", "x", [])
+        assert twfe_multivariate(panel, "y", ("x",)).beta == pytest.approx(
+            twfe_multivariate(panel, "y", ["x"]).beta, abs=0.0)
 
 
 class TestFd:

@@ -7,6 +7,9 @@ error on the reference side is the final rounding.  The library's values
 must agree to 1e-14 relative on panels that cost naive centring digits:
 unit offsets 1e4 times the within-unit variation (with t(2) tails, and at
 N=2 and T=2), plus random walks, which need no offset to be hard.
+``theorem2_audit``'s three totals are held to ``oracles.exact_audit_sums``,
+a rational pair loop, on simulations of the same kinds whose effect slope
+varies by period and whose baseline carries the same unit offsets as ``x``.
 """
 
 from fractions import Fraction
@@ -18,13 +21,16 @@ import pytest
 import oracles
 from helpers import make_panel
 from twfekit import (
+    DgpConfig,
     GapRange,
+    SimulatedPanel,
     causal_weights,
     fd,
     fd_decomposition,
     gap_restricted,
     generalized_twfe,
     pairwise_decomposition,
+    theorem2_audit,
     twfe,
 )
 from twfekit.estimators import two_way_residual
@@ -35,18 +41,19 @@ KINDS = ("offsets", "random walk", "N=2", "T=2")
 CASES = [(kind, seed) for kind in KINDS for seed in range(3)]
 
 
+def _draw(rng, kind, n, t):
+    if kind == "random walk":
+        return np.cumsum(rng.normal(size=(n, t)), axis=1)
+    return rng.standard_t(2, size=(n, t))
+
+
 def _panel(kind, seed):
     """A panel of at most 30 x 8 with ``y = 1.5 x + noise``."""
     rng = np.random.default_rng([seed, len(kind)])
     n, t = {"T=2": (9, 2), "N=2": (2, 6)}.get(kind, (30, 8))
 
-    def draw():
-        if kind == "random walk":
-            return np.cumsum(rng.normal(size=(n, t)), axis=1)
-        return rng.standard_t(2, size=(n, t))
-
-    x = draw()
-    series = {"x": x, "y": 1.5 * x + draw()}
+    x = _draw(rng, kind, n, t)
+    series = {"x": x, "y": 1.5 * x + _draw(rng, kind, n, t)}
     if kind != "random walk":
         for name in series:
             series[name] = series[name] + 1e4 * rng.normal(size=(n, 1))
@@ -137,3 +144,46 @@ def test_causal_weights_denominator(kind, seed):
     panel, (_, xx, _) = _case(kind, seed)
     got = causal_weights(panel, "y", "x").denominator
     assert _rel(got, sum(xx.values())) <= TOL
+
+
+def _audit_sim(kind, seed):
+    """A simulation of at most 30 x 8 with a covariate ``w``: its effect
+    slope rises by period and varies by unit, and ``x``, ``w`` and the
+    baseline carry unit offsets 1e4 times their within variation, but for
+    random walks."""
+    rng = np.random.default_rng([seed, len(kind), 19])
+    n, t = {"T=2": (9, 2), "N=2": (2, 6)}.get(kind, (30, 8))
+    x, w, base = (_draw(rng, kind, n, t) for _ in range(3))
+    if kind != "random walk":
+        x, w, base = (v + 1e4 * rng.normal(size=(n, 1)) for v in (x, w, base))
+    slope = 2.0 + 0.5 * np.arange(t) + rng.normal(size=(n, t))
+    panel = make_panel({"y": base + slope * x, "x": x, "w": w})
+    return SimulatedPanel(panel, DgpConfig(), base, slope)
+
+
+@pytest.mark.parametrize("covariates", [None, ["w"]], ids=["none", "w"])
+@pytest.mark.parametrize("kind,seed", CASES)
+def test_audit_totals(kind, seed, covariates):
+    sim = _audit_sim(kind, seed)
+    r = two_way_residual(sim.panel, "x", covariates)
+    den, tau_sum, trend_sum = oracles.exact_audit_sums(
+        sim.panel.values("x"), r, sim.effect_slope, sim.baseline
+    )
+    audit = theorem2_audit(sim, covariates)
+    assert _rel(audit.denominator, den) <= TOL
+    # the tau and trend sums may cancel (the effect drift times x's 1e4
+    # offsets does, across units): judge each against the sum of its pair
+    # terms' magnitudes, the most its roundoff can scale with
+    x, slope, base = sim.panel.values("x"), sim.effect_slope, sim.baseline
+    tau_scale = trend_scale = 0.0
+    for k in range(1, sim.panel.n_periods):
+        dr = r[:, k:] - r[:, :-k]
+        tau_scale += np.abs(slope[:, k:] * (x[:, k:] - x[:, :-k]) * dr).sum()
+        trend = (slope[:, k:] - slope[:, :-k]) * x[:, :-k] + (
+            base[:, k:] - base[:, :-k]
+        )
+        trend_scale += np.abs(trend * dr).sum()
+    got = audit.tau_weighted_sum
+    assert _rel(got, tau_sum / den, Fraction(tau_scale) / den) <= TOL
+    got = audit.trend_term
+    assert _rel(got, trend_sum / den, Fraction(trend_scale) / den) <= TOL

@@ -223,6 +223,13 @@ class TestPretrendCovariate:
 
 
 class TestGeneralizedTwfe:
+    @pytest.mark.parametrize("field", ["time_invariant", "differenced"])
+    def test_spec_rejects_a_bare_string(self, field):
+        # a string would be read as its characters, one control each
+        with pytest.raises(TypeError, match=f"^{field} .*'emp'"):
+            CovariateSpec(**{field: "emp"})
+        assert getattr(CovariateSpec(**{field: ["emp"]}), field) == ("emp",)
+
     def test_empty_spec_reduces_to_twfe(self, rng):
         for scheme in ("ssr", "raw"):
             for _ in range(6):
