@@ -344,14 +344,16 @@ AUDIT_PROJECTION_VALUES = 8192
 
 
 def _projected_drifts(cells: np.ndarray):
-    """Yield, for gaps ``k = 1, ..., T - 1`` in turn, the ``(T - k, N)``
-    residuals of each gap-``k`` cell's treatment change on its covariate
-    changes, from the period-major ``cells`` (x first).  It decides the
-    groups: consecutive gaps share one projection, made when the first is
-    reached, as long as their cells fit :data:`AUDIT_PROJECTION_VALUES`
-    together; a gap with more has its own.  Each group's stack of changes
-    is built for its projection alone, so ``numerics._project_in_place``
-    sweeps it in place, under ``numerics._default_tol``'s tolerances."""
+    """Yield, for gaps ``k = 1, ..., T - 1`` in turn, ``k`` and the
+    ``(T - k, N)`` residuals of each gap-``k`` cell's treatment change on
+    its covariate changes, from the period-major ``cells`` (x first).  It
+    decides the groups: consecutive gaps share one projection, made when
+    the first is reached, as long as their cells fit
+    :data:`AUDIT_PROJECTION_VALUES` together; a gap with more has its own.
+    Each group's stack of changes is built for its projection alone, so
+    ``numerics._project_in_place`` sweeps it in place, under
+    ``numerics._default_tol``'s tolerances, and is released before the next
+    group's is built, once the caller drops the residuals it was handed."""
     n_periods, n = cells.shape[1:]
     k = 1
     while k < n_periods:
@@ -374,8 +376,10 @@ def _projected_drifts(cells: np.ndarray):
         drift = changes[0]
         lo = 0
         for g in range(k, stop):
-            yield drift[lo : lo + n_periods - g]
+            yield g, drift[lo : lo + n_periods - g]
             lo += n_periods - g
+        # freed before the next group's stack is built
+        del changes, drift
         k = stop
 
 
@@ -492,7 +496,7 @@ def theorem2_audit(
         cells = np.ascontiguousarray(
             _residuals(panel, ["x", *covariates]).transpose(0, 2, 1)
         )
-        for k, drift in zip(range(1, panel.n_periods), _projected_drifts(cells)):
+        for k, drift in _projected_drifts(cells):
             # Split the trend term: every (gap, start) cell's
             # treatment-on-covariate projection is compared with the pooled
             # (two-way) projection; cells whose projection drifts from the
@@ -512,7 +516,7 @@ def theorem2_audit(
             trend += dr
             bias_sum += float(np.vdot(trend, drift))
             # freed before the next group's projection builds its stack
-            del dr, trend
+            del dr, trend, drift
 
     tau_weighted_sum = tau_sum / den
     trend_term = trend_sum / den

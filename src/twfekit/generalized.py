@@ -27,9 +27,10 @@ pre-trend, so the rank rule of ``numerics`` drops the later member of a
 collinear group; each component names the controls its pair dropped.  The
 intercept and the time-invariant columns, the same in every pair, are swept
 once per call and, projection being linear, taken out of the period levels
-rather than out of every pair's changes.  The pairs of one gap are then
-residualized on their other controls together, by one call of
-``numerics._project_in_place``, on a stack in the call's one workspace.
+rather than out of every pair's changes, up to the first that pairs decide
+differently.  The pairs of one gap are then residualized on the rest
+together, by one call of ``numerics._project_in_place``, on a stack in the
+call's one workspace.
 """
 
 from __future__ import annotations
@@ -138,6 +139,9 @@ class CovariateSpec:
         value at the earlier period) enters each pair's control set.
     ``pre_period``
         pre-period trend-slope controls, one per :class:`PretrendConfig`.
+
+    A field given as a bare string, or ``pre_period`` given as anything but
+    a sequence of :class:`PretrendConfig`, raises :class:`TypeError`.
     """
 
     time_invariant: tuple[str, ...] = ()
@@ -147,7 +151,17 @@ class CovariateSpec:
     def __post_init__(self):
         for name in ("time_invariant", "differenced"):
             object.__setattr__(self, name, _names(getattr(self, name), name))
-        object.__setattr__(self, "pre_period", tuple(self.pre_period))
+        configs = self.pre_period
+        if not isinstance(configs, (str, PretrendConfig)):
+            configs = tuple(configs)
+        if not isinstance(configs, tuple) or not all(
+            isinstance(config, PretrendConfig) for config in configs
+        ):
+            raise TypeError(
+                f"pre_period must be a sequence of PretrendConfig, got "
+                f"{self.pre_period!r}"
+            )
+        object.__setattr__(self, "pre_period", configs)
 
     @property
     def n_controls(self) -> int:
@@ -310,19 +324,20 @@ def _time_invariant_column(panel: BalancedPanel, name: str) -> np.ndarray:
     return values[:, 0].copy()
 
 
-def _raw_tolerances(workspace, rx, controls, pretrend, shared_max, gaps):
-    """Per gap of ``gaps``, from the raw changes, formed in ``workspace``:
+def _raw_tolerances(rx, controls, pretrend, shared_max, gaps):
+    """Per gap of ``gaps``, from the raw changes, formed in one buffer:
     each pair's drop tolerance, relative to its largest control column, and
     the plain pairwise decomposition's basis, the pair's squared changes of
     the (period, unit) x residual ``rx``."""
     raw = np.array([rx] + [v.T for v in controls], order="C")
     t_count, n = rx.shape
+    buffer = np.empty(len(raw) * (t_count - gaps[0]) * n)
     pretrend_norms = np.sqrt(np.einsum("pan,pan->ap", pretrend, pretrend))
     tols, raw_dens = [], []
     for k in gaps:
         changes = np.subtract(
             raw[:, k:], raw[:, :-k],
-            out=_leading(workspace, (len(raw), t_count - k, n)),
+            out=_leading(buffer, (len(raw), t_count - k, n)),
         )
         norms = np.sqrt(np.einsum("msn,msn->sm", changes[1:], changes[1:]))
         norms = np.hstack([norms, pretrend_norms[: t_count - k]])
@@ -335,25 +350,6 @@ def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     """The first values of the flat ``buffer``, as a C-contiguous ``shape``
     array."""
     return buffer[: prod(shape)].reshape(shape)
-
-
-def _per_cell(stack: np.ndarray, levels: list, cell: np.ndarray, k: int) -> None:
-    """Write the pairs of gap ``k`` into ``stack``, ``(r + p, S, N)``.
-
-    ``levels`` holds, per set of kept shared columns, the projected
-    ``(r, T, N)`` period levels to difference and the ``(p, A, N)``
-    pre-trend columns; cell ``s`` reads those of ``levels[cell[s]]``.
-    """
-    starts = stack.shape[1]
-    block, pre = levels[0]
-    r = len(block)
-    np.subtract(block[:, k:], block[:, :starts], out=stack[:r])
-    stack[r:] = pre[:, :starts]
-    # pairs that disagree on a shared column read their own group's levels
-    for g, (block, pre) in enumerate(levels[1:], 1):
-        s = np.flatnonzero(cell == g)
-        stack[:r, s] = block[:, s + k] - block[:, s]
-        stack[r:, s] = pre[:, s]
 
 
 def _row_medians(v: np.ndarray) -> np.ndarray:
@@ -373,6 +369,7 @@ def _pair_fits(resid, controls, pretrend, shared, gaps, weight_scheme, total):
     ``resid`` holds the (period, unit) two-way residuals of x and y,
     ``controls`` the (unit, period) values of the differenced controls,
     ``pretrend`` the ``(p, A, N)`` pre-trend slopes at the ``A`` anchors,
+    which it overwrites with their projection on the shared columns,
     ``shared`` the ``(N, c)`` columns of every pair and ``total`` the two-way
     variation that a pair's is a share of.  Returns, over the pairs of
     ``gaps`` in gap order, their start and end period indices, beta (NaN
@@ -381,61 +378,52 @@ def _pair_fits(resid, controls, pretrend, shared, gaps, weight_scheme, total):
     the SE.
     """
     t_count, n = resid[0].shape
-    # the series that pairs difference are held [series, period, unit], so
-    # that a gap's changes of a series are one contiguous (start, unit)
-    # block.  One workspace serves every gap: room for the stack of the
-    # widest gap, whose changes of the x and y residuals and of the
-    # differenced controls are followed by its pre-trend columns, and a
-    # (period, unit) scratch
-    rows = 2 + len(controls) + len(pretrend)
-    workspace = np.empty(rows * pretrend.shape[1] * n)
-    scratch = np.empty(t_count * n)
     tols, raw_dens = _raw_tolerances(
-        workspace, resid[0], controls, pretrend,
+        resid[0], controls, pretrend,
         float(np.sqrt(np.einsum("ij,ij->j", shared, shared)).max()), gaps,
     )
-    # the shared columns, swept once for every pair; pairs that disagree on
-    # one, by their tolerances, get one basis per kept set (usually one).
-    # Projection is linear, so each basis is taken out of the period levels
-    # rather than out of each pair's changes: once for the x and y
+    # the shared columns, swept once for every pair up to the first that
+    # pairs decide differently (usually none): projection is linear, so
+    # their basis is taken out of the period levels, held [series, period,
+    # unit], rather than out of each pair's changes, once for the x and y
     # residuals, twice for the control columns, as in the sweep.  A
     # control's levels are first centred on the unit's median value, so
     # that unit offsets cancel and one outlying period does not leave its
-    # scale in every level.  Rows are projected one at a time through the
-    # scratch, so that no level-sized temporary is allocated
-    groups = _sweep(shared, np.concatenate(tols))
-    group = np.empty(sum(map(len, tols)), dtype=np.intp)
+    # scale in every level.  Rows are projected one at a time through a
+    # (period, unit) scratch, so that no level-sized temporary is allocated
+    q, kept, rest = _sweep(shared, np.concatenate(tols))
     medians = [_row_medians(v) for v in controls]
-    levels = []
-    for g, (cells, q, _) in enumerate(groups):
-        group[cells] = g
-        block = np.array(
-            resid + [(v - m).T for v, m in zip(controls, medians)], order="C"
-        )
-        pre = pretrend.copy()
-        for part, passes in ((block[:2], 1), (block[2:], 2), (pre, 2)):
-            for row in part:
-                for _ in range(passes):
-                    row -= np.matmul(
-                        row @ q, q.T, out=_leading(scratch, row.shape)
-                    )
-        levels.append((block, pre))
+    levels = np.array(
+        resid + [(v - m).T for v, m in zip(controls, medians)], order="C"
+    )
+    scratch = np.empty(t_count * n)
+    for part, passes in ((levels[:2], 1), (levels[2:], 2), (pretrend, 2)):
+        for row in part:
+            for _ in range(passes):
+                row -= np.matmul(row @ q, q.T, out=_leading(scratch, row.shape))
+    # one workspace serves every gap: room for the stack of the widest gap,
+    # whose changes of the x and y residuals lead, then the other shared
+    # columns, which the projection decides per pair, the differenced
+    # controls' changes, each a contiguous (start, unit) block, and the
+    # pre-trend columns
+    split = 2 + rest.shape[1]
+    end = split + len(controls)
+    rows = end + len(pretrend)
+    workspace = np.empty(rows * pretrend.shape[1] * n)
 
     unit_cross = np.zeros(n)
     unit_sq = np.zeros(n)
     # per gap: start and end period indices, beta and weight basis
     columns = []
     retained = []
-    offset = 0
     for k, tol, raw_den in zip(gaps, tols, raw_dens):
-        # the pairs of gap k, one per start period, form one stack of cells,
-        # each differencing the levels projected on its kept shared columns;
-        # the x and y residuals' changes lead, then the controls
+        # the pairs of gap k, one per start period, form one stack of cells
         starts = t_count - k
-        cell = group[offset: offset + starts]
-        offset += starts
         stack = _leading(workspace, (rows, starts, n))
-        _per_cell(stack, levels, cell, k)
+        np.subtract(levels[:2, k:], levels[:2, :starts], out=stack[:2])
+        stack[2:split] = rest.T[:, None]
+        np.subtract(levels[2:, k:], levels[2:, :starts], out=stack[split:end])
+        stack[end:] = pretrend[:, :starts]
         products = _leading(scratch, (starts, n))
         retained.append(
             _project_in_place(stack[2:], stack[:2], tol, products)
@@ -454,10 +442,8 @@ def _pair_fits(resid, controls, pretrend, shared, gaps, weight_scheme, total):
             out=np.full(starts, np.nan), where=live,
         )
         columns.append((np.arange(starts), np.arange(k, t_count), beta, basis))
-    retained = np.hstack([
-        np.array([kept for _, _, kept in groups])[group],
-        np.concatenate(retained),
-    ])
+    retained = np.concatenate(retained)
+    retained = np.hstack([np.tile(kept, (len(retained), 1)), retained])
     pairs = [np.concatenate(column) for column in zip(*columns)]
     return pairs, retained, (unit_cross, unit_sq)
 
@@ -483,17 +469,18 @@ def generalized_twfe(
     ``dropped_controls`` column holds, per pair, the names of the controls
     it dropped as collinear (``"intercept"``, a series name, or
     ``"variable:start:end"`` for a pre-trend control).  The intercept and
-    time-invariant columns are taken out of the period levels once, and each
-    gap differences the projected levels, held period-major so that a gap's
-    changes are C-contiguous (start, unit) blocks.
+    time-invariant columns are taken out of the period levels once, as far
+    as every pair decides them alike, and each gap differences the
+    projected levels, held period-major so that a gap's changes are
+    C-contiguous (start, unit) blocks.
 
-    Memory: with ``m`` differenced and pre-trend controls and ``A = T -
-    k_min`` start periods of the shortest gap, every gap works in one
-    workspace of ``(m + 2)·A·N`` floats, allocated once per call, and one
-    ``T·N`` scratch; besides them the call holds the two-way residuals, the
-    pre-trend slopes and, per set of shared columns that pairs keep
-    (usually one), the projected levels: O((m + 2)·N·T) in all, never
-    anything per pair.
+    Memory: with ``m`` differenced and pre-trend controls, ``d`` shared
+    columns from the first that pairs decide differently (usually none) and
+    ``A = T - k_min`` start periods of the shortest gap, every gap works in
+    one workspace of ``(m + d + 2)·A·N`` floats, allocated once per call,
+    and one ``T·N`` scratch; besides them the call holds the two-way
+    residuals, the pre-trend slopes and one copy of the projected levels:
+    O((m + d + 2)·N·T) in all, never anything per pair.
 
     Each pre-trend variable in ``spec.pre_period`` must be in ``presample``,
     which must hold at least ``min_points`` (default: all) of the periods of

@@ -15,12 +15,13 @@ keeps drop decisions deterministic and lets callers order columns by
 priority.
 
 ``_project_in_place`` sweeps every column per design, vectorized across
-designs.  Columns common to many designs are swept once by ``_sweep``; the
-caller takes the resulting basis out of its data by one product
-(Frisch-Waugh-Lovell) and hands the projection only the other columns,
-with each design's tolerance.  Designs that disagree on a common column,
-since each takes ``RANK_TOL`` relative to its own largest column norm, get
-one basis per set of common columns they keep.
+designs.  Columns common to many designs are swept once by ``_sweep`` as
+far as every design takes the same decision; the caller takes that one
+basis out of its data by one product (Frisch-Waugh-Lovell) and hands the
+projection the other columns, with each design's tolerance.  Since each
+design takes ``RANK_TOL`` relative to its own largest column norm, designs
+can disagree on a common column: from the first such column on, the common
+columns join the projection's, which decides them per design.
 
 The projection overwrites the two stacks it is handed and takes every
 product through one caller-supplied scratch, so every caller owns its
@@ -85,30 +86,34 @@ def _project_in_place(
     return retained
 
 
-def _sweep(design: np.ndarray, tol: np.ndarray) -> list:
-    """The left-to-right sweep of ``design``'s columns under tolerances ``tol``.
+def _sweep(design: np.ndarray, tol: np.ndarray) -> tuple:
+    """The left-to-right sweep of ``design``'s columns as far as every
+    tolerance of ``tol`` takes the same decision.
 
-    A residual norm between two tolerances splits them, so the result is a
-    list of ``(indices into tol, (n, k) orthonormal basis, keep flags)``.
+    Returns ``(q, kept, rest)``: the ``(n, k)`` orthonormal basis of the
+    columns kept before the first column whose residual norm lies between
+    two tolerances, the keep flags of those columns, and the columns from
+    that one on, with ``q`` taken out twice as in the sweep (none when every
+    tolerance agrees on every column).
     """
-    groups = [(np.arange(tol.size), design[:, :0], [])]
+    q, kept = design[:, :0], []
     for j in range(design.shape[1]):
-        split = []
-        for cells, q, kept in groups:
-            col = design[:, j].copy()
-            # "Twice is enough": one re-orthogonalization pass recovers the
-            # digits plain Gram-Schmidt loses on near-dependent columns.
-            for _ in range(2 if q.shape[1] else 0):
-                col -= q @ (q.T @ col)
-            norm = float(np.linalg.norm(col))
-            keep = norm > tol[cells]
-            if keep.any():
-                basis = np.column_stack([q, col / norm])
-                split.append((cells[keep], basis, kept + [True]))
-            if not keep.all():
-                split.append((cells[~keep], q, kept + [False]))
-        groups = split
-    return groups
+        col = design[:, j].copy()
+        # "Twice is enough": one re-orthogonalization pass recovers the
+        # digits plain Gram-Schmidt loses on near-dependent columns.
+        for _ in range(2 if q.shape[1] else 0):
+            col -= q @ (q.T @ col)
+        norm = float(np.linalg.norm(col))
+        keep = norm > tol
+        if keep.all():
+            q = np.column_stack([q, col / norm])
+        elif keep.any():
+            break
+        kept.append(bool(keep[0]))
+    rest = design[:, len(kept):].copy()
+    for _ in range(2 if q.shape[1] else 0):
+        rest -= q @ (q.T @ rest)
+    return q, np.array(kept, dtype=bool), rest
 
 
 def pair_moments(

@@ -10,17 +10,17 @@ audit and the batched covariate-adjusted estimator,
 ``causal_weights_loop``, which keeps the library's former index-array build
 of the causal weights, and ``simulate_loop``, which keeps the former
 period-by-period build of a simulated panel.  ``project_cells_shared`` and
-``generalized_gap_loop`` keep the former shared-block kernel and the per-gap
-loop over it as the references for ``generalized_twfe``, which takes the
-shared columns out of period levels, and ``pretrend_slopes_loop`` the former
-per-window pre-trend slopes.  ``ols``, ``fwl_residualize`` and
-``independent_columns`` are the library's former dense least-squares path, a
-standalone Gram-Schmidt sweep plus lstsq, kept as the reference for the
-library's projection, which ``project_cells`` calls on copies of its inputs,
-as the library's former public wrapper did.  ``load_panel_loop`` and
-``write_weights_csv`` keep the former row-by-row CSV loader and
-``csv.writer`` weights rows as the references for the CSV loader and the
-weights writer.
+``generalized_gap_loop`` keep the former shared-block kernel, with its group
+sweep ``_sweep``, and the per-gap loop over it as the references for
+``generalized_twfe``, which takes the shared columns out of period levels,
+and ``pretrend_slopes_loop`` the former per-window pre-trend slopes.
+``ols``, ``fwl_residualize`` and ``independent_columns`` are the library's
+former dense least-squares path, a standalone Gram-Schmidt sweep plus
+lstsq, kept as the reference for the library's projection, which
+``project_cells`` calls on copies of its inputs, as the library's former
+public wrapper did.  ``load_panel_loop`` and ``write_weights_csv`` keep the
+former row-by-row CSV loader and ``csv.writer`` weights rows as the
+references for the CSV loader and the weights writer.
 ``demean`` is the package's former public cross-sectional transform.
 ``exact_two_way`` and ``exact_pair_sums`` are the two-way residual and its
 pair-difference sums in exact rational arithmetic (``fractions``), and
@@ -49,7 +49,7 @@ from twfekit.diagnostics import SimulatedPanel
 from twfekit.estimators import DEGENERACY_TOL, two_way_residual
 from twfekit.generalized import _time_invariant_column
 from twfekit.numerics import (
-    RANK_TOL, _default_tol, _project_in_place, _sweep, pair_moments,
+    RANK_TOL, _default_tol, _project_in_place, pair_moments,
 )
 from twfekit.panel import PanelSchema
 
@@ -806,6 +806,32 @@ def project_cells(varying, targets, tol=None):
     return residuals, retained
 
 
+def _sweep(design: np.ndarray, tol: np.ndarray) -> list:
+    """The left-to-right sweep of ``design``'s columns under tolerances ``tol``.
+
+    A residual norm between two tolerances splits them, so the result is a
+    list of ``(indices into tol, (n, k) orthonormal basis, keep flags)``.
+    """
+    groups = [(np.arange(tol.size), design[:, :0], [])]
+    for j in range(design.shape[1]):
+        split = []
+        for cells, q, kept in groups:
+            col = design[:, j].copy()
+            # "Twice is enough": one re-orthogonalization pass recovers the
+            # digits plain Gram-Schmidt loses on near-dependent columns.
+            for _ in range(2 if q.shape[1] else 0):
+                col -= q @ (q.T @ col)
+            norm = float(np.linalg.norm(col))
+            keep = norm > tol[cells]
+            if keep.any():
+                basis = np.column_stack([q, col / norm])
+                split.append((cells[keep], basis, kept + [True]))
+            if not keep.all():
+                split.append((cells[~keep], q, kept + [False]))
+        groups = split
+    return groups
+
+
 def project_cells_shared(varying, targets, shared=None):
     """The library's former ``numerics.project_cells``, whose cells share the
     leading design block ``shared``.
@@ -815,9 +841,12 @@ def project_cells_shared(varying, targets, shared=None):
     ``varying`` is ``(m, S, n)``, column-major.  ``targets`` is ``(r, S, n)``.
     Returns the ``(r, S, n)`` residuals (the targets themselves in an
     all-zero cell) and the ``(S, p0 + m)`` mask of the design columns each
-    cell retains.  The shared block is swept once and taken out of each
-    group of cells that keeps the same shared columns by one product; the
-    reference for ``generalized_twfe``, which takes it out of period levels.
+    cell retains.  The shared block is swept once, by the library's former
+    ``numerics._sweep``, which splits the cells into groups that keep the
+    same shared columns, and taken out of each group by one product; the
+    reference for ``generalized_twfe``, which takes one basis out of period
+    levels, of the shared columns every cell decides alike, and leaves the
+    rest to each cell's own sweep.
     """
     v, y = np.asarray(varying, dtype=float), np.asarray(targets, dtype=float)
     c = np.empty((v.shape[-1], 0)) if shared is None else np.asarray(shared, float)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -283,6 +284,30 @@ class TestTheorem2Audit:
             monkeypatch.setattr(diagnostics, "AUDIT_PROJECTION_VALUES", budget)
             audits.append(theorem2_audit(sim, covariates=["w", "v"]))
         assert audits[0] == audits[1] == audits[2]
+
+    def test_later_projections_start_no_higher(self, monkeypatch):
+        # each group's stack of changes is released before the next group's
+        # is built, so no later projection of the bias split starts with
+        # more traced memory than the first, whose stack is the widest (the
+        # 29 cells of gap 1 against at most 16 per later group)
+        cfg = scenario_preset("time_varying_delta", n_units=500,
+                              n_periods=30, seed=1)
+        sim = simulate(cfg)
+        kernel = diagnostics._project_in_place
+        starts = []
+
+        def recording(*args):
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(diagnostics, "_project_in_place", recording)
+        tracemalloc.start()
+        try:
+            theorem2_audit(sim, covariates=["w"])
+        finally:
+            tracemalloc.stop()
+        assert len(starts) > 2
+        assert max(starts[1:]) <= starts[0]
 
     def test_constant_tau_sum_is_exact(self):
         # with a constant effect slope, the weighted tau sum collapses to

@@ -230,6 +230,23 @@ class TestGeneralizedTwfe:
             CovariateSpec(**{field: "emp"})
         assert getattr(CovariateSpec(**{field: ["emp"]}), field) == ("emp",)
 
+    @pytest.mark.parametrize(
+        "pre_period",
+        ["w:-4:-2", PretrendConfig("w", -4, -2), ["w:-4:-2"],
+         (PretrendConfig("w", -4, -2), ("w", -4, -2))],
+        ids=["string", "lone config", "string entry", "tuple entry"],
+    )
+    def test_spec_rejects_pre_period_that_is_not_configs(self, pre_period):
+        # a string would be read as one entry per character, and a lone
+        # config is not a sequence of them
+        with pytest.raises(TypeError, match="^pre_period "):
+            CovariateSpec(pre_period=pre_period)
+
+    def test_spec_keeps_pre_period_configs(self):
+        configs = [PretrendConfig("w", -4, -2), PretrendConfig("v")]
+        assert CovariateSpec(pre_period=configs).pre_period == tuple(configs)
+        assert CovariateSpec().pre_period == ()
+
     def test_empty_spec_reduces_to_twfe(self, rng):
         for scheme in ("ssr", "raw"):
             for _ in range(6):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import twfekit
 from oracles import fwl_residualize, independent_columns, ols, project_cells
 from twfekit import NoIdentifyingVariation, pairwise_cross_moment
-from twfekit.numerics import RANK_TOL, pair_moments
+from twfekit.numerics import RANK_TOL, _sweep, pair_moments
 
 def test_public_names():
     for name in twfekit.__all__:
@@ -311,6 +312,69 @@ class TestProjectCells:
         with pytest.raises(ValueError, match="need varying"):
             project_cells(np.zeros((2, 4, 3)), np.zeros((1, 4, 3)),
                           np.zeros(3))
+
+
+class TestSweep:
+    """The shared columns' sweep, as far as every tolerance agrees, against
+    the former group sweep ``oracles._sweep``."""
+
+    def _design(self, rng, n=40):
+        # intercept, a column of norm ~1e-6 sqrt(n), a repeat of the
+        # intercept and an ordinary column
+        return np.column_stack([
+            np.ones(n), 1e-6 * rng.normal(size=n), 3.0 * np.ones(n),
+            rng.normal(size=n),
+        ])
+
+    def test_agreed_prefix_is_the_one_group(self, rng):
+        design = self._design(rng)
+        tol = np.full(5, RANK_TOL * np.sqrt(design.shape[0]))
+        q, kept, rest = _sweep(design, tol)
+        [(cells, want_q, want_kept)] = oracles._sweep(design, tol)
+        assert cells.tolist() == list(range(5))
+        assert kept.dtype == bool and kept.tolist() == want_kept
+        assert kept.tolist() == [True, True, False, True]
+        assert q.tobytes() == want_q.tobytes()
+        assert rest.shape == (design.shape[0], 0)
+
+    def test_agreed_columns_before_a_split(self, rng):
+        design = self._design(rng)
+        # the small column's norm lies between the tolerances
+        norm = np.linalg.norm(design[:, 1] - design[:, 1].mean())
+        tol = np.array([0.5, 2.0, 0.1]) * norm
+        q, kept, rest = _sweep(design, tol)
+        assert kept.tolist() == [True]
+        assert q.shape == (design.shape[0], 1)
+        assert q.tobytes() == (design[:, :1] / np.sqrt(40)).tobytes()
+        # the columns from the split on, the intercept taken out
+        assert rest.shape == (design.shape[0], 3)
+        assert np.abs(q.T @ rest).max() < 1e-14 * np.abs(design).max()
+        assert np.allclose(rest, design[:, 1:] - design[:, 1:].mean(axis=0),
+                           rtol=0, atol=1e-14)
+
+    def test_split_at_the_first_column(self, rng):
+        design = self._design(rng)
+        tol = np.array([0.5, 2.0]) * np.sqrt(design.shape[0])
+        q, kept, rest = _sweep(design, tol)
+        assert q.shape == (design.shape[0], 0) and kept.size == 0
+        assert kept.dtype == bool
+        assert rest.tobytes() == design.tobytes()
+        assert not np.shares_memory(rest, design)
+
+    def test_rest_decided_per_cell_as_the_groups(self, rng):
+        # the kernel's per-cell decisions on the rest give each cell the
+        # shared columns its former group kept
+        design = self._design(rng)
+        norm = np.linalg.norm(design[:, 1] - design[:, 1].mean())
+        tol = np.array([0.5, 2.0, 0.1, 3.0]) * norm
+        q, kept, rest = _sweep(design, tol)
+        varying = np.broadcast_to(rest.T[:, None], (rest.shape[1], tol.size,
+                                                    rest.shape[0]))
+        _, per_cell = project_cells(varying, np.zeros((1,) + varying.shape[1:]),
+                                    tol)
+        got = np.hstack([np.tile(kept, (tol.size, 1)), per_cell])
+        for cells, _, want in oracles._sweep(design, tol):
+            assert got[cells].tolist() == [want] * cells.size
 
 
 class TestPairMoments:

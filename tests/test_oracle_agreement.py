@@ -281,6 +281,31 @@ def _shared_block_disagreement():
     return panel, CovariateSpec(time_invariant=("g",), differenced=("v",))
 
 
+def _intercept_disagreement():
+    """A panel and spec whose pairs disagree on the intercept.
+
+    The differenced v is 1e12 larger in the last period, so a pair touching
+    it has a tolerance of order 1e2 sqrt(n), above the intercept's norm
+    sqrt(n), and drops the intercept; every other pair keeps it.
+    """
+    rng = np.random.default_rng(23)
+    n, t = 30, 6
+    v = rng.normal(size=(n, t))
+    v[:, -1] *= 1e12
+    panel = make_panel({
+        "y": rng.normal(size=(n, t)),
+        "x": rng.normal(size=(n, t)),
+        "v": v,
+    })
+    return panel, CovariateSpec(differenced=("v",))
+
+
+SHARED_DISAGREEMENTS = {
+    "shared disagreement": _shared_block_disagreement,
+    "intercept disagreement": _intercept_disagreement,
+}
+
+
 @pytest.mark.parametrize("scheme", ("ssr", "raw"))
 def test_generalized_cells_disagree_on_shared_block(scheme):
     panel, spec = _shared_block_disagreement()
@@ -291,8 +316,8 @@ def test_generalized_cells_disagree_on_shared_block(scheme):
 
 
 def test_generalized_split_cells_are_contiguous(monkeypatch):
-    # pairs that keep different shared columns read their changes through
-    # the per-cell gather, which hands the kernel contiguous stacks too
+    # a shared column that pairs disagree on joins each gap's stack, which
+    # the kernel receives C-contiguous, in the one workspace
     panel, spec = _shared_block_disagreement()
     original = twfekit.generalized._project_in_place
     layouts = []
@@ -322,13 +347,13 @@ def _bits(result):
 
 
 @pytest.mark.parametrize(
-    "kind", ADVERSARIAL_KINDS + ("shared disagreement", "two and two")
+    "kind", ADVERSARIAL_KINDS + tuple(SHARED_DISAGREEMENTS) + ("two and two",)
 )
 def test_generalized_in_place_matches_copies(kind, monkeypatch):
     # the in-place core reads no array that it or another gap overwrites:
     # a core that works on copies of its stacks gives the same bits
-    if kind == "shared disagreement":
-        (panel, spec), presample = _shared_block_disagreement(), None
+    if kind in SHARED_DISAGREEMENTS:
+        (panel, spec), presample = SHARED_DISAGREEMENTS[kind](), None
     elif kind == "two and two":
         panel, presample = _covariate_panel("unit offsets")
         spec = CovariateSpec(
@@ -377,12 +402,12 @@ def test_pretrend_slopes_match_window_loop(kind):
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS + ("shared disagreement",))
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS + tuple(SHARED_DISAGREEMENTS))
 def test_generalized_matches_gap_loop(kind):
     # the shared columns taken out of period levels, against the former
-    # per-gap projection of pair changes
-    if kind == "shared disagreement":
-        (panel, spec), presample = _shared_block_disagreement(), None
+    # per-gap projection of pair changes and its group sweep
+    if kind in SHARED_DISAGREEMENTS:
+        (panel, spec), presample = SHARED_DISAGREEMENTS[kind](), None
     else:
         panel, presample = _covariate_panel(kind)
         spec = _covariate_spec(panel)
@@ -394,6 +419,9 @@ def test_generalized_matches_gap_loop(kind):
             panel, "y", "x", spec, k_min, k_max, presample
         )
         assert len(want) == got.beta.size
+        if kind in SHARED_DISAGREEMENTS:
+            # pairs that keep the shared column and pairs that drop it
+            assert len(set(got.dropped_controls)) == 2
         for first, second, beta, dropped in zip(
             got.first.tolist(), got.second.tolist(), got.beta,
             got.dropped_controls,
