@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import _residuals, _twfe_fit
+from .estimators import _fit, _names, _twfe_fit, _two_way
 from .numerics import _default_tol, _project_in_place
 from .panel import BalancedPanel, _integer
 
@@ -160,6 +160,15 @@ class SimulatedPanel:
     effect_slope: np.ndarray
 
 
+@lru_cache(maxsize=8)
+def _unit_labels(n: int) -> tuple[str, ...]:
+    """``u0`` to ``u{n-1}``, zero-padded to one width; formed once per unit
+    count among the last few, since every replication of a study has the
+    same units."""
+    width = len(str(n - 1))
+    return tuple(f"u{i:0{width}d}" for i in range(n))
+
+
 def simulate(config: DgpConfig) -> SimulatedPanel:
     """Draw one panel from the configured process.
 
@@ -222,13 +231,11 @@ def simulate(config: DgpConfig) -> SimulatedPanel:
                 base[:, j] += config.effect_lag * x[:, j - 1]
             y[:, j] = base[:, j] + slope[:, j] * x[:, j]
 
-    width = len(str(n - 1))
-    units = tuple(f"u{i:0{width}d}" for i in range(n))
     series = {"y": y, "x": x}
     if config.uses_covariate:
         series["w"] = w
     panel = BalancedPanel(
-        units=units, periods=tuple(range(1, t + 1)), series=series
+        units=_unit_labels(n), periods=tuple(range(1, t + 1)), series=series
     )
     return SimulatedPanel(
         panel=panel, config=config, baseline=base, effect_slope=slope
@@ -478,6 +485,7 @@ def theorem2_audit(
             "got a bare panel"
         )
     panel = sim.panel
+    covariates = _names(covariates, "covariates")
     # twfe(panel, "y", "x", covariates)'s fit, whose x residual the
     # accounting uses
     r, _, _, estimate = _twfe_fit(panel, "y", "x", covariates)
@@ -490,12 +498,14 @@ def theorem2_audit(
 
     bias_sum = 0.0
     if covariates:
-        # period-major two-way residuals of x and the covariates: each
-        # gap's cells are contiguous (S, n) blocks for the projection, and
-        # their changes are the period-demeaned changes, unit means cancelling
-        cells = np.ascontiguousarray(
-            _residuals(panel, ["x", *covariates]).transpose(0, 2, 1)
-        )
+        # period-major two-way residuals of x, the covariate-free fit's,
+        # and of the covariates: each gap's cells are contiguous (S, n)
+        # blocks for the projection, and their changes are the
+        # period-demeaned changes, unit means cancelling
+        cells = np.empty((1 + len(covariates), panel.n_periods, panel.n_units))
+        cells[0] = _fit(panel, "x", "y")[0][0].T
+        for cell, name in zip(cells[1:], covariates):
+            cell[...] = _two_way(panel.values(name)).T
         for k, drift in _projected_drifts(cells):
             # Split the trend term: every (gap, start) cell's
             # treatment-on-covariate projection is compared with the pooled

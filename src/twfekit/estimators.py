@@ -3,10 +3,11 @@
 Every estimator here reads one transform, the two-way residual: each
 series less its unit and period means, which on a balanced panel is the
 residual from regressing it on unit and period indicators.  An estimate
-reads those of all its series as one stack from :func:`_residuals`, the one
-place where covariates are projected out.  The two-way slope is a plain
-ratio of sums over that residual, and the pair-difference estimators are
-ratios of sums over its period differences, in which the unit means cancel.
+reads those of all its series as one stack from :func:`_residuals`, and
+:func:`_partial_out` is the one place where covariates are projected out.
+The two-way slope is a plain ratio of sums over that residual, and the
+pair-difference estimators are ratios of sums over its period differences,
+in which the unit means cancel.
 
 ``twfe``
     slope on ``x`` from least squares of ``y`` on ``x`` plus unit and period
@@ -37,13 +38,16 @@ offsets in it (:func:`_live`).  Rule 3: a covariate-adjusted pair is also
 dead when its controls leave at most the tolerance times its treatment
 variation.
 
-The fit is made once per panel and key (:func:`_kept`): every estimate
-of ``y`` on ``x`` under the same covariates reads the same read-only
-residuals from the panel's memo, and the by-gap, by-pair and equivalence
-reads of a covariate-free fit share one full ``pair_moments`` sweep.  A
-panel keeps at most ``_KEPT`` entries, dropping the oldest first, and only
-arrays a call returns or keeps.  Each key is always computed by the same
-code, so a result never depends on which estimates ran before it.
+The fit is made once per panel and key (:func:`_fit`, :func:`_kept`):
+every estimate of ``y`` on ``x`` under the same covariates reads the same
+read-only residuals from the panel's memo, and the by-gap, by-pair and
+equivalence reads of a covariate-free fit share one full ``pair_moments``
+sweep.  A fit under covariates starts from the covariate-free fit of the
+same ``y`` and ``x``, computed and kept first if the panel lacks it, and
+projects a copy of its residuals.  A panel keeps at most ``_KEPT``
+entries, dropping the oldest first, and only arrays a call returns or
+keeps.  Each key is always computed by the same code, so a result never
+depends on which estimates ran before it.
 """
 
 from __future__ import annotations
@@ -116,20 +120,23 @@ def _names(names, argument: str) -> tuple[str, ...]:
 
 
 def _residuals(panel: BalancedPanel, names, covariates=None) -> np.ndarray:
-    """Two-way residuals of the series ``names``, as one ``(m, N, T)`` stack.
-
-    Each series goes through :func:`_two_way` once, and every one is
-    partialled out of the covariates in one projection cell: the drop
-    decision depends only on the covariates, so it is the same for all.
-    """
+    """Two-way residuals of the series ``names``, as one ``(m, N, T)`` stack,
+    each series through :func:`_two_way` once and the stack partialled out
+    of ``covariates`` by :func:`_partial_out`."""
     covariates = _names(covariates, "covariates")
     stack = np.stack([_two_way(panel.values(name)) for name in names])
-    if not covariates:
-        return stack
+    return _partial_out(panel, stack, covariates) if covariates else stack
+
+
+def _partial_out(panel: BalancedPanel, stack: np.ndarray, covariates) -> np.ndarray:
+    """``stack``, an ``(m, N, T)`` stack of two-way residuals the caller
+    owns, partialled out of the two-way residuals of ``covariates`` in
+    place and returned.  Every series is projected in one cell: the drop
+    decision depends only on the covariates, so it is the same for all."""
     controls = np.stack([_two_way(panel.values(c)).ravel() for c in covariates])
     controls = controls[:, None]
     _project_in_place(
-        controls, stack.reshape(len(names), 1, -1), _default_tol(controls),
+        controls, stack.reshape(len(stack), 1, -1), _default_tol(controls),
         np.empty(controls.shape[1:]),
     )
     return stack
@@ -197,22 +204,31 @@ def _kept(panel: BalancedPanel, key, compute):
     return memo[key]
 
 
+def _fit(panel: BalancedPanel, x: str, y: str, covariates: tuple = ()):
+    """``(stack, den)``: the ``(2, N, T)`` two-way residuals of ``x`` and
+    ``y`` under ``covariates`` and ``sum(rx**2)``, kept on the panel under
+    ``(x, y, covariates)``.  A fit under covariates projects a copy of the
+    covariate-free fit's residuals, which it keeps too."""
+
+    def fit():
+        if covariates:
+            stack = _partial_out(panel, _fit(panel, x, y)[0].copy(), covariates)
+        else:
+            stack = _residuals(panel, (x, y))
+        return stack, float(np.sum(stack[0] * stack[0]))
+
+    return _kept(panel, ("fit", (x, y), covariates), fit)
+
+
 def _twfe_fit(
     panel: BalancedPanel, y: str, x: str, covariates=None,
     where: str = "after the two-way transformation",
 ):
     """``(rx, ry, den, beta)``: the two-way residuals of ``x`` and ``y``, the
-    slope's denominator ``sum(rx**2)`` and the slope, the residuals and
-    denominator kept on the panel under ``(x, y, covariates)``.  The one
-    rule-1 check (see the module docstring) is made here; ``where`` ends its
-    message."""
-    covariates = _names(covariates, "covariates")
-
-    def fit():
-        stack = _residuals(panel, (x, y), covariates)
-        return stack, float(np.sum(stack[0] * stack[0]))
-
-    stack, den = _kept(panel, ("fit", (x, y), covariates), fit)
+    slope's denominator ``sum(rx**2)`` and the slope, from the fit kept by
+    :func:`_fit`.  The one rule-1 check (see the module docstring) is made
+    here; ``where`` ends its message."""
+    stack, den = _fit(panel, x, y, _names(covariates, "covariates"))
     _require_variation(den, panel, x, where)
     rx, ry = stack
     return rx, ry, den, float(np.sum(rx * ry)) / den

@@ -461,10 +461,14 @@ def generalized_twfe(
     """Covariate-adjusted, gap-restricted weighted average of pair slopes.
 
     For each period pair ``(t, s)`` with gap in ``gap_range``, the pair's
-    outcome change and treatment change are residualized on an intercept
-    plus the controls from ``spec``; the pair estimate is the slope of the
-    residualized changes, and pair weights follow ``weight_scheme`` (see
-    module docstring).  With an empty spec and the full gap range this
+    changes of the two-way residuals of the outcome and the treatment are
+    residualized on an intercept plus the controls from ``spec``; the pair
+    estimate is the slope of the residualized changes, and pair weights
+    follow ``weight_scheme`` (see module docstring).  Those changes are
+    centred across units in every period, so a pair that drops the
+    intercept (by the relative ``RANK_TOL`` rule, when its other controls
+    dwarf it) fits them on its kept controls alone, not the raw changes of
+    ``y`` and ``x``.  With an empty spec and the full gap range this
     reproduces the plain two-way estimate.  The decomposition's
     ``dropped_controls`` column holds, per pair, the names of the controls
     it dropped as collinear (``"intercept"``, a series name, or

@@ -165,12 +165,20 @@ def pair_moments(
     by_pair = None
     if rows is not None:
         by_pair = np.zeros((2, t, t))
-        end = 0
-        for k in gaps:
-            starts = np.arange(t - k)
-            by_pair[:, starts, starts + k] = rows[:, end : end + t - k]
-            end += t - k
+        by_pair.reshape(2, t * t)[:, _pair_cells(t, gaps)] = rows
     return by_pair, by_unit
+
+
+def _pair_cells(t: int, gaps) -> np.ndarray:
+    """The flat index ``start * (T + 1) + k`` into a ``(T, T)`` array of
+    each pair of the gaps ``gaps``, gap by gap in the order given, repeats
+    included, then start by start: the order of ``_gap_sums``' rows."""
+    gaps = np.asarray(gaps, dtype=np.intp)
+    counts = t - gaps
+    # each pair's gap, and its start: its place less its gap's first place
+    gap = np.repeat(gaps, counts)
+    start = np.arange(gap.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return start * (t + 1) + gap
 
 
 def _gap_sums(xt, yt, gaps, rows, by_unit) -> None:

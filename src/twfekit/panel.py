@@ -61,7 +61,9 @@ class BalancedPanel:
     estimates share in a private memo: the two-way fit of a treatment and
     an outcome under a set of covariates (their two-way residuals and the
     treatment's sum of squares) and the full period-pair sweep of a
-    covariate-free fit (see :mod:`twfekit.estimators`).  The kept arrays
+    covariate-free fit (see :mod:`twfekit.estimators`).  A fit under
+    covariates starts from the covariate-free fit of the same treatment
+    and outcome, and keeps that fit too.  The kept arrays
     are read-only, and at most four entries are kept, the oldest dropped
     first.  Each entry is always computed the same way, so no result
     depends on which estimates ran before.  A pickled or copied panel is
@@ -109,8 +111,9 @@ class BalancedPanel:
             arr.flags.writeable = False
             clean[name] = arr
         object.__setattr__(self, "series", MappingProxyType(clean))
-        cluster = self.cluster_id if self.cluster_id else units
-        cluster = tuple(str(c) for c in cluster)
+        cluster = (
+            tuple(str(c) for c in self.cluster_id) if self.cluster_id else units
+        )
         if len(cluster) != n:
             raise PanelError(
                 f"cluster_id has {len(cluster)} entries for {n} units"

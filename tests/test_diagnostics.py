@@ -14,6 +14,7 @@ from twfekit import (
     causal_weights,
     fd_decomposition,
     gap_restricted,
+    pairwise_decomposition,
     scenario_preset,
     simulate,
     simulate_replication,
@@ -132,6 +133,16 @@ class TestSimulate:
         assert np.all(sim.effect_slope == 2.0)
         het = simulate(scenario_preset("heterogeneous_tau", n_units=10, seed=2))
         assert het.effect_slope.std() > 0
+
+    def test_labels_formed_once_per_unit_count(self):
+        # replications share one set of unit label strings, and the panel
+        # takes its converted units as its default cluster ids
+        cfg = scenario_preset("parallel_trends", n_units=12, seed=5)
+        a, b = (simulate_replication(cfg, i).panel for i in range(2))
+        assert all(u is v for u, v in zip(a.units, b.units))
+        assert a.cluster_id is a.units
+        assert a.units == tuple(f"u{i:02d}" for i in range(12))
+        assert simulate(replace(cfg, n_units=3)).panel.units == ("u0", "u1", "u2")
 
     def test_covariate_present_only_when_used(self):
         plain = simulate(DgpConfig(n_units=5, seed=0))
@@ -308,6 +319,28 @@ class TestTheorem2Audit:
             tracemalloc.stop()
         assert len(starts) > 2
         assert max(starts[1:]) <= starts[0]
+
+    def test_one_replication_transforms_four_series(self, monkeypatch):
+        # the audit's covariate fit starts from the covariate-free fit,
+        # and its drift cells read x's residual there: a replication forms
+        # the two-way residuals of x, y and w (twice: in the fit and in
+        # the cells) and the later estimates read the kept fits
+        original = estimators._two_way
+        calls = []
+
+        def counted(values):
+            calls.append(values.shape)
+            return original(values)
+
+        monkeypatch.setattr(estimators, "_two_way", counted)
+        monkeypatch.setattr(diagnostics, "_two_way", counted)
+        cfg = scenario_preset("time_varying_delta", n_units=20, n_periods=6)
+        sim = simulate_replication(cfg, 0)
+        theorem2_audit(sim, ["w"])
+        fd_decomposition(sim.panel, "y", "x")
+        pairwise_decomposition(sim.panel, "y", "x")
+        causal_weights(sim.panel, "y", "x", ["w"])
+        assert calls == [(20, 6)] * 4
 
     def test_constant_tau_sum_is_exact(self):
         # with a constant effect slope, the weighted tau sum collapses to

@@ -122,16 +122,20 @@ class TestTwfe:
 class TestKeptFits:
     def test_one_fit_per_key(self, rng, monkeypatch):
         # every estimate of y on x under one covariate set, causal_weights
-        # included, reads one fit kept on the panel
-        panel = random_panel(rng, 8, 5, extra_series=("w",))
-        original = twfekit.estimators._residuals
+        # included, reads one fit kept on the panel; a fit under covariates
+        # starts from the covariate-free fit, computing and keeping it
+        # first when the panel does not keep it yet
+        original = twfekit.estimators._kept
         fits = []
 
-        def counted(panel, names, covariates=None):
-            fits.append((tuple(names), tuple(covariates or ())))
-            return original(panel, names, covariates)
+        def counted(panel, key, compute):
+            def logged():
+                fits.append(key[1:])
+                return compute()
+            return original(panel, key, logged)
 
-        monkeypatch.setattr(twfekit.estimators, "_residuals", counted)
+        monkeypatch.setattr(twfekit.estimators, "_kept", counted)
+        panel = random_panel(rng, 8, 5, extra_series=("w",))
         for _ in range(2):
             twfe(panel, "y", "x", se=True)
             twfe(panel, "y", "x", [])
@@ -140,12 +144,28 @@ class TestKeptFits:
             twfe(panel, "y", "x", ["w"])
             causal_weights(panel, "y", "x", ["w"])
         assert fits == [(("x", "y"), ()), (("x", "y"), ("w",))]
+        # the covariate fit first: its compute asks for the covariate-free
+        # fit, which is kept before it
+        fits.clear()
+        panel = random_panel(rng, 8, 5, extra_series=("w",))
+        for _ in range(2):
+            causal_weights(panel, "y", "x", ["w"])
+            twfe(panel, "y", "x", ["w"])
+            twfe(panel, "y", "x")
+        assert fits == [(("x", "y"), ("w",)), (("x", "y"), ())]
+        assert [key[1:] for key in panel._memo] == [
+            (("x", "y"), ()), (("x", "y"), ("w",))
+        ]
 
     def test_at_most_four_kept_oldest_dropped_first(self, rng):
+        # each covariate fit reads the covariate-free fit (key ()), which
+        # the first keeps; the fourth drops it as the oldest, so the fifth
+        # computes and keeps it again, dropping the oldest covariate fit,
+        # before it drops the next oldest for its own
         panel = random_panel(rng, 8, 5, extra_series=tuple("abcde"))
         for name in "abcde":
             twfe(panel, "y", "x", [name])
-        assert [key[-1] for key in panel._memo] == [("b",), ("c",), ("d",), ("e",)]
+        assert [key[-1] for key in panel._memo] == [("c",), ("d",), (), ("e",)]
 
     def test_kept_arrays_are_read_only(self, rng):
         panel = random_panel(rng, 8, 5, extra_series=("w",))

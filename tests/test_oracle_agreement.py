@@ -315,6 +315,31 @@ def test_generalized_cells_disagree_on_shared_block(scheme):
         assert c.dropped_controls == (("g",) if c.second == t else ())
 
 
+def test_intercept_dropping_pairs_fit_residual_changes():
+    # a pair that drops the intercept fits the changes of the two-way
+    # residuals, centred across units in every period, on its kept
+    # controls, not the raw changes that oracles.generalized_loop fits
+    panel, spec = _intercept_disagreement()
+    d = generalized_twfe(panel, "y", "x", spec).decomposition
+    rx, ry = (two_way_residual(panel, name) for name in ("x", "y"))
+    v = panel.values("v")
+    index = {label: j for j, label in enumerate(panel.periods)}
+    dropping = 0
+    for c in d.components:
+        if c.dropped_controls != ("intercept",):
+            assert c.dropped_controls == ()
+            continue
+        dropping += 1
+        t, s = index[c.first], index[c.second]
+        kept = (v[:, s] - v[:, t])[:, None]
+        changes = np.column_stack([rx[:, s] - rx[:, t], ry[:, s] - ry[:, t]])
+        resid = changes - kept @ np.linalg.lstsq(kept, changes, rcond=None)[0]
+        want = float(resid[:, 0] @ resid[:, 1]) / float(resid[:, 0] @ resid[:, 0])
+        assert abs(c.beta - want) <= 1e-8 * max(1.0, abs(want)), (c, want)
+    # the pairs that touch the last period
+    assert dropping == panel.n_periods - 1
+
+
 def test_generalized_split_cells_are_contiguous(monkeypatch):
     # a shared column that pairs disagree on joins each gap's stack, which
     # the kernel receives C-contiguous, in the one workspace
