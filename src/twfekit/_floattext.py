@@ -9,22 +9,30 @@ call per value; this module forms the same bytes for a whole array at once.
 Schubfach way to render doubles", 2020), as Java's ``DoubleToDecimal``
 does, on whole arrays: three round-to-odd products scale the value and
 the ends of its rounding interval by a power of ten, one choice between
-candidates picks the digits, and their trailing zeros are stripped.  Every
-finite value takes that one path.  ``repr`` differs from Java's
+candidates picks the digits, and their trailing zeros are stripped.  Only
+the value's own pair of 128-bit products with the power's two halves is
+multiplied out; each end's pair is one exact 128-bit addition or
+subtraction of the halves shifted left away from it, as Ryu (Ulf Adams,
+PLDI 2018, ``mulShiftAll64``) derives its three products.  Every finite
+value takes that one path.  ``repr`` differs from Java's
 ``Double.toString`` in two places, so neither Java rule is kept: the
 shorter candidate is tried from two digits on (Java: from three), and the
 two smallest subnormals are not scaled by ten first (Java prints
 ``4.9E-324`` for ``5e-324`` and ``7.9E-323`` for ``8e-323``).  The 126-bit
-powers of ten are held as two 63-bit halves in ``uint64``, and every
-product is formed from 32-bit limbs without overflow.  Every integer array
-is ``uint64`` or ``int64``, and no operation mixes the two, since numpy
-promotes that mix to float64.
+powers of ten are held as two 63-bit halves in ``uint64``; the high word
+of every product is formed from 32-bit limbs, and low words wrap.  Every
+integer array is ``uint64`` or ``int64``, and no operation mixes the two,
+since numpy promotes that mix to float64; a carry or borrow is a bool
+array, which every numpy promotes with a ``uint64`` array to ``uint64``.
 
 :func:`layout` writes each value's text into a row of :data:`TEXT_WIDTH`
 fixed slots of a ``uint8`` matrix, the slots it leaves unused zero, eight
-digits at a time.  The tables both read are module constants, built at
-import; :mod:`twfekit.cli` imports this module when it writes its first
-weights CSV, so a run that writes none never builds them.
+digits at a time.  It forms the digits after the point for every value,
+those before it only for the positional values of one or more, and
+clears signs only in the two words that hold sign slots.  The tables both
+read are module constants, built at import; :mod:`twfekit.cli` imports
+this module when it writes its first weights CSV, so a run that writes
+none never builds them.
 """
 
 from __future__ import annotations
@@ -61,6 +69,8 @@ _SCI_SIGN, _SCI_DIGIT, _POINT, _FRAC = 29, 30, 31, 32
 _TAIL = 49
 TEXT_END = 54  # the slots from here on are zero
 TEXT_WIDTH = 56
+# the words that hold a sign slot
+_SIGN_WORDS = sorted({slot // 8 for slot in (_LEAD_SIGN, _SIGN, _SCI_SIGN)})
 
 
 def _flog10pow2(e, three_quarters):
@@ -161,16 +171,49 @@ def _rop(g1, g0, cp):
     ``(floor(g1 * cp / 2) + floor(g0 * cp / 2**64)) / 2**63``.  The bits
     dropped hold no more than ``g``'s rounding error, so that an exact
     decimal stays exact."""
-    y1, y0 = _mul_high(g1, cp), g1 * cp
-    z = (y0 >> _U64(1)) + _mul_high(g0, cp)
+    return _rounded(_mul_high(g1, cp), g1 * cp, _mul_high(g0, cp))
+
+
+def _rounded(y1, y0, x1):
+    """:func:`_rop` from the high and the low 64 bits ``y1``, ``y0`` of
+    ``g1 * cp`` and the high 64 bits ``x1`` of ``g0 * cp``."""
+    z = (y0 >> _U64(1)) + x1
     inexact = (z & _LOW63) != 0
     return (y1 + (z >> _U64(63))) | inexact.astype(_U64)
+
+
+def _interval_products(g1, g0, cb, h, uneven):
+    """``(vbl, vb, vbr)``: :func:`_rop` at ``(cb - 2 + uneven) << h``,
+    ``cb << h`` and ``(cb + 2) << h``, from one pair of 128-bit products
+    ``g1 * cp`` and ``g0 * cp``, ``cp = cb << h``.  The ends' products are
+    those less ``g1 * 2**s`` and ``g0 * 2**s``, ``s = h + 1 - uneven``,
+    and plus them, ``s = h + 1``: exact 128-bit subtractions and additions
+    of the shifted halves, so every bit is :func:`_rop`'s.  ``h`` is
+    ``uint64``, ``uneven`` bool, and every operand an array."""
+    cp = cb << h
+    y1, y0 = _mul_high(g1, cp), g1 * cp
+    x1, x0 = _mul_high(g0, cp), g0 * cp
+    up = h + _U64(1)
+    down = up - uneven.astype(_U64)
+    # g1 * 2**s and g0 * 2**s as high and low words
+    a1, a0 = g1 >> (_U64(64) - down), g1 << down
+    b1, b0 = g0 >> (_U64(64) - down), g0 << down
+    vbl = _rounded(y1 - a1 - (y0 < a0), y0 - a0, x1 - b1 - (x0 < b0))
+    a1, a0 = g1 >> (_U64(64) - up), g1 << up
+    b1, b0 = g0 >> (_U64(64) - up), g0 << up
+    y0_up = y0 + a0
+    vbr = _rounded(y1 + a1 + (y0_up < y0), y0_up, x1 + b1 + (x0 + b0 < x0))
+    return vbl, _rounded(y1, y0, x1), vbr
 
 
 def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The shortest round-trip decimal of each finite value, as ``(digits,
     exponent)`` arrays (``uint64``, ``int64``): ``abs(value)`` reads back
-    from ``digits * 10**exponent``, and zero gives ``(0, 0)``."""
+    from ``digits * 10**exponent``, and zero gives ``(0, 0)``.
+
+    One pair of 128-bit products scales the value; the ends of its rounding
+    interval are an exact addition and subtraction away from them
+    (:func:`_interval_products`)."""
     bits = np.ascontiguousarray(values, np.float64).view(_U64).ravel()
     mantissa = bits & _U64((1 << 52) - 1)
     biased = (bits >> _U64(52)) & _U64(0x7FF)
@@ -185,10 +228,7 @@ def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
     # four times the value and the ends of its rounding interval, over
     # 10**k, each rounded to odd
-    cb = c << _U64(2)
-    vb = _rop(g1, g0, cb << h)
-    vbl = _rop(g1, g0, (cb - _U64(2) + uneven.astype(_U64)) << h)
-    vbr = _rop(g1, g0, (cb + _U64(2)) << h)
+    vbl, vb, vbr = _interval_products(g1, g0, c << _U64(2), h, uneven)
     # a tie between doubles reads as the even one: the ends of the
     # interval round back to the value only when c is even
     out = c & _U64(1)
@@ -230,17 +270,38 @@ def _eight_digits(x):
     return (high | ((x - high * _TEN) << _U64(8))) + _U64(0x3030303030303030)
 
 
+def _digit_run(words, digits):
+    """AND the 17 digits of each ``digits < 10**17`` into the three rows of
+    ``words``: two words of eight, then the first byte of a third; a digit
+    slot's 0xFF keeps the digit, its 0 drops it."""
+    high = digits // _U64(10**9)
+    low = digits - high * _U64(10**9)
+    tens = low // _TEN
+    words[:2] &= _eight_digits(np.stack([high, tens]))
+    last = _U64(ord("0")) + low - tens * _TEN
+    words[2] &= last | _U64(0xFFFF_FFFF_FFFF_FF00)
+
+
 def layout(values: np.ndarray, text: np.ndarray) -> None:
     """Write the ``repr`` of each value of the 1-D ``values`` into the rows
     of the ``uint8`` matrix ``text``, ``(len(values), TEXT_WIDTH)``, padded
     with zero bytes: each row's nonzero bytes, in order, are the value's
-    ``repr``, all before slot :data:`TEXT_END`."""
+    ``repr``, all before slot :data:`TEXT_END`.
+
+    Each value's row of the text table holds its slots; the digits are
+    ANDed in.  The run after the point is formed for every value, the run
+    before it only for the positional values of one or more (``1 <= decpt
+    <= 16``), and a scientific value's first digit is the leading one of
+    its 17.  A value that is not negative has its sign cleared in the sign
+    words alone (:data:`_SIGN_WORDS`); every other word of
+    :data:`_SIGNLESS` is all ones."""
     values = np.asarray(values, np.float64)
     finite = np.isfinite(values)
     digits, exponent = shortest(np.where(finite, values, 0.0))
     count = np.searchsorted(_POW10[1 : _MAX_DIGITS + 1], digits, "right")
     count = count.astype(np.int64) + 1
-    row = exponent + count - _DECPT_MIN
+    decpt = exponent + count
+    row = decpt - _DECPT_MIN
     # the text word by word, each word a row
     words = _TEXT.take(row * _MAX_DIGITS + count - 1, axis=1)
     # the 17 digits left-aligned, so that the places past the last digit
@@ -249,24 +310,21 @@ def layout(values: np.ndarray, text: np.ndarray) -> None:
     digits *= _POW10[_MAX_DIGITS - count]
     point = _BEFORE_POINT[row]
     after = digits % _POW10[_MAX_DIGITS - point] * _POW10[point]
-    both = np.stack([digits, after])
-    high = both // _U64(10**9)
-    low = both - high * _U64(10**9)
-    tens = low // _TEN
-    eights = _eight_digits(np.stack([high, tens], 1))
-    # each run of 17 digits: two words of eight, then the first byte of a
-    # third; a digit slot's 0xFF keeps the digit, its 0 drops it
-    for run, first in enumerate((_INT // 8, _FRAC // 8)):
-        words[first : first + 2] &= eights[run]
-        words[first + 2] &= (_U64(ord("0")) + low[run] - tens[run] * _TEN) | (
-            _U64(0xFFFF_FFFF_FFFF_FF00)
-        )
+    _digit_run(words[_FRAC // 8 : _FRAC // 8 + 3], after)
+    # the digits before the point, formed only for the positional values
+    # of one or more: no other value's text has a slot there
+    whole = np.flatnonzero((decpt >= 1) & (decpt <= 16))
+    run = words[_INT // 8 : _INT // 8 + 3, whole]
+    _digit_run(run, digits[whole])
+    words[_INT // 8 : _INT // 8 + 3, whole] = run
     # the first digit once more, for a scientific value
     byte = _U64(8 * (_SCI_DIGIT % 8))
-    digit = eights[0, 0] & _U64(0xFF)
+    digit = digits // _U64(10**16) + _U64(ord("0"))
     words[_SCI_DIGIT // 8] &= (digit << byte) | ~(_U64(0xFF) << byte)
     # the sign slots hold "-"; a value that is not negative drops them
-    words &= np.where(np.signbit(values), ~_U64(0), _SIGNLESS)
+    negative = np.signbit(values)
+    for word in _SIGN_WORDS:
+        words[word] &= np.where(negative, ~_U64(0), _SIGNLESS[word, 0])
     text.view(_WORD)[:] = words.T
     special = np.flatnonzero(~finite)
     if special.size:

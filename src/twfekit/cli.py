@@ -465,6 +465,10 @@ def _write_weights(path: str, units, report) -> None:
     ``,gap,start,``, the weight's text from :func:`_floattext.layout` and
     ``\r\n``.  The bytes of a row's text are those a mask marks in its
     label, which may hold a NUL, then every nonzero byte after the label.
+    The prefix columns hold a tile's (gap, start period) pairs, so they
+    are rewritten only when its slice of pairs differs from the one its
+    rows already hold: the tiles of one gap share one slice unless the gap
+    has more start periods than a write has rows.
 
     The file is written under ``{path}.tmp``, which is renamed to ``path``
     only once every row is in it and removed if any write fails, so
@@ -501,13 +505,18 @@ def _write_weights(path: str, units, report) -> None:
             out = handle.buffer
             header = echo.writerow(("unit", "gap", "start_period", "weight"))
             out.write(header.encode(encoding))
+            held = None  # the slice of pairs whose prefixes the rows hold
             for tile, unit, start in _weight_tiles(report):
                 size = tile.size
                 grid = rows[:size].reshape(tile.shape + (-1,))
                 mask = keep[:size].reshape(grid.shape)
                 grid[:, :, :lw] = labels[unit, None]
                 mask[:, :, :lw] = label_keep[unit, None]
-                grid[:, :, lw : lw + pw] = prefixes[start]
+                # a tile of the held slice is one of the same gap's later
+                # unit chunks, no larger, so its prefixes are in place
+                if start != held:
+                    grid[:, :, lw : lw + pw] = prefixes[start]
+                    held = start
                 text = rows[:size, at:end]
                 _floattext.layout(tile.ravel(), text)
                 rows[:size, crlf : crlf + 2] = np.frombuffer(b"\r\n", np.uint8)

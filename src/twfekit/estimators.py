@@ -40,14 +40,14 @@ variation.
 
 The fit is made once per panel and key (:func:`_fit`, :func:`_kept`):
 every estimate of ``y`` on ``x`` under the same covariates reads the same
-read-only residuals from the panel's memo, and the by-gap, by-pair and
-equivalence reads of a covariate-free fit share one full ``pair_moments``
-sweep.  A fit under covariates starts from the covariate-free fit of the
-same ``y`` and ``x``, computed and kept first if the panel lacks it, and
-projects a copy of its residuals.  A panel keeps at most ``_KEPT``
-entries, dropping the oldest first, and only arrays a call returns or
-keeps.  Each key is always computed by the same code, so a result never
-depends on which estimates ran before it.
+read-only residuals, and rule 1's raw scale, from the panel's memo, and
+the by-gap, by-pair and equivalence reads of a covariate-free fit share
+one full ``pair_moments`` sweep.  A fit under covariates starts from the
+covariate-free fit of the same ``y`` and ``x``, computed and kept first if
+the panel lacks it, and projects a copy of its residuals.  A panel keeps
+at most ``_KEPT`` entries, dropping the oldest first, and only arrays a
+call returns or keeps.  Each key is always computed by the same code, so
+a result never depends on which estimates ran before it.
 """
 
 from __future__ import annotations
@@ -169,17 +169,21 @@ def _live(dens, total):
     return dens > DEGENERACY_TOL * total
 
 
+def _grand_variation(panel: BalancedPanel, x: str) -> float:
+    """``x``'s sum of squares about its grand mean: rule 1's raw scale."""
+    v = panel.values(x)
+    return float(np.sum((v - v.mean()) ** 2))
+
+
 def _require_variation(
     den: float,
-    panel: BalancedPanel,
+    scale: float,
     x: str,
     where: str = "after the two-way transformation",
 ) -> None:
     """Raise :class:`NoIdentifyingVariation` unless ``den``, a two-way
-    variation of ``x``, is live against ``x``'s variation about its grand
-    mean; ``where`` ends the message."""
-    v = panel.values(x)
-    scale = float(np.sum((v - v.mean()) ** 2))
+    variation of ``x``, is live against ``scale``, ``x``'s variation about
+    its grand mean (:func:`_grand_variation`); ``where`` ends the message."""
     if not (scale > 0.0 and _live(den, scale)):
         raise NoIdentifyingVariation(f"no identifying variation in '{x}' {where}")
 
@@ -205,17 +209,20 @@ def _kept(panel: BalancedPanel, key, compute):
 
 
 def _fit(panel: BalancedPanel, x: str, y: str, covariates: tuple = ()):
-    """``(stack, den)``: the ``(2, N, T)`` two-way residuals of ``x`` and
-    ``y`` under ``covariates`` and ``sum(rx**2)``, kept on the panel under
-    ``(x, y, covariates)``.  A fit under covariates projects a copy of the
-    covariate-free fit's residuals, which it keeps too."""
+    """``(stack, den, scale)``: the ``(2, N, T)`` two-way residuals of ``x``
+    and ``y`` under ``covariates``, ``sum(rx**2)`` and ``x``'s variation
+    about its grand mean, kept on the panel under ``(x, y, covariates)``.
+    A fit under covariates projects a copy of the covariate-free fit's
+    residuals, which it keeps too, and reads its ``scale``."""
 
     def fit():
         if covariates:
-            stack = _partial_out(panel, _fit(panel, x, y)[0].copy(), covariates)
+            free, _, scale = _fit(panel, x, y)
+            stack = _partial_out(panel, free.copy(), covariates)
         else:
             stack = _residuals(panel, (x, y))
-        return stack, float(np.sum(stack[0] * stack[0]))
+            scale = _grand_variation(panel, x)
+        return stack, float(np.sum(stack[0] * stack[0])), scale
 
     return _kept(panel, ("fit", (x, y), covariates), fit)
 
@@ -228,8 +235,8 @@ def _twfe_fit(
     slope's denominator ``sum(rx**2)`` and the slope, from the fit kept by
     :func:`_fit`.  The one rule-1 check (see the module docstring) is made
     here; ``where`` ends its message."""
-    stack, den = _fit(panel, x, y, _names(covariates, "covariates"))
-    _require_variation(den, panel, x, where)
+    stack, den, scale = _fit(panel, x, y, _names(covariates, "covariates"))
+    _require_variation(den, scale, x, where)
     rx, ry = stack
     return rx, ry, den, float(np.sum(rx * ry)) / den
 
@@ -329,7 +336,9 @@ def twfe_multivariate(
     # rule below is relative to the largest column, so it keeps a lone
     # column of roundoff
     for name, column in zip(names, design.T):
-        _require_variation(float(column @ column), panel, name)
+        _require_variation(
+            float(column @ column), _grand_variation(panel, name), name
+        )
     # the drop rule alone, as one projection cell with no targets, on the
     # regressors' rows, which nothing reads again
     columns = rows[:-1, None]
@@ -375,8 +384,10 @@ def twfe_iv(panel: BalancedPanel, y: str, x: str, z: str) -> Estimate:
     # only roundoff in its residual, which would otherwise shrink the
     # comparison scale along with the cross moment.
     irrelevant = f"instrument '{z}' is irrelevant for '{x}'"
-    _require_variation(xvar, panel, x)
-    _require_variation(zvar, panel, z, f"({irrelevant})")
+    _require_variation(xvar, _grand_variation(panel, x), x)
+    _require_variation(
+        zvar, _grand_variation(panel, z), z, f"({irrelevant})"
+    )
     if not _live(abs(cross), np.sqrt(xvar * zvar)):
         raise NoIdentifyingVariation(
             f"{irrelevant} under the two-way transformation"

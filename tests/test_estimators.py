@@ -157,6 +157,25 @@ class TestKeptFits:
             (("x", "y"), ()), (("x", "y"), ("w",))
         ]
 
+    def test_grand_variation_formed_once_per_fit(self, rng, monkeypatch):
+        # rule 1's raw scale is formed with the covariate-free fit and kept
+        # with it; every later check of x, under covariates too, reads it
+        original = twfekit.estimators._grand_variation
+        calls = []
+
+        def counted(panel, x):
+            calls.append(x)
+            return original(panel, x)
+
+        monkeypatch.setattr(twfekit.estimators, "_grand_variation", counted)
+        panel = random_panel(rng, 8, 5, extra_series=("w",))
+        for _ in range(2):
+            twfe(panel, "y", "x", ["w"])
+            fd(panel, "y", "x", 2)
+            pairwise_decomposition(panel, "y", "x")
+            causal_weights(panel, "y", "x", ["w"])
+        assert calls == ["x"]
+
     def test_at_most_four_kept_oldest_dropped_first(self, rng):
         # each covariate fit reads the covariate-free fit (key ()), which
         # the first keeps; the fourth drops it as the oldest, so the fifth

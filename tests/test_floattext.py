@@ -151,6 +151,34 @@ def test_rounded_products_are_exact():
         assert got.tolist() == want
 
 
+def test_interval_products_are_rounded_products():
+    g1s, g0s = _floattext._G1, _floattext._G0
+    rng = np.random.default_rng(31)
+    # every h that shortest forms, from every binary exponent of a double
+    q = np.arange(-1074, 972, dtype=np.int64)
+    hs = set()
+    for uneven in (0, 1):
+        k = _floattext._flog10pow2(q, uneven)
+        hs.update((q + _floattext._flog2pow10(-k) + 2).tolist())
+    rows = np.arange(g1s.size)
+    cs = [(1, False), (2**52, False), (2**52, True), (2**53 - 1, False)]
+    cs += [(c, False) for c in rng.integers(1, 2**53, 12).tolist()]
+    cases = [(c, uneven, h) for c, uneven in cs for h in sorted(hs)]
+    row = np.tile(rows, len(cases))
+    c, uneven, h = (np.repeat(np.array(col), rows.size) for col in zip(*cases))
+    g1, g0 = g1s[row], g0s[row]
+    cb = c.astype(np.uint64) << np.uint64(2)
+    h = h.astype(np.uint64)
+    got = _floattext._interval_products(g1, g0, cb, h, uneven.astype(bool))
+    ends = (
+        (cb - np.uint64(2) + uneven.astype(np.uint64)) << h,
+        cb << h,
+        (cb + np.uint64(2)) << h,
+    )
+    for product, cp in zip(got, ends):
+        assert (product == _floattext._rop(g1, g0, cp)).all()
+
+
 def test_shortest_digits_and_exponent_are_reprs():
     rng = np.random.default_rng(19)
     values = np.r_[
@@ -172,3 +200,24 @@ def test_layout_writes_only_its_rows_and_slots():
     assert (text[0] == 0xAA).all() and (text[:, :8] == 0xAA).all()
     got = [bytes(row[row != 0]) for row in text[1:, 8:]]
     assert got == [b"1.5", b"-2e-07"]
+
+
+def test_layout_writes_every_form_as_repr():
+    forms = [
+        0.5, 0.000123,  # positional below one
+        1.0, 12.5, 1234567890123456.8, 9999999999999998.0,  # one or more
+        1e-5, 2.5e-300, 1.5e22, 5e-324,  # scientific
+        0.0,
+        1e16, 12345678901234567e5,  # 1e16 or more
+    ]
+    block = np.array([v for f in forms for v in (f, -f)])
+    assert_repr(block)
+    # a block with no value of one or more, so no digits before the point
+    assert_repr([0.25, -1e-7, 0.0, -0.0, -0.003, 4.5e-9, -0.999])
+
+
+def test_only_the_sign_words_hold_sign_slots():
+    signless = _floattext._SIGNLESS.ravel()
+    others = np.delete(signless, _floattext._SIGN_WORDS)
+    assert (others == ~np.uint64(0)).all()
+    assert (signless[_floattext._SIGN_WORDS] != ~np.uint64(0)).all()
