@@ -9,7 +9,8 @@ call per value; this module forms the same bytes for a whole array at once.
 Schubfach way to render doubles", 2020), as Java's ``DoubleToDecimal``
 does, on whole arrays: three round-to-odd products scale the value and
 the ends of its rounding interval by a power of ten, one choice between
-candidates picks the digits, and their trailing zeros are stripped.  Only
+candidates picks the digits, and the trailing zeros of the digits that
+end in zero are stripped.  Only
 the value's own pair of 128-bit products with the power's two halves is
 multiplied out; each end's pair is one exact 128-bit addition or
 subtraction of the halves shifted left away from it, as Ryu (Ulf Adams,
@@ -165,30 +166,28 @@ def _mul_high(a, b):
     return a1 * b1 + (middle >> h) + (other >> h)
 
 
-def _rop(g1, g0, cp):
-    """``g * cp / 2**127`` rounded to odd, ``g = g1 * 2**63 + g0``, from
-    the product's bits worth ``2**-63`` or more: the round to odd of
-    ``(floor(g1 * cp / 2) + floor(g0 * cp / 2**64)) / 2**63``.  The bits
-    dropped hold no more than ``g``'s rounding error, so that an exact
-    decimal stays exact."""
-    return _rounded(_mul_high(g1, cp), g1 * cp, _mul_high(g0, cp))
-
-
 def _rounded(y1, y0, x1):
-    """:func:`_rop` from the high and the low 64 bits ``y1``, ``y0`` of
-    ``g1 * cp`` and the high 64 bits ``x1`` of ``g0 * cp``."""
+    """``g * cp / 2**127`` rounded to odd, ``g = g1 * 2**63 + g0``, from
+    the high and the low 64 bits ``y1``, ``y0`` of ``g1 * cp`` and the high
+    64 bits ``x1`` of ``g0 * cp``: the round to odd of ``(floor(g1 * cp /
+    2) + floor(g0 * cp / 2**64)) / 2**63``, the product's bits worth
+    ``2**-63`` or more.  The bits dropped hold no more than ``g``'s
+    rounding error, so that an exact decimal stays exact.
+    ``tests/oracles.py``'s ``rop`` forms it from ``g1``, ``g0`` and ``cp``
+    alone."""
     z = (y0 >> _U64(1)) + x1
     inexact = (z & _LOW63) != 0
     return (y1 + (z >> _U64(63))) | inexact.astype(_U64)
 
 
 def _interval_products(g1, g0, cb, h, uneven):
-    """``(vbl, vb, vbr)``: :func:`_rop` at ``(cb - 2 + uneven) << h``,
-    ``cb << h`` and ``(cb + 2) << h``, from one pair of 128-bit products
-    ``g1 * cp`` and ``g0 * cp``, ``cp = cb << h``.  The ends' products are
-    those less ``g1 * 2**s`` and ``g0 * 2**s``, ``s = h + 1 - uneven``,
-    and plus them, ``s = h + 1``: exact 128-bit subtractions and additions
-    of the shifted halves, so every bit is :func:`_rop`'s.  ``h`` is
+    """``(vbl, vb, vbr)``: the rounded products of :func:`_rounded` at
+    ``cp = (cb - 2 + uneven) << h``, ``cb << h`` and ``(cb + 2) << h``,
+    from one pair of 128-bit products ``g1 * cp`` and ``g0 * cp``, ``cp =
+    cb << h``.  The ends' products are those less ``g1 * 2**s`` and ``g0 *
+    2**s``, ``s = h + 1 - uneven``, and plus them, ``s = h + 1``: exact
+    128-bit subtractions and additions of the shifted halves, so every bit
+    is that of ``tests/oracles.py``'s ``rop`` at each end.  ``h`` is
     ``uint64``, ``uneven`` bool, and every operand an array."""
     cp = cb << h
     y1, y0 = _mul_high(g1, cp), g1 * cp
@@ -213,19 +212,22 @@ def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One pair of 128-bit products scales the value; the ends of its rounding
     interval are an exact addition and subtraction away from them
-    (:func:`_interval_products`)."""
+    (:func:`_interval_products`).  The choice between candidates is bool
+    arithmetic and wrapping adds, not a select, and the trailing zeros are
+    stripped only from the digits that end in zero: a subset, since the
+    digits of most values do not."""
     bits = np.ascontiguousarray(values, np.float64).view(_U64).ravel()
     mantissa = bits & _U64((1 << 52) - 1)
     biased = (bits >> _U64(52)) & _U64(0x7FF)
     # abs(value) = c * 2**q
     q = np.maximum(biased.astype(np.int64), 1) - 1075
-    c = np.where(biased == 0, mantissa, mantissa | _U64(1 << 52))
+    c = mantissa | ((biased != 0) << _U64(52))
     # a power of two above the subnormals: the gap to the double below is
     # half the gap above
     uneven = (mantissa == 0) & (biased > 1)
     k = _flog10pow2(q, uneven)
     h = (q + _flog2pow10(-k) + 2).astype(_U64)
-    g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
+    g1, g0 = _G1.take(k - _K_MIN), _G0.take(k - _K_MIN)
     # four times the value and the ends of its rounding interval, over
     # 10**k, each rounded to odd
     vbl, vb, vbr = _interval_products(g1, g0, c << _U64(2), h, uneven)
@@ -238,21 +240,28 @@ def shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # even one on a tie; but of the multiples of ten just below and above a
     # two-digit or longer s, the one alone in the interval, if one is
     s = vb >> _U64(2)
-    s_in = vbl <= s << _U64(2)
+    s_out = vbl > s << _U64(2)
     t_in = (s + _U64(1)) << _U64(2) <= vbr
-    lower = vb + (s & _U64(1)) <= (s << _U64(2)) + _U64(2)
-    digits = np.where(np.where(s_in != t_in, s_in, lower), s, s + _U64(1))
+    upper = vb + (s & _U64(1)) > (s << _U64(2)) + _U64(2)
+    # s + 1 where t is in and s out, or where both or neither are and s + 1
+    # is closer: where two of the three hold
+    digits = s + ((t_in & s_out) | (upper & (t_in | s_out)))
     sp10 = s // _TEN * _TEN
     sp10_in = vbl <= sp10 << _U64(2)
     tp10_in = (sp10 + _TEN) << _U64(2) <= vbr
     shorter = (s >= _TEN) & (sp10_in != tp10_in)
-    digits = np.where(shorter, np.where(sp10_in, sp10, sp10 + _TEN), digits)
-    # strip the trailing zeros, at most 16 of them
+    # sp10 + 10 * tp10_in where shorter, by adds that wrap
+    digits += shorter * (sp10 + _TEN * tp10_in - digits)
+    # strip the trailing zeros, at most 16 of them, of the digits that end
+    # in zero
+    tens = np.flatnonzero(digits // _TEN * _TEN == digits)
+    run, exp = digits[tens], k[tens]
     for n in (16, 8, 4, 2, 1):
-        cut = digits // _POW10[n]
-        whole = cut * _POW10[n] == digits
-        digits = np.where(whole, cut, digits)
-        k += n * whole
+        cut = run // _POW10[n]
+        whole = cut * _POW10[n] == run
+        run = np.where(whole, cut, run)
+        exp += n * whole
+    digits[tens], k[tens] = run, exp
     zero = (bits << _U64(1)) == 0
     digits[zero] = 0
     k[zero] = 0
@@ -297,7 +306,10 @@ def layout(values: np.ndarray, text: np.ndarray) -> None:
     :data:`_SIGNLESS` is all ones."""
     values = np.asarray(values, np.float64)
     finite = np.isfinite(values)
-    digits, exponent = shortest(np.where(finite, values, 0.0))
+    all_finite = finite.all()
+    digits, exponent = shortest(
+        values if all_finite else np.where(finite, values, 0.0)
+    )
     count = np.searchsorted(_POW10[1 : _MAX_DIGITS + 1], digits, "right")
     count = count.astype(np.int64) + 1
     decpt = exponent + count
@@ -326,8 +338,8 @@ def layout(values: np.ndarray, text: np.ndarray) -> None:
     for word in _SIGN_WORDS:
         words[word] &= np.where(negative, ~_U64(0), _SIGNLESS[word, 0])
     text.view(_WORD)[:] = words.T
-    special = np.flatnonzero(~finite)
-    if special.size:
+    if not all_finite:
+        special = np.flatnonzero(~finite)
         odd = values[special]
         word = np.isinf(odd).astype(np.int64) * (1 + np.signbit(odd))
         text[special] = _SPECIAL[word]  # nan, inf or -inf

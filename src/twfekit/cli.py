@@ -463,12 +463,15 @@ def _write_weights(path: str, units, report) -> None:
     One process forms the rows, at most :data:`WEIGHT_ROWS_PER_WRITE` per
     write, as the rows of a ``uint8`` matrix with fixed columns: the label,
     ``,gap,start,``, the weight's text from :func:`_floattext.layout` and
-    ``\r\n``.  The bytes of a row's text are those a mask marks in its
-    label, which may hold a NUL, then every nonzero byte after the label.
-    The prefix columns hold a tile's (gap, start period) pairs, so they
-    are rewritten only when its slice of pairs differs from the one its
-    rows already hold: the tiles of one gap share one slice unless the gap
-    has more start periods than a write has rows.
+    ``\r\n``.  Each row's label is written as one fixed-width item and its
+    ``\r\n`` as one OR into an eight-byte word.  The bytes of a row's text
+    are its nonzero bytes, marked by one compare over the whole tile; only
+    where some label holds a NUL are the label columns marked from each
+    label's own mask instead.  The prefix columns hold a tile's (gap,
+    start period) pairs, so they are rewritten only when its slice of
+    pairs differs from the one its rows already hold: the tiles of one gap
+    share one slice unless the gap has more start periods than a write has
+    rows.
 
     The file is written under ``{path}.tmp``, which is renamed to ``path``
     only once every row is in it and removed if any write fails, so
@@ -499,9 +502,21 @@ def _write_weights(path: str, units, report) -> None:
             lw, pw = labels.shape[1], prefixes.shape[1]
             at = -(-(lw + pw) // 8) * 8
             end = at + _floattext.TEXT_WIDTH
-            crlf = at + _floattext.TEXT_END
             rows = np.zeros((WEIGHT_ROWS_PER_WRITE, end), np.uint8)
             keep = np.zeros(rows.shape, bool)
+            # each label as one item, and the rows' label columns as one
+            # field of that width
+            label_items = labels.view(f"V{lw}")[:, 0]
+            row_labels = rows.view(np.dtype({
+                "names": ["label"], "formats": [f"V{lw}"], "itemsize": end,
+            }))[:, 0]["label"]
+            # the word of each row that holds \r\n, whose bytes there the
+            # text leaves zero, and the word that \r\n sets in it
+            slot = at + _floattext.TEXT_END
+            line_ends = rows.view("<u8")[:, slot // 8]
+            crlf = np.uint64(int.from_bytes(b"\r\n", "little") << 8 * (slot % 8))
+            # only a label that holds a NUL has a byte that is zero and kept
+            nul = not (label_keep == (labels != 0)).all()
             out = handle.buffer
             header = echo.writerow(("unit", "gap", "start_period", "weight"))
             out.write(header.encode(encoding))
@@ -509,9 +524,7 @@ def _write_weights(path: str, units, report) -> None:
             for tile, unit, start in _weight_tiles(report):
                 size = tile.size
                 grid = rows[:size].reshape(tile.shape + (-1,))
-                mask = keep[:size].reshape(grid.shape)
-                grid[:, :, :lw] = labels[unit, None]
-                mask[:, :, :lw] = label_keep[unit, None]
+                row_labels[:size].reshape(tile.shape)[:] = label_items[unit, None]
                 # a tile of the held slice is one of the same gap's later
                 # unit chunks, no larger, so its prefixes are in place
                 if start != held:
@@ -519,8 +532,11 @@ def _write_weights(path: str, units, report) -> None:
                     held = start
                 text = rows[:size, at:end]
                 _floattext.layout(tile.ravel(), text)
-                rows[:size, crlf : crlf + 2] = np.frombuffer(b"\r\n", np.uint8)
-                np.not_equal(rows[:size, lw:], 0, out=keep[:size, lw:])
+                line_ends[:size] |= crlf
+                np.not_equal(rows[:size], 0, out=keep[:size])
+                if nul:
+                    mask = keep[:size].reshape(grid.shape)
+                    mask[:, :, :lw] = label_keep[unit, None]
                 out.write(rows[:size][keep[:size]])
         os.replace(temp, path)
     finally:

@@ -250,13 +250,34 @@ def _parse_value(cell: str, column: str, line_num: int) -> float:
     return value
 
 
-def _codes(labels: list[str]) -> tuple[list[str], np.ndarray]:
-    """The sorted distinct stripped ``labels`` and each label's index among them."""
-    labels = [label.strip() for label in labels]
+# the cells whose repeats tell :func:`_codes` whether a column's labels come
+# in runs
+_RUN_SAMPLE = 1024
+
+
+def _codes(labels) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct stripped ``labels`` (a list or an object array of
+    ``str``) and each label's index among them.
+
+    Where more than half of the first :data:`_RUN_SAMPLE` cells repeat the
+    cell before them, as in a file sorted by unit, only the first cell of
+    each run of equal cells is stripped and looked up, and its code is
+    repeated over the run; otherwise every cell is, since finding the runs
+    costs more than it saves where they are short."""
+    labels = np.asarray(labels, dtype=object)
+    sample = labels[:_RUN_SAMPLE]
+    run = None
+    if 2 * np.count_nonzero(sample[1:] == sample[:-1]) > len(sample):
+        labels = np.ascontiguousarray(labels)  # compared twice as fast
+        heads = np.ones(len(labels), dtype=bool)
+        np.not_equal(labels[1:], labels[:-1], out=heads[1:])
+        labels, run = labels[heads], np.cumsum(heads) - 1
+    labels = [label.strip() for label in labels.tolist()]
     # copies, so that the names do not pin the heap of the cells they came from
     names = sorted(label.encode().decode() for label in set(labels))
     code = dict(zip(names, range(len(names))))
-    return names, np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
+    codes = np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
+    return names, codes if run is None else codes.take(run)
 
 
 def _line_lengths(handle, path) -> np.ndarray:
@@ -310,7 +331,7 @@ def _read_columns(handle, lines: np.ndarray, header_lines: int, delimiter: str, 
             )
     except (ValueError, TypeError, OverflowError, Warning):
         return None
-    codes = [_codes(cells[f"f{col}"].tolist()) for col in labels]
+    codes = [_codes(cells[f"f{col}"]) for col in labels]
     for col in labels:  # frees the strings, which the views of cells would keep
         cells[f"f{col}"] = None
     # the clusters are the units where there is no cluster column

@@ -21,7 +21,9 @@ lstsq, kept as the reference for the library's projection, which
 public wrapper did.  ``load_panel_loop`` and ``write_weights_csv`` keep the
 former row-by-row CSV loader and ``csv.writer`` weights rows as the
 references for the CSV loader and the weights writer.
-``demean`` is the package's former public cross-sectional transform.
+``demean`` is the package's former public cross-sectional transform, and
+``rop`` the weights text's former rounded product, the reference for the
+three products that ``_floattext`` forms from one.
 ``exact_two_way`` and ``exact_pair_sums`` are the two-way residual and its
 pair-difference sums in exact rational arithmetic (``fractions``), and
 ``exact_audit_sums`` the audit's three totals as a rational pair loop: the
@@ -41,6 +43,7 @@ from twfekit import (
     BalancedPanel,
     NoIdentifyingVariation,
     PanelError,
+    _floattext,
     cluster_robust_se,
     twfe,
     twfe_multivariate,
@@ -1159,3 +1162,14 @@ def write_weights_csv(path, units, report):
                     block.ravel().tolist(),
                 )
             )
+
+
+def rop(g1, g0, cp):
+    """``g * cp / 2**127`` rounded to odd, ``g = g1 * 2**63 + g0``, from
+    the product's bits worth ``2**-63`` or more, multiplied out in full:
+    the weights text's former per-product kernel, kept as the reference
+    for ``_floattext._interval_products``, which forms the three products
+    of a value from one."""
+    return _floattext._rounded(
+        _floattext._mul_high(g1, cp), g1 * cp, _floattext._mul_high(g0, cp)
+    )

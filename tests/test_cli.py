@@ -841,16 +841,6 @@ class TestWriters:
             # before; the writer keeps a label's bytes by a mask, not by
             # their being nonzero
             units += ("nul\0byte",)
-        n = len(units)
-        panel = BalancedPanel(
-            units=units,
-            periods=tuple(range(1990, 1997)),
-            series={"y": rng.normal(size=(n, 7)), "x": rng.normal(size=(n, 7))},
-        )
-        report = causal_weights(panel, "y", "x")
-        oracles.write_weights_csv(tmp_path / "want.csv", panel.units, report)
-        want = (tmp_path / "want.csv").read_bytes()
-        assert want.count(b"\r\n") == 1 + n * 7 * 6 // 2
         layout, sizes = _floattext.layout, []
 
         def counted(values, text):
@@ -858,11 +848,28 @@ class TestWriters:
             layout(values, text)
 
         monkeypatch.setattr(_floattext, "layout", counted)
-        _write_weights(tmp_path / "got.csv", panel.units, report)
-        assert (tmp_path / "got.csv").read_bytes() == want
-        assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
-        assert sum(sizes) == n * 7 * 6 // 2
-        assert max(sizes) <= rows_per_write
+        # and labels without a NUL, whose bytes the writer keeps by their
+        # being nonzero: one byte long, quoted by csv, and not ASCII
+        no_nul = ("x", "a,b", 'say "hi"', "Zürich")
+        for name, units in ("every", units), ("no_nul", no_nul):
+            n = len(units)
+            panel = BalancedPanel(
+                units=units,
+                periods=tuple(range(1990, 1997)),
+                series={"y": rng.normal(size=(n, 7)), "x": rng.normal(size=(n, 7))},
+            )
+            report = causal_weights(panel, "y", "x")
+            out = tmp_path / name
+            out.mkdir()
+            oracles.write_weights_csv(out / "want.csv", panel.units, report)
+            want = (out / "want.csv").read_bytes()
+            assert want.count(b"\r\n") == 1 + n * 7 * 6 // 2
+            sizes.clear()
+            _write_weights(out / "got.csv", panel.units, report)
+            assert (out / "got.csv").read_bytes() == want
+            assert sorted(os.listdir(out)) == ["got.csv", "want.csv"]
+            assert sum(sizes) == n * 7 * 6 // 2
+            assert max(sizes) <= rows_per_write
 
     @pytest.mark.parametrize("failing", ["layout", "write"])
     def test_failed_weights_writer_leaves_no_part_or_process(

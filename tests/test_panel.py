@@ -549,6 +549,32 @@ class TestLoadPanelMatchesLoop:
         )
         _assert_same_load(path)
 
+    def test_labels_in_runs(self, tmp_path):
+        # period-major in two blocks of periods, so each unit's rows are
+        # two runs; adjacent cells differ only by the spaces around them,
+        # and most repeat the cell before, so labels are coded run by run
+        spaced = (" {}", "{} ") + ("{}",) * 6
+        rows = [
+            (spaced[t % 8].format(unit), t + 1, spaced[t % 8].format(region))
+            for block in (range(8), range(8, 16))
+            for unit, region in (("a", "north"), ("b", "north"), ("c", "south"))
+            for t in block
+        ]
+        by_unit = sorted(rows, key=lambda row: (row[0].strip(), row[1]))
+        schema = PanelSchema(unit="unit", time="year", cluster="region")
+        loaded = []
+        for name, order in ("runs.csv", rows), ("sorted.csv", by_unit):
+            path = tmp_path / name
+            path.write_text("unit,year,region,y\n" + "".join(
+                f"{unit},{year},{region},{ord(unit.strip()) + year / 4}\n"
+                for unit, year, region in order
+            ))
+            loaded.append(_assert_same_load(path, schema)[0])
+        got, want = loaded
+        assert got.units == want.units == ("a", "b", "c")
+        assert got.cluster_id == want.cluster_id == ("north", "north", "south")
+        assert got.values("y").tobytes() == want.values("y").tobytes()
+
     def test_longer_than_one_chunk(self, rng, tmp_path):
         rows = _long_rows(*LONG, rng)
         rows = [rows[k] for k in rng.permutation(len(rows))]
