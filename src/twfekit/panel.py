@@ -250,34 +250,18 @@ def _parse_value(cell: str, column: str, line_num: int) -> float:
     return value
 
 
-# the cells whose repeats tell :func:`_codes` whether a column's labels come
-# in runs
-_RUN_SAMPLE = 1024
-
-
 def _codes(labels) -> tuple[list[str], np.ndarray]:
     """The sorted distinct stripped ``labels`` (a list or an object array of
     ``str``) and each label's index among them.
 
-    Where more than half of the first :data:`_RUN_SAMPLE` cells repeat the
-    cell before them, as in a file sorted by unit, only the first cell of
-    each run of equal cells is stripped and looked up, and its code is
-    repeated over the run; otherwise every cell is, since finding the runs
-    costs more than it saves where they are short."""
-    labels = np.asarray(labels, dtype=object)
-    sample = labels[:_RUN_SAMPLE]
-    run = None
-    if 2 * np.count_nonzero(sample[1:] == sample[:-1]) > len(sample):
-        labels = np.ascontiguousarray(labels)  # compared twice as fast
-        heads = np.ones(len(labels), dtype=bool)
-        np.not_equal(labels[1:], labels[:-1], out=heads[1:])
-        labels, run = labels[heads], np.cumsum(heads) - 1
-    labels = [label.strip() for label in labels.tolist()]
+    Only the distinct cells are stripped; each cell is then looked up as it
+    was read, so a label is stripped once however many rows repeat it."""
+    stripped = {label: label.strip() for label in set(labels)}
     # copies, so that the names do not pin the heap of the cells they came from
-    names = sorted(label.encode().decode() for label in set(labels))
+    names = sorted({name.encode().decode() for name in stripped.values()})
     code = dict(zip(names, range(len(names))))
-    codes = np.fromiter(map(code.__getitem__, labels), np.int64, len(labels))
-    return names, codes if run is None else codes.take(run)
+    cell_code = {label: code[name] for label, name in stripped.items()}
+    return names, np.fromiter(map(cell_code.__getitem__, labels), np.int64, len(labels))
 
 
 def _line_lengths(handle, path) -> np.ndarray:

@@ -552,7 +552,7 @@ class TestLoadPanelMatchesLoop:
     def test_labels_in_runs(self, tmp_path):
         # period-major in two blocks of periods, so each unit's rows are
         # two runs; adjacent cells differ only by the spaces around them,
-        # and most repeat the cell before, so labels are coded run by run
+        # so distinct cells name the same label
         spaced = (" {}", "{} ") + ("{}",) * 6
         rows = [
             (spaced[t % 8].format(unit), t + 1, spaced[t % 8].format(region))
